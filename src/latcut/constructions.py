@@ -55,12 +55,9 @@ from .lattice import (
     lattice_width,
     point_denominator,
 )
-from .linalg import Vec, dot, vadd, vneg, vscale, vsub, vzero
+from .linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub, vzero
 from .simplex import solve_ineq
 from .strength import relative_strength
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

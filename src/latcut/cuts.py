@@ -109,10 +109,6 @@ def closure(family, columns, f) -> ClosureSystem:
                          tuple(intersection_cut(b, cols, f) for b in family))
 
 
-def cut_point_member(system, s) -> bool:
-    return system.accepts(s)
-
-
 def cut_dominates(b1: Polyhedron, b2: Polyhedron, f) -> bool:
     """Whether b1's cut implies b2's cut for every choice of columns.
 

@@ -20,6 +20,14 @@ rays of the pointed quotient plus a lineality basis, and combine adjacent
 rays across the new hyperplane (combinatorial adjacency test).  Both
 conversion directions run through the same cone routine, since the facets of
 a polyhedron are the extreme rays of its homogenized dual cone.
+
+Each constructor runs one conversion and drops the redundant part of its
+input by incidence (Fukuda & Prodon, "Double description method revisited",
+1996): a row is a facet or an implicit equality iff the generators tight on
+it have rank at least one below that of all generators, and a generator is
+extreme, or a line, iff the rows tight on it do.  ``Polyhedron._assemble``
+is the one routine that brings both descriptions to canonical form, for the
+constructors and for affine images alike.
 """
 
 from __future__ import annotations
@@ -163,49 +171,20 @@ def _reduce_off(v: Vec, basis: list[Vec], pivots: list[int]) -> Vec:
     return v
 
 
-# ---------------------------------------------------------------------------
-# conversions (raw, pre-canonicalization)
+def _irredundant(cands: list[Vec], duals: list[Vec]) -> list[Vec]:
+    """The candidates whose tight duals have rank at least rank(duals) - 1.
 
-
-def _generators_from_hrep(hs: list[HalfSpace], dim: int):
-    rows = [(-h.offset,) + h.normal for h in hs]
-    rows.append(tuple([Fraction(-1)] + [ZERO] * dim))  # x0 >= 0
-    lines, rays = cone_dd(rows, dim + 1)
-    for l in lines:
-        assert l[0] == 0, "lineality cannot leave the x0 = 0 slice"
-    verts = [tuple(x / r[0] for x in r[1:]) for r in rays if r[0] > 0]
-    recrays = [r[1:] for r in rays if r[0] == 0]
-    if not verts:
-        raise EmptySet("no feasible point satisfies all half-spaces")
-    return verts, recrays, [l[1:] for l in lines]
-
-
-def _hrep_from_generators(verts: list[Vec], recrays: list[Vec],
-                          lins: list[Vec], dim: int) -> list[HalfSpace]:
-    rows: list[Vec] = [(ONE,) + tuple(v) for v in verts]
-    rows += [(ZERO,) + tuple(r) for r in recrays]
-    for l in lins:
-        rows.append((ZERO,) + tuple(l))
-        rows.append((ZERO,) + tuple(vneg(l)))
-    dlines, drays = cone_dd(rows, dim + 1)
-    dbasis, dpivots = _canonical_basis(dlines)
-    hs: list[HalfSpace] = []
-    for z in dbasis:
-        assert not la.is_zero_vec(z[1:]), "equality with zero normal"
-        hs.append(_halfspace_from_homog(z))
-        hs.append(_halfspace_from_homog(vneg(z)))
-    # the ray class of (-1, 0) is the inequality 0 . x <= 1: not a facet
-    trivial = la.primitive(_reduce_off(
-        (-ONE,) + la.vzero(dim), dbasis, dpivots))
-    for z in drays:
-        z = la.primitive(_reduce_off(z, dbasis, dpivots))
-        if z == trivial:
-            continue
-        assert not la.is_zero_vec(z[1:]), "facet with zero normal"
-        hs.append(_halfspace_from_homog(z))
-    if not hs:
-        raise WholeSpace("generators span the whole space")
-    return sorted(set(hs))
+    With cands the rows of a cone and duals its generators (or the other way
+    round), these are the facets and implicit equalities (extreme rays and
+    lines); every other candidate supports a smaller face.
+    """
+    need = la.rank(duals) - 1
+    out = []
+    for c in cands:
+        tight = [d for d in duals if dot(c, d) == 0]
+        if len(tight) >= need and la.rank(tight) >= need:
+            out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +211,14 @@ class Polyhedron:
         for h in hs:
             if len(h.normal) != dim:
                 raise DimensionMismatch(f"normal {h.normal} not in dimension {dim}")
-        verts, recrays, lins = _generators_from_hrep(hs, dim)
-        return Polyhedron._assemble(verts, recrays, lins, dim)
+        rows = [(-h.offset,) + h.normal for h in hs]
+        lines, rays = cone_dd(rows + [(-ONE,) + la.vzero(dim)], dim + 1)  # x0 >= 0
+        for l in lines:
+            assert l[0] == 0, "lineality cannot leave the x0 = 0 slice"
+        if not any(r[0] > 0 for r in rays):
+            raise EmptySet("no feasible point satisfies all half-spaces")
+        return Polyhedron._assemble(_irredundant(rows, rays + lines), rays,
+                                    [l[1:] for l in lines], dim)
 
     @staticmethod
     def from_generators(vertices, rays=(), dim: int | None = None) -> "Polyhedron":
@@ -246,29 +231,49 @@ class Polyhedron:
         for g in itertools.chain(verts, recrays):
             if len(g) != dim:
                 raise DimensionMismatch(f"generator {g} not in dimension {dim}")
-        hs = _hrep_from_generators(verts, recrays, [], dim)
-        verts2, recrays2, lins2 = _generators_from_hrep(hs, dim)
-        return Polyhedron._assemble(verts2, recrays2, lins2, dim)
+        gens = [(ONE,) + v for v in verts] + [(ZERO,) + r for r in recrays]
+        dlines, drays = cone_dd(gens, dim + 1)
+        rows = dlines + drays
+        lins = la.kernel_basis([z[1:] for z in rows], dim)
+        kept = _irredundant(gens, rows + [(-ONE,) + la.vzero(dim)])  # x0 >= 0
+        return Polyhedron._assemble(rows, kept, lins, dim)
 
     @staticmethod
-    def _assemble(verts, recrays, lins, dim) -> "Polyhedron":
+    def _assemble(rows, gens, lins, dim) -> "Polyhedron":
+        """Canonical form from homogenized rows (z0, c), read as c . x <= -z0,
+        that include every facet and span the implicit equalities; from
+        homogenized generators (1, v) and (0, r) that include every extreme
+        point and ray; and from a basis of the lineality space in R^dim.
+        """
         basis, pivots = _canonical_basis(list(lins))
-        vcan = sorted({_reduce_off(v, basis, pivots) for v in verts})
-        rcan = sorted({la.primitive(_reduce_off(r, basis, pivots))
-                       for r in recrays})
-        hs = _hrep_from_generators(vcan, rcan, basis, dim)
+        vcan = sorted({_reduce_off(tuple(x / g[0] for x in g[1:]), basis, pivots)
+                       for g in gens if g[0] != 0})
+        rays = (_reduce_off(g[1:], basis, pivots) for g in gens if g[0] == 0)
+        rcan = sorted({la.primitive(r) for r in rays if not la.is_zero_vec(r)})
+        eqs, eq_pivots = _canonical_basis(
+            [z for z in rows if all(dot(z, g) == 0 for g in gens)])
+        hs = set()
+        for z in eqs:
+            hs.update((_halfspace_from_homog(z), _halfspace_from_homog(vneg(z))))
+        # the class of (-1, 0) is the inequality 0 . x <= 1, the face at
+        # infinity: not a facet, though its normal need not reduce to zero
+        trivial = la.primitive(_reduce_off((-ONE,) + la.vzero(dim), eqs, eq_pivots))
+        for z in rows:
+            z = _reduce_off(z, eqs, eq_pivots)
+            if not la.is_zero_vec(z) and la.primitive(z) != trivial:
+                hs.add(_halfspace_from_homog(z))
+        if not hs:
+            raise WholeSpace("generators span the whole space")
         all_rays = list(rcan)
         for l in basis:
             all_rays.extend((l, vneg(l)))
-        gen_rank = la.rank([vsub(v, vcan[0]) for v in vcan[1:]]
-                           + list(rcan) + list(basis)) if (len(vcan) > 1 or rcan or basis) else 0
         return Polyhedron(
             dim=dim,
-            halfspaces=tuple(hs),
+            halfspaces=tuple(sorted(hs)),
             vertices=tuple(vcan),
             rays=tuple(sorted(all_rays)),
             lineality=tuple(basis),
-            fulldim=(gen_rank == dim),
+            fulldim=not eqs,
         )
 
     # -- queries -------------------------------------------------------------
@@ -407,56 +412,16 @@ def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
     Invertible affine maps carry facets to facets and extreme rays to extreme
     rays, so both descriptions transform directly with no reconversion.
     """
-    inv = la.inverse(matrix)
-    verts = [vadd(la.mat_vec(matrix, v), shift) for v in p.vertices]
-    recrays = [la.mat_vec(matrix, r) for r in p.rays
-               if r not in _lineality_pairs(p)]
-    lins = [la.mat_vec(matrix, l) for l in p.lineality]
-    basis, pivots = _canonical_basis(lins)
-    vcan = sorted({_reduce_off(v, basis, pivots) for v in verts})
-    rcan = sorted({la.primitive(_reduce_off(r, basis, pivots)) for r in recrays})
-    hs = []
-    # transform each half-space: a . x <= b  ->  (a inv) . y <= b + (a inv) . shift
-    new_homog = []
+    inv_t = la.transpose(la.inverse(matrix))
+    rows = []
+    # a . x <= b  ->  (a inv) . y <= b + (a inv) . shift
     for h in p.halfspaces:
-        a2 = la.mat_vec(la.transpose(inv), h.normal)
-        b2 = h.offset + dot(a2, shift)
-        new_homog.append((-b2,) + tuple(a2))
-    eqs, eq_pivots = _canonical_basis(
-        [z for z in new_homog if _neg_in(z, new_homog)])
-    for z in eqs:
-        hs.append(_halfspace_from_homog(z))
-        hs.append(_halfspace_from_homog(vneg(z)))
-    seen = set(hs)
-    for z in new_homog:
-        if _neg_in(z, new_homog):
-            continue
-        z = _reduce_off(z, eqs, eq_pivots)
-        h2 = _halfspace_from_homog(z)
-        if h2 not in seen:
-            seen.add(h2)
-            hs.append(h2)
-    all_rays = list(rcan)
-    for l in basis:
-        all_rays.extend((l, vneg(l)))
-    return Polyhedron(
-        dim=p.dim,
-        halfspaces=tuple(sorted(hs)),
-        vertices=tuple(vcan),
-        rays=tuple(sorted(all_rays)),
-        lineality=tuple(basis),
-        fulldim=p.fulldim,
-    )
-
-
-def _lineality_pairs(p: Polyhedron) -> set[Vec]:
-    rayset = set(p.rays)
-    return {r for r in p.rays if vneg(r) in rayset}
-
-
-def _neg_in(z: Vec, homogs: list[Vec]) -> bool:
-    zp = la.primitive(z)
-    return vneg(zp) in {la.primitive(w) for w in homogs}
+        a2 = la.mat_vec(inv_t, h.normal)
+        rows.append((-h.offset - dot(a2, shift),) + a2)
+    gens = [(ONE,) + vadd(la.mat_vec(matrix, v), shift) for v in p.vertices]
+    gens += [(ZERO,) + la.mat_vec(matrix, r) for r in p.rays]
+    lins = [la.mat_vec(matrix, l) for l in p.lineality]
+    return Polyhedron._assemble(rows, gens, lins, p.dim)
 
 
 def transform(p: Polyhedron, t: UnimodularMap) -> Polyhedron:

@@ -189,6 +189,12 @@ def interior_lattice_point(p: Polyhedron):
         "pointed unbounded recession is only searched in the plane")
 
 
+def _width_along(p: Polyhedron, u: Vec) -> Fraction:
+    """Width of a bounded p along u: the spread of u . x over its vertices."""
+    vals = [dot(u, v) for v in p.vertices]
+    return max(vals) - min(vals)
+
+
 def _bounded_interior_point(p: Polyhedron, realign: bool = True):
     """First strict integer point of a bounded body, or None.
 
@@ -203,13 +209,9 @@ def _bounded_interior_point(p: Polyhedron, realign: bool = True):
     for e in sorted(hi[i] - lo[i] for i in range(p.dim))[:-1]:
         budget *= math.floor(e) + 1
     if realign and p.dim >= 3 and budget > 20000:
-
-        def width_along(u: Vec) -> Fraction:
-            vals = [dot(u, v) for v in p.vertices]
-            return max(vals) - min(vals)
-
-        u_best = min((h.normal for h in p.halfspaces), key=width_along)
-        if width_along(u_best) < min(b - a for a, b in zip(lo, hi)):
+        u_best = min((h.normal for h in p.halfspaces),
+                     key=lambda u: _width_along(p, u))
+        if _width_along(p, u_best) < min(b - a for a, b in zip(lo, hi)):
             um = la.alignment_unimodular([u_best])
             m = UnimodularMap.make(la.transpose(la.inverse(um)))
             z = _bounded_interior_point(transform(p, m), realign=False)
@@ -465,16 +467,12 @@ def lattice_width(p: Polyhedron) -> WidthReport:
         return WidthReport(sub.width, la.primitive(direction),
                            sub.segment_bound, sub.search_bound)
     n = p.dim
-
-    def width_along(u: Vec) -> Fraction:
-        vals = [dot(u, v) for v in p.vertices]
-        return max(vals) - min(vals)
-
     if n == 1:
-        return WidthReport(width_along((ONE,)), (ONE,), width_along((ONE,)), 1)
+        w = _width_along(p, (ONE,))
+        return WidthReport(w, (ONE,), w, 1)
     tau = min(_max_inner_segment(p, i) for i in range(n))
     assert tau > 0
-    best = min((width_along(tuple(ONE if i == j else ZERO for j in range(n))), i)
+    best = min((_width_along(p, tuple(ONE if i == j else ZERO for j in range(n))), i)
                for i in range(n))
     best_w = best[0]
     best_u = tuple(ONE if i == best[1] else ZERO for i in range(n))
@@ -488,7 +486,7 @@ def lattice_width(p: Polyhedron) -> WidthReport:
             continue  # widths are sign-symmetric
         if math.gcd(*(int(c) for c in u)) != 1:
             continue
-        w = width_along(u)
+        w = _width_along(p, u)
         if w < best_w:
             best_w, best_u = w, u
     return WidthReport(best_w, best_u, tau, bound)

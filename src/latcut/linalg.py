@@ -109,11 +109,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form in place; returns (rows, pivot column list)."""
     if not rows:
@@ -277,55 +272,12 @@ def unimodular_with_bottom_row(u: Vec) -> Mat:
 
 
 def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:
-    """Basis of the saturated lattice {z in Z^n : rows . z = 0}.
-
-    Integer column elimination on the (scaled-integer) rows produces a
-    unimodular transform whose trailing columns span the kernel lattice.
-    """
+    """Basis of the saturated lattice {z in Z^n : rows . z = 0}."""
     if not rows:
         raise ValueError("need at least one row")
     n = len(rows[0])
-    work = [[int(x) for x in primitive(r)] for r in rows]
-    c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_addmul(dst, src, k):
-        for w in work:
-            w[dst] += k * w[src]
-        for i in range(n):
-            c[i][dst] += k * c[i][src]
-
-    def col_swap(a, b):
-        for w in work:
-            w[a], w[b] = w[b], w[a]
-        for i in range(n):
-            c[i][a], c[i][b] = c[i][b], c[i][a]
-
-    pivot_row = 0
-    pivot_col = 0
-    for pivot_row in range(len(work)):
-        r = work[pivot_row]
-        if all(r[j] == 0 for j in range(pivot_col, n)):
-            continue
-        # euclid the tail of this row onto pivot_col
-        while True:
-            nz = [j for j in range(pivot_col, n) if r[j] != 0]
-            if len(nz) == 1:
-                if nz[0] != pivot_col:
-                    col_swap(nz[0], pivot_col)
-                break
-            nz.sort(key=lambda j: abs(r[j]))
-            small, other = nz[0], nz[1]
-            col_addmul(other, small, -(r[other] // r[small]))
-        pivot_col += 1
-        if pivot_col == n:
-            break
-    kernel_cols = range(pivot_col, n)
-    basis = []
-    for j in kernel_cols:
-        v = tuple(Fraction(c[i][j]) for i in range(n))
-        assert all(dot(row, v) == 0 for row in rows)
-        basis.append(v)
-    return basis
+    c, rk = _column_echelon([primitive(r) for r in rows])
+    return [tuple(Fraction(c[i][j]) for i in range(n)) for j in range(rk, n)]
 
 
 def alignment_unimodular(lines: Sequence[Vec]) -> Mat:
@@ -341,13 +293,11 @@ def alignment_unimodular(lines: Sequence[Vec]) -> Mat:
     perp = kernel_basis([list(l) for l in lines], n)
     if not perp:
         raise ValueError("lineality spans the whole space")
-    kb = integer_kernel_basis([primitive(p) for p in perp])
-    k = len(kb)
+    # the transform is unimodular and its trailing columns span the kernel
+    # lattice, so its inverse sends span(lines) onto the trailing axes
+    c, rk = _column_echelon([primitive(p) for p in perp])
+    k = n - rk
     assert k == n - len(perp)
-    # complete kb to a basis of Z^n: integer_kernel_basis columns come from a
-    # unimodular transform, so completion exists; rebuild it the same way.
-    work_rows = [primitive(p) for p in perp]
-    c = _full_transform(work_rows, n)
     cmat = tuple(tuple(Fraction(c[i][j]) for j in range(n)) for i in range(n))
     u = inverse(cmat)
     assert all(x.denominator == 1 for r in u for x in r)
@@ -360,9 +310,11 @@ def alignment_unimodular(lines: Sequence[Vec]) -> Mat:
     return u
 
 
-def _full_transform(rows: Sequence[Vec], n: int) -> list[list[int]]:
-    """Column transform C (unimodular, integer) with rows.C in echelon form;
-    trailing columns of C span the integer kernel of rows."""
+def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:
+    """Column transform C (unimodular, integer) with rows.C in echelon form,
+    and the rank of the integer rows; the trailing columns of C span the
+    integer kernel of rows."""
+    n = len(rows[0])
     work = [[int(x) for x in r] for r in rows]
     c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -382,6 +334,7 @@ def _full_transform(rows: Sequence[Vec], n: int) -> list[list[int]]:
     for r in work:
         if all(r[j] == 0 for j in range(pivot_col, n)):
             continue
+        # euclid the tail of this row onto pivot_col
         while True:
             nz = [j for j in range(pivot_col, n) if r[j] != 0]
             if len(nz) == 1:
@@ -393,7 +346,10 @@ def _full_transform(rows: Sequence[Vec], n: int) -> list[list[int]]:
         pivot_col += 1
         if pivot_col == n:
             break
-    return c
+    for j in range(pivot_col, n):
+        v = tuple(Fraction(c[i][j]) for i in range(n))
+        assert all(dot(row, v) == 0 for row in rows)
+    return c, pivot_col
 
 
 def format_frac(x: Fraction) -> str:

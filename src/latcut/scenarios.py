@@ -1,10 +1,10 @@
 """Named desk-scale experiments over the toolkit, run as assertion lists.
 
-Each scenario expands into named assertions; assertions run concurrently
-when independent and the report lists them in declaration order with exact
-rational values in the details.  Failures are reported per assertion, never
-thrown.  Randomized scenarios draw from a seed parameter (default 0) so
-every report is reproducible; wall time is the only nondeterministic field.
+Each scenario expands into named assertions, run one after another in
+declaration order; the report lists them in that order with exact rational
+values in the details.  Failures are reported per assertion, never thrown.
+Randomized scenarios draw from a seed parameter (default 0) so every report
+is reproducible; wall time is the only nondeterministic field.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -691,15 +690,12 @@ def run_scenario(name: str, overrides=None) -> ScenarioReport:
     start = time.perf_counter()
     checks = spec.build(params)
 
-    def run_one(pair):
-        cname, thunk = pair
+    results = []
+    for cname, thunk in checks:
         try:
-            return Assertion(cname, True, thunk())
+            results.append(Assertion(cname, True, thunk()))
         except _Fail as exc:
-            return Assertion(cname, False, str(exc))
+            results.append(Assertion(cname, False, str(exc)))
         except (LatcutError, AssertionError, ArithmeticError) as exc:
-            return Assertion(cname, False, f"{type(exc).__name__}: {exc}")
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(checks)))) as pool:
-        results = tuple(pool.map(run_one, checks))
-    return ScenarioReport(name, params, results, time.perf_counter() - start)
+            results.append(Assertion(cname, False, f"{type(exc).__name__}: {exc}"))
+    return ScenarioReport(name, params, tuple(results), time.perf_counter() - start)

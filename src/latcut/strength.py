@@ -23,9 +23,7 @@ from . import linalg as la
 from .cuts import gauge
 from .errors import NotPolytope, PointNotInterior
 from .geometry import Polyhedron, homothety
-from .linalg import Vec, dot, vadd, vscale, vsub
-
-ZERO = Fraction(0)
+from .linalg import ZERO, Vec, vadd, vscale, vsub
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from latcut.cuts import (
     CutSystem,
     closure,
     cut_dominates,
-    cut_point_member,
     f_metric,
     gauge,
     gauge_convergence_check,
@@ -78,20 +77,20 @@ def test_cut_degenerates_outside():
 def test_cut_membership_boundary():
     cut = intersection_cut(SQ01, [(1, 1)], F12)
     assert cut.coeffs == (F(2),)
-    assert cut_point_member(cut, (F(1, 2),))      # exactly on the boundary
-    assert not cut_point_member(cut, (F(1, 3),))
-    assert cut_point_member(cut, (1,))
+    assert cut.accepts((F(1, 2),))      # exactly on the boundary
+    assert not cut.accepts((F(1, 3),))
+    assert cut.accepts((1,))
 
 
 def test_closure_conjunction_and_empty_family():
     sys = closure([SPLIT_V], [(0, 1)], F12)
     for s in [(0,), (1,), (10,)]:
-        assert not cut_point_member(sys, s)   # zero coefficient: unsatisfiable
+        assert not sys.accepts(s)   # zero coefficient: unsatisfiable
     empty = closure([], [(0, 1)], F12)
-    assert cut_point_member(empty, (0,)) and cut_point_member(empty, (99,))
+    assert empty.accepts((0,)) and empty.accepts((99,))
     both = closure([SPLIT_V, SQ01], [(1, 0), (0, 1)], F12)
-    assert cut_point_member(both, (F(1, 2), F(1, 2)))
-    assert not cut_point_member(both, (F(1, 4), F(1, 2)))  # split cut bites
+    assert both.accepts((F(1, 2), F(1, 2)))
+    assert not both.accepts((F(1, 4), F(1, 2)))  # split cut bites
 
 
 def test_cut_validity_on_integer_points():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latcut import geometry
 from latcut import linalg as la
 from latcut.errors import (
     DimensionMismatch,
@@ -17,6 +18,8 @@ from latcut.geometry import (
     HalfSpace,
     Polyhedron,
     UnimodularMap,
+    affine_image,
+    cone_dd,
     drop_last_axis,
     embed_last_axis,
     hausdorff_sq,
@@ -68,6 +71,47 @@ def test_redundant_inputs_are_dropped():
         [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 3))])
     assert len(q.vertices) == 4
     assert p == q
+    # a point and a ray: rows strict on every vertex are the face at infinity
+    pt = Polyhedron.from_halfspaces(
+        [((1,), F(-1, 2)), ((-1,), F(1, 2)), ((1,), 0)], 1)
+    assert len(pt.halfspaces) == 2
+    assert pt.vertices == ((F(-1, 2),),)
+    ray = Polyhedron.from_halfspaces(
+        [((3, -1), -1), ((-3, 1), 1), ((1, 0), F(1, 3)), ((3, -1), 0)], 2)
+    assert len(ray.halfspaces) == 3
+    assert ray.vertices == ((F(1, 3), F(2)),) and ray.rays == ((F(-1), F(-3)),)
+    # lineality given as rays, one direction twice
+    slab = Polyhedron.from_generators(
+        [(0, 0), (0, 5), (1, 0)], [(0, 1), (0, -1), (0, 2)], 2)
+    assert len(slab.vertices) == 2
+    assert slab.lineality == ((F(0), F(1)),)
+
+
+def test_one_conversion_per_constructor(monkeypatch):
+    calls = []
+
+    def counting_cone_dd(rows, dim):
+        calls.append(dim)
+        return cone_dd(rows, dim)
+
+    monkeypatch.setattr(geometry, "cone_dd", counting_cone_dd)
+    bodies = [([((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1),
+                ((1, 0), 3)], 2),
+              ([((0, 1, 0), 1), ((0, -1, 0), 0), ((1, 0, 1), 2)], 3),
+              ([((1,), 2), ((-1,), -2)], 1)]
+    for hs, dim in bodies:
+        calls.clear()
+        p = Polyhedron.from_halfspaces(hs, dim)
+        assert len(calls) == 1
+        q = Polyhedron.from_generators(list(p.vertices) + [p.vertices[0]],
+                                       p.rays, dim)
+        assert q == p and len(calls) == 2
+        m = tuple(tuple(F(2) if i == j else F(i < j) for j in range(dim))
+                  for i in range(dim))
+        affine_image(p, m, (F(1, 2),) * dim)
+        homothety(p, (1,) * dim, F(3, 2))
+        transform(p, UnimodularMap.make(la.identity(dim), (1,) * dim))
+        assert len(calls) == 2
 
 
 def test_empty_and_whole_space_raise():
