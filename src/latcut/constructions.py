@@ -31,19 +31,19 @@ from .errors import (
     PointNotInterior,
     UnboundedEnumeration,
     UnsupportedDimension,
+    WholeSpace,
     WitnessOnBoundary,
 )
 from .geometry import (
     HalfSpace,
     Polyhedron,
     UnimodularMap,
-    drop_last_axis,
     embed_last_axis,
     homothety,
+    level_slice,
     lp_solve,
     minkowski_scale_shift,
     product_with_line,
-    section_last_axis,
     separate,
     transform,
 )
@@ -294,25 +294,12 @@ def _slab_slice_lattice_free(b: Polyhedron):
     if lo is None or hi is None:
         raise UnboundedEnumeration("slice certificate needs a bounded level range")
     for w in range(math.floor(lo) + 1, math.ceil(hi)):
-        rows = []
-        infeasible = False
-        for h in b.halfspaces:
-            a = h.normal[:-1]
-            c = h.offset - h.normal[-1] * w
-            if la.is_zero_vec(a):
-                if c <= 0:
-                    infeasible = True
-                    break
-            else:
-                rows.append(HalfSpace.make(a, c))
-        if infeasible:
-            continue
-        if not rows:
-            return False, vzero(b.dim - 1) + (Fraction(w),)
         try:
-            s = Polyhedron.from_halfspaces(rows, b.dim - 1)
+            s = level_slice(b, w)
         except EmptySet:
             continue
+        except WholeSpace:
+            return False, vzero(b.dim - 1) + (Fraction(w),)
         if not s.fulldim:
             continue
         z = interior_lattice_point(s)
@@ -351,7 +338,7 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
     if not certify_lattice_free(d).lattice_free:
         raise HypothesisViolated("base-not-lattice-free", "")
     try:
-        sec = drop_last_axis(section_last_axis(l, t))
+        sec = level_slice(l, t)
     except EmptySet:
         sec = None
     if sec is not None and not d.contains(sec):
@@ -447,8 +434,7 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
     pprime = la.solve(tuple(h.normal[:-1] for h in kept), rhs)
     assert pprime is not None
     p = pprime + (other_level - (ONE + alpha) * base_level,)
-    base = embed_last_axis(drop_last_axis(section_last_axis(tshape, base_level)),
-                           base_level)
+    base = embed_last_axis(level_slice(tshape, base_level), base_level)
     cone = TruncatedCone.make(base, alpha, p)
     assert cone.hull == tshape
     # the interior point sits high enough: mu >= 3/8 from the upper base,
@@ -509,7 +495,7 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
     else:
         t = math.ceil(lo)
         assert lo < t < hi
-        d = grow_to_maximal(drop_last_axis(section_last_axis(lt, t)))
+        d = grow_to_maximal(level_slice(lt, t))
         assert len(d.halfspaces) <= 2 ** (n - 1)
         b0 = lift_to_nplus1(lt, ft, gamma, d, t)
     b = transform(b0, phi.inverse())
@@ -565,7 +551,7 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
         lt = transform(l, phi)
         ft = phi.apply(f)
         assert ft[-1] == 0
-        mmax = grow_to_maximal(drop_last_axis(section_last_axis(lt, 0)))
+        mmax = grow_to_maximal(level_slice(lt, 0))
         sub = approximate_fixed_f(mmax, ft[:-1])
         d = sub.body
         assert len(d.halfspaces) <= n
@@ -668,10 +654,10 @@ def inapprox_pyramid(l: Polyhedron, c, zs, eps, mu) -> PyramidWitness:
     fbase = homothety(l, c, ONE / em)
     p = Polyhedron.from_generators(
         [f] + [v + (-ONE,) for v in fbase.vertices], dim=n)
-    assert drop_last_axis(section_last_axis(p, 0)) == homothety(l, c, ONE / (em + 1))
+    assert level_slice(p, 0) == homothety(l, c, ONE / (em + 1))
     lam = (em * (em + 1) + 1) / (em + 1)
     body = homothety(p, c + (-ONE,), lam)
-    assert drop_last_axis(section_last_axis(body, 0)) == l
+    assert level_slice(body, 0) == l
     assert len(body.halfspaces) == len(l.halfspaces) + 1
     assert body.contains(p)
     assert body.contains_point(f, strict=True)
@@ -768,10 +754,10 @@ def _tower(f: Vec, alpha: Fraction):
     base = homothety(sub_body, fprime, alpha)
     body0 = Polyhedron.from_generators([apex] + [v + (-ONE,) for v in base.vertices])
     zs0 = [z + (ZERO,) for z in sub_zs] + [sub_zs[0] + (-ONE,)]
-    assert drop_last_axis(section_last_axis(body0, 0)) == sub_body
+    assert level_slice(body0, 0) == sub_body
     # the shrunken tower's base returns to the lower tower at level -1/alpha
     shrunk = homothety(body0, ft, ONE / alpha)
-    assert drop_last_axis(section_last_axis(shrunk, -ONE / alpha)) == sub_body
+    assert level_slice(shrunk, -ONE / alpha) == sub_body
     inv = phi.inverse()
     return transform(body0, inv), [inv.apply(z) for z in zs0]
 

@@ -597,26 +597,37 @@ def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# coordinate sections and embeddings (last-axis convention)
+# level slices and embeddings (last-axis convention); a slice is read off the
+# rows with x_n fixed, so it costs one conversion
 
 
-def section_last_axis(p: Polyhedron, level) -> Polyhedron:
-    """p intersected with {x_n = level}, kept in the ambient space."""
+def fix_last_axis(halfspaces, level) -> list[HalfSpace]:
+    """The rows a . x <= b with x_n = level put in, one dimension down.
+
+    Each row becomes a[:-1] . y <= b - a_n level.  A row whose new normal is
+    zero is dropped when it holds and raises EmptySet when it fails.
+    """
     level = la.frac(level)
-    e = la.vzero(p.dim - 1) + (ONE,)
-    hs = list(p.halfspaces)
-    hs.append(HalfSpace.make(e, level))
-    hs.append(HalfSpace.make(vneg(e), -level))
-    return Polyhedron.from_halfspaces(hs, p.dim)
+    out = []
+    for h in halfspaces:
+        head = h.normal[:-1]
+        rhs = h.offset - h.normal[-1] * level
+        if la.is_zero_vec(head):
+            if rhs < 0:
+                raise EmptySet("the level misses a half-space")
+            continue
+        out.append(HalfSpace.make(head, rhs))
+    return out
 
 
-def drop_last_axis(p: Polyhedron) -> Polyhedron:
-    """Forget the last coordinate of a polyhedron lying in {x_n = const}."""
-    level = p.vertices[0][-1]
-    assert all(v[-1] == level for v in p.vertices)
-    assert all(r[-1] == 0 for r in p.rays)
-    return Polyhedron.from_generators(
-        [v[:-1] for v in p.vertices], [r[:-1] for r in p.rays], p.dim - 1)
+def level_slice(p: Polyhedron, level) -> Polyhedron:
+    """p intersected with {x_n = level}, in the first n-1 coordinates.
+
+    Raises EmptySet when the level misses p and WholeSpace when no row
+    constrains the slice.
+    """
+    return Polyhedron.from_halfspaces(fix_last_axis(p.halfspaces, level),
+                                      p.dim - 1)
 
 
 def embed_last_axis(p: Polyhedron, level) -> Polyhedron:

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedShape,
     WholeSpace,
 )
-from .geometry import HalfSpace, Polyhedron, UnimodularMap, transform
+from .geometry import HalfSpace, Polyhedron, UnimodularMap, fix_last_axis, transform
 from .linalg import ONE, ZERO, Vec, dot, vadd, vscale
 
 
@@ -172,7 +172,7 @@ def interior_lattice_point(p: Polyhedron):
     if p.is_bounded():
         return _bounded_interior_point(p)
     if p.lineality:
-        quotient, back = _split_off_lineality(p)
+        quotient, back, _ = _split_off_lineality(p)
         z = interior_lattice_point(quotient)
         return None if z is None else back(z)
     if p.dim == 1:
@@ -254,8 +254,9 @@ def _bounded_interior_point(p: Polyhedron, realign: bool = True):
 
 def _split_off_lineality(p: Polyhedron):
     """Unimodular change sending the lineality space to the trailing axes,
-    then dropping them.  Returns (quotient, lift) with lift mapping integer
-    quotient points back to integer points of p."""
+    then dropping them.  Returns (quotient, lift, u): lift maps integer
+    quotient points back to integer points of p, and u is the unimodular
+    matrix of the change."""
     k = len(p.lineality)
     u = la.alignment_unimodular(list(p.lineality))
     umap = UnimodularMap.make(u)
@@ -270,7 +271,7 @@ def _split_off_lineality(p: Polyhedron):
     def back(z: Vec) -> Vec:
         return inv.apply(tuple(z) + (ZERO,) * k)
 
-    return quotient, back
+    return quotient, back, u
 
 
 def _planar_pointed_interior_point(p: Polyhedron):
@@ -339,6 +340,8 @@ class LatticeFreeCert:
 
 def facet_interior_lattice_point(p: Polyhedron, j: int):
     """Integer point in the relative interior of facet j, or None."""
+    if not p.fulldim:
+        raise NotFullDimensional("facet search needs a full-dimensional body")
     h = p.halfspaces[j]
     others = [(g.normal, g.offset) for i, g in enumerate(p.halfspaces) if i != j]
     if p.dim == 1:
@@ -358,24 +361,17 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     assert la.is_zero_vec(img[:-1]) and abs(img[-1]) == 1
     level = h.offset * img[-1]
     # under y = U^-T x the plane becomes y_n = level and a . x <= b becomes
-    # (U a) . y <= b; fixing y_n leaves strict constraints in y_1..y_{n-1}
-    cons = []
-    for a, b in others:
-        a2 = la.mat_vec(u, a)
-        rhs = b - a2[-1] * level
-        head = a2[:-1]
-        if la.is_zero_vec(head):
-            if rhs <= 0:
-                return None
-            continue
-        cons.append(HalfSpace.make(head, rhs))
-    if cons:
-        sub = Polyhedron.from_halfspaces(cons, p.dim - 1)
+    # (U a) . y <= b; fixing y_n leaves constraints in y_1..y_{n-1} (a row
+    # parallel to the plane holds strictly on it, as p is full-dimensional)
+    rotated = [HalfSpace(la.mat_vec(u, a), b) for a, b in others]
+    try:
+        sub = Polyhedron.from_halfspaces(fix_last_axis(rotated, level), p.dim - 1)
+    except WholeSpace:
+        z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
+    else:
         z2 = interior_lattice_point(sub)
         if z2 is None:
             return None
-    else:
-        z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
     z = la.mat_vec(la.transpose(u), tuple(z2) + (level,))
     assert dot(h.normal, z) == h.offset
     assert all(dot(a, z) < b for a, b in others)
@@ -386,16 +382,13 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
     """Decide lattice-freeness of a full-dimensional body, with evidence."""
     if not p.fulldim:
         raise NotFullDimensional("lattice-free check needs a full-dimensional body")
-    bad = interior_lattice_point(p)
-    if bad is not None:
-        return LatticeFreeCert(False, bad, (), None)
     if p.lineality:
-        quotient, back = _split_off_lineality(p)
+        quotient, back, u = _split_off_lineality(p)
         sub = certify_lattice_free(quotient)
-        assert sub.lattice_free
+        if not sub.lattice_free:
+            return LatticeFreeCert(False, back(sub.interior_witness), (), None)
         # match each facet of p with its image facet in the quotient
         k = len(p.lineality)
-        u = la.alignment_unimodular(list(p.lineality))
         inv_t = la.transpose(la.inverse(u))
         witnesses = []
         for h in p.halfspaces:
@@ -407,6 +400,9 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
             witnesses.append(None if w is None else back(w))
         return LatticeFreeCert(True, None, tuple(witnesses),
                                all(w is not None for w in witnesses))
+    bad = interior_lattice_point(p)
+    if bad is not None:
+        return LatticeFreeCert(False, bad, (), None)
     witnesses = tuple(facet_interior_lattice_point(p, j)
                       for j in range(len(p.halfspaces)))
     return LatticeFreeCert(True, None, witnesses,
@@ -459,10 +455,9 @@ def lattice_width(p: Polyhedron) -> WidthReport:
     if p.rays:
         if not p.recession_is_subspace():
             raise UnsupportedShape("width search needs subspace recession")
-        quotient, _ = _split_off_lineality(p)
+        quotient, _, u = _split_off_lineality(p)
         sub = lattice_width(quotient)
         k = len(p.lineality)
-        u = la.alignment_unimodular(list(p.lineality))
         direction = la.mat_vec(la.transpose(u), sub.direction + (ZERO,) * k)
         return WidthReport(sub.width, la.primitive(direction),
                            sub.segment_bound, sub.search_bound)

@@ -35,9 +35,8 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     UnimodularMap,
-    drop_last_axis,
     homothety,
-    section_last_axis,
+    level_slice,
     transform,
 )
 from .lattice import certify_lattice_free, flatness_bound, point_denominator
@@ -504,14 +503,13 @@ def _inapprox_checks(params):
             pw = inapprox_pyramid(l, c, zs, eps, mu)
             _expect(len(pw.body.halfspaces) == len(l.halfspaces) + 1,
                     "pyramid facet count off")
-            _expect(drop_last_axis(section_last_axis(pw.body, 0)) == l,
+            _expect(level_slice(pw.body, 0) == l,
                     "level-zero cross-section is not the base body")
             em = eps * mu
             fb = homothety(l, c, 1 / em)
             p = Polyhedron.from_generators(
                 [pw.f] + [v + (-ONE,) for v in fb.vertices])
-            _expect(drop_last_axis(section_last_axis(p, 0))
-                    == homothety(l, c, 1 / (em + 1)),
+            _expect(level_slice(p, 0) == homothety(l, c, 1 / (em + 1)),
                     "inner cross-section identity fails")
             _expect(pw.body.contains(p), "pyramid does not hold its core")
             inner = homothety(p, pw.f, em)

@@ -110,3 +110,43 @@ def hausdorff_sq_polygons(verts_a, verts_b, inside_a, inside_b):
 
     return max(one_sided(verts_a, verts_b, inside_b),
                one_sided(verts_b, verts_a, inside_a))
+
+
+def brute_force_slice(vertices, level):
+    """Sorted extreme points of a polytope's slice at x_n = level, in the
+    first n-1 coordinates (n <= 3), or None when the level misses it.
+
+    The slice is the convex hull of the points where segments between two
+    vertices meet the level (the edges are among them); the hull is taken
+    by sorting on a line and by the monotone chain in the plane.
+    """
+    level = Fraction(level)
+    verts = [la.vec(v) for v in vertices]
+    pts = set()
+    for a, b in itertools.combinations_with_replacement(verts, 2):
+        if a[-1] == b[-1]:
+            if a[-1] == level:
+                pts.update((a[:-1], b[:-1]))
+        elif min(a[-1], b[-1]) <= level <= max(a[-1], b[-1]):
+            s = (level - a[-1]) / (b[-1] - a[-1])
+            pts.add(tuple(x + s * (y - x) for x, y in zip(a[:-1], b[:-1])))
+    if not pts:
+        return None
+    pts = sorted(pts)
+    if len(pts[0]) == 1 or len(pts) == 1:
+        return sorted({pts[0], pts[-1]})
+
+    def chain(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2 and _turn(out[-2], out[-1], q) <= 0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    return sorted(set(chain(pts) + chain(reversed(pts))))
+
+
+def _turn(o, a, b):
+    """Twice the signed area of the triangle o, a, b."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

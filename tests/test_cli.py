@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def package_env():
+    """The environment with the imported package first on PYTHONPATH, so a
+    child Python runs the same sources as this session."""
+    pythonpath = [str(Path(latcut.__file__).parents[1]),
+                  os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert err == ""
@@ -213,14 +221,21 @@ def test_console_script_is_installed(capsys, tmp_path):
         target = tomllib.load(fh)["project"]["scripts"]["latcut"]
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    pythonpath = [str(Path(latcut.__file__).parents[1]),
-                  os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     proc = subprocess.run([sys.executable, "-c", wrapper, "list-scenarios"],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=package_env(),
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.strip().splitlines()) == 9
+    code, out, err = run(capsys, "list-scenarios")
+    assert code == 0
+    assert proc.stdout == out
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "latcut", "list-scenarios"],
+                          capture_output=True, text=True, env=package_env(),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
     code, out, err = run(capsys, "list-scenarios")
     assert code == 0
     assert proc.stdout == out

@@ -40,11 +40,10 @@ from latcut.errors import (
 from latcut.geometry import (
     HalfSpace,
     Polyhedron,
-    drop_last_axis,
     embed_last_axis,
     homothety,
+    level_slice,
     minkowski_scale_shift,
-    section_last_axis,
 )
 from latcut import linalg as la
 from latcut.lattice import certify_lattice_free, flatness_bound, point_denominator
@@ -506,7 +505,7 @@ def test_pyramid_over_the_unit_segment():
     assert pw.body.vertices == (
         (F(-8, 5), F(-1)), (F(1, 2), F(5, 16)), (F(13, 5), F(-1)))
     # level-zero slice recovers the base body exactly
-    assert drop_last_axis(section_last_axis(pw.body, 0)) == l
+    assert level_slice(pw.body, 0) == l
     cert = certify_lattice_free(pw.body)
     assert cert.lattice_free and cert.maximal
 
@@ -518,7 +517,7 @@ def test_pyramid_over_the_diamond_adds_one_facet():
     pw = inapprox_pyramid(diam, F12, zs, eps, F(1, 2))
     assert len(pw.body.halfspaces) == 5
     assert pw.f == (F(1, 2), F(1, 2), F(1, 8))
-    assert drop_last_axis(section_last_axis(pw.body, 0)) == diam
+    assert level_slice(pw.body, 0) == diam
     assert pw.body.contains_point(pw.f, strict=True)
 
 

@@ -1,5 +1,6 @@
 """Conversion engine, polarity, transforms, LP, separation, distances."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,22 +21,21 @@ from latcut.geometry import (
     UnimodularMap,
     affine_image,
     cone_dd,
-    drop_last_axis,
     embed_last_axis,
     hausdorff_sq,
     homothety,
+    level_slice,
     lp_solve,
     minkowski_scale_shift,
     polar,
     product_with_line,
-    section_last_axis,
     separate,
     squared_distance_point,
     transform,
     translate,
 )
 
-from oracles import brute_force_lp, brute_force_vertices
+from oracles import brute_force_lp, brute_force_slice, brute_force_vertices
 
 DIAMOND_HS = [((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1)]
 
@@ -112,6 +112,9 @@ def test_one_conversion_per_constructor(monkeypatch):
         homothety(p, (1,) * dim, F(3, 2))
         transform(p, UnimodularMap.make(la.identity(dim), (1,) * dim))
         assert len(calls) == 2
+        if dim > 1:
+            level_slice(p, F(1, 3))
+            assert len(calls) == 3
 
 
 def test_empty_and_whole_space_raise():
@@ -285,16 +288,48 @@ def test_homothety_and_scale_shift():
 
 def test_sections_and_embeddings():
     tri = Polyhedron.from_generators([(0, 0), (2, 0), (1, 2)])
-    s = section_last_axis(tri, 1)
-    assert sorted(s.vertices) == [(F(1, 2), F(1)), (F(3, 2), F(1))]
-    d = drop_last_axis(s)
+    d = level_slice(tri, 1)
     assert d.dim == 1 and sorted(d.vertices) == [(F(1, 2),), (F(3, 2),)]
     e = embed_last_axis(d, 5)
     assert sorted(e.vertices) == [(F(1, 2), F(5)), (F(3, 2), F(5))]
     with pytest.raises(EmptySet):
-        section_last_axis(tri, 3)
+        level_slice(tri, 3)
+    slab = Polyhedron.from_halfspaces([((0, 1), 1), ((0, -1), 0)], 2)
+    with pytest.raises(WholeSpace):
+        level_slice(slab, F(1, 2))
+    with pytest.raises(EmptySet):
+        level_slice(slab, 2)
     pl = product_with_line(d)
     assert pl.lineality == ((F(0), F(1)),)
+
+
+def test_level_slice_matches_brute_force():
+    # random 2-d and 3-d polytopes, half of them with a flat top, sliced at
+    # every vertex level, between levels, and outside the level range
+    rng = random.Random(5)
+    flat_tops = 0
+    for trial in range(40):
+        n = 2 + trial % 2
+        pts = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n))
+               for _ in range(n + 3)]
+        if trial % 4 < 2:
+            top = max(x[-1] for x in pts)
+            pts += [x[:-1] + (top,) for x in pts[:n]]
+        p = Polyhedron.from_generators(pts)
+        flat_tops += any(la.is_zero_vec(h.normal[:-1]) for h in p.halfspaces)
+        heights = sorted({v[-1] for v in p.vertices})
+        levels = heights + [(a + b) / 2 for a, b in zip(heights, heights[1:])]
+        levels += [heights[0] - 1, heights[-1] + F(1, 2)]
+        for t in levels:
+            want = brute_force_slice(p.vertices, t)
+            if want is None:
+                with pytest.raises(EmptySet):
+                    level_slice(p, t)
+                continue
+            s = level_slice(p, t)
+            assert s.dim == n - 1 and s.rays == ()
+            assert list(s.vertices) == want
+    assert flat_tops > 0
 
 
 def test_squared_distances():

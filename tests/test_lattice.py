@@ -124,6 +124,33 @@ def test_certify_skewed_slab():
     _check_cert(p, cert)
 
 
+def test_certify_bodies_with_lineality_that_hold_a_lattice_point():
+    # frozen: the witnesses interior_lattice_point gives on the same bodies
+    strip = Polyhedron.from_halfspaces([((1, 2), 3), ((-1, -2), 0)], 2)
+    slab = Polyhedron.from_halfspaces(
+        [((1, 0, 1), F(5, 2)), ((-1, 0, -1), 0), ((0, 1, 0), 2), ((0, -1, 0), 0)],
+        3)
+    for p, w in ((strip, (F(2), F(0))), (slab, (F(2), F(1), F(0)))):
+        cert = certify_lattice_free(p)
+        assert not cert.lattice_free and cert.interior_witness == w
+        assert interior_lattice_point(p) == w
+        _check_cert(p, cert)
+
+
+def test_certify_splits_off_lineality_once(monkeypatch):
+    real = la.alignment_unimodular
+    calls = []
+
+    def counting_alignment(vectors):
+        calls.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(la, "alignment_unimodular", counting_alignment)
+    p = Polyhedron.from_halfspaces([((1, 2), 1), ((-1, -2), 0)], 2)
+    assert certify_lattice_free(p).maximal
+    assert calls == [1]
+
+
 def test_certify_strip_with_pointed_recession():
     # quarter-open strip: lattice-free but not maximal
     p = Polyhedron.from_halfspaces(
@@ -162,6 +189,24 @@ def test_facet_witness_nonexistent_on_fractional_line():
     j = next(i for i, h in enumerate(p.halfspaces)
              if h.normal == (F(0), F(1)))
     assert facet_interior_lattice_point(p, j) is None
+
+
+def test_facet_witnesses_of_a_slab_in_space():
+    # the other facet is parallel, so each facet's relative interior is its
+    # whole plane
+    slab3 = Polyhedron.from_halfspaces([((1, 0, 0), 1), ((-1, 0, 0), 0)], 3)
+    for j, h in enumerate(slab3.halfspaces):
+        z = facet_interior_lattice_point(slab3, j)
+        assert all(x.denominator == 1 for x in z) and h.eval_slack(z) == 0
+
+
+def test_facet_search_requires_full_dimension():
+    # a flat triangle lists both sides of its plane as rows, and no point
+    # of the plane lies strictly inside the other side
+    tri = Polyhedron.from_generators([(0, 0, 0), (4, 0, 0), (0, 4, 0)])
+    for j in range(len(tri.halfspaces)):
+        with pytest.raises(NotFullDimensional):
+            facet_interior_lattice_point(tri, j)
 
 
 def test_interior_point_halfline():
