@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import linalg as la
 from .errors import DimensionMismatch, PointNotInterior
-from .geometry import Polyhedron, hausdorff_sq, polar, translate
-from .linalg import Vec, ZERO, dot, vsub
+from .geometry import Polyhedron, hausdorff_sq, polar
+from .linalg import Vec, ZERO, dot
 
 
 def _shifted_facets(b: Polyhedron, f: Vec):
@@ -141,12 +141,17 @@ class PolarDistance:
 
 
 def f_metric(b1: Polyhedron, b2: Polyhedron, f) -> PolarDistance:
+    """Hausdorff distance between (b1 - f) polar and (b2 - f) polar.
+
+    Both polars are read off the bodies' own facets and vertices, so the
+    metric runs no conversion.
+    """
     f = la.vec(f)
     polars = []
     for b in (b1, b2):
         if not b.contains_point(f, strict=True):
             raise PointNotInterior("polar metric needs interior points")
-        polars.append(polar(translate(b, vsub(la.vzero(b.dim), f))))
+        polars.append(polar(b, f))
     return PolarDistance(hausdorff_sq(polars[0], polars[1]))
 
 

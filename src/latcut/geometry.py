@@ -27,7 +27,9 @@ input by incidence (Fukuda & Prodon, "Double description method revisited",
 it have rank at least one below that of all generators, and a generator is
 extreme, or a line, iff the rows tight on it do.  ``Polyhedron._assemble``
 is the one routine that brings both descriptions to canonical form, for the
-constructors and for affine images alike.
+constructors and for affine images alike.  Affine images and polars run no
+conversion: both descriptions are read off the input's.  Distances to a
+polytope walk its real faces, read off the stored incidence.
 """
 
 from __future__ import annotations
@@ -357,15 +359,30 @@ class Polyhedron:
 # polarity
 
 
-def polar(p: Polyhedron) -> Polyhedron:
-    """{r : r . x <= 1 on p}; requires the origin strictly inside p."""
-    if not p.contains_point((0,) * p.dim, strict=True):
-        raise OriginNotInterior("polar needs 0 strictly inside the body")
-    hs = [HalfSpace.make(v, 1) for v in p.vertices if not la.is_zero_vec(v)]
-    hs += [HalfSpace.make(r, 0) for r in p.rays]
-    if not hs:
+def polar(p: Polyhedron, center=None) -> Polyhedron:
+    """(p - center) polar = {y : y . (x - center) <= 1 on p}; center defaults
+    to the origin and must lie strictly inside p.
+
+    With the center inside, the face lattice of the polar is that of p
+    turned upside down, so both descriptions are read off p with no
+    conversion: a facet a . x <= b of p gives the vertex a / (b - a . center),
+    a vertex v gives the facet (v - center) . y <= 1, and a ray r the facet
+    r . y <= 0 (a +/- pair of lineality rays gives an equality).  The origin
+    is one more vertex exactly when p's rays span the space.  The polar is
+    bounded and has no lineality.
+    """
+    c = la.vzero(p.dim) if center is None else la.vec(center)
+    if not p.contains_point(c, strict=True):
+        raise OriginNotInterior("polar needs the center strictly inside p")
+    rows = [(-ONE,) + vsub(v, c) for v in p.vertices]
+    rows += [(ZERO,) + r for r in p.rays]
+    if not rows:
         raise WholeSpace("polar of the whole space is a point set we do not represent")
-    return Polyhedron.from_halfspaces(hs, p.dim)
+    gens = [(ONE,) + vscale(ONE / h.eval_slack(c), h.normal)
+            for h in p.halfspaces]
+    if la.rank(p.rays) == p.dim:
+        gens.append((ONE,) + la.vzero(p.dim))
+    return Polyhedron._assemble(rows, gens, [], p.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -544,41 +561,62 @@ def separate(p: Polyhedron, q: Polyhedron, slack_point=None) -> HalfSpace:
 # exact euclidean distances (squared) between polytopes
 
 
+def _face_frames(p: Polyhedron) -> list[tuple[Vec, list]]:
+    """A frame for a bounded p and for each face with two or more vertices.
+
+    The faces are the vertex sets tight on each half-space, closed under
+    pairwise intersection.  A frame is a base vertex and an
+    orthogonal basis (with squared lengths) of the face's affine hull, built
+    by Gram-Schmidt from the face's other vertices.
+    """
+    if p.rays:
+        raise ValueError("distance helper needs a bounded target")
+    verts = p.vertices
+    faces = {frozenset(range(len(verts)))}
+    todo = [frozenset(i for i, v in enumerate(verts) if h.eval_slack(v) == 0)
+            for h in p.halfspaces]
+    while todo:
+        f = todo.pop()
+        if len(f) < 2 or f in faces:
+            continue
+        todo.extend(f & g for g in faces)
+        faces.add(f)
+    frames = []
+    for f in faces:
+        base, *rest = (verts[i] for i in sorted(f))
+        basis: list[tuple[Vec, Fraction]] = []
+        for v in rest:
+            u = vsub(v, base)
+            for b, bb in basis:
+                u = vsub(u, vscale(dot(u, b) / bb, b))
+            if not la.is_zero_vec(u):
+                basis.append((u, la.norm_sq(u)))
+        frames.append((base, basis))
+    return frames
+
+
+def _distance_sq(x: Vec, p: Polyhedron, frames) -> Fraction:
+    best = min(la.norm_sq(vsub(x, v)) for v in p.vertices)
+    for base, basis in frames:
+        rel = vsub(x, base)
+        proj = base
+        for b, bb in basis:
+            proj = vadd(proj, vscale(dot(rel, b) / bb, b))
+        d = la.norm_sq(vsub(x, proj))
+        if d < best and p.contains_point(proj):
+            best = d
+    return best
+
+
 def squared_distance_point(x: Vec, p: Polyhedron) -> Fraction:
     """Exact squared euclidean distance from x to a bounded polyhedron.
 
     The closest point lies in the relative interior of a unique face and is
-    the orthogonal projection of x onto that face's affine hull, so scanning
-    projections onto hulls of affinely independent vertex subsets (keeping
-    those that land inside p) covers the optimum.
+    the orthogonal projection of x onto that face's affine hull.  So the
+    minimum over the vertices and over the projections onto each real face
+    (from the stored incidence) that land inside p is the distance.
     """
-    if p.rays:
-        raise ValueError("distance helper needs a bounded target")
-    x = la.vec(x)
-    best: Fraction | None = None
-    verts = p.vertices
-    for v in verts:
-        d = la.norm_sq(vsub(x, v))
-        if best is None or d < best:
-            best = d
-    max_size = min(len(verts), p.dim + 1)
-    for size in range(2, max_size + 1):
-        for subset in itertools.combinations(verts, size):
-            base = subset[0]
-            dirs = [vsub(v, base) for v in subset[1:]]
-            if la.rank(dirs) != len(dirs):
-                continue
-            gram = tuple(tuple(dot(a, b) for b in dirs) for a in dirs)
-            rhsv = tuple(dot(a, vsub(x, base)) for a in dirs)
-            coef = la.solve(gram, rhsv)
-            proj = base
-            for c, dvec in zip(coef, dirs):
-                proj = vadd(proj, vscale(c, dvec))
-            if p.contains_point(proj):
-                d = la.norm_sq(vsub(x, proj))
-                if d < best:
-                    best = d
-    return best
+    return _distance_sq(la.vec(x), p, _face_frames(p))
 
 
 def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
@@ -588,11 +626,12 @@ def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
     distance function to a convex set is convex; likewise with the roles
     swapped.  All comparisons happen on squared values, so no roots appear.
     """
+    p_frames, q_frames = _face_frames(p), _face_frames(q)
     d = ZERO
     for v in p.vertices:
-        d = max(d, squared_distance_point(v, q))
+        d = max(d, _distance_sq(v, q, q_frames))
     for v in q.vertices:
-        d = max(d, squared_distance_point(v, p))
+        d = max(d, _distance_sq(v, p, p_frames))
     return d
 
 

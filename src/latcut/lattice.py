@@ -262,10 +262,17 @@ def _split_off_lineality(p: Polyhedron):
     umap = UnimodularMap.make(u)
     q = transform(p, umap)
     keep = p.dim - k
-    # every generator now splits into a leading part and a free tail
-    verts = sorted({v[:keep] for v in q.vertices})
-    rays = sorted({r[:keep] for r in q.rays if not la.is_zero_vec(r[:keep])})
-    quotient = Polyhedron.from_generators(verts, rays, keep)
+    # the lineality now spans the trailing axes, so every normal, vertex and
+    # non-lineality ray of q has a zero tail and the quotient drops it
+    rays = [r for r in q.rays if not la.is_zero_vec(r[:keep])]
+    normals = [h.normal for h in q.halfspaces]
+    if any(not la.is_zero_vec(x[keep:])
+           for x in itertools.chain(normals, q.vertices, rays)):
+        raise ArithmeticError("lineality did not split off the trailing axes")
+    rows = [(-h.offset,) + h.normal[:keep] for h in q.halfspaces]
+    gens = [(ONE,) + v[:keep] for v in q.vertices]
+    gens += [(ZERO,) + r[:keep] for r in rays]
+    quotient = Polyhedron._assemble(rows, gens, [], keep)
     inv = umap.inverse()
 
     def back(z: Vec) -> Vec:

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from latcut import linalg as la
-from latcut.linalg import dot, vsub
+from latcut.linalg import dot, vadd, vscale, vsub
 
 
 def brute_force_vertices(halfspaces, dim):
@@ -92,6 +92,33 @@ def polygon_dist_sq(x, verts):
     # min over all segments plus zero when x is inside the hull.
     best = min(point_segment_dist_sq(x, p, q)
                for p, q in itertools.combinations(verts, 2))
+    return best
+
+
+def subset_scan_dist_sq(x, vertices, contains):
+    """Exact squared distance from x to the polytope conv(vertices).
+
+    Projects x onto the affine hull of every affinely independent vertex
+    subset of size 2 to dim + 1, keeps the projections that ``contains``
+    accepts, and takes the least distance to them and to the vertices.  The
+    closest point projects onto the hull of its face, so the scan is complete.
+    """
+    x = la.vec(x)
+    verts = [la.vec(v) for v in vertices]
+    best = min(la.norm_sq(vsub(x, v)) for v in verts)
+    for size in range(2, min(len(verts), len(x) + 1) + 1):
+        for subset in itertools.combinations(verts, size):
+            base = subset[0]
+            dirs = [vsub(v, base) for v in subset[1:]]
+            if la.rank(dirs) != len(dirs):
+                continue
+            gram = tuple(tuple(dot(a, b) for b in dirs) for a in dirs)
+            coef = la.solve(gram, tuple(dot(a, vsub(x, base)) for a in dirs))
+            proj = base
+            for c, d in zip(coef, dirs):
+                proj = vadd(proj, vscale(c, d))
+            if contains(proj):
+                best = min(best, la.norm_sq(vsub(x, proj)))
     return best
 
 

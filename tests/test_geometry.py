@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from latcut import geometry
 from latcut import linalg as la
+from latcut.cuts import f_metric
 from latcut.errors import (
     DimensionMismatch,
     EmptySet,
@@ -35,7 +36,14 @@ from latcut.geometry import (
     translate,
 )
 
-from oracles import brute_force_lp, brute_force_slice, brute_force_vertices
+from oracles import (
+    brute_force_lp,
+    brute_force_slice,
+    brute_force_vertices,
+    hausdorff_sq_polygons,
+    polygon_dist_sq,
+    subset_scan_dist_sq,
+)
 
 DIAMOND_HS = [((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1)]
 
@@ -111,6 +119,10 @@ def test_one_conversion_per_constructor(monkeypatch):
         affine_image(p, m, (F(1, 2),) * dim)
         homothety(p, (1,) * dim, F(3, 2))
         transform(p, UnimodularMap.make(la.identity(dim), (1,) * dim))
+        if p.fulldim:
+            c = p.relative_interior_point()
+            polar(p, c)
+            f_metric(p, homothety(p, c, 2), c)
         assert len(calls) == 2
         if dim > 1:
             level_slice(p, F(1, 3))
@@ -192,6 +204,55 @@ def test_polar_requires_interior_origin():
     seg = Polyhedron.from_generators([(-1, 0), (1, 0)])
     with pytest.raises(OriginNotInterior):
         polar(seg)
+    dia = Polyhedron.from_halfspaces(DIAMOND_HS, 2)
+    for center in [(2, 0), (F(1, 2), F(1, 2))]:   # outside, on the boundary
+        with pytest.raises(OriginNotInterior):
+            polar(dia, center)
+
+
+# bodies holding the origin inside, apart from the split
+POLAR_BODIES = [
+    Polyhedron.from_halfspaces(DIAMOND_HS, 2),
+    Polyhedron.from_generators([(-1,), (F(5, 2),)]),
+    Polyhedron.from_generators(
+        [(-1, -1, -1), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 2)]),
+    # quadrant: its rays span the plane, so 0 is a vertex of the polar
+    Polyhedron.from_halfspaces([((-1, 0), 1), ((0, -1), 2)], 2),
+    # half-strip: one ray, so 0 lies on an edge of the polar
+    Polyhedron.from_halfspaces([((1, 0), 2), ((-1, 0), 1), ((0, -1), 1)], 2),
+    # slab and split: lineality makes the polar lower-dimensional
+    Polyhedron.from_halfspaces([((0, 1), 2), ((0, -1), 1)], 2),
+    Polyhedron.from_halfspaces([((1, 2, -1), 1), ((-1, -2, 1), 0)], 3),
+]
+
+
+def test_polar_closed_form_matches_conversion():
+    rng = random.Random(11)
+    for p in POLAR_BODIES:
+        inner = p.relative_interior_point()
+        assert p.contains_point(inner, strict=True)
+        origin = la.vzero(p.dim)
+        centers = [origin] if p.contains_point(origin, strict=True) else []
+        for _ in range(3):
+            # the midpoint of an interior point and a random point of p
+            w = [rng.randint(1, 5) for _ in p.vertices]
+            q = tuple(sum(k * v[i] for k, v in zip(w, p.vertices)) / sum(w)
+                      for i in range(p.dim))
+            for r in p.rays:
+                q = la.vadd(q, la.vscale(rng.randint(0, 3), r))
+            centers.append(tuple((a + b) / 2 for a, b in zip(inner, q)))
+        for c in centers:
+            want = Polyhedron.from_halfspaces(
+                [HalfSpace.make(la.vsub(v, c), 1) for v in p.vertices]
+                + [HalfSpace.make(r, 0) for r in p.rays], p.dim)
+            got = polar(p, c)
+            assert got == want
+            assert got == polar(translate(p, la.vneg(c)))
+            assert got.rays == () and got.fulldim == (not p.lineality)
+            origin_is_vertex = la.vzero(p.dim) in got.vertices
+            assert origin_is_vertex == (la.rank(p.rays) == p.dim)
+    assert la.vzero(2) in polar(POLAR_BODIES[3]).vertices
+    assert la.vzero(2) not in polar(POLAR_BODIES[4]).vertices
 
 
 def test_polar_of_unbounded_body_is_lower_dimensional():
@@ -342,6 +403,40 @@ def test_squared_distances():
     assert hausdorff_sq(sq, sq) == 0
 
 
+def test_distances_match_subset_scan():
+    rng = random.Random(5)
+
+    def pt(n):
+        return tuple(F(rng.randint(-8, 8), 2) for _ in range(n))
+
+    def scan_hausdorff(p, q):
+        return max([subset_scan_dist_sq(v, q.vertices, q.contains_point)
+                    for v in p.vertices]
+                   + [subset_scan_dist_sq(v, p.vertices, p.contains_point)
+                      for v in q.vertices])
+
+    solids = [Polyhedron.from_generators(
+        [pt(3) for _ in range(rng.randint(4, 7))]) for _ in range(10)]
+    segments = [Polyhedron.from_generators([pt(n), pt(n)])
+                for n in (2, 3) for _ in range(3)]
+    flat = [polar(Polyhedron.from_halfspaces([((0, 1), 2), ((0, -1), 1)], 2)),
+            polar(Polyhedron.from_halfspaces(
+                [((1, 1, 0), 1), ((-1, -1, 0), 3)], 3)),
+            Polyhedron.from_generators(
+                [(0, 0, 1), (2, 0, 1), (0, 3, 1), (3, 3, 1)])]
+    targets = solids + segments + flat
+    assert sum(not p.fulldim for p in targets) >= len(segments) + len(flat)
+    for i, p in enumerate(targets):
+        for _ in range(6):
+            x = pt(p.dim)
+            assert squared_distance_point(x, p) == subset_scan_dist_sq(
+                x, p.vertices, p.contains_point)
+        q = next(q for q in targets[i + 1:] + targets if q.dim == p.dim)
+        assert hausdorff_sq(p, q) == scan_hausdorff(p, q)
+    with pytest.raises(ValueError):
+        squared_distance_point((0, 0), POLAR_BODIES[3])
+
+
 def test_halfspace_normalization():
     h = HalfSpace.make((F(2, 3), F(-4, 3)), F(1, 2))
     assert h.normal == (F(1), F(-2))
@@ -409,6 +504,21 @@ def test_bipolar_identity(pts):
     for u in polar(p).vertices:
         for v in p.vertices:
             assert la.dot(u, v) <= 1
+
+
+half = st.integers(min_value=-9, max_value=9).map(lambda k: F(k, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(point2, min_size=1, max_size=6),
+       st.lists(point2, min_size=1, max_size=6), st.tuples(half, half))
+def test_distances_match_polygon_oracles(pa, pb, x):
+    a = Polyhedron.from_generators(pa)
+    b = Polyhedron.from_generators(pb)
+    want = 0 if a.contains_point(x) else polygon_dist_sq(x, a.vertices)
+    assert squared_distance_point(x, a) == want
+    assert hausdorff_sq(a, b) == hausdorff_sq_polygons(
+        a.vertices, b.vertices, a.contains_point, b.contains_point)
 
 
 @settings(max_examples=30, deadline=None)

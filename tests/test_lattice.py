@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latcut import geometry
 from latcut import linalg as la
 from latcut.errors import (
     NotFullDimensional,
@@ -14,8 +15,16 @@ from latcut.errors import (
     UnsupportedDimension,
     UnsupportedShape,
 )
-from latcut.geometry import Polyhedron, homothety, translate
+from latcut.geometry import (
+    Polyhedron,
+    UnimodularMap,
+    cone_dd,
+    homothety,
+    transform,
+    translate,
+)
 from latcut.lattice import (
+    _split_off_lineality,
     certify_lattice_free,
     facet_interior_lattice_point,
     flatness_bound,
@@ -149,6 +158,35 @@ def test_certify_splits_off_lineality_once(monkeypatch):
     p = Polyhedron.from_halfspaces([((1, 2), 1), ((-1, -2), 0)], 2)
     assert certify_lattice_free(p).maximal
     assert calls == [1]
+
+
+def test_split_off_lineality_runs_no_conversion(monkeypatch):
+    bodies = [Polyhedron.from_halfspaces([((1, 2), 1), ((-1, -2), 0)], 2),
+              Polyhedron.from_halfspaces([((1, 2, 3), 1), ((-1, -2, -3), 0)], 3),
+              Polyhedron.from_halfspaces(
+                  [((1, -1, 0), 1), ((0, 1, -1), 2), ((-1, 0, 1), 0)], 3),
+              Polyhedron.from_halfspaces([((0, 1, 1), 2), ((0, -1, 0), 1)], 3)]
+    # the quotient as a conversion builds it from the transformed generators
+    wanted = []
+    for p in bodies:
+        keep = p.dim - len(p.lineality)
+        u = la.alignment_unimodular(p.lineality)
+        q = transform(p, UnimodularMap.make(u))
+        rays = [r[:keep] for r in q.rays if not la.is_zero_vec(r[:keep])]
+        wanted.append(Polyhedron.from_generators(
+            [v[:keep] for v in q.vertices], rays, keep))
+    calls = []
+
+    def counting_cone_dd(rows, dim):
+        calls.append(dim)
+        return cone_dd(rows, dim)
+
+    monkeypatch.setattr(geometry, "cone_dd", counting_cone_dd)
+    for p, want in zip(bodies, wanted):
+        quotient, back, _ = _split_off_lineality(p)
+        assert quotient == want
+        assert p.contains_point(back(quotient.relative_interior_point()))
+    assert calls == []
 
 
 def test_certify_strip_with_pointed_recession():
