@@ -41,7 +41,6 @@ from .geometry import (
     embed_last_axis,
     homothety,
     level_slice,
-    lp_solve,
     minkowski_scale_shift,
     product_with_line,
     separate,
@@ -268,10 +267,9 @@ def caratheodory_facet_subset(m: Polyhedron) -> FacetSubsetResult:
 def _last_axis_range(p: Polyhedron):
     """Exact range of the last coordinate; None marks an unbounded end."""
     e = vzero(p.dim - 1) + (ONE,)
-    lo = lp_solve(e, p, sense="min")
-    hi = lp_solve(e, p, sense="max")
-    return (lo.value if lo.status == "optimal" else None,
-            hi.value if hi.status == "optimal" else None)
+    lo, _ = p.support(vneg(e))
+    hi, _ = p.support(e)
+    return (None if lo is None else -lo), hi
 
 
 def _integer_slab(dim: int, lo: int) -> Polyhedron:
@@ -458,6 +456,20 @@ class ApproxResult:
     factor: Fraction
 
 
+def _pipeline_input(l: Polyhedron, f) -> Vec:
+    """f as a vector, after the input checks both pipelines share."""
+    f = la.vec(f)
+    if l.dim > 3:
+        raise UnsupportedDimension("pipelines stop at dimension 3")
+    if len(f) != l.dim:
+        raise DimensionMismatch("point dimension mismatch")
+    if not certify_lattice_free(l).lattice_free:
+        raise NotLatticeFreeInput("input body has an interior lattice point")
+    if not l.contains_point(f, strict=True):
+        raise PointNotInterior("f must be interior to the body")
+    return f
+
+
 def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
     """Few-facet lattice-free cover of l with factor at most 4 flatness(n).
 
@@ -466,16 +478,8 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
     shrunken body or an integer level cuts it, in which case the level
     slice is grown to a maximal lattice-free base and lifted back up.
     """
-    f = la.vec(f)
+    f = _pipeline_input(l, f)
     n = l.dim
-    if n > 3:
-        raise UnsupportedDimension("pipelines stop at dimension 3")
-    if len(f) != n:
-        raise DimensionMismatch("point dimension mismatch")
-    if not certify_lattice_free(l).lattice_free:
-        raise NotLatticeFreeInput("input body has an interior lattice point")
-    if not l.contains_point(f, strict=True):
-        raise PointNotInterior("f must be interior to the body")
     cap = 2 ** (n - 1) + 1
     flt = flatness_bound(n)
     if len(l.halfspaces) <= cap:
@@ -514,16 +518,8 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
     integer slab suffices; when it sits on one, the level slice is grown to
     a maximal base, approximated recursively at f's projection, and lifted.
     """
-    f = la.vec(f)
+    f = _pipeline_input(l, f)
     n = l.dim
-    if n > 3:
-        raise UnsupportedDimension("pipelines stop at dimension 3")
-    if len(f) != n:
-        raise DimensionMismatch("point dimension mismatch")
-    if not certify_lattice_free(l).lattice_free:
-        raise NotLatticeFreeInput("input body has an interior lattice point")
-    if not l.contains_point(f, strict=True):
-        raise PointNotInterior("f must be interior to the body")
     s = point_denominator(f)
     flt = flatness_bound(n)
     bound = flt * 4 ** (n - 1) * s

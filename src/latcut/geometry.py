@@ -411,10 +411,6 @@ class UnimodularMap:
         s = la.vec(shift) if shift is not None else la.vzero(len(m))
         return UnimodularMap(m, s)
 
-    @staticmethod
-    def identity(dim: int) -> "UnimodularMap":
-        return UnimodularMap.make(la.identity(dim))
-
     def apply(self, x) -> Vec:
         return vadd(la.mat_vec(self.matrix, la.vec(x)), self.shift)
 

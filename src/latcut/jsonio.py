@@ -190,10 +190,6 @@ def parse_cut_system(text: str, strict: bool = True) -> CutSystem:
 # bare column lists (cut column matrices on the command line)
 
 
-def emit_columns(cols) -> str:
-    return _dump([vec_to_obj(r) for r in cols])
-
-
 def parse_columns(text: str, strict: bool = True) -> tuple:
     obj = _load(text)
     if not isinstance(obj, list) or not obj:

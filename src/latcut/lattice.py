@@ -6,6 +6,14 @@ point.  Certificates are two-sided: a violating interior integer point, or
 per-facet integer witnesses (an integer point in each facet's relative
 interior proves the body cannot be enlarged, so witnesses on every facet
 certify maximality).
+
+Every interior and facet search ends in one strict integer search.
+``_strict_integer`` solves den * t < num over all rows for an integer t (the
+largest when t is bounded above, else the smallest).  ``_scan`` runs the
+other coordinates over their integer ranges and solves one axis with it:
+bounded bodies scan their box, a half-line is a scan with no other axis,
+and a planar body with pointed recession scans its columns.  A facet
+search in the plane solves along the integer points of the facet's line.
 """
 
 from __future__ import annotations
@@ -95,61 +103,59 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _line_parameter_interval(z0: Vec, d: Vec, constraints, strict: bool):
-    """Feasible t-range for z0 + t d under a . x <= b (or <) constraints.
+def _strict_integer(pairs):
+    """An integer t with den * t < num for every pair (num, den), or None.
 
-    Returns (lo, hi, lo_open, hi_open) with None for an infinite end, or
-    None when infeasible.
+    The largest such t when some den > 0 bounds t from above, else the
+    smallest; 0 when no pair bounds t.
     """
     lo = hi = None
-    lo_open = hi_open = strict
-    for a, b in constraints:
-        num = b - dot(a, z0)
-        den = dot(a, d)
+    for num, den in pairs:
         if den == 0:
-            if (num <= 0) if strict else (num < 0):
+            if num <= 0:
                 return None
             continue
         bound = num / den
         if den > 0:
             if hi is None or bound < hi:
                 hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
-    if lo is not None and hi is not None:
-        if lo > hi or (strict and lo == hi):
-            return None
-    return lo, hi, lo_open, hi_open
-
-
-def _integer_in_range(lo, hi, strict: bool):
-    """Some integer t with lo <(=) t <(=) hi; None ends mean unbounded."""
-    if lo is None and hi is None:
-        return 0
+        elif lo is None or bound > lo:
+            lo = bound
     if hi is not None:
-        t = math.floor(hi)
-        if strict and t == hi:
-            t -= 1
-        if lo is None or t > lo or (not strict and t == lo):
-            return t
-        return None
-    t = math.ceil(lo)
-    if strict and t == lo:
-        t += 1
-    return t
+        t = math.ceil(hi) - 1
+        return t if lo is None or t > lo else None
+    return 0 if lo is None else math.floor(lo) + 1
 
 
-def _integer_point_on_line(a: Vec, beta: Fraction, others, strict: bool):
-    """Integer z with a . z = beta and (g, c) constraints on the side."""
+def _scan(halfspaces, ranges, axis: int):
+    """First integer point strictly inside every half-space, or None.
+
+    The coordinates other than axis run over their integer ranges in
+    itertools.product order (ranges[axis] is ignored); for each choice the
+    axis coordinate is solved exactly by _strict_integer.
+    """
+    others = [i for i in range(len(ranges)) if i != axis]
+    for combo in itertools.product(*(ranges[i] for i in others)):
+        t = _strict_integer(
+            (h.offset - sum((h.normal[i] * c for i, c in zip(others, combo)), ZERO),
+             h.normal[axis])
+            for h in halfspaces)
+        if t is None:
+            continue
+        z = [Fraction(t)] * len(ranges)
+        for i, c in zip(others, combo):
+            z[i] = Fraction(c)
+        return tuple(z)
+    return None
+
+
+def _integer_point_on_line(a: Vec, beta: Fraction, others):
+    """Integer z with a . z = beta and g . z < c for every (g, c) in others."""
     param = _integer_line(a, beta)
     if param is None:
         return None
     z0, d = param
-    rng = _line_parameter_interval(z0, d, others, strict)
-    if rng is None:
-        return None
-    t = _integer_in_range(rng[0], rng[1], strict)
+    t = _strict_integer((b - dot(g, z0), dot(g, d)) for g, b in others)
     if t is None:
         return None
     return vadd(z0, vscale(Fraction(t), d))
@@ -176,13 +182,7 @@ def interior_lattice_point(p: Polyhedron):
         z = interior_lattice_point(quotient)
         return None if z is None else back(z)
     if p.dim == 1:
-        # half-line: the interior swallows all far-away integers
-        v = p.vertices[0]
-        r = p.rays[0]
-        step = Fraction(math.floor(v[0]) + 1) if r[0] > 0 else Fraction(math.ceil(v[0]) - 1)
-        while not p.contains_point((step,), strict=True):
-            step += 1 if r[0] > 0 else -1
-        return (step,)
+        return _scan(p.halfspaces, [None], 0)  # a half-line
     if p.dim == 2:
         return _planar_pointed_interior_point(p)
     raise UnsupportedShape(
@@ -217,39 +217,9 @@ def _bounded_interior_point(p: Polyhedron, realign: bool = True):
             z = _bounded_interior_point(transform(p, m), realign=False)
             return None if z is None else m.inverse().apply(z)
     axis = max(range(p.dim), key=lambda i: hi[i] - lo[i])
-    others = [i for i in range(p.dim) if i != axis]
-    ranges = [range(math.ceil(lo[i]), math.floor(hi[i]) + 1) for i in others]
-    for combo in itertools.product(*ranges):
-        t_lo = t_hi = None
-        feasible = True
-        for h in p.halfspaces:
-            a = h.normal
-            num = h.offset - sum((a[i] * c for i, c in zip(others, combo)), ZERO)
-            den = a[axis]
-            if den == 0:
-                if num <= 0:
-                    feasible = False
-                    break
-                continue
-            bound = num / den
-            if den > 0:
-                if t_hi is None or bound < t_hi:
-                    t_hi = bound
-            else:
-                if t_lo is None or bound > t_lo:
-                    t_lo = bound
-        if not feasible:
-            continue
-        # bounded and full-dimensional: both ends exist
-        t = _integer_in_range(t_lo, t_hi, strict=True)
-        if t is None:
-            continue
-        z = [ZERO] * p.dim
-        for i, c in zip(others, combo):
-            z[i] = Fraction(c)
-        z[axis] = Fraction(t)
-        return tuple(z)
-    return None
+    ranges = [None if i == axis else range(math.ceil(lo[i]), math.floor(hi[i]) + 1)
+              for i in range(p.dim)]
+    return _scan(p.halfspaces, ranges, axis)
 
 
 def _split_off_lineality(p: Polyhedron):
@@ -290,18 +260,15 @@ def _planar_pointed_interior_point(p: Polyhedron):
     if la.mat_vec(u, r0)[-1] < 0:
         u = tuple(tuple(-x for x in row) if i == len(u) - 1 else row
                   for i, row in enumerate(u))
-    q = transform(p, UnimodularMap.make(u))
+    umap = UnimodularMap.make(u)
+    q = transform(p, umap)
+    inv = umap.inverse()
     lo, _ = q.support((-1, 0))
     hi, _ = q.support((1, 0))
-    lo = -lo if lo is not None else None
     if lo is not None and hi is not None:
-        cons = [(h.normal, h.offset) for h in q.halfspaces]
-        for k in range(math.ceil(lo), math.floor(hi) + 1):
-            z = _integer_point_on_line((ONE, ZERO), Fraction(k), cons, strict=True)
-            if z is not None and q.contains_point(z, strict=True):
-                inv = UnimodularMap.make(u).inverse()
-                return inv.apply(z)
-        return None
+        # a vertical strip: scan its columns
+        z = _scan(q.halfspaces, [range(math.ceil(-lo), math.floor(hi) + 1), None], 1)
+        return None if z is None else inv.apply(z)
     # horizontally unbounded too: the recession cone is a full-dimensional
     # pointed cone, so far enough along an interior recession direction the
     # body contains a unit ball, hence an integer point.
@@ -315,7 +282,6 @@ def _planar_pointed_interior_point(p: Polyhedron):
     center = vadd(c, vscale(t, w))
     z = tuple(Fraction(round(x)) for x in center)
     assert q.contains_point(z, strict=True)
-    inv = UnimodularMap.make(u).inverse()
     return inv.apply(z)
 
 
@@ -358,7 +324,7 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
             return z
         return None
     if p.dim == 2:
-        return _integer_point_on_line(h.normal, h.offset, others, strict=True)
+        return _integer_point_on_line(h.normal, h.offset, others)
     # higher dimensions: rotate the facet hyperplane onto a coordinate level
     # by a unimodular map and search one dimension down
     if h.offset.denominator != 1:
@@ -536,7 +502,7 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
         cons = [(g.normal, g.offset) for g in others]
         level = Fraction(math.ceil(h.offset))
         while True:
-            z = _integer_point_on_line(h.normal, level, cons, strict=True)
+            z = _integer_point_on_line(h.normal, level, cons)
             if z is not None and level > h.offset:
                 break
             level += 1

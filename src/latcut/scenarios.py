@@ -408,6 +408,7 @@ def _lifting_checks(params):
 
 def _approximation_checks(params):
     count, seedbits = params["count"], params["seed"]
+    pools = {}  # maximal_pool(n), built when n is first drawn
 
     def run(mode):
         def thunk():
@@ -415,8 +416,9 @@ def _approximation_checks(params):
             done = 0
             while done < count:
                 n = rng.choice((2, 3))
-                pool = maximal_pool(n)
-                l = transform(rng.choice(pool), random_unimodular(rng, n))
+                if n not in pools:
+                    pools[n] = maximal_pool(n)
+                l = transform(rng.choice(pools[n]), random_unimodular(rng, n))
                 f = small_interior_point(rng, l)
                 if mode == "any":
                     res = approximate_any_f(l, f)

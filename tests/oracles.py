@@ -177,3 +177,31 @@ def brute_force_slice(vertices, level):
 def _turn(o, a, b):
     """Twice the signed area of the triangle o, a, b."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def first_strict_point_by_columns(halfspaces, dim):
+    """First integer point strictly inside a polytope, in the library's
+    scan order, or None.
+
+    The box is the vertices' bounding box; the widest axis (the first one on
+    a tie) is the inner coordinate, tried from its top down, and the other
+    axes run over their integer ranges in itertools.product order.
+    """
+    import math
+    hs = [(la.vec(a), la.frac(b)) for a, b in halfspaces]
+    verts = brute_force_vertices(hs, dim)
+    lo = [min(v[i] for v in verts) for i in range(dim)]
+    hi = [max(v[i] for v in verts) for i in range(dim)]
+    axis = max(range(dim), key=lambda i: hi[i] - lo[i])
+    others = [i for i in range(dim) if i != axis]
+    ranges = [range(math.ceil(lo[i]), math.floor(hi[i]) + 1) for i in others]
+    column = range(math.floor(hi[axis]), math.ceil(lo[axis]) - 1, -1)
+    for combo in itertools.product(*ranges):
+        for t in column:
+            z = [Fraction(t)] * dim
+            for i, c in zip(others, combo):
+                z[i] = Fraction(c)
+            z = tuple(z)
+            if all(dot(a, z) < b for a, b in hs):
+                return z
+    return None

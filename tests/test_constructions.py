@@ -16,6 +16,7 @@ from latcut.constructions import (
     ApproxResult,
     FacetSubsetResult,
     TruncatedCone,
+    _last_axis_range,
     approximate_any_f,
     approximate_fixed_f,
     caratheodory_facet_subset,
@@ -43,6 +44,7 @@ from latcut.geometry import (
     embed_last_axis,
     homothety,
     level_slice,
+    lp_solve,
     minkowski_scale_shift,
 )
 from latcut import linalg as la
@@ -287,6 +289,27 @@ def test_subset_invariants_across_the_census():
 
 # ---------------------------------------------------------------------------
 # lifting
+
+
+def test_last_axis_range_matches_the_lp():
+    # read off vertices and rays, the range must agree with both simplex
+    # solves, also where an end is unbounded
+    rng = random.Random(8)
+    open_ends = 0
+    for trial in range(60):
+        n = 1 + trial % 3
+        pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n))
+               for _ in range(n + 1)]
+        rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(trial % 3)]
+        p = Polyhedron.from_generators(pts, [r for r in rays if any(r)], n)
+        e = (0,) * (n - 1) + (1,)
+        want = []
+        for sense in ("min", "max"):
+            res = lp_solve(e, p, sense=sense)
+            want.append(res.value if res.status == "optimal" else None)
+        assert _last_axis_range(p) == tuple(want)
+        open_ends += want.count(None)
+    assert open_ends > 10
 
 
 def test_lift_slab_case_returns_the_integer_split():

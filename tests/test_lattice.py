@@ -1,6 +1,8 @@
 """Lattice enumeration, lattice-free certificates, width, growth."""
 
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -35,7 +37,7 @@ from latcut.lattice import (
     point_denominator,
 )
 
-from oracles import lattice_points_in_hrep
+from oracles import first_strict_point_by_columns, lattice_points_in_hrep
 
 DIAMOND = Polyhedron.from_halfspaces(
     [((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1)], 2)
@@ -248,9 +250,68 @@ def test_facet_search_requires_full_dimension():
 
 
 def test_interior_point_halfline():
-    p = Polyhedron.from_generators([(F(7, 2),)], [(-1,)], 1)
-    z = interior_lattice_point(p)
-    assert z is not None and p.contains_point(z, strict=True)
+    # the integer nearest the vertex on the open side, frozen as
+    # (vertex, ray) -> point
+    cases = {(F(7, 2), -1): 3, (F(3), -1): 2, (F(7, 2), 1): 4, (F(3), 1): 4}
+    for (v, r), want in cases.items():
+        p = Polyhedron.from_generators([(v,)], [(r,)], 1)
+        z = interior_lattice_point(p)
+        assert z == (F(want),)
+        assert p.contains_point(z, strict=True)
+
+
+def _realign_budget(p):
+    lo, hi = p.bounding_box()
+    budget = 1
+    for e in sorted(hi[i] - lo[i] for i in range(p.dim))[:-1]:
+        budget *= math.floor(e) + 1
+    return budget
+
+
+def test_interior_point_follows_the_column_scan():
+    # the witness is the first point of the scan: other axes in product
+    # order, the widest axis from its top down
+    rng = random.Random(11)
+    found = 0
+    for trial in range(60):
+        n = 1 + trial % 3
+        pts = [tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
+               for _ in range(n + 2)]
+        p = Polyhedron.from_generators(pts)
+        if not p.fulldim:
+            continue
+        assert _realign_budget(p) < 20000
+        want = first_strict_point_by_columns(
+            [(h.normal, h.offset) for h in p.halfspaces], n)
+        assert interior_lattice_point(p) == want
+        found += want is not None
+    assert found > 20
+
+
+def test_planar_facet_witness_is_furthest_along_the_facet():
+    # on a 2-d facet a . z = b the witness is the admissible integer point
+    # furthest along (-a2, a1), checked against box enumeration
+    rng = random.Random(3)
+    several = 0
+    for _ in range(30):
+        pts = [(F(rng.randint(-12, 12), rng.choice((1, 2))),
+                F(rng.randint(-12, 12), rng.choice((1, 2)))) for _ in range(5)]
+        p = Polyhedron.from_generators(pts)
+        if not p.fulldim:
+            continue
+        lo, hi = p.bounding_box()
+        box = [la.vec(z) for z in itertools.product(
+            *(range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)))]
+        for j, h in enumerate(p.halfspaces):
+            others = [g for i, g in enumerate(p.halfspaces) if i != j]
+            admissible = [
+                z for z in box if la.dot(h.normal, z) == h.offset
+                and all(la.dot(g.normal, z) < g.offset for g in others)]
+            d = (-h.normal[1], h.normal[0])
+            want = max(admissible, key=lambda z: la.dot(d, z), default=None)
+            assert facet_interior_lattice_point(p, j) == want
+            several += len(admissible) > 1
+    assert several > 10
 
 
 def test_grow_interval():
