@@ -28,7 +28,11 @@ it have rank at least one below that of all generators, and a generator is
 extreme, or a line, iff the rows tight on it do.  ``Polyhedron._assemble``
 is the one routine that brings both descriptions to canonical form, for the
 constructors and for affine images alike.  Affine images and polars run no
-conversion: both descriptions are read off the input's.  Distances to a
+conversion: both descriptions are read off the input's.  Homotheties and
+translates of a full-dimensional body are closed-form: normals, rays and
+lineality carry over, offsets and vertices move, and no canonical-form pass
+runs; a lower-dimensional body goes through its affine image, since its
+rows are reduced off its equalities and move with it.  Distances to a
 polytope walk its real faces, read off the stored incidence.
 """
 
@@ -376,8 +380,6 @@ def polar(p: Polyhedron, center=None) -> Polyhedron:
         raise OriginNotInterior("polar needs the center strictly inside p")
     rows = [(-ONE,) + vsub(v, c) for v in p.vertices]
     rows += [(ZERO,) + r for r in p.rays]
-    if not rows:
-        raise WholeSpace("polar of the whole space is a point set we do not represent")
     gens = [(ONE,) + vscale(ONE / h.eval_slack(c), h.normal)
             for h in p.halfspaces]
     if la.rank(p.rays) == p.dim:
@@ -444,13 +446,40 @@ def transform(p: Polyhedron, t: UnimodularMap) -> Polyhedron:
 
 
 def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
-    """lam * p + v for a positive rational lam."""
+    """lam * p + v for a positive rational lam, in closed form.
+
+    For a full-dimensional p a positive scaling keeps every normal, ray and
+    the lineality, and keeps both sort orders: a . x <= b becomes
+    a . y <= lam b + a . v, and a vertex x becomes lam x + s with s the shift
+    v reduced off the lineality basis.  No canonical-form pass runs.
+
+    A lower-dimensional p goes through affine_image: its facet rows are
+    reduced off the equalities, so they depend on where the body sits (the
+    segment conv{(0, 1), (1, 1)} has the row x - y <= 0, its translate by
+    (0, 2) the row 3x - y <= 0, not x - y <= -2).
+    """
     lam = la.frac(lam)
+    v = la.vec(v)
     if lam <= 0:
         raise ValueError("scale factor must be positive")
-    m = tuple(tuple(lam if i == j else ZERO for j in range(p.dim))
-              for i in range(p.dim))
-    return affine_image(p, m, la.vec(v))
+    if len(v) != p.dim:
+        raise DimensionMismatch("shift dimension mismatch")
+    if not p.fulldim:
+        m = tuple(tuple(lam if i == j else ZERO for j in range(p.dim))
+                  for i in range(p.dim))
+        return affine_image(p, m, v)
+    # each canonical basis row has its pivot at its first nonzero entry
+    pivots = [next(i for i, x in enumerate(l) if x != 0) for l in p.lineality]
+    s = _reduce_off(v, p.lineality, pivots)
+    return Polyhedron(
+        dim=p.dim,
+        halfspaces=tuple(HalfSpace(h.normal, lam * h.offset + dot(h.normal, v))
+                         for h in p.halfspaces),
+        vertices=tuple(vadd(vscale(lam, x), s) for x in p.vertices),
+        rays=p.rays,
+        lineality=p.lineality,
+        fulldim=True,
+    )
 
 
 def homothety(p: Polyhedron, center, factor) -> Polyhedron:

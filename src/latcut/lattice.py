@@ -32,7 +32,14 @@ from .errors import (
     UnsupportedShape,
     WholeSpace,
 )
-from .geometry import HalfSpace, Polyhedron, UnimodularMap, fix_last_axis, transform
+from .geometry import (
+    HalfSpace,
+    Polyhedron,
+    UnimodularMap,
+    _irredundant,
+    fix_last_axis,
+    transform,
+)
 from .linalg import ONE, ZERO, Vec, dot, vadd, vscale
 
 
@@ -335,10 +342,19 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     level = h.offset * img[-1]
     # under y = U^-T x the plane becomes y_n = level and a . x <= b becomes
     # (U a) . y <= b; fixing y_n leaves constraints in y_1..y_{n-1} (a row
-    # parallel to the plane holds strictly on it, as p is full-dimensional)
+    # parallel to the plane holds strictly on it, as p is full-dimensional);
+    # the facet's generators are p's generators tight on it, so the facet is
+    # assembled with no conversion
     rotated = [HalfSpace(la.mat_vec(u, a), b) for a, b in others]
+    rows = [(-g.offset,) + g.normal for g in fix_last_axis(rotated, level)]
+    inv_t = la.transpose(la.inverse(u))
+    gens = [(ONE,) + la.mat_vec(inv_t, v)[:-1] for v in p.vertices
+            if h.eval_slack(v) == 0]
+    gens += [(ZERO,) + la.mat_vec(inv_t, r)[:-1] for r in p.rays
+             if dot(h.normal, r) == 0]
+    lins = [la.mat_vec(inv_t, l)[:-1] for l in p.lineality]
     try:
-        sub = Polyhedron.from_halfspaces(fix_last_axis(rotated, level), p.dim - 1)
+        sub = Polyhedron._assemble(_irredundant(rows, gens), gens, lins, p.dim - 1)
     except WholeSpace:
         z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
     else:

@@ -345,6 +345,92 @@ def test_homothety_and_scale_shift():
         [(0, 0), (4, 0), (2, 4)])
     with pytest.raises(ValueError):
         minkowski_scale_shift(tri, 0, (0, 0))
+    # a slab: the shift is reduced off the lineality, the rays stay
+    slab = Polyhedron.from_halfspaces([((1, 1), 1), ((-1, -1), 0)], 2)
+    moved = minkowski_scale_shift(slab, 3, (F(1, 2), 5))
+    assert moved == Polyhedron.from_halfspaces([((1, 1), F(17, 2)),
+                                                ((-1, -1), F(-11, 2))], 2)
+    assert moved.rays == slab.rays and moved.lineality == slab.lineality
+    assert homothety(slab, (0, 1), 2) == Polyhedron.from_halfspaces(
+        [((1, 1), 1), ((-1, -1), 1)], 2)
+    for bad in ((0,), (0, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            homothety(tri, bad, 2)
+        with pytest.raises(DimensionMismatch):
+            translate(slab, bad)
+        with pytest.raises(DimensionMismatch):
+            minkowski_scale_shift(tri, 2, bad)
+
+
+def _scale_shift_bodies(rng, count):
+    """Seeded 1-3-d bodies: bounded, with rays, with lineality and flat."""
+    def q():
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+    bodies = []
+    while len(bodies) < count:
+        n = rng.randint(1, 3)
+        kind = len(bodies) % 4
+        pts = [tuple(q() for _ in range(n)) for _ in range(n + 2)]
+        rays = []
+        if kind == 1:
+            rays = [tuple(F(rng.randint(-2, 2)) for _ in range(n))
+                    for _ in range(rng.randint(1, 2))]
+        elif kind == 2:
+            line = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            rays = [line, la.vneg(line)]
+        elif kind == 3:
+            # points on a line through the first one
+            d = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            pts = [la.vadd(pts[0], la.vscale(rng.randint(-3, 3), d))
+                   for _ in range(3)]
+        rays = [r for r in rays if not la.is_zero_vec(r)]
+        try:
+            bodies.append(Polyhedron.from_generators(pts, rays, n))
+        except WholeSpace:
+            continue
+    return bodies
+
+
+def test_scale_shift_closed_form_matches_affine_image():
+    rng = random.Random(7)
+    seen = {"flat": 0, "rays": 0, "lineality": 0}
+    for p in _scale_shift_bodies(rng, 160):
+        n = p.dim
+        lam = F(rng.randint(1, 12), rng.randint(1, 5))
+        v = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
+        c = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
+        diag = tuple(tuple(lam if i == j else F(0) for j in range(n))
+                     for i in range(n))
+        assert repr(minkowski_scale_shift(p, lam, v)) == repr(
+            affine_image(p, diag, v))
+        assert translate(p, v) == affine_image(p, la.identity(n), v)
+        assert homothety(p, c, lam) == affine_image(
+            p, diag, la.vscale(1 - lam, c))
+        seen["flat"] += not p.fulldim
+        seen["rays"] += bool(p.rays) and not p.lineality
+        seen["lineality"] += bool(p.lineality)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_full_dimensional_scale_shift_runs_no_assemble(monkeypatch):
+    calls = []
+    real = Polyhedron._assemble
+
+    def counting_assemble(rows, gens, lins, dim):
+        calls.append(dim)
+        return real(rows, gens, lins, dim)
+
+    bodies = _scale_shift_bodies(random.Random(5), 40)
+    monkeypatch.setattr(Polyhedron, "_assemble", staticmethod(counting_assemble))
+    for p in bodies:
+        calls.clear()
+        one = (1,) * p.dim
+        homothety(p, one, F(3, 2))
+        translate(p, one)
+        minkowski_scale_shift(p, 2, one)
+        assert len(calls) == (0 if p.fulldim else 3)
+    assert any(not p.fulldim for p in bodies)
 
 
 def test_sections_and_embeddings():

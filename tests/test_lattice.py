@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcut import geometry
+from latcut import geometry, lattice
 from latcut import linalg as la
 from latcut.errors import (
     NotFullDimensional,
@@ -16,11 +16,14 @@ from latcut.errors import (
     UnboundedEnumeration,
     UnsupportedDimension,
     UnsupportedShape,
+    WholeSpace,
 )
 from latcut.geometry import (
+    HalfSpace,
     Polyhedron,
     UnimodularMap,
     cone_dd,
+    fix_last_axis,
     homothety,
     transform,
     translate,
@@ -238,6 +241,67 @@ def test_facet_witnesses_of_a_slab_in_space():
     for j, h in enumerate(slab3.halfspaces):
         z = facet_interior_lattice_point(slab3, j)
         assert all(x.denominator == 1 for x in z) and h.eval_slack(z) == 0
+
+
+def _facet_by_conversion(p, j):
+    """The 3-d facet search with the facet built by from_halfspaces:
+    (facet body or None, witness)."""
+    h = p.halfspaces[j]
+    others = [g for i, g in enumerate(p.halfspaces) if i != j]
+    if h.offset.denominator != 1:
+        return None, None
+    u = la.alignment_unimodular([h.normal])
+    level = h.offset * la.mat_vec(u, h.normal)[-1]
+    rotated = [HalfSpace(la.mat_vec(u, g.normal), g.offset) for g in others]
+    try:
+        sub = Polyhedron.from_halfspaces(fix_last_axis(rotated, level), p.dim - 1)
+    except WholeSpace:
+        return None, la.mat_vec(la.transpose(u), la.vzero(p.dim - 1) + (level,))
+    z2 = interior_lattice_point(sub)
+    if z2 is None:
+        return sub, None
+    return sub, la.mat_vec(la.transpose(u), tuple(z2) + (level,))
+
+
+def test_3d_facet_search_runs_no_conversion(monkeypatch):
+    rng = random.Random(13)
+    bodies = []
+    while len(bodies) < 45:
+        pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2))) for _ in range(3))
+               for _ in range(rng.randint(4, 7))]
+        rays = [tuple(F(rng.randint(-2, 2)) for _ in range(3))
+                for _ in range(len(bodies) % 3)]
+        if len(rays) == 2:
+            rays[1] = la.vneg(rays[0])  # a line
+        rays = [r for r in rays if not la.is_zero_vec(r)]
+        p = Polyhedron.from_generators(pts, rays, 3)
+        if p.fulldim:
+            bodies.append(p)
+    wanted = [[_facet_by_conversion(p, j) for j in range(len(p.halfspaces))]
+              for p in bodies]
+    assert sum(w is not None for ws in wanted for _, w in ws) >= 20
+    assert sum(bool(p.lineality) for p in bodies) >= 5
+    assert sum(bool(p.rays) and not p.lineality for p in bodies) >= 5
+    calls, facets = [], []
+
+    def counting_cone_dd(rows, dim):
+        calls.append(dim)
+        return cone_dd(rows, dim)
+
+    def recording_search(q):
+        if q.dim == 2:  # the facet, not a quotient searched from inside
+            facets.append(q)
+        return real_search(q)
+
+    real_search = lattice.interior_lattice_point
+    monkeypatch.setattr(geometry, "cone_dd", counting_cone_dd)
+    monkeypatch.setattr(lattice, "interior_lattice_point", recording_search)
+    for p, want in zip(bodies, wanted):
+        for j, (sub, w) in enumerate(want):
+            facets.clear()
+            assert facet_interior_lattice_point(p, j) == w
+            assert facets == ([] if sub is None else [sub])
+    assert calls == []
 
 
 def test_facet_search_requires_full_dimension():
