@@ -31,10 +31,6 @@ from .scenarios import SCENARIOS, list_scenarios, run_scenario
 from .strength import relative_strength, sandwich
 
 
-def _fmt(x) -> str:
-    return la.format_frac(la.frac(x))
-
-
 def _vec_arg(text: str):
     return tuple(la.parse_frac(tok) for tok in text.split(","))
 
@@ -98,9 +94,9 @@ def _cmd_check(args) -> int:
 def _cmd_width(args) -> int:
     rep = lattice_width(_read_poly(args.body, args.strict))
     doc = {
-        "width": _fmt(rep.width),
+        "width": la.format_frac(rep.width),
         "direction": jsonio.vec_to_obj(rep.direction),
-        "segment_bound": _fmt(rep.segment_bound),
+        "segment_bound": la.format_frac(rep.segment_bound),
         "search_bound": rep.search_bound,
     }
     if args.bound is not None:
@@ -139,8 +135,8 @@ def _cmd_sandwich(args) -> int:
     l = _read_poly(args.l, args.strict)
     rep = sandwich(family, l, args.f)
     return _emit({
-        "lower": "inf" if rep.lower is None else _fmt(rep.lower),
-        "upper": "inf" if rep.upper is None else _fmt(rep.upper),
+        "lower": "inf" if rep.lower is None else la.format_frac(rep.lower),
+        "upper": "inf" if rep.upper is None else la.format_frac(rep.upper),
         "n_bound": rep.n_bound,
     })
 
@@ -149,7 +145,8 @@ def _cmd_fmetric(args) -> int:
     b1 = _read_poly(args.body1, args.strict)
     b2 = _read_poly(args.body2, args.strict)
     pd = f_metric(b1, b2, args.f)
-    return _emit({"dist_sq": _fmt(pd.dist_sq), "dist": float(f"{pd.dist:.12g}")})
+    return _emit({"dist_sq": la.format_frac(pd.dist_sq),
+                  "dist": float(f"{pd.dist:.12g}")})
 
 
 def _cmd_lift(args) -> int:
@@ -166,7 +163,7 @@ def _cmd_approx(args) -> int:
     res = fn(l, args.f)
     return _emit({
         "body": jsonio.polyhedron_to_obj(res.body),
-        "factor": _fmt(res.factor),
+        "factor": la.format_frac(res.factor),
         "facets": len(res.body.halfspaces),
         "certificate": _cert_obj(res.body),
     })

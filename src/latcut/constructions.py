@@ -360,7 +360,6 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
     else:
         shift = vzero(n - 1) + (Fraction(-t),)
     phi = UnimodularMap.make(matrix, shift)
-    l0 = transform(l, phi)
     f0 = phi.apply(f)
     lp0 = transform(lp, phi)
 

@@ -21,13 +21,17 @@ rays across the new hyperplane (combinatorial adjacency test).  Both
 conversion directions run through the same cone routine, since the facets of
 a polyhedron are the extreme rays of its homogenized dual cone.
 
-Each constructor runs one conversion and drops the redundant part of its
-input by incidence (Fukuda & Prodon, "Double description method revisited",
-1996): a row is a facet or an implicit equality iff the generators tight on
-it have rank at least one below that of all generators, and a generator is
-extreme, or a line, iff the rows tight on it do.  ``Polyhedron._assemble``
-is the one routine that brings both descriptions to canonical form, for the
-constructors and for affine images alike.  Affine images and polars run no
+Each constructor runs one conversion.  ``Polyhedron._assemble`` is the one
+routine that brings both descriptions to canonical form, for the
+constructors and for affine images alike, and it drops the redundant part of
+either side from one incidence table of rows against generators, with the
+row x0 >= 0 (the face at infinity) added to the rows.  This is the
+combinatorial form of the test in Fukuda & Prodon, "Double description
+method revisited", 1996: a row is an implicit equality iff it is tight on
+every generator, and a facet iff no other row's tight set strictly contains
+its own without being every generator; a generator is a line iff it is
+tight on every row, and extreme iff no other generator's tight set strictly
+contains its own without being every row.  Affine images and polars run no
 conversion: both descriptions are read off the input's.  Homotheties and
 translates of a full-dimensional body are closed-form: normals, rays and
 lineality carry over, offsets and vertices move, and no canonical-form pass
@@ -39,6 +43,7 @@ polytope walk its real faces, read off the stored incidence.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,20 +182,12 @@ def _reduce_off(v: Vec, basis: list[Vec], pivots: list[int]) -> Vec:
     return v
 
 
-def _irredundant(cands: list[Vec], duals: list[Vec]) -> list[Vec]:
-    """The candidates whose tight duals have rank at least rank(duals) - 1.
-
-    With cands the rows of a cone and duals its generators (or the other way
-    round), these are the facets and implicit equalities (extreme rays and
-    lines); every other candidate supports a smaller face.
-    """
-    need = la.rank(duals) - 1
-    out = []
-    for c in cands:
-        tight = [d for d in duals if dot(c, d) == 0]
-        if len(tight) >= need and la.rank(tight) >= need:
-            out.append(c)
-    return out
+def _maximal(masks: list[int], full: int) -> list[int]:
+    """Indices of the tight-set bit masks that no other mask short of full
+    strictly contains (a full mask is never contained, so it is kept)."""
+    others = set(masks) - {full}
+    return [i for i, m in enumerate(masks)
+            if not any(m != o and m & o == m for o in others)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +220,7 @@ class Polyhedron:
             assert l[0] == 0, "lineality cannot leave the x0 = 0 slice"
         if not any(r[0] > 0 for r in rays):
             raise EmptySet("no feasible point satisfies all half-spaces")
-        return Polyhedron._assemble(_irredundant(rows, rays + lines), rays,
-                                    [l[1:] for l in lines], dim)
+        return Polyhedron._assemble(rows, rays, [l[1:] for l in lines], dim)
 
     @staticmethod
     def from_generators(vertices, rays=(), dim: int | None = None) -> "Polyhedron":
@@ -241,8 +237,7 @@ class Polyhedron:
         dlines, drays = cone_dd(gens, dim + 1)
         rows = dlines + drays
         lins = la.kernel_basis([z[1:] for z in rows], dim)
-        kept = _irredundant(gens, rows + [(-ONE,) + la.vzero(dim)])  # x0 >= 0
-        return Polyhedron._assemble(rows, kept, lins, dim)
+        return Polyhedron._assemble(rows, gens, lins, dim)
 
     @staticmethod
     def _assemble(rows, gens, lins, dim) -> "Polyhedron":
@@ -250,14 +245,29 @@ class Polyhedron:
         that include every facet and span the implicit equalities; from
         homogenized generators (1, v) and (0, r) that include every extreme
         point and ray; and from a basis of the lineality space in R^dim.
+        Other rows and generators are dropped by incidence (module
+        docstring); the x0 >= 0 row added here tells a quadrant's rays
+        apart from its vertex.
         """
+        rows = list(rows) + [(-ONE,) + la.vzero(dim)]  # x0 >= 0
+        def ints(v):  # tightness survives scaling: test integer copies
+            m = la.denominator_lcm(v)
+            return [x.numerator * (m // x.denominator) for x in v]
+        gs = [ints(g) for g in gens]
+        inc = [sum(1 << j for j, g in enumerate(gs)
+                   if sum(map(operator.mul, z, g)) == 0) for z in map(ints, rows)]
+        all_g = (1 << len(gens)) - 1
+        ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
+                for j in range(len(gens))]
+        gens = [gens[j] for j in _maximal(ginc, (1 << len(rows)) - 1)]
         basis, pivots = _canonical_basis(list(lins))
         vcan = sorted({_reduce_off(tuple(x / g[0] for x in g[1:]), basis, pivots)
                        for g in gens if g[0] != 0})
         rays = (_reduce_off(g[1:], basis, pivots) for g in gens if g[0] == 0)
         rcan = sorted({la.primitive(r) for r in rays if not la.is_zero_vec(r)})
         eqs, eq_pivots = _canonical_basis(
-            [z for z in rows if all(dot(z, g) == 0 for g in gens)])
+            [z for z, m in zip(rows, inc) if m == all_g])
+        rows = [rows[i] for i in _maximal(inc, all_g)]
         hs = set()
         for z in eqs:
             hs.update((_halfspace_from_homog(z), _halfspace_from_homog(vneg(z))))

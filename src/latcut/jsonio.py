@@ -70,12 +70,8 @@ def _check_keys(obj: dict, allowed: set, what: str, strict: bool):
             raise ParseError(f"unknown keys in {what}: {sorted(extra)}")
 
 
-def _frac_str(x) -> str:
-    return la.format_frac(la.frac(x))
-
-
 def vec_to_obj(v) -> list:
-    return [_frac_str(x) for x in v]
+    return [la.format_frac(x) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +82,7 @@ def polyhedron_to_obj(p: Polyhedron) -> dict:
     # p.rays already lists lineality directions as +/- pairs
     return {
         "dim": p.dim,
-        "hrep": [{"a": vec_to_obj(h.normal), "b": _frac_str(h.offset)}
+        "hrep": [{"a": vec_to_obj(h.normal), "b": la.format_frac(h.offset)}
                  for h in p.halfspaces],
         "vrep": {"vertices": [vec_to_obj(v) for v in p.vertices],
                  "rays": [vec_to_obj(r) for r in p.rays]},
@@ -210,7 +206,7 @@ def strength_to_obj(rep: StrengthReport) -> dict:
     elif rep.kind == "infinite":
         value = "inf"
     else:
-        value = _frac_str(rep.value)
+        value = la.format_frac(rep.value)
     witness = None
     if rep.witness is not None:
         key = "ray" if rep.kind == "infinite" else "vertex"

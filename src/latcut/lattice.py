@@ -36,7 +36,6 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     UnimodularMap,
-    _irredundant,
     fix_last_axis,
     transform,
 )
@@ -202,7 +201,7 @@ def _width_along(p: Polyhedron, u: Vec) -> Fraction:
     return max(vals) - min(vals)
 
 
-def _bounded_interior_point(p: Polyhedron, realign: bool = True):
+def _bounded_interior_point(p: Polyhedron):
     """First strict integer point of a bounded body, or None.
 
     The widest axis is solved as an exact interval per candidate of the
@@ -210,18 +209,20 @@ def _bounded_interior_point(p: Polyhedron, realign: bool = True):
     body fat in every axis is first realigned so its thinnest facet-normal
     direction becomes an axis; cone-over-base and slab-like bodies are thin
     along one of their own normals even when no coordinate axis shows it.
+    Normal widths survive the unimodular map and the thinnest normal is then
+    an axis, so a realigned body is never realigned again.
     """
     lo, hi = p.bounding_box()
     budget = 1
     for e in sorted(hi[i] - lo[i] for i in range(p.dim))[:-1]:
         budget *= math.floor(e) + 1
-    if realign and p.dim >= 3 and budget > 20000:
+    if p.dim >= 3 and budget > 20000:
         u_best = min((h.normal for h in p.halfspaces),
                      key=lambda u: _width_along(p, u))
         if _width_along(p, u_best) < min(b - a for a, b in zip(lo, hi)):
             um = la.alignment_unimodular([u_best])
             m = UnimodularMap.make(la.transpose(la.inverse(um)))
-            z = _bounded_interior_point(transform(p, m), realign=False)
+            z = _bounded_interior_point(transform(p, m))
             return None if z is None else m.inverse().apply(z)
     axis = max(range(p.dim), key=lambda i: hi[i] - lo[i])
     ranges = [None if i == axis else range(math.ceil(lo[i]), math.floor(hi[i]) + 1)
@@ -354,7 +355,7 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
              if dot(h.normal, r) == 0]
     lins = [la.mat_vec(inv_t, l)[:-1] for l in p.lineality]
     try:
-        sub = Polyhedron._assemble(_irredundant(rows, gens), gens, lins, p.dim - 1)
+        sub = Polyhedron._assemble(rows, gens, lins, p.dim - 1)
     except WholeSpace:
         z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
     else:
@@ -502,28 +503,25 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
             [((ONE,), lo + 1), ((-ONE,), -lo)], 1)
 
     q = p
-    while True:
-        cert = certify_lattice_free(q)
-        assert cert.lattice_free
-        if cert.maximal:
-            return q
+    while not cert.maximal:
         j = cert.unwitnessed()[0]
         h = q.halfspaces[j]
         others = [g for i, g in enumerate(q.halfspaces) if i != j]
-        dropped = _try_drop(others)
-        if dropped is not None:
-            q = dropped
-            continue
-        # the facet cannot be dropped: push it to the nearest integer level
-        cons = [(g.normal, g.offset) for g in others]
-        level = Fraction(math.ceil(h.offset))
-        while True:
-            z = _integer_point_on_line(h.normal, level, cons)
-            if z is not None and level > h.offset:
-                break
-            level += 1
-        q = Polyhedron.from_halfspaces(
-            others + [HalfSpace.make(h.normal, level)], 2)
+        q = _try_drop(others)
+        if q is None:
+            # the facet cannot be dropped: push it to the nearest integer level
+            cons = [(g.normal, g.offset) for g in others]
+            level = Fraction(math.ceil(h.offset))
+            while True:
+                z = _integer_point_on_line(h.normal, level, cons)
+                if z is not None and level > h.offset:
+                    break
+                level += 1
+            q = Polyhedron.from_halfspaces(
+                others + [HalfSpace.make(h.normal, level)], 2)
+        cert = certify_lattice_free(q)
+        assert cert.lattice_free
+    return q
 
 
 def _try_drop(others):

@@ -352,7 +352,9 @@ def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:
     return c, pivot_col
 
 
-def format_frac(x: Fraction) -> str:
+def format_frac(x) -> str:
+    """'p/q' for anything ``frac`` accepts."""
+    x = frac(x)
     return f"{x.numerator}/{x.denominator}"
 
 

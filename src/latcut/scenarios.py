@@ -56,10 +56,6 @@ def _expect(cond: bool, msg: str):
         raise _Fail(msg)
 
 
-def _fmt(x) -> str:
-    return la.format_frac(la.frac(x))
-
-
 @dataclass(frozen=True)
 class Assertion:
     name: str
@@ -81,7 +77,7 @@ class ScenarioReport:
     def to_obj(self) -> dict:
         return {
             "scenario": self.scenario,
-            "params": {k: (v if isinstance(v, int) else _fmt(v))
+            "params": {k: (v if isinstance(v, int) else la.format_frac(v))
                        for k, v in self.params.items()},
             "passed": self.passed,
             "assertions": [{"name": a.name, "pass": a.passed,
@@ -236,7 +232,7 @@ def _split_vs_triangles_checks(params):
             _expect(dists[k] < dists[k - 1],
                     f"d^2 not strictly decreasing at t={k + 1}")
         return (f"polar distance strictly decreasing over t=1..{tmax}, "
-                f"last d^2 = {_fmt(dists[-1])}")
+                f"last d^2 = {la.format_frac(dists[-1])}")
 
     def coefficients_converge():
         cols = ((ZERO, ONE), (ONE, ZERO), (-ONE, ZERO))
@@ -254,7 +250,8 @@ def _split_vs_triangles_checks(params):
             last = cs.coeffs
         _expect(max(prev) <= F(2, tmax),
                 f"final deviation {tuple(map(str, prev))} too large")
-        return (f"coefficients at t={tmax}: ({', '.join(map(_fmt, last))}) "
+        coeffs = ", ".join(map(la.format_frac, last))
+        return (f"coefficients at t={tmax}: ({coeffs}) "
                 f"vs split (2/1, 0/1, 0/1), deviations monotone")
 
     return [("rho-infinite-per-triangle", infinite_per_triangle),
@@ -401,7 +398,7 @@ def _lifting_checks(params):
             _expect(out.contains(homothety(l, f, gamma / 4)),
                     "gamma/4 homothety escapes the lift")
             return (f"lattice-free, {len(out.halfspaces)} <= {m + 1} facets, "
-                    f"holds the {_fmt(gamma / 4)} homothety")
+                    f"holds the {la.format_frac(gamma / 4)} homothety")
         checks.append((f"instance-{k:02d}-dim{l.dim}", thunk))
     return checks
 
@@ -464,8 +461,8 @@ def _inapprox_checks(params):
                             f"segment {zi}-{zj} misses the 1/alpha copy")
                 return (f"maximal with {n + 1} facets, all "
                         f"{n * (n + 1) // 2} witness segments meet the copy")
-            fg = ":".join(_fmt(x) for x in f)
-            tag = f"tower-f-{fg}-alpha-{_fmt(alpha)}"
+            fg = ":".join(la.format_frac(x) for x in f)
+            tag = f"tower-f-{fg}-alpha-{la.format_frac(alpha)}"
             checks.append((tag, thunk))
 
     def sampled_bodies():

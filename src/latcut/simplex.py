@@ -132,13 +132,11 @@ def solve_ineq(rows: list[Vec], rhs: list[Fraction], objective: Vec,
         cost[j] = c_obj[j]
         cost[n + j] = -c_obj[j]
     z2 = list(cost)
-    zval_terms = ZERO
     for r, bv in enumerate(basis):
         if cost[bv] != 0:
             f = cost[bv]
             for k in range(ncols):
                 z2[k] -= f * tab[r][k]
-            zval_terms += f * b[r]
     enter = run(z2, art_base)
 
     def current_point() -> Vec:

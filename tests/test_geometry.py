@@ -35,6 +35,7 @@ from latcut.geometry import (
     transform,
     translate,
 )
+from latcut.lattice import facet_interior_lattice_point
 
 from oracles import (
     brute_force_lp,
@@ -127,6 +128,81 @@ def test_one_conversion_per_constructor(monkeypatch):
         if dim > 1:
             level_slice(p, F(1, 3))
             assert len(calls) == 3
+
+
+def _redundant_generator_inputs(rng, count):
+    """Seeded pointed unbounded 2-d and 3-d bodies given with non-extreme
+    points and rays: (points, rays, the primitive extreme rays, sorted).
+
+    The k given rays are linearly independent, so each is extreme; the input
+    adds their sum, a repeat and a multiple, the centroid of the points, a
+    point plus a ray, and a repeated point.
+    """
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 2
+        k = 1 + len(out) // 2 % n
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if la.rank(rays) != k:
+            continue
+        pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(n))
+               for _ in range(rng.randint(1, 5))]
+        centroid = pts[0]
+        for x in pts[1:]:
+            centroid = la.vadd(centroid, x)
+        inner = [la.vscale(F(1, len(pts)), centroid), la.vadd(pts[0], rays[0])]
+        extra = [la.vadd(rays[0], rays[-1]), rays[-1], la.vscale(2, rays[0])]
+        out.append((pts + inner + [pts[0]], rays + extra,
+                    sorted(la.primitive(la.vec(r)) for r in rays)))
+    return out
+
+
+def test_redundant_generators_keep_every_extreme_ray():
+    seen = {(n, k): 0 for n in (2, 3) for k in range(1, n + 1)}
+    for pts, rays, extreme in _redundant_generator_inputs(random.Random(17), 60):
+        n = len(pts[0])
+        p = Polyhedron.from_generators(pts, rays, n)
+        assert list(p.rays) == extreme
+        assert p == Polyhedron.from_halfspaces(p.halfspaces, n)
+        hs = [(h.normal, h.offset) for h in p.halfspaces]
+        assert list(p.vertices) == brute_force_vertices(hs, n)
+        assert set(p.vertices) < set(pts)  # x + r is never a vertex
+        assert all(p.contains_point(x) for x in pts)
+        seen[n, len(extreme)] += 1
+    assert min(seen.values()) >= 5, seen
+    # the quadrant: its vertex is tight on every row either ray is tight on
+    q = Polyhedron.from_generators([(0, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)])
+    assert q.rays == ((F(0), F(1)), (F(1), F(0))) and q.vertices == ((F(0), F(0)),)
+
+
+def test_constructors_and_3d_facet_search_run_no_rank(monkeypatch):
+    inputs = _redundant_generator_inputs(random.Random(19), 24)
+    rng = random.Random(23)
+    inputs += [([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(6)],
+                [], []) for _ in range(12)]
+    calls = []
+    real_rank = la.rank
+
+    def counting_rank(m):
+        calls.append(len(m))
+        return real_rank(m)
+
+    monkeypatch.setattr(la, "rank", counting_rank)
+    searched = 0
+    for pts, rays, _ in inputs:
+        n = len(pts[0])
+        p = Polyhedron.from_generators(pts, rays, n)
+        hs = list(p.halfspaces)
+        loose = [HalfSpace(h.normal, h.offset + 1) for h in hs]
+        sums = [HalfSpace.make(la.vadd(g.normal, h.normal), g.offset + h.offset)
+                for g, h in zip(hs, hs[1:]) if la.vadd(g.normal, h.normal) != (0,) * n]
+        assert Polyhedron.from_halfspaces(hs + loose + sums, n) == p
+        if n == 3 and p.fulldim:
+            for j in range(len(hs)):
+                facet_interior_lattice_point(p, j)
+                searched += 1
+    assert calls == []
+    assert searched >= 60
 
 
 def test_empty_and_whole_space_raise():
