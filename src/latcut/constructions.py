@@ -29,9 +29,7 @@ from .errors import (
     NotPolytope,
     OutOfRange,
     PointNotInterior,
-    UnboundedEnumeration,
     UnsupportedDimension,
-    WholeSpace,
     WitnessOnBoundary,
 )
 from .geometry import (
@@ -272,38 +270,12 @@ def _last_axis_range(p: Polyhedron):
     return (None if lo is None else -lo), hi
 
 
-def _integer_slab(dim: int, lo: int) -> Polyhedron:
-    e = vzero(dim - 1) + (ONE,)
+def split_along(u, b) -> Polyhedron:
+    """The integer split {b <= u . x <= b + 1}."""
+    u = la.vec(u)
+    b = la.frac(b)
     return Polyhedron.from_halfspaces(
-        [HalfSpace.make(e, Fraction(lo + 1)), HalfSpace.make(vneg(e), Fraction(-lo))],
-        dim)
-
-
-def _slab_slice_lattice_free(b: Polyhedron):
-    """Lattice-freeness certificate by horizontal slicing.
-
-    Interior integer points of a full-dimensional body must sit on integer
-    levels of the last axis strictly inside its level range, and on such a
-    level they are exactly the interior integer points of the substituted
-    body one dimension down.  Returns (free, witness).
-    """
-    assert b.fulldim
-    lo, hi = _last_axis_range(b)
-    if lo is None or hi is None:
-        raise UnboundedEnumeration("slice certificate needs a bounded level range")
-    for w in range(math.floor(lo) + 1, math.ceil(hi)):
-        try:
-            s = level_slice(b, w)
-        except EmptySet:
-            continue
-        except WholeSpace:
-            return False, vzero(b.dim - 1) + (Fraction(w),)
-        if not s.fulldim:
-            continue
-        z = interior_lattice_point(s)
-        if z is not None:
-            return False, z + (Fraction(w),)
-    return True, None
+        [HalfSpace.make(vneg(u), -b), HalfSpace.make(u, b + 1)], len(u))
 
 
 def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron:
@@ -333,7 +305,7 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
         raise HypothesisViolated("f-not-interior", "f must be interior to the body")
     if not d.fulldim:
         raise HypothesisViolated("base-not-full-dimensional", "")
-    if not certify_lattice_free(d).lattice_free:
+    if interior_lattice_point(d) is not None:
         raise HypothesisViolated("base-not-lattice-free", "")
     try:
         sec = level_slice(l, t)
@@ -367,12 +339,11 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
     lo2, hi2 = _last_axis_range(lpp)
     if hi2 <= 0 or lo2 >= 0:
         # the quarter body misses level 0: an integer slab already covers it
-        b0 = _integer_slab(n, -1 if hi2 <= 0 else 0)
+        b0 = split_along(vzero(n - 1) + (ONE,), -1 if hi2 <= 0 else 0)
     else:
         b0 = _lift_core(lp0, f0, d)
     assert b0.contains(lpp)
-    free, wit = _slab_slice_lattice_free(b0)
-    assert free, f"lifted body has interior lattice point {wit}"
+    assert interior_lattice_point(b0) is None, "lifted body is not lattice-free"
     assert len(b0.halfspaces) <= len(d.halfspaces) + 1
     return transform(b0, phi.inverse())
 
@@ -462,7 +433,7 @@ def _pipeline_input(l: Polyhedron, f) -> Vec:
         raise UnsupportedDimension("pipelines stop at dimension 3")
     if len(f) != l.dim:
         raise DimensionMismatch("point dimension mismatch")
-    if not certify_lattice_free(l).lattice_free:
+    if interior_lattice_point(l) is not None:
         raise NotLatticeFreeInput("input body has an interior lattice point")
     if not l.contains_point(f, strict=True):
         raise PointNotInterior("f must be interior to the body")
@@ -482,9 +453,9 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
     cap = 2 ** (n - 1) + 1
     flt = flatness_bound(n)
     if len(l.halfspaces) <= cap:
-        rep = relative_strength(l, l, f)
-        assert rep.kind == "finite"
-        return ApproxResult(l, rep.value)
+        # l covers itself at factor exactly 1: f is interior and every
+        # vertex of l lies on a facet, so relative_strength(l, l, f) == 1
+        return ApproxResult(l, ONE)
     wr = lattice_width(l)
     assert wr.width <= flt
     phi = UnimodularMap.make(la.unimodular_with_bottom_row(wr.direction))
@@ -494,7 +465,7 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
     lo, hi = _last_axis_range(homothety(lt, ft, gamma))
     tlo = math.floor(lo)
     if hi <= tlo + 1:
-        b0 = _integer_slab(n, tlo)
+        b0 = split_along(vzero(n - 1) + (ONE,), tlo)
     else:
         t = math.ceil(lo)
         assert lo < t < hi
@@ -523,9 +494,7 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
     flt = flatness_bound(n)
     bound = flt * 4 ** (n - 1) * s
     if len(l.halfspaces) <= n + 1:
-        rep = relative_strength(l, l, f)
-        assert rep.kind == "finite"
-        return ApproxResult(l, rep.value)
+        return ApproxResult(l, ONE)  # factor 1, as in approximate_any_f
     # n >= 2 from here: one-dimensional lattice-free bodies have <= 2 facets
     wr = lattice_width(l)
     assert wr.width <= flt
@@ -535,7 +504,7 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
         # integer levels holds the 1/bound homothety since fn keeps a
         # distance of at least 1/s from both
         phi = UnimodularMap.make(la.unimodular_with_bottom_row(wr.direction))
-        b0 = _integer_slab(n, math.floor(fn))
+        b0 = split_along(vzero(n - 1) + (ONE,), math.floor(fn))
         assert b0.contains(homothety(transform(l, phi), phi.apply(f),
                                      Fraction(1, bound)))
         b = transform(b0, phi.inverse())

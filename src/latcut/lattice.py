@@ -2,10 +2,11 @@
 certificates, lattice width, and growth to maximal lattice-free bodies.
 
 A body is lattice-free when its topological interior contains no integer
-point.  Certificates are two-sided: a violating interior integer point, or
-per-facet integer witnesses (an integer point in each facet's relative
-interior proves the body cannot be enlarged, so witnesses on every facet
-certify maximality).
+point.  ``interior_lattice_point`` is the one routine that decides it; every
+yes/no check asks it directly.  Certificates are two-sided: a violating
+interior integer point, or per-facet integer witnesses (an integer point in
+each facet's relative interior proves the body cannot be enlarged, so
+witnesses on every facet certify maximality).
 
 Every interior and facet search ends in one strict integer search.
 ``_strict_integer`` solves den * t < num over all rows for an integer t (the
@@ -14,6 +15,9 @@ other coordinates over their integer ranges and solves one axis with it:
 bounded bodies scan their box, a half-line is a scan with no other axis,
 and a planar body with pointed recession scans its columns.  A facet
 search in the plane solves along the integer points of the facet's line.
+A pointed unbounded body of dimension 3 or more whose last coordinate is
+bounded is searched level by level: each integer level strictly inside the
+range cuts a full-dimensional slice, searched one dimension down.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .geometry import (
     Polyhedron,
     UnimodularMap,
     fix_last_axis,
+    level_slice,
     transform,
 )
 from .linalg import ONE, ZERO, Vec, dot, vadd, vscale
@@ -176,8 +181,11 @@ def interior_lattice_point(p: Polyhedron):
 
     Handles bounded bodies in any dimension, unbounded bodies whose
     recession cone is a linear subspace (reduced to a bounded quotient by a
-    unimodular change of coordinates), and in the plane also pointed
-    recession cones.  Other unbounded shapes raise UnsupportedShape.
+    unimodular change of coordinates), pointed recession cones in the plane,
+    and pointed recession cones in higher dimensions when the last
+    coordinate stays bounded: each integer level w strictly inside its range
+    is searched in level_slice(p, w), and w is appended to a point found.
+    Other unbounded shapes raise UnsupportedShape.
     """
     if not p.fulldim:
         raise NotFullDimensional("interior search needs a full-dimensional body")
@@ -191,8 +199,18 @@ def interior_lattice_point(p: Polyhedron):
         return _scan(p.halfspaces, [None], 0)  # a half-line
     if p.dim == 2:
         return _planar_pointed_interior_point(p)
-    raise UnsupportedShape(
-        "pointed unbounded recession is only searched in the plane")
+    if any(r[-1] != 0 for r in p.rays):
+        raise UnsupportedShape("pointed unbounded recession is only searched "
+                               "in the plane or with a bounded last axis")
+    # interior integer points sit on integer levels strictly inside the last
+    # axis range, and there they are the interior points of the level slice,
+    # a full-dimensional body one dimension down
+    levels = [v[-1] for v in p.vertices]
+    for w in range(math.floor(min(levels)) + 1, math.ceil(max(levels))):
+        z = interior_lattice_point(level_slice(p, w))
+        if z is not None:
+            return z + (Fraction(w),)
+    return None
 
 
 def _width_along(p: Polyhedron, u: Vec) -> Fraction:

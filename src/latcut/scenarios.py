@@ -27,19 +27,24 @@ from .constructions import (
     segment_meets,
     shrink_epsilon,
     simplex_tower,
+    split_along,
     truncated_cone_shrink,
 )
 from .cuts import f_metric, gauge, intersection_cut
 from .errors import LatcutError, OutOfRange, UnknownScenario
 from .geometry import (
-    HalfSpace,
     Polyhedron,
     UnimodularMap,
     homothety,
     level_slice,
     transform,
 )
-from .lattice import certify_lattice_free, flatness_bound, point_denominator
+from .lattice import (
+    certify_lattice_free,
+    flatness_bound,
+    interior_lattice_point,
+    point_denominator,
+)
 from .linalg import ONE, ZERO, Vec, dot, vadd, vscale, vsub
 from .strength import relative_strength, sandwich, find_covering_body
 
@@ -99,13 +104,6 @@ class ScenarioReport:
 # shared generators
 
 
-def split_along(u, b) -> Polyhedron:
-    u = la.vec(u)
-    b = la.frac(b)
-    return Polyhedron.from_halfspaces(
-        [HalfSpace.make(la.vneg(u), -b), HalfSpace.make(u, b + 1)], len(u))
-
-
 def base_triangle(t: int) -> Polyhedron:
     """Lattice-free triangle flattening onto the horizontal split as t grows."""
     return Polyhedron.from_generators(
@@ -119,7 +117,7 @@ def random_lattice_free_triangle(rng: random.Random, f: Vec) -> Polyhedron:
                 1 + F(1, rng.randint(1, 6)))
         cand = Polyhedron.from_generators([(F(-a), ZERO), (F(b), ZERO), apex])
         if (cand.fulldim and cand.contains_point(f, strict=True)
-                and certify_lattice_free(cand).lattice_free):
+                and interior_lattice_point(cand) is None):
             return cand
     return base_triangle(rng.randint(1, 6))
 
@@ -393,8 +391,8 @@ def _lifting_checks(params):
             m = len(d.halfspaces)
             _expect(len(out.halfspaces) <= m + 1,
                     f"{len(out.halfspaces)} facets exceed {m + 1}")
-            cert = certify_lattice_free(out)
-            _expect(cert.lattice_free, "output not lattice-free")
+            _expect(interior_lattice_point(out) is None,
+                    "output not lattice-free")
             _expect(out.contains(homothety(l, f, gamma / 4)),
                     "gamma/4 homothety escapes the lift")
             return (f"lattice-free, {len(out.halfspaces)} <= {m + 1} facets, "
@@ -444,12 +442,18 @@ def _inapprox_checks(params):
     alphas = (F(2), la.frac(params["alpha_hi"]))
     samples, seedbits = params["samples"], params["seed"]
     fs = (F12, (F(1, 3), F(2, 3)), (F(1, 2), F(1, 3), F(1, 5)))
+    towers = {}  # simplex_tower(f, alpha), built when first asked for
+
+    def tower(f, alpha):
+        if (f, alpha) not in towers:
+            towers[f, alpha] = simplex_tower(f, alpha)
+        return towers[f, alpha]
 
     checks = []
     for f in fs:
         for alpha in alphas:
             def thunk(f=f, alpha=alpha):
-                tw = simplex_tower(f, alpha)
+                tw = tower(f, alpha)
                 n = len(f)
                 _expect(len(tw.body.halfspaces) == n + 1, "facet count off")
                 cert = certify_lattice_free(tw.body)
@@ -472,7 +476,7 @@ def _inapprox_checks(params):
             f = fs[done % len(fs)]
             n = len(f)
             alpha = alphas[done % 2]
-            tw = simplex_tower(f, alpha)
+            tw = tower(f, alpha)
             u = tuple(F(rng.randint(-2, 2)) for _ in range(n))
             level = dot(u, la.vec(f))
             if la.is_zero_vec(u) or level.denominator == 1:

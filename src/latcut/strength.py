@@ -42,9 +42,6 @@ class StrengthReport:
     value: Fraction | None
     witness: Vec | None
 
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
 
 def relative_strength(b: Polyhedron, l: Polyhedron, f) -> StrengthReport:
     """Least alpha with homothety(b, f, alpha) containing l."""

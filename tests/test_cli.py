@@ -127,14 +127,32 @@ def test_sandwich_brackets_the_family_strength(capsys, tmp_path):
     assert doc["upper"] == "1/1"  # the target body itself is in the family
 
 
-def test_lift_certifies_its_output(capsys):
-    code, doc = run_json(capsys, "lift",
-                         "--l", str(FIXTURES / "triangle_t1.json"),
-                         "--f", "1/2,1", "--gamma", "1/2",
-                         "--d", str(FIXTURES / "segment.json"), "--t", "1")
-    assert code == 0
-    assert len(doc["body"]["hrep"]) <= 3
-    assert doc["certificate"]["lattice_free"] is True
+def _hrep_file(path, dim, rows):
+    path.write_text(json.dumps(
+        {"dim": dim, "hrep": [{"a": a, "b": b} for a, b in rows]}))
+    return path
+
+
+def test_lift_certifies_its_output(capsys, tmp_path):
+    # L = {x >= -4, 1/10 <= y <= 9/10, -2/5 <= z <= 2/5} over the half-strip
+    # D = {x >= -5, 0 <= y <= 1}: the lift is pointed in 3-d with a bounded
+    # last axis
+    half_prism = _hrep_file(tmp_path / "half_prism.json", 3, [
+        (["-1/1", "0/1", "0/1"], "4/1"),
+        (["0/1", "-1/1", "0/1"], "-1/10"), (["0/1", "1/1", "0/1"], "9/10"),
+        (["0/1", "0/1", "-1/1"], "2/5"), (["0/1", "0/1", "1/1"], "2/5")])
+    half_strip = _hrep_file(tmp_path / "half_strip.json", 2, [
+        (["-1/1", "0/1"], "5/1"),
+        (["0/1", "-1/1"], "0/1"), (["0/1", "1/1"], "1/1")])
+    cases = [(FIXTURES / "triangle_t1.json", "1/2,1", "1/2",
+              FIXTURES / "segment.json", "1", 3),
+             (half_prism, "0,1/2,0", "1", half_strip, "0", 4)]
+    for l, f, gamma, d, t, cap in cases:
+        code, doc = run_json(capsys, "lift", "--l", str(l), "--f", f,
+                             "--gamma", gamma, "--d", str(d), "--t", t)
+        assert code == 0
+        assert len(doc["body"]["hrep"]) <= cap
+        assert doc["certificate"]["lattice_free"] is True
 
 
 def test_approx_fixed_mode_respects_facet_cap(capsys):

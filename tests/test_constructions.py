@@ -47,8 +47,10 @@ from latcut.geometry import (
     lp_solve,
     minkowski_scale_shift,
 )
+from latcut import lattice
 from latcut import linalg as la
 from latcut.lattice import certify_lattice_free, flatness_bound, point_denominator
+from latcut.scenarios import _lift_instances
 from latcut.strength import relative_strength
 
 F12 = (F(1, 2), F(1, 2))
@@ -385,6 +387,30 @@ def test_lift_postconditions_on_varied_instances():
         out = lift_to_nplus1(l, f, gamma, d_, t_)
         assert len(out.halfspaces) <= len(d_.halfspaces) + 1
         assert out.contains(homothety(l, f, gamma / 4))
+
+
+def test_yes_no_checks_run_no_facet_search(monkeypatch):
+    # lattice-freeness of inputs and outputs is a yes/no question: it needs
+    # interior_lattice_point only, never a certificate with facet witnesses
+    real = lattice.facet_interior_lattice_point
+    calls = []
+
+    def counting(p, j):
+        calls.append(j)
+        return real(p, j)
+
+    instances = _lift_instances()
+    capped = [(approximate_any_f, cube_face_construction(n, i))
+              for n, i in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (3, 5))]
+    capped += [(approximate_fixed_f, cube_face_construction(n, i))
+               for n, i in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4))]
+    monkeypatch.setattr(lattice, "facet_interior_lattice_point", counting)
+    for l, f, gamma, d, t in instances:
+        lift_to_nplus1(l, f, gamma, d, t)
+    for pipeline, l in capped:
+        res = pipeline(l, (F(1, 2),) * l.dim)
+        assert res.body == l and res.factor == 1
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

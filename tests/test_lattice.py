@@ -226,6 +226,61 @@ def test_certify_unsupported_3d_pointed():
         certify_lattice_free(p)
 
 
+def _half_prisms(count=80, seed=17):
+    """Seeded sheared half-prisms as (body, polygon) pairs.
+
+    Each body is {x >= alpha} x Q for a random rational polygon Q in (y, z),
+    sheared by x <- x + k y + m z + s, so its recession cone is the x-ray
+    and its last axis is bounded.  Every second Q is thin: drawn inside an
+    open unit strip, then sheared inside the (y, z) plane, so it is often
+    lattice-free without lying along an axis.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            base = rng.randint(-2, 2)
+            pts = [(F(rng.randint(-12, 12), rng.randint(1, 4)),
+                    base + F(rng.randint(1, 5), 6))
+                   for _ in range(rng.randint(3, 5))]
+            j, swap = rng.randint(-2, 2), rng.random() < 0.5
+            pts = [(z, y + j * z) if swap else (y + j * z, z) for y, z in pts]
+        else:
+            pts = [(F(rng.randint(-8, 8), rng.randint(1, 3)),
+                    F(rng.randint(-8, 8), rng.randint(1, 3)))
+                   for _ in range(rng.randint(3, 6))]
+        q = Polyhedron.from_generators(pts)
+        if not q.fulldim:
+            continue
+        alpha = F(rng.randint(-9, 9), rng.randint(1, 4))
+        k, m = rng.randint(-2, 2), rng.randint(-2, 2)
+        s = F(rng.randint(-5, 5), rng.randint(1, 3))
+        # x >= alpha becomes -x' + k y + m z <= -alpha - s under the shear
+        rows = [((F(-1), F(k), F(m)), -alpha - s)]
+        rows += [((F(0),) + h.normal, h.offset) for h in q.halfspaces]
+        out.append((Polyhedron.from_halfspaces(rows, 3), q))
+    return out
+
+
+def test_half_prisms_match_box_enumeration():
+    free = 0
+    for p, q in _half_prisms():
+        assert not p.lineality and p.rays and all(r[-1] == 0 for r in p.rays)
+        lo, hi = q.bounding_box()
+        strict = lattice_points_in_hrep(
+            [(h.normal, h.offset) for h in q.halfspaces], lo, hi, strict=True)
+        z = interior_lattice_point(p)
+        assert (z is None) == (not strict)
+        if z is not None:
+            assert all(x.denominator == 1 for x in z)
+            assert p.contains_point(z, strict=True)
+        free += z is None
+        cert = certify_lattice_free(p)
+        assert cert.lattice_free == (z is None)
+        _check_cert(p, cert)
+    assert free >= 10
+
+
 def test_facet_witness_nonexistent_on_fractional_line():
     p = Polyhedron.from_halfspaces(
         [((0, 1), F(1, 2)), ((0, -1), 0), ((1, 0), 10), ((-1, 0), 10)], 2)
