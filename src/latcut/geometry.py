@@ -19,7 +19,12 @@ on the homogenization cone: insert one inequality at a time, keep the extreme
 rays of the pointed quotient plus a lineality basis, and combine adjacent
 rays across the new hyperplane (combinatorial adjacency test).  Both
 conversion directions run through the same cone routine, since the facets of
-a polyhedron are the extreme rays of its homogenized dual cone.
+a polyhedron are the extreme rays of its homogenized dual cone.  The routine
+is fraction-free, as in cdd and lrs: each row is scaled to integers by the
+lcm of its denominators, lines and rays are primitive int tuples, and each
+ray carries its zero set over the rows inserted so far as a bit mask,
+updated at each insertion rather than recomputed.  ``Fraction`` appears only
+in its result.
 
 Each constructor runs one conversion.  ``Polyhedron._assemble`` is the one
 routine that brings both descriptions to canonical form, for the
@@ -67,68 +72,58 @@ def cone_dd(rows: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
     """Generators of the cone {y : r . y <= 0 for all r in rows}.
 
     Returns (lines, rays): a basis of the lineality space and the extreme
-    rays of the quotient by it.  Rows equal to zero are skipped.
+    rays of the quotient by it.  Rows equal to zero are skipped.  The work
+    runs on integer copies of the rows, with lines and rays kept as
+    primitive int tuples and each ray's zero set carried as a bit mask
+    (bit k: the k-th row that cut the cone is tight on the ray).  A row the
+    cone already satisfies gets no bit: it is redundant for every later cone
+    too, and the adjacency test holds over any rows that define the cone.
     """
-    lines: list[Vec] = [tuple(ONE if i == j else ZERO for j in range(dim))
-                        for i in range(dim)]
-    rays: list[Vec] = []
-    processed: list[Vec] = []
-
-    for a in rows:
-        if la.is_zero_vec(a):
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    bit = 1
+    for a in map(la.integer_copy, rows):
+        if not any(a):
             continue
-        vals_l = [dot(a, l) for l in lines]
+        vals_l = [sum(map(operator.mul, a, l)) for l in lines]
+        vals = [sum(map(operator.mul, a, r)) for r in rays]
         pivot = next((i for i, v in enumerate(vals_l) if v != 0), None)
         if pivot is not None:
-            # the constraint cuts the lineality space: one line becomes a ray
+            # the constraint cuts the lineality space: one line becomes a
+            # ray, and every other generator moves along it onto a . y = 0
             lstar = lines.pop(pivot)
             vstar = vals_l.pop(pivot)
             if vstar > 0:
-                lstar, vstar = vneg(lstar), -vstar
-            lines = [l if v == 0 else vsub(l, vscale(v / vstar, lstar))
+                lstar, vstar = tuple(-x for x in lstar), -vstar
+            lines = [l if v == 0 else la.primitive_int(
+                         [vstar * x - v * y for x, y in zip(l, lstar)])
                      for l, v in zip(lines, vals_l)]
-            new_rays = []
-            for r in rays:
-                v = dot(a, r)
-                if v != 0:
-                    r = vsub(r, vscale(v / vstar, lstar))
-                new_rays.append(la.primitive(r))
-            new_rays.append(la.primitive(lstar))
-            rays = new_rays
-            processed.append(a)
+            rays = [r if v == 0 else la.primitive_int(
+                        [v * y - vstar * x for x, y in zip(r, lstar)])
+                    for r, v in zip(rays, vals)] + [lstar]
+            masks = [m | bit for m in masks] + [bit - 1]
+        elif any(v > 0 for v in vals):
+            new = {r: m | bit if v == 0 else m
+                   for r, m, v in zip(rays, masks, vals) if v <= 0}
+            neg = [i for i, v in enumerate(vals) if v < 0]
+            for ip in (i for i, v in enumerate(vals) if v > 0):
+                for im in neg:
+                    common = masks[ip] & masks[im]
+                    # adjacent iff no third ray is tight on every row both are
+                    if sum(m & common == common for m in masks) == 2:
+                        comb = la.primitive_int(
+                            [vals[ip] * x - vals[im] * y
+                             for x, y in zip(rays[im], rays[ip])])
+                        new.setdefault(comb, common | bit)
+            rays, masks = list(new), list(new.values())
+        else:
+            # the cone already lies in a . y <= 0, and so does every later
+            # cone: the row is redundant and takes no bit
             continue
-
-        vals = [dot(a, r) for r in rays]
-        if all(v <= 0 for v in vals):
-            processed.append(a)
-            continue
-        zsets = [frozenset(k for k, c in enumerate(processed) if dot(c, r) == 0)
-                 for r in rays]
-        keep = [i for i, v in enumerate(vals) if v <= 0]
-        new_rays = [rays[i] for i in keep]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        for ip in pos:
-            for im in neg:
-                common = zsets[ip] & zsets[im]
-                adjacent = True
-                for k in range(len(rays)):
-                    if k != ip and k != im and common <= zsets[k]:
-                        adjacent = False
-                        break
-                if adjacent:
-                    comb = vsub(vscale(vals[ip], rays[im]),
-                                vscale(vals[im], rays[ip]))
-                    new_rays.append(la.primitive(comb))
-        seen = set()
-        rays = []
-        for r in new_rays:
-            if r not in seen:
-                seen.add(r)
-                rays.append(r)
-        processed.append(a)
-
-    return lines, rays
+        bit <<= 1
+    return ([tuple(map(Fraction, l)) for l in lines],
+            [tuple(map(Fraction, r)) for r in rays])
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +245,10 @@ class Polyhedron:
         apart from its vertex.
         """
         rows = list(rows) + [(-ONE,) + la.vzero(dim)]  # x0 >= 0
-        def ints(v):  # tightness survives scaling: test integer copies
-            m = la.denominator_lcm(v)
-            return [x.numerator * (m // x.denominator) for x in v]
-        gs = [ints(g) for g in gens]
+        gs = [la.integer_copy(g) for g in gens]  # tightness survives scaling
         inc = [sum(1 << j for j, g in enumerate(gs)
-                   if sum(map(operator.mul, z, g)) == 0) for z in map(ints, rows)]
+                   if sum(map(operator.mul, z, g)) == 0)
+               for z in map(la.integer_copy, rows)]
         all_g = (1 << len(gens)) - 1
         ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
                 for j in range(len(gens))]

@@ -1,10 +1,12 @@
 """Exact rational vectors, matrices, and integer lattice utilities.
 
-Every number in this package is a ``fractions.Fraction``; a vector is a tuple
-of Fractions and a matrix is a tuple of row tuples.  Using the stdlib rational
-type gives arbitrary precision and automatic gcd normalization (reduced
-numerator/denominator, positive denominator), which is exactly the invariant
-the rest of the code relies on.  Floats never enter any computation here.
+Every number that crosses an API in this package is a ``fractions.Fraction``;
+a vector is a tuple of Fractions and a matrix is a tuple of row tuples.  Using
+the stdlib rational type gives arbitrary precision and automatic gcd
+normalization (reduced numerator/denominator, positive denominator), which is
+exactly the invariant the rest of the code relies on.  Kernels may work on
+integer copies internally (``integer_copy``) and return Fractions.  Floats
+never enter any computation here.
 """
 
 from __future__ import annotations
@@ -75,17 +77,25 @@ def denominator_lcm(u: Sequence[Fraction]) -> int:
     return out
 
 
+def integer_copy(u: Sequence[Fraction]) -> list[int]:
+    """u scaled by the lcm of its denominators: a positive multiple of u in
+    integers, with every sign and every zero where u has it."""
+    m = denominator_lcm(u)
+    return [a.numerator * (m // a.denominator) for a in u]
+
+
+def primitive_int(v: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple(z // g for z in v)
+
+
 def primitive(u: Sequence[Fraction]) -> Vec:
     """Scale a nonzero rational vector by a positive rational so that its
     entries are coprime integers.  Direction is preserved."""
     if is_zero_vec(u):
         raise ValueError("zero vector has no primitive form")
-    m = denominator_lcm(u)
-    ints = [int(a * m) for a in u]
-    g = 0
-    for z in ints:
-        g = math.gcd(g, z)
-    return tuple(Fraction(z // g) for z in ints)
+    return tuple(map(Fraction, primitive_int(integer_copy(u))))
 
 
 def is_integer_vec(u: Sequence[Fraction]) -> bool:

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from latcut import linalg as la
-from latcut.linalg import dot, vadd, vscale, vsub
+from latcut.linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub
 
 
 def brute_force_vertices(halfspaces, dim):
@@ -205,3 +205,73 @@ def first_strict_point_by_columns(halfspaces, dim):
             if all(dot(a, z) < b for a, b in hs):
                 return z
     return None
+
+
+def fraction_cone_dd(rows: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
+    """Generators of the cone {y : r . y <= 0 for all r in rows}, by the
+    double description method in Fraction arithmetic, recomputing every
+    ray's zero set at every insertion: the reference for geometry.cone_dd.
+
+    Returns (lines, rays): a basis of the lineality space and the extreme
+    rays of the quotient by it.  Rows equal to zero are skipped.
+    """
+    lines: list[Vec] = [tuple(ONE if i == j else ZERO for j in range(dim))
+                        for i in range(dim)]
+    rays: list[Vec] = []
+    processed: list[Vec] = []
+
+    for a in rows:
+        if la.is_zero_vec(a):
+            continue
+        vals_l = [dot(a, l) for l in lines]
+        pivot = next((i for i, v in enumerate(vals_l) if v != 0), None)
+        if pivot is not None:
+            # the constraint cuts the lineality space: one line becomes a ray
+            lstar = lines.pop(pivot)
+            vstar = vals_l.pop(pivot)
+            if vstar > 0:
+                lstar, vstar = vneg(lstar), -vstar
+            lines = [l if v == 0 else vsub(l, vscale(v / vstar, lstar))
+                     for l, v in zip(lines, vals_l)]
+            new_rays = []
+            for r in rays:
+                v = dot(a, r)
+                if v != 0:
+                    r = vsub(r, vscale(v / vstar, lstar))
+                new_rays.append(la.primitive(r))
+            new_rays.append(la.primitive(lstar))
+            rays = new_rays
+            processed.append(a)
+            continue
+
+        vals = [dot(a, r) for r in rays]
+        if all(v <= 0 for v in vals):
+            processed.append(a)
+            continue
+        zsets = [frozenset(k for k, c in enumerate(processed) if dot(c, r) == 0)
+                 for r in rays]
+        keep = [i for i, v in enumerate(vals) if v <= 0]
+        new_rays = [rays[i] for i in keep]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        for ip in pos:
+            for im in neg:
+                common = zsets[ip] & zsets[im]
+                adjacent = True
+                for k in range(len(rays)):
+                    if k != ip and k != im and common <= zsets[k]:
+                        adjacent = False
+                        break
+                if adjacent:
+                    comb = vsub(vscale(vals[ip], rays[im]),
+                                vscale(vals[im], rays[ip]))
+                    new_rays.append(la.primitive(comb))
+        seen = set()
+        rays = []
+        for r in new_rays:
+            if r not in seen:
+                seen.add(r)
+                rays.append(r)
+        processed.append(a)
+
+    return lines, rays

@@ -20,6 +20,7 @@ from latcut.geometry import (
     HalfSpace,
     Polyhedron,
     UnimodularMap,
+    _canonical_basis,
     affine_image,
     cone_dd,
     embed_last_axis,
@@ -41,6 +42,7 @@ from oracles import (
     brute_force_lp,
     brute_force_slice,
     brute_force_vertices,
+    fraction_cone_dd,
     hausdorff_sq_polygons,
     polygon_dist_sq,
     subset_scan_dist_sq,
@@ -155,6 +157,89 @@ def _redundant_generator_inputs(rng, count):
         out.append((pts + inner + [pts[0]], rays + extra,
                     sorted(la.primitive(la.vec(r)) for r in rays)))
     return out
+
+
+def assert_cone_dd_matches_oracle(rows, dim):
+    # rays exactly and in order; lines up to their span
+    lines, rays = cone_dd(rows, dim)
+    want_lines, want_rays = fraction_cone_dd(rows, dim)
+    assert rays == want_rays
+    assert _canonical_basis(lines) == _canonical_basis(want_lines)
+
+
+def varied_rows(base, pick):
+    """The integer rows base, each scaled by a positive fraction, with zero
+    rows, repeated rows and positive multiples mixed in; pick(k) returns an
+    integer in range(k)."""
+    scale = lambda: F(pick(4) + 1, pick(3) + 1)
+    rows = []
+    for r in base:
+        r = la.vscale(scale(), r)
+        rows.append(r)
+        extra = pick(5)
+        if extra == 1:
+            rows.append(r)
+        elif extra == 2:
+            rows.append(la.vscale(scale(), r))
+        elif extra == 3:
+            rows.append((F(0),) * len(r))
+    return rows
+
+
+def test_cone_dd_matches_fraction_oracle():
+    # small integer entries make degenerate systems: rays tight on many rows
+    rng = random.Random(10)
+    entry = lambda: rng.choice((-2, -1, -1, 0, 0, 1, 1, 2))
+    for _ in range(200):
+        dim = rng.randint(2, 5)
+        kind = rng.randrange(4)  # kind 0 leaves lineality: fewer rows than dim
+        size = rng.randint(0, dim - 1) if kind == 0 else rng.randint(dim, dim + 5)
+        if kind == 2:  # homogenized points, as from_generators passes them
+            base = [(1,) + tuple(rng.randint(-1, 1) for _ in range(dim - 1))
+                    for _ in range(size)]
+        else:
+            base = [tuple(entry() for _ in range(dim)) for _ in range(size)]
+        if kind == 3:  # x0 >= 0, a . x <= b x0 and a . x >= (b + 1) x0
+            a, b = tuple(entry() for _ in range(dim - 1)), entry()
+            base += [(-b,) + a, (b + 1,) + tuple(-x for x in a),
+                     (-1,) + (0,) * (dim - 1)]
+        rows = varied_rows(base, rng.randrange)
+        rng.shuffle(rows)
+        if kind == 3:
+            assert not any(r[0] > 0 for r in fraction_cone_dd(rows, dim)[1])
+        assert_cone_dd_matches_oracle(rows, dim)
+
+
+def test_cone_dd_runs_no_fraction_arithmetic(monkeypatch):
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    for mod, name in [(geometry, "dot"), (geometry, "vscale"),
+                      (geometry, "vsub"), (la, "primitive")]:
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    square = [(F(-1), F(1), F(0)), (F(0), F(-1), F(0)), (F(-1), F(0), F(1)),
+              (F(0), F(0), F(-1)), (F(-1), F(0), F(0))]
+    cone_dd(square, 3)
+    cone_dd([(F(1, 2), F(-1, 3)), (F(-2), F(0))], 2)
+    octant = [(F(-1), F(0), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(-1)),
+              (F(-1), F(-1), F(1, 2))]
+    cone_dd(octant, 3)
+    assert calls == []
+
+
+def test_cone_dd_returns_lists_of_fraction_tuples():
+    # perfbench's tracer reads len(rows) and len(result[1])
+    lines, rays = cone_dd([(F(0), F(-1), F(0)), (F(-1), F(1, 2), F(0))], 3)
+    assert type(lines) is list and type(rays) is list
+    assert len(lines) == 1 and len(rays) == 2
+    for v in lines + rays:
+        assert type(v) is tuple and len(v) == 3
+        assert all(type(x) is F for x in v)
 
 
 def test_redundant_generators_keep_every_extreme_ray():
@@ -666,6 +751,22 @@ def test_bipolar_identity(pts):
     for u in polar(p).vertices:
         for v in p.vertices:
             assert la.dot(u, v) <= 1
+
+
+@st.composite
+def dd_systems(draw):
+    dim = draw(st.integers(min_value=2, max_value=5))
+    entry = st.integers(min_value=-2, max_value=2)
+    base = draw(st.lists(st.tuples(*[entry] * dim), max_size=dim + 5))
+    rows = varied_rows(
+        base, lambda k: draw(st.integers(min_value=0, max_value=k - 1)))
+    return draw(st.permutations(rows)), dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(dd_systems())
+def test_cone_dd_matches_fraction_oracle_random(system):
+    assert_cone_dd_matches_oracle(*system)
 
 
 half = st.integers(min_value=-9, max_value=9).map(lambda k: F(k, 2))
