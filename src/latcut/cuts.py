@@ -14,37 +14,46 @@ converted back into polyhedra in s-space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
 from .errors import DimensionMismatch, PointNotInterior
 from .geometry import Polyhedron, hausdorff_sq, polar
-from .linalg import Vec, ZERO, dot
-
-
-def _shifted_facets(b: Polyhedron, f: Vec):
-    """(normal, positive offset) pairs describing B - f, or raise."""
-    pairs = []
-    for h in b.halfspaces:
-        c = h.offset - dot(h.normal, f)
-        if c <= 0:
-            raise PointNotInterior(
-                f"{tuple(map(str, f))} is not interior to the body")
-        pairs.append((h.normal, c))
-    return pairs
+from .linalg import Vec, ZERO
 
 
 def gauge(b: Polyhedron, f, r) -> Fraction:
-    """psi of B-f at r: max(0, max_i normal_i . r / offset_i)."""
+    """psi of B-f at r: max(0, max_i a_i . r / (b_i - a_i . f)).
+
+    Runs in integers, since every normal a_i is a primitive integer vector
+    (a HalfSpace invariant).  With f = F / df, r = R / dr and b_i = p_i / q_i
+    for integer F, R, the shifted offset times q_i df is
+    c_i = p_i df - q_i a_i . F, which must be positive (else
+    PointNotInterior), and facet i's ratio is q_i a_i . R / c_i times
+    df / dr.  Ratios compare by cross-multiplication; one Fraction is built.
+    """
     f = la.vec(f)
     r = la.vec(r)
     if len(r) != b.dim:
         raise DimensionMismatch("direction dimension mismatch")
-    best = ZERO
-    for a, c in _shifted_facets(b, f):
-        best = max(best, dot(a, r) / c)
-    return best
+    if len(f) != b.dim:
+        raise DimensionMismatch("point dimension mismatch")
+    fi, df = la.integer_copy(f), la.denominator_lcm(f)
+    ri, dr = la.integer_copy(r), la.denominator_lcm(r)
+    num, den = 0, 1
+    for h in b.halfspaces:
+        a = [x.numerator for x in h.normal]
+        q = h.offset.denominator
+        c = h.offset.numerator * df - q * sum(map(operator.mul, a, fi))
+        if c <= 0:
+            raise PointNotInterior(
+                f"{tuple(map(str, f))} is not interior to the body")
+        n = q * sum(map(operator.mul, a, ri))
+        if n * den > num * c:
+            num, den = n, c
+    return Fraction(num * df, den * dr)
 
 
 @dataclass(frozen=True)

@@ -292,15 +292,15 @@ class Polyhedron:
         if len(x) != self.dim:
             raise DimensionMismatch("point dimension mismatch")
         if strict:
-            return all(h.eval_slack(x) > 0 for h in self.halfspaces)
-        return all(h.eval_slack(x) >= 0 for h in self.halfspaces)
+            return all(dot(h.normal, x) < h.offset for h in self.halfspaces)
+        return all(dot(h.normal, x) <= h.offset for h in self.halfspaces)
 
     def contains(self, other: "Polyhedron") -> bool:
         """Set containment: other is a subset of self."""
         if self.dim != other.dim:
             raise DimensionMismatch("ambient dimensions differ")
         for h in self.halfspaces:
-            if any(h.eval_slack(v) < 0 for v in other.vertices):
+            if any(dot(h.normal, v) > h.offset for v in other.vertices):
                 return False
             if any(dot(h.normal, r) > 0 for r in other.rays):
                 return False
@@ -311,7 +311,7 @@ class Polyhedron:
         if self.dim != other.dim:
             raise DimensionMismatch("ambient dimensions differ")
         for h in self.halfspaces:
-            if any(h.eval_slack(v) <= 0 for v in other.vertices):
+            if any(dot(h.normal, v) >= h.offset for v in other.vertices):
                 return False
             if any(dot(h.normal, r) > 0 for r in other.rays):
                 return False

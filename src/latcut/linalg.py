@@ -5,8 +5,9 @@ a vector is a tuple of Fractions and a matrix is a tuple of row tuples.  Using
 the stdlib rational type gives arbitrary precision and automatic gcd
 normalization (reduced numerator/denominator, positive denominator), which is
 exactly the invariant the rest of the code relies on.  Kernels may work on
-integer copies internally (``integer_copy``) and return Fractions.  Floats
-never enter any computation here.
+integer copies internally (``integer_copy``) and return Fractions: ``dot``
+sums into one integer numerator over the product of the denominators and
+builds one Fraction per call.  Floats never enter any computation here.
 """
 
 from __future__ import annotations
@@ -43,7 +44,12 @@ def vzero(n: int) -> Vec:
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    n, d = 0, 1
+    for a, b in zip(u, v):
+        q = a.denominator * b.denominator
+        n = n * q + a.numerator * b.numerator * d
+        d *= q
+    return Fraction(n, d)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:

@@ -60,13 +60,18 @@ def lattice_points_in_hrep(halfspaces, lo, hi, strict=False):
     return out
 
 
+def fraction_dot(u, v):
+    """sum of u_i v_i, one Fraction product and sum at a time; independent
+    of ``linalg.dot``, whose integer accumulation it checks."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
 def gauge_value(hs_shifted, r):
     """max(0, max_i a_i . r / c_i) for the system a_i . x <= c_i, c_i > 0."""
-    r = la.vec(r)
     best = Fraction(0)
     for a, c in hs_shifted:
         assert c > 0
-        best = max(best, dot(la.vec(a), r) / c)
+        best = max(best, fraction_dot(a, r) / c)
     return best
 
 

@@ -1,6 +1,8 @@
 """Gauges, intersection cuts, closures, dominance, and the polar metric."""
 
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,17 +18,19 @@ from latcut.cuts import (
     gauge_convergence_check,
     intersection_cut,
 )
-from latcut.errors import PointNotInterior
+from latcut.errors import DimensionMismatch, PointNotInterior
 from latcut.geometry import Polyhedron, homothety
+from latcut.jsonio import parse_polyhedron
 from latcut.simplex import solve_ineq
 
-from oracles import gauge_value
+from oracles import fraction_dot, gauge_value
 
 F12 = (F(1, 2), F(1, 2))
 SQ01 = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
 SPLIT_V = Polyhedron.from_halfspaces([((1, 0), 1), ((-1, 0), 0)], 2)
 SPLIT_H = Polyhedron.from_halfspaces([((0, 1), 1), ((0, -1), 0)], 2)
 BIG_DIAMOND = Polyhedron.from_generators([(2, 0), (-2, 0), (0, 2), (0, -2)])
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 
 
 def tri(t):
@@ -48,10 +52,35 @@ def test_gauge_split_lineality_direction():
 
 def test_gauge_diamond_against_oracle():
     # oracle: scan the shifted facet pairs directly
-    shifted = [(h.normal, h.offset - la.dot(h.normal, F12))
+    shifted = [(h.normal, h.offset - fraction_dot(h.normal, F12))
                for h in BIG_DIAMOND.halfspaces]
     assert gauge_value(shifted, (1, 1)) == 2  # frozen: boundary hit at (1,1)
     assert gauge(BIG_DIAMOND, F12, (1, 1)) == 2
+
+
+def test_gauge_matches_oracle_on_fixtures():
+    # every full-dimensional fixture, bounded, pointed or with lineality;
+    # f is a positive combination of all vertices and rays, so interior
+    rng = random.Random(20)
+    bodies = [b for b in (parse_polyhedron(p.read_text()) for p in FIXTURES)
+              if b.fulldim]
+    assert len(bodies) >= 15
+    for b in bodies:
+        for _ in range(6):
+            w = [F(rng.randint(1, 9)) for _ in b.vertices]
+            f = tuple(sum(x * v[i] for x, v in zip(w, b.vertices)) / sum(w)
+                      for i in range(b.dim))
+            for ray in b.rays:
+                lam = F(rng.randint(1, 9), rng.randint(1, 4))
+                f = la.vadd(f, la.vscale(lam, ray))
+            shifted = [(h.normal, h.offset - fraction_dot(h.normal, f))
+                       for h in b.halfspaces]
+            for _ in range(6):
+                r = tuple(F(rng.randint(-20, 20), rng.randint(1, 7))
+                          for _ in range(b.dim))
+                assert gauge(b, f, r) == gauge_value(shifted, r)
+        with pytest.raises(PointNotInterior):
+            gauge(b, b.vertices[0], (1,) * b.dim)
 
 
 def test_gauge_requires_interior():
@@ -59,6 +88,8 @@ def test_gauge_requires_interior():
         gauge(SQ01, (0, 0), (1, 1))
     with pytest.raises(PointNotInterior):
         gauge(SQ01, (7, 7), (1, 1))
+    with pytest.raises(DimensionMismatch):
+        gauge(SQ01, (F(1, 2),) * 3, (1, 1))
 
 
 def test_cut_split_coefficients():

@@ -1,12 +1,14 @@
 """Conversion engine, polarity, transforms, LP, separation, distances."""
 
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcut import geometry
+from latcut import geometry, lattice
 from latcut import linalg as la
 from latcut.cuts import f_metric
 from latcut.errors import (
@@ -36,6 +38,7 @@ from latcut.geometry import (
     transform,
     translate,
 )
+from latcut.jsonio import parse_polyhedron
 from latcut.lattice import facet_interior_lattice_point
 
 from oracles import (
@@ -48,6 +51,7 @@ from oracles import (
     subset_scan_dist_sq,
 )
 
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 DIAMOND_HS = [((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1)]
 
 
@@ -690,6 +694,42 @@ def test_halfspace_normalization():
     assert h.offset == F(3, 4)
     with pytest.raises(ValueError):
         HalfSpace.make((0, 0), 1)
+
+
+def test_every_normal_is_a_primitive_integer_vector(monkeypatch):
+    # cuts.gauge reads normals as ints: every constructor, closed form and
+    # the facet search's rotated rows must keep them primitive integer
+    rotated = []
+    fix = lattice.fix_last_axis
+
+    def recording_fix(halfspaces, level):
+        rotated.extend(halfspaces)
+        return fix(halfspaces, level)
+
+    monkeypatch.setattr(lattice, "fix_last_axis", recording_fix)
+    bodies = []
+    for path in FIXTURES:
+        p = parse_polyhedron(path.read_text())
+        n, c = p.dim, p.relative_interior_point()
+        shear = [[int(i == j or (i, j) == (0, n - 1)) for j in range(n)]
+                 for i in range(n)]
+        bodies += [p, transform(p, UnimodularMap.make(shear, (1,) * n)),
+                   homothety(p, c, F(3, 7)), translate(p, (F(-5, 3),) * n)]
+        if p.fulldim:
+            bodies.append(polar(p, c))
+        if p.fulldim and n == 3:
+            for j in range(len(p.halfspaces)):
+                facet_interior_lattice_point(p, j)
+        if n >= 2:
+            try:
+                bodies.append(level_slice(p, c[-1]))
+            except WholeSpace:
+                pass
+    normals = [h.normal for b in bodies for h in b.halfspaces]
+    assert rotated
+    for a in normals + [h.normal for h in rotated]:
+        assert all(x.denominator == 1 for x in a)
+        assert math.gcd(*(x.numerator for x in a)) == 1
 
 
 # -- randomized structural invariants ---------------------------------------
