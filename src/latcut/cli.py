@@ -25,7 +25,7 @@ from .constructions import (
     simplex_tower,
 )
 from .cuts import closure, f_metric, intersection_cut
-from .errors import LatcutError, ParseError
+from .errors import CertificateError, LatcutError, ParseError
 from .lattice import certify_lattice_free, lattice_width
 from .scenarios import SCENARIOS, list_scenarios, run_scenario
 from .strength import relative_strength, sandwich
@@ -56,8 +56,7 @@ def _emit(obj) -> int:
     return 0
 
 
-def _cert_obj(p) -> dict:
-    cert = certify_lattice_free(p)
+def _cert_obj(cert) -> dict:
     return {
         "lattice_free": cert.lattice_free,
         "maximal": cert.maximal,
@@ -74,19 +73,19 @@ def _cert_obj(p) -> dict:
 
 def _cmd_construct(args) -> int:
     if args.kind == "cubeface":
-        body = cube_face_construction(args.n, args.i)
-        doc = {"body": jsonio.polyhedron_to_obj(body),
-               "certificate": _cert_obj(body)}
+        made = cube_face_construction(args.n, args.i)
+        doc = {"body": jsonio.polyhedron_to_obj(made.body),
+               "certificate": _cert_obj(made.cert)}
     else:
         tw = simplex_tower(args.f, args.alpha)
         doc = {"body": jsonio.polyhedron_to_obj(tw.body),
                "witnesses": [jsonio.vec_to_obj(z) for z in tw.witnesses],
-               "certificate": _cert_obj(tw.body)}
+               "certificate": _cert_obj(tw.cert)}
     return _emit(doc)
 
 
 def _cmd_check(args) -> int:
-    doc = _cert_obj(_read_poly(args.body, args.strict))
+    doc = _cert_obj(certify_lattice_free(_read_poly(args.body, args.strict)))
     _emit(doc)
     return 0 if doc["lattice_free"] else 1
 
@@ -154,7 +153,7 @@ def _cmd_lift(args) -> int:
     d = _read_poly(args.d, args.strict)
     body = lift_to_nplus1(l, args.f, args.gamma, d, args.t)
     return _emit({"body": jsonio.polyhedron_to_obj(body),
-                  "certificate": _cert_obj(body)})
+                  "certificate": _cert_obj(certify_lattice_free(body))})
 
 
 def _cmd_approx(args) -> int:
@@ -165,7 +164,7 @@ def _cmd_approx(args) -> int:
         "body": jsonio.polyhedron_to_obj(res.body),
         "factor": la.format_frac(res.factor),
         "facets": len(res.body.halfspaces),
-        "certificate": _cert_obj(res.body),
+        "certificate": _cert_obj(certify_lattice_free(res.body)),
     })
 
 
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (LatcutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CertificateError) else 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .errors import (
     PointNotInterior,
     UnsupportedDimension,
     WitnessOnBoundary,
+    require,
 )
 from .geometry import (
     HalfSpace,
@@ -45,6 +46,7 @@ from .geometry import (
     transform,
 )
 from .lattice import (
+    LatticeFreeCert,
     certify_lattice_free,
     flatness_bound,
     grow_to_maximal,
@@ -60,7 +62,15 @@ from .strength import relative_strength
 # ---------------------------------------------------------------------------
 # cube faces: every facet count from 2 to 2^n
 
-def cube_face_construction(n: int, i: int) -> Polyhedron:
+@dataclass(frozen=True)
+class CubeFaceBody:
+    """Maximal lattice-free body with the certificate that proves it."""
+
+    body: Polyhedron
+    cert: LatticeFreeCert
+
+
+def cube_face_construction(n: int, i: int) -> CubeFaceBody:
     """Maximal lattice-free body in R^n with exactly i facets.
 
     Maintains a list of pairwise disjoint faces of the 0/1 cube that covers
@@ -91,10 +101,10 @@ def cube_face_construction(n: int, i: int) -> Polyhedron:
         normal = tuple(ZERO if c is None else (ONE if c else -ONE) for c in face)
         hs.append(HalfSpace.make(normal, Fraction(sum(1 for c in face if c == 1))))
     out = Polyhedron.from_halfspaces(hs, n)
-    assert len(out.halfspaces) == i
+    require(len(out.halfspaces) == i, "cube-face body has the wrong facet count")
     cert = certify_lattice_free(out)
-    assert cert.lattice_free and cert.maximal
-    return out
+    require(cert.maximal, "cube-face body is not maximal lattice-free")
+    return CubeFaceBody(out, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +145,7 @@ class TruncatedCone:
         )
         cone = TruncatedCone(base, alpha, shift, hull)
         for mu in (ZERO, Fraction(1, 3), Fraction(1, 2), ONE):
-            assert hull.contains(cone.slice_at(mu))
+            require(hull.contains(cone.slice_at(mu)), "cone hull misses a slice")
         return cone
 
     def slice_at(self, mu) -> Polyhedron:
@@ -164,17 +174,18 @@ def truncated_cone_shrink(cone: TruncatedCone, f) -> Polyhedron:
     if not cone.hull.contains_point(f):
         raise OutOfRange("point outside the truncated cone")
     mu = cone.transverse_coordinate(f)
-    assert ZERO <= mu <= ONE
+    require(ZERO <= mu <= ONE, "transverse coordinate outside [0, 1]")
     if mu < Fraction(1, 3):
         raise MuTooSmall(f"transverse coordinate {mu} below 1/3")
     scale = ONE + mu * cone.alpha
     x = vscale(ONE / scale, vsub(f, vscale(mu, cone.shift)))
-    assert cone.base.contains_point(x)
+    require(cone.base.contains_point(x), "anchor point leaves the base")
     far = minkowski_scale_shift(cone.base, ONE + cone.alpha, cone.shift)
     out = Polyhedron.from_generators([x] + list(far.vertices), far.rays,
                                      cone.base.dim)
-    assert cone.hull.contains(out)
-    assert out.contains(homothety(cone.hull, f, Fraction(1, 4)))
+    require(cone.hull.contains(out), "shrunk cone leaves the hull")
+    require(out.contains(homothety(cone.hull, f, Fraction(1, 4))),
+            "shrunk cone misses the quarter homothety")
     return out
 
 
@@ -230,7 +241,6 @@ def _zero_combination(normals: list[Vec]):
         for k, j in enumerate(support):
             lam[j] -= t * nu[k]
         support = [j for j in support if lam[j] > 0]
-    assert sum(lam[j] for j in support) == 1
     return support, [lam[j] for j in support]
 
 
@@ -249,13 +259,12 @@ def caratheodory_facet_subset(m: Polyhedron) -> FacetSubsetResult:
     if got is None:
         raise NotLatticeFreeInput("0 outside the hull of the facet normals")
     idx, lam = got
-    assert all(w > 0 for w in lam)
     n = m.dim
     relaxed = Polyhedron.from_halfspaces([m.halfspaces[j] for j in idx], n)
     k = len(relaxed.lineality)
-    assert len(idx) == n - k + 1
-    assert relaxed.recession_is_subspace()
-    assert len(relaxed.halfspaces) == len(idx)
+    require(len(idx) == n - k + 1, "facet subset is not a simplex plus lineality")
+    require(relaxed.recession_is_subspace(), "relaxation recedes off its lineality")
+    require(len(relaxed.halfspaces) == len(idx), "a chosen facet is redundant")
     return FacetSubsetResult(tuple(idx), n - k, k)
 
 
@@ -342,9 +351,10 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
         b0 = split_along(vzero(n - 1) + (ONE,), -1 if hi2 <= 0 else 0)
     else:
         b0 = _lift_core(lp0, f0, d)
-    assert b0.contains(lpp)
-    assert interior_lattice_point(b0) is None, "lifted body is not lattice-free"
-    assert len(b0.halfspaces) <= len(d.halfspaces) + 1
+    require(b0.contains(lpp), "lifted body misses the quarter homothety")
+    require(interior_lattice_point(b0) is None, "lifted body is not lattice-free")
+    require(len(b0.halfspaces) <= len(d.halfspaces) + 1,
+            "lifted body has too many facets")
     return transform(b0, phi.inverse())
 
 
@@ -372,11 +382,10 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
         return bprime
 
     # both caps are facets: drop one through a truncated-cone shrink
-    assert ZERO <= f0[-1] <= Fraction(1, 4)
-    slice_normals = []
-    for h in seps:
-        assert not la.is_zero_vec(h.normal[:-1])
-        slice_normals.append(h.normal[:-1])
+    require(ZERO <= f0[-1] <= Fraction(1, 4), "center height outside [0, 1/4]")
+    slice_normals = [h.normal[:-1] for h in seps]
+    require(not any(la.is_zero_vec(a) for a in slice_normals),
+            "a separator is parallel to the levels")
     got = _zero_combination(slice_normals)
     if got is None:
         raise NotLatticeFreeInput("separator slice normals do not surround 0")
@@ -389,9 +398,8 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
         return sum(w * (seps[j].offset - seps[j].normal[-1] * level)
                    for w, j in zip(lam, idx))
 
-    assert size(ZERO) > 0
     s_lo, s_hi = size(-ONE), size(ONE)
-    assert s_lo > 0 and s_hi > 0
+    require(size(ZERO) > 0 and s_lo > 0 and s_hi > 0, "a level slice is empty")
     base_level = ONE if s_hi <= s_lo else -ONE
     other_level = -base_level
     alpha = size(other_level) / size(base_level) - ONE
@@ -400,16 +408,15 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
                 - (ONE + alpha) * (seps[j].offset - seps[j].normal[-1] * base_level)
                 for j in idx)
     pprime = la.solve(tuple(h.normal[:-1] for h in kept), rhs)
-    assert pprime is not None
+    require(pprime is not None, "slice systems have no translation")
     p = pprime + (other_level - (ONE + alpha) * base_level,)
     base = embed_last_axis(level_slice(tshape, base_level), base_level)
     cone = TruncatedCone.make(base, alpha, p)
-    assert cone.hull == tshape
+    require(cone.hull == tshape, "truncated cone is not the shape")
     # the interior point sits high enough: mu >= 3/8 from the upper base,
     # mu >= 1/2 from the lower, both clearing the 1/3 threshold
     mu = (ONE - f0[-1]) / 2 if base_level == ONE else (ONE + f0[-1]) / 2
-    assert cone.transverse_coordinate(f0) == mu
-    assert mu >= (Fraction(3, 8) if base_level == ONE else Fraction(1, 2))
+    require(cone.transverse_coordinate(f0) == mu, "transverse coordinate off")
     tprime = truncated_cone_shrink(cone, f0)
     rest = [seps[j] for j in range(m) if j not in set(idx)]
     return Polyhedron.from_halfspaces(list(tprime.halfspaces) + rest, n)
@@ -457,7 +464,7 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
         # vertex of l lies on a facet, so relative_strength(l, l, f) == 1
         return ApproxResult(l, ONE)
     wr = lattice_width(l)
-    assert wr.width <= flt
+    require(wr.width <= flt, "lattice width exceeds the flatness bound")
     phi = UnimodularMap.make(la.unimodular_with_bottom_row(wr.direction))
     lt = transform(l, phi)
     ft = phi.apply(f)
@@ -468,14 +475,14 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
         b0 = split_along(vzero(n - 1) + (ONE,), tlo)
     else:
         t = math.ceil(lo)
-        assert lo < t < hi
+        require(lo < t < hi, "level t misses the shrunken body")
         d = grow_to_maximal(level_slice(lt, t))
-        assert len(d.halfspaces) <= 2 ** (n - 1)
+        require(len(d.halfspaces) <= 2 ** (n - 1), "maximal base has too many facets")
         b0 = lift_to_nplus1(lt, ft, gamma, d, t)
     b = transform(b0, phi.inverse())
     rep = relative_strength(b, l, f)
-    assert rep.kind == "finite" and rep.value <= 4 * flt
-    assert len(b.halfspaces) <= cap
+    require(rep.kind == "finite" and rep.value <= 4 * flt, "factor exceeds its bound")
+    require(len(b.halfspaces) <= cap, "cover exceeds the facet cap")
     return ApproxResult(b, rep.value)
 
 
@@ -497,7 +504,7 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
         return ApproxResult(l, ONE)  # factor 1, as in approximate_any_f
     # n >= 2 from here: one-dimensional lattice-free bodies have <= 2 facets
     wr = lattice_width(l)
-    assert wr.width <= flt
+    require(wr.width <= flt, "lattice width exceeds the flatness bound")
     fn = dot(wr.direction, f)
     if fn.denominator > 1:
         # strictly fractional level: the slab between the neighbouring
@@ -505,8 +512,9 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
         # distance of at least 1/s from both
         phi = UnimodularMap.make(la.unimodular_with_bottom_row(wr.direction))
         b0 = split_along(vzero(n - 1) + (ONE,), math.floor(fn))
-        assert b0.contains(homothety(transform(l, phi), phi.apply(f),
-                                     Fraction(1, bound)))
+        require(b0.contains(homothety(transform(l, phi), phi.apply(f),
+                                      Fraction(1, bound))),
+                "slab misses the 1/bound homothety")
         b = transform(b0, phi.inverse())
     else:
         shift = vzero(n - 1) + (-fn,)
@@ -514,17 +522,15 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
                                  shift)
         lt = transform(l, phi)
         ft = phi.apply(f)
-        assert ft[-1] == 0
         mmax = grow_to_maximal(level_slice(lt, 0))
         sub = approximate_fixed_f(mmax, ft[:-1])
         d = sub.body
-        assert len(d.halfspaces) <= n
         gamma_prime = Fraction(1, flt * 4 ** (n - 2) * s)
         b0 = lift_to_nplus1(homothety(lt, ft, gamma_prime), ft, ONE, d, 0)
         b = transform(b0, phi.inverse())
     rep = relative_strength(b, l, f)
-    assert rep.kind == "finite" and rep.value <= bound
-    assert len(b.halfspaces) <= n + 1
+    require(rep.kind == "finite" and rep.value <= bound, "factor exceeds its bound")
+    require(len(b.halfspaces) <= n + 1, "cover exceeds the facet cap")
     return ApproxResult(b, rep.value)
 
 
@@ -571,20 +577,22 @@ def shrink_epsilon(b: Polyhedron, c, zs) -> Fraction:
             raise WitnessOnBoundary("a witness midpoint is not interior")
         worst = max(worst, g)
     eps = (ONE - worst) / 2
-    assert 0 < eps < 1
     shrunk = homothety(b, c, ONE - eps)
     for zi, zj in itertools.combinations(zs, 2):
-        assert shrunk.contains_point(vscale(Fraction(1, 2), vadd(zi, zj)))
+        require(shrunk.contains_point(vscale(Fraction(1, 2), vadd(zi, zj))),
+                "a witness midpoint leaves the shrunk body")
     return eps
 
 
 @dataclass(frozen=True)
 class PyramidWitness:
     """Lattice-free pyramid over a scaled copy of the base body, with the
-    fractional point for which it certifies the facet-count lower bound."""
+    fractional point for which it certifies the facet-count lower bound and
+    the certificate that it is maximal lattice-free."""
 
     body: Polyhedron
     f: Vec
+    cert: LatticeFreeCert
 
 
 def inapprox_pyramid(l: Polyhedron, c, zs, eps, mu) -> PyramidWitness:
@@ -618,37 +626,43 @@ def inapprox_pyramid(l: Polyhedron, c, zs, eps, mu) -> PyramidWitness:
     fbase = homothety(l, c, ONE / em)
     p = Polyhedron.from_generators(
         [f] + [v + (-ONE,) for v in fbase.vertices], dim=n)
-    assert level_slice(p, 0) == homothety(l, c, ONE / (em + 1))
+    require(level_slice(p, 0) == homothety(l, c, ONE / (em + 1)),
+            "inner cross-section identity fails")
     lam = (em * (em + 1) + 1) / (em + 1)
     body = homothety(p, c + (-ONE,), lam)
-    assert level_slice(body, 0) == l
-    assert len(body.halfspaces) == len(l.halfspaces) + 1
-    assert body.contains(p)
-    assert body.contains_point(f, strict=True)
+    require(level_slice(body, 0) == l, "level-zero cross-section is not the base")
+    require(len(body.halfspaces) == len(l.halfspaces) + 1,
+            "pyramid facet count off")
+    require(body.contains(p), "pyramid does not hold its core")
+    require(body.contains_point(f, strict=True), "f is not interior to the pyramid")
     cert = certify_lattice_free(body)
-    assert cert.lattice_free and cert.maximal
+    require(cert.maximal, "pyramid is not maximal lattice-free")
 
     # covering properties of the inner pyramid eps mu (p - f) + f
     inner = homothety(p, f, em)
-    assert inner.contains(embed_last_axis(homothety(l, c, ONE - eps), 0))
+    require(inner.contains(embed_last_axis(homothety(l, c, ONE - eps), 0)),
+            "inner pyramid misses the shrunk base")
     for zi, zj in itertools.combinations(zs, 2):
         mid = vscale(Fraction(1, 2), vadd(zi, zj))
-        assert inner.contains_point(mid + (ZERO,))
+        require(inner.contains_point(mid + (ZERO,)),
+                "a witness midpoint escapes the inner pyramid")
     e2m2 = em * em
     for z in zs:
         q = vadd(vscale(e2m2, zs[0] + (-ONE,)), vscale(ONE - e2m2, z + (ZERO,)))
-        assert q[-1] == -e2m2 and l.contains_point(q[:-1])
-        assert inner.contains_point(q)
-    return PyramidWitness(body, f)
+        require(l.contains_point(q[:-1]), "q-point leaves the base slab")
+        require(inner.contains_point(q), "q-point escapes the inner pyramid")
+    return PyramidWitness(body, f, cert)
 
 
 @dataclass(frozen=True)
 class TowerWitness:
     """Maximal lattice-free simplex whose facet witnesses pairwise connect
-    through the 1/alpha homothety about f."""
+    through the 1/alpha homothety about f, with the certificate that it is
+    maximal lattice-free."""
 
     body: Polyhedron
     witnesses: tuple[Vec, ...]
+    cert: LatticeFreeCert
 
 
 def segment_meets(p: Polyhedron, a, b) -> bool:
@@ -689,15 +703,16 @@ def simplex_tower(f, alpha) -> TowerWitness:
     if la.is_integer_vec(f):
         raise OutOfRange("f must have a fractional coordinate")
     body, zs = _tower(f, alpha)
-    assert len(body.halfspaces) == n + 1 and not body.rays
-    assert body.contains_point(f, strict=True)
+    require(len(body.halfspaces) == n + 1 and not body.rays, "tower is not a simplex")
+    require(body.contains_point(f, strict=True), "f is not interior to the tower")
     _check_witnesses(body, zs)
     cert = certify_lattice_free(body)
-    assert cert.lattice_free and cert.maximal
+    require(cert.maximal, "tower is not maximal lattice-free")
     shrunk = homothety(body, f, ONE / alpha)
     for zi, zj in itertools.combinations(zs, 2):
-        assert segment_meets(shrunk, zi, zj)
-    return TowerWitness(body, tuple(zs))
+        require(segment_meets(shrunk, zi, zj),
+                "a witness segment misses the 1/alpha copy")
+    return TowerWitness(body, tuple(zs), cert)
 
 
 def _tower(f: Vec, alpha: Fraction):
@@ -710,18 +725,17 @@ def _tower(f: Vec, alpha: Fraction):
     u = la.integer_kernel_basis([la.vec(scaled)])[0]
     phi = UnimodularMap.make(la.unimodular_with_bottom_row(u))
     ft = phi.apply(f)
-    assert ft[-1] == 0
     fprime = ft[:-1]
-    assert not la.is_integer_vec(fprime)
     sub_body, sub_zs = _tower(fprime, alpha)
     apex = fprime + (ONE / (alpha - ONE),)
     base = homothety(sub_body, fprime, alpha)
     body0 = Polyhedron.from_generators([apex] + [v + (-ONE,) for v in base.vertices])
     zs0 = [z + (ZERO,) for z in sub_zs] + [sub_zs[0] + (-ONE,)]
-    assert level_slice(body0, 0) == sub_body
+    require(level_slice(body0, 0) == sub_body, "tower slice is not the lower tower")
     # the shrunken tower's base returns to the lower tower at level -1/alpha
     shrunk = homothety(body0, ft, ONE / alpha)
-    assert level_slice(shrunk, -ONE / alpha) == sub_body
+    require(level_slice(shrunk, -ONE / alpha) == sub_body,
+            "shrunk tower misses the lower tower")
     inv = phi.inverse()
     return transform(body0, inv), [inv.apply(z) for z in zs0]
 
@@ -740,8 +754,9 @@ def cylinder_lift_witness(l: Polyhedron, f_prime, n: int) -> Polyhedron:
     if len(f_prime) != i:
         raise DimensionMismatch("point dimension mismatch")
     out = product_with_line(l, n - i)
-    assert len(out.halfspaces) == len(l.halfspaces)
+    require(len(out.halfspaces) == len(l.halfspaces), "cylinder facet count off")
     f = f_prime + vzero(n - i)
-    assert out.contains_point(f, strict=True) == l.contains_point(f_prime,
-                                                                  strict=True)
+    require(out.contains_point(f, strict=True)
+            == l.contains_point(f_prime, strict=True),
+            "cylinder changes whether f is interior")
     return out

@@ -87,3 +87,15 @@ class ParseError(LatcutError):
 
 class UnknownScenario(LatcutError):
     pass
+
+
+class CertificateError(LatcutError):
+    """A check on which a result depends failed: the claim named does not
+    hold for the object the code built."""
+
+
+def require(cond: bool, message: str) -> None:
+    """Raise CertificateError(message) unless cond holds; unlike an assert,
+    the check also runs under ``python -O``."""
+    if not cond:
+        raise CertificateError(message)

@@ -59,6 +59,7 @@ from .errors import (
     NotSeparable,
     OriginNotInterior,
     WholeSpace,
+    require,
 )
 from .linalg import Mat, Vec, ZERO, ONE, dot, vadd, vneg, vscale, vsub
 from .simplex import LpResult, solve_ineq
@@ -211,8 +212,6 @@ class Polyhedron:
                 raise DimensionMismatch(f"normal {h.normal} not in dimension {dim}")
         rows = [(-h.offset,) + h.normal for h in hs]
         lines, rays = cone_dd(rows + [(-ONE,) + la.vzero(dim)], dim + 1)  # x0 >= 0
-        for l in lines:
-            assert l[0] == 0, "lineality cannot leave the x0 = 0 slice"
         if not any(r[0] > 0 for r in rays):
             raise EmptySet("no feasible point satisfies all half-spaces")
         return Polyhedron._assemble(rows, rays, [l[1:] for l in lines], dim)
@@ -560,7 +559,7 @@ def separate(p: Polyhedron, q: Polyhedron, slack_point=None) -> HalfSpace:
 
     def lp(objective: Vec) -> LpResult:
         res = solve_ineq(rows, rhs, objective, sense="max")
-        assert res.status == "optimal"
+        require(res.status == "optimal", "separation LP is not optimal")
         return res
 
     candidates: list[Vec] = []

@@ -29,12 +29,14 @@ from fractions import Fraction
 
 from . import linalg as la
 from .errors import (
+    CertificateError,
     NotFullDimensional,
     NotLatticeFreeInput,
     UnboundedEnumeration,
     UnsupportedDimension,
     UnsupportedShape,
     WholeSpace,
+    require,
 )
 from .geometry import (
     HalfSpace,
@@ -93,7 +95,7 @@ def _integer_line(a: Vec, beta: Fraction):
         return None
     a1, a2 = int(a[0]), int(a[1])
     g, u, v = _xgcd(a1, a2)
-    assert g == 1, "line normal must be primitive"
+    require(g == 1, "line normal is not primitive")
     b = int(beta)
     z0 = (Fraction(u * b), Fraction(v * b))
     d = (Fraction(-a2), Fraction(a1))
@@ -264,7 +266,7 @@ def _split_off_lineality(p: Polyhedron):
     normals = [h.normal for h in q.halfspaces]
     if any(not la.is_zero_vec(x[keep:])
            for x in itertools.chain(normals, q.vertices, rays)):
-        raise ArithmeticError("lineality did not split off the trailing axes")
+        raise CertificateError("lineality did not split off the trailing axes")
     rows = [(-h.offset,) + h.normal[:keep] for h in q.halfspaces]
     gens = [(ONE,) + v[:keep] for v in q.vertices]
     gens += [(ZERO,) + r[:keep] for r in rays]
@@ -298,16 +300,16 @@ def _planar_pointed_interior_point(p: Polyhedron):
     # horizontally unbounded too: the recession cone is a full-dimensional
     # pointed cone, so far enough along an interior recession direction the
     # body contains a unit ball, hence an integer point.
-    assert len(q.rays) == 2
+    require(len(q.rays) == 2, "pointed planar cone without two rays")
     w = vadd(q.rays[0], q.rays[1])
     c = q.relative_interior_point()
     m = min(-dot(h.normal, w) for h in q.halfspaces if dot(h.normal, w) != 0)
-    assert m > 0
+    require(m > 0, "recession direction is not interior")
     weight = max(sum(abs(x) for x in h.normal) for h in q.halfspaces)
     t = Fraction(math.ceil(weight / m) + 1)
     center = vadd(c, vscale(t, w))
     z = tuple(Fraction(round(x)) for x in center)
-    assert q.contains_point(z, strict=True)
+    require(q.contains_point(z, strict=True), "rounded point is not interior")
     return inv.apply(z)
 
 
@@ -356,9 +358,7 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     if h.offset.denominator != 1:
         return None  # primitive normal: a fractional level misses Z^n entirely
     u = la.alignment_unimodular([h.normal])
-    img = la.mat_vec(u, h.normal)
-    assert la.is_zero_vec(img[:-1]) and abs(img[-1]) == 1
-    level = h.offset * img[-1]
+    level = h.offset * la.mat_vec(u, h.normal)[-1]
     # under y = U^-T x the plane becomes y_n = level and a . x <= b becomes
     # (U a) . y <= b; fixing y_n leaves constraints in y_1..y_{n-1} (a row
     # parallel to the plane holds strictly on it, as p is full-dimensional);
@@ -381,8 +381,9 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
         if z2 is None:
             return None
     z = la.mat_vec(la.transpose(u), tuple(z2) + (level,))
-    assert dot(h.normal, z) == h.offset
-    assert all(dot(a, z) < b for a, b in others)
+    require(dot(h.normal, z) == h.offset
+            and all(dot(a, z) < b for a, b in others),
+            "facet witness is not in the relative interior")
     return z
 
 
@@ -401,7 +402,6 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
         witnesses = []
         for h in p.halfspaces:
             a2 = la.mat_vec(inv_t, h.normal)
-            assert all(x == 0 for x in a2[p.dim - k:])
             img = HalfSpace.make(a2[:p.dim - k], h.offset)
             idx = quotient.halfspaces.index(img)
             w = sub.facet_witnesses[idx]
@@ -452,7 +452,7 @@ def _max_inner_segment(p: Polyhedron, axis: int) -> Fraction:
         rhs.append(h.offset)
     obj = la.vzero(n) + (ONE,)
     res = solve_ineq(rows, rhs, obj, sense="max")
-    assert res.status == "optimal"
+    require(res.status == "optimal", "inner segment LP is not optimal")
     return res.value
 
 
@@ -474,7 +474,7 @@ def lattice_width(p: Polyhedron) -> WidthReport:
         w = _width_along(p, (ONE,))
         return WidthReport(w, (ONE,), w, 1)
     tau = min(_max_inner_segment(p, i) for i in range(n))
-    assert tau > 0
+    require(tau > 0, "full-dimensional body without an inner segment")
     best = min((_width_along(p, tuple(ONE if i == j else ZERO for j in range(n))), i)
                for i in range(n))
     best_w = best[0]
@@ -538,7 +538,7 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
             q = Polyhedron.from_halfspaces(
                 others + [HalfSpace.make(h.normal, level)], 2)
         cert = certify_lattice_free(q)
-        assert cert.lattice_free
+        require(cert.lattice_free, "grown body is not lattice-free")
     return q
 
 

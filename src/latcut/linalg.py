@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import require
+
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
@@ -279,12 +281,9 @@ def unimodular_with_bottom_row(u: Vec) -> Mat:
                 col_addmul(j, n - 1, -(row[j] // row[n - 1]))
     if row[n - 1] < 0:
         col_neg(n - 1)
-    assert row == [0] * (n - 1) + [1]
-    cmat = tuple(tuple(Fraction(x) for x in r) for r in c)
-    w = inverse(cmat)
-    assert all(x.denominator == 1 for r in w for x in r)
-    assert tuple(w[n - 1]) == u
-    return w
+    # row = u.C = (0, ..., 0, gcd(u)) = e_n, so u is the last row of C^-1,
+    # which is integral because C is a product of unimodular column steps
+    return inverse(tuple(tuple(Fraction(x) for x in r) for r in c))
 
 
 def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:
@@ -312,17 +311,10 @@ def alignment_unimodular(lines: Sequence[Vec]) -> Mat:
     # the transform is unimodular and its trailing columns span the kernel
     # lattice, so its inverse sends span(lines) onto the trailing axes
     c, rk = _column_echelon([primitive(p) for p in perp])
-    k = n - rk
-    assert k == n - len(perp)
     cmat = tuple(tuple(Fraction(c[i][j]) for j in range(n)) for i in range(n))
     u = inverse(cmat)
-    assert all(x.denominator == 1 for r in u for x in r)
-    d = det(u)
-    assert d in (1, -1)
-    # sanity: lines land on trailing axes
     for l in lines:
-        img = mat_vec(u, l)
-        assert all(img[i] == 0 for i in range(n - k))
+        require(is_zero_vec(mat_vec(u, l)[:rk]), "lineality misses the trailing axes")
     return u
 
 
@@ -364,7 +356,8 @@ def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:
             break
     for j in range(pivot_col, n):
         v = tuple(Fraction(c[i][j]) for i in range(n))
-        assert all(dot(row, v) == 0 for row in rows)
+        require(all(dot(row, v) == 0 for row in rows),
+                "kernel column leaves the kernel")
     return c, pivot_col
 
 

@@ -122,10 +122,7 @@ def sandwich(family, l: Polyhedron, f) -> SandwichReport:
     if l.rays:
         # replace L by an inscribed polytope sharing its generator count;
         # the bracket then holds for that polytope
-        lt = inner_approximation(l, f, 1)
-        upper = family_strength_upper(family, lt, f)
-        lower = family_strength_lower(family, lt, f)
-        return SandwichReport(upper, lower, n_bound)
+        l = inner_approximation(l, f, 1)
     return SandwichReport(family_strength_upper(family, l, f),
                           family_strength_lower(family, l, f), n_bound)
 

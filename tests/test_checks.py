@@ -1,0 +1,124 @@
+"""Checks that results depend on: no bare asserts in the package, the same
+program under ``python -O``, and constructions certified exactly once."""
+
+import ast
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import latcut
+from latcut import cli, constructions, lattice
+from latcut.scenarios import run_scenario
+
+PACKAGE = Path(latcut.__file__).parent
+
+
+def run_child(code: str, *flags: str) -> str:
+    """Run code in a child Python on this session's sources; its stdout."""
+    pythonpath = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    done = subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == [], f"{len(found)} assert statements: {found}"
+
+
+def test_checks_raise_under_python_dash_o():
+    out = run_child("""
+        import dataclasses, sys
+        from latcut import CertificateError, Polyhedron, constructions
+        from latcut.scenarios import _lift_instances
+        print(sys.flags.optimize)
+
+        def raised(fn, *args):
+            try:
+                fn(*args)
+            except CertificateError as exc:
+                return str(exc)
+            return None
+
+        real = constructions.certify_lattice_free
+        constructions.certify_lattice_free = (
+            lambda p: dataclasses.replace(real(p), maximal=False))
+        print(raised(constructions.cube_face_construction, 2, 3))
+        constructions.certify_lattice_free = real
+
+        box = Polyhedron.from_generators(
+            [(x, y) for x in (-10, 10) for y in (-10, 10)])
+        constructions._lift_core = lambda lp0, f0, d: box
+        print(raised(constructions.lift_to_nplus1, *_lift_instances()[0]))
+    """, "-O")
+    assert out.splitlines() == ["1",
+                                "cube-face body is not maximal lattice-free",
+                                "lifted body is not lattice-free"]
+
+
+def test_scenario_reports_are_the_same_under_python_dash_o():
+    code = """
+        import json
+        from latcut.scenarios import SCENARIOS, run_scenario
+        sizes = {"rho-closed-form": {"trials": 2},
+                 "one-for-all-sandwich": {"instances": 3},
+                 "gauge-metric-properties": {"checks": 8},
+                 "split-vs-triangles": {"count": 2, "tmax": 16},
+                 "approximation-factors": {"count": 1},
+                 "inapprox-witnesses": {"samples": 4},
+                 "truncated-cone-shrink": {"count": 10}}
+        for name in SCENARIOS:
+            obj = run_scenario(name, sizes.get(name, {})).to_obj()
+            obj.pop("wall_time_s")
+            print(json.dumps(obj, sort_keys=True))
+    """
+    plain = run_child(code)
+    assert len(plain.splitlines()) == 9
+    assert all(json.loads(line)["passed"] for line in plain.splitlines())
+    assert run_child(code, "-O") == plain
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_facet_searches_per_scenario(monkeypatch):
+    # each construction certifies its body once and hands the certificate on
+    calls = counting(monkeypatch, lattice, "facet_interior_lattice_point")
+    counts = {}
+    for name in ("cubeface-census", "inapprox-witnesses"):
+        calls.clear()
+        assert run_scenario(name).passed
+        counts[name] = len(calls)
+    assert counts == {"cubeface-census": 44, "inapprox-witnesses": 32}, counts
+
+
+def test_construct_certifies_once(monkeypatch):
+    calls = counting(monkeypatch, lattice, "certify_lattice_free")
+    for module in (constructions, cli):
+        monkeypatch.setattr(module, "certify_lattice_free",
+                            lattice.certify_lattice_free)
+    for argv in (["construct", "cubeface", "--n", "3", "--i", "5"],
+                 ["construct", "tower", "--f", "1/2,1/3,1/5", "--alpha", "10"]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(calls) == 1, argv

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, seeds, and error paths."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import latcut
+from latcut import constructions
 from latcut.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -215,6 +217,29 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                          "--l", str(FIXTURES / "diamond.json"),
                          "--f", "1/0,1/2")
     assert code == 2 and "denominator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rho-closed-form", "--param", "trials=abc"),
+    ("rho-closed-form", "--seed", "x"),
+    ("inapprox-witnesses", "--param", "alpha_hi=0.5"),
+    ("rho-closed-form", "--param", "trials=-3"),
+    ("split-vs-triangles", "--param", "tmax=0"),
+    ("cubeface-census", "--param", "n=-1"),
+])
+def test_bad_scenario_parameters_exit_two(capsys, argv):
+    code, out, err = run(capsys, "scenario", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and argv[-1].partition("=")[0] in err
+
+
+def test_failed_construction_check_exits_one(capsys, monkeypatch):
+    real = constructions.certify_lattice_free
+    monkeypatch.setattr(constructions, "certify_lattice_free",
+                        lambda p: dataclasses.replace(real(p), maximal=False))
+    code, out, err = run(capsys, "construct", "cubeface", "--n", "2", "--i", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: cube-face body is not maximal lattice-free\n"
 
 
 def test_lenient_flag_admits_unreduced_rationals(capsys, tmp_path):

@@ -91,20 +91,20 @@ def facet_witnesses(b):
 def test_cube_face_census_all_counts_certified():
     for n in (1, 2, 3):
         for i in range(2, 2 ** n + 1):
-            b = cube_face_construction(n, i)
-            assert len(b.halfspaces) == i
-            cert = certify_lattice_free(b)
-            assert cert.lattice_free and cert.maximal
+            made = cube_face_construction(n, i)
+            assert len(made.body.halfspaces) == i
+            assert made.cert.lattice_free and made.cert.maximal
+            assert made.cert == certify_lattice_free(made.body)
 
 
 def test_cube_face_two_facets_is_the_horizontal_split():
-    b = cube_face_construction(2, 2)
+    b = cube_face_construction(2, 2).body
     assert b == Polyhedron.from_halfspaces(
         [HalfSpace.make((F(0), F(-1)), F(0)), HalfSpace.make((F(0), F(1)), F(1))], 2)
 
 
 def test_cube_face_four_facets_is_the_diamond():
-    b = cube_face_construction(2, 4)
+    b = cube_face_construction(2, 4).body
     diamond = Polyhedron.from_halfspaces(
         [HalfSpace.make((F(-1), F(-1)), F(0)),
          HalfSpace.make((F(1), F(1)), F(2)),
@@ -257,12 +257,12 @@ def check_subset_result(m, res):
 
 
 def test_subset_of_the_split_takes_both_facets():
-    res = caratheodory_facet_subset(cube_face_construction(2, 2))
+    res = caratheodory_facet_subset(cube_face_construction(2, 2).body)
     assert res == FacetSubsetResult((0, 1), 1, 1)
 
 
 def test_subset_of_the_diamond_may_use_an_opposite_pair():
-    m = cube_face_construction(2, 4)
+    m = cube_face_construction(2, 4).body
     res = caratheodory_facet_subset(m)
     check_subset_result(m, res)
 
@@ -285,7 +285,7 @@ def test_subset_rejects_normals_that_miss_the_origin():
 def test_subset_invariants_across_the_census():
     for n in (2, 3):
         for i in range(2, 2 ** n + 1):
-            m = cube_face_construction(n, i)
+            m = cube_face_construction(n, i).body
             check_subset_result(m, caratheodory_facet_subset(m))
 
 
@@ -400,9 +400,9 @@ def test_yes_no_checks_run_no_facet_search(monkeypatch):
         return real(p, j)
 
     instances = _lift_instances()
-    capped = [(approximate_any_f, cube_face_construction(n, i))
+    capped = [(approximate_any_f, cube_face_construction(n, i).body)
               for n, i in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (3, 5))]
-    capped += [(approximate_fixed_f, cube_face_construction(n, i))
+    capped += [(approximate_fixed_f, cube_face_construction(n, i).body)
                for n, i in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4))]
     monkeypatch.setattr(lattice, "facet_interior_lattice_point", counting)
     for l, f, gamma, d, t in instances:
@@ -418,13 +418,13 @@ def test_yes_no_checks_run_no_facet_search(monkeypatch):
 
 
 def test_any_f_short_circuits_bodies_with_few_facets():
-    split = cube_face_construction(2, 2)
+    split = cube_face_construction(2, 2).body
     res = approximate_any_f(split, F12)
     assert res.body == split and res.factor == 1
 
 
 def test_any_f_on_the_diamond():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     res = approximate_any_f(diam, F12)
     assert len(res.body.halfspaces) <= 3
     assert res.factor == 2
@@ -435,7 +435,7 @@ def test_any_f_on_the_diamond():
 
 
 def test_any_f_takes_the_lifting_path_near_a_level():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     f = (F(1, 2), F(1))
     res = approximate_any_f(diam, f)
     assert res.factor <= 4 * flatness_bound(2)
@@ -443,7 +443,7 @@ def test_any_f_takes_the_lifting_path_near_a_level():
 
 
 def test_fixed_f_split_branch_factor_bound_scales_with_denominator():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     for f in (F12, (F(1, 3), F(2, 3)), (F(2, 5), F(1, 5))):
         res = approximate_fixed_f(diam, f)
         s = point_denominator(f)
@@ -452,7 +452,7 @@ def test_fixed_f_split_branch_factor_bound_scales_with_denominator():
 
 
 def test_fixed_f_integer_level_branch_recurses():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     res = approximate_fixed_f(diam, (F(1), F(1, 2)))
     assert res.factor == F(7, 2)
     assert len(res.body.halfspaces) == 3
@@ -463,7 +463,7 @@ def test_pipelines_on_three_dimensional_bodies():
     fs = ((F(1, 2), F(1, 2), F(1, 2)), (F(1, 3), F(1, 2), F(3, 4)),
           (F(1), F(1, 2), F(1, 2)))
     for i in (5, 6, 8):
-        l = cube_face_construction(3, i)
+        l = cube_face_construction(3, i).body
         for f in fs:
             if not l.contains_point(f, strict=True):
                 continue
@@ -476,22 +476,22 @@ def test_pipelines_on_three_dimensional_bodies():
 
 
 def test_pipeline_rejects_bad_inputs():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     with pytest.raises(PointNotInterior):
         approximate_any_f(diam, (F(0), F(0)))
     box = Polyhedron.from_generators(
         [(F(0), F(0)), (F(3), F(0)), (F(0), F(3)), (F(3), F(3))])
     with pytest.raises(NotLatticeFreeInput):
         approximate_fixed_f(box, (F(3, 2), F(3, 2)))
-    four = cylinder_lift_witness(cube_face_construction(3, 8),
+    four = cylinder_lift_witness(cube_face_construction(3, 8).body,
                                  (F(1, 2), F(1, 2), F(1, 2)), 4)
     with pytest.raises(UnsupportedDimension):
         approximate_any_f(four, (F(1, 2), F(1, 2), F(1, 2), F(0)))
 
 
 def test_pipeline_outputs_are_certified_on_a_mixed_family():
-    bodies = [cube_face_construction(2, 3), cube_face_construction(2, 4),
-              tri(1), tri(2),
+    bodies = [cube_face_construction(2, 3).body,
+              cube_face_construction(2, 4).body, tri(1), tri(2),
               simplex_tower(F12, F(2)).body]
     fs = (F12, (F(1, 3), F(1, 2)), (F(1, 2), F(3, 4)), (F(1), F(1, 2)))
     for l in bodies:
@@ -509,7 +509,7 @@ def test_pipeline_outputs_are_certified_on_a_mixed_family():
 
 
 def test_shrink_epsilon_of_the_diamond():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     zs = facet_witnesses(diam)
     eps = shrink_epsilon(diam, F12, zs)
     assert eps == F(1, 4)  # worst midpoint gauge is 1/2
@@ -525,7 +525,7 @@ def test_shrink_epsilon_symmetric_segment():
 
 
 def test_shrink_epsilon_validates_witnesses():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     zs = facet_witnesses(diam)
     with pytest.raises(OutOfRange):
         shrink_epsilon(diam, F12, zs[:3])
@@ -538,7 +538,7 @@ def test_shrink_epsilon_validates_witnesses():
     with pytest.raises(OutOfRange):
         shrink_epsilon(diam, F12, bad)
     with pytest.raises(NotPolytope):
-        shrink_epsilon(cube_face_construction(2, 2), F12,
+        shrink_epsilon(cube_face_construction(2, 2).body, F12,
                        [(F(0), F(0)), (F(0), F(1))])
     with pytest.raises(PointNotInterior):
         shrink_epsilon(diam, (F(2), F(2)), zs)
@@ -555,12 +555,12 @@ def test_pyramid_over_the_unit_segment():
         (F(-8, 5), F(-1)), (F(1, 2), F(5, 16)), (F(13, 5), F(-1)))
     # level-zero slice recovers the base body exactly
     assert level_slice(pw.body, 0) == l
-    cert = certify_lattice_free(pw.body)
-    assert cert.lattice_free and cert.maximal
+    assert pw.cert.lattice_free and pw.cert.maximal
+    assert pw.cert == certify_lattice_free(pw.body)
 
 
 def test_pyramid_over_the_diamond_adds_one_facet():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     zs = facet_witnesses(diam)
     eps = shrink_epsilon(diam, F12, zs)
     pw = inapprox_pyramid(diam, F12, zs, eps, F(1, 2))
@@ -604,12 +604,12 @@ def test_pyramid_rejects_out_of_range_parameters():
     zs = [(F(0),), (F(1),)]
     with pytest.raises(OutOfRange):
         inapprox_pyramid(l, (F(1, 2),), zs, F(1), F(1, 2))
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     with pytest.raises(OutOfRange):
         # worst witness midpoint sits at gauge 1/2, so eps must stay <= 1/2
         inapprox_pyramid(diam, F12, facet_witnesses(diam), F(3, 4), F(1, 2))
     with pytest.raises(NotPolytope):
-        inapprox_pyramid(cube_face_construction(2, 2), F12,
+        inapprox_pyramid(cube_face_construction(2, 2).body, F12,
                          [(F(0), F(0)), (F(0), F(1))], F(1, 4), F(1, 2))
 
 
@@ -629,8 +629,8 @@ def test_tower_in_the_plane():
                                 (F(3, 2), F(1, 2)))
     assert tw.witnesses == ((F(0), F(0)), (F(1), F(1)), (F(0), F(-1)))
     assert tw.body.contains_point(F12, strict=True)
-    cert = certify_lattice_free(tw.body)
-    assert cert.lattice_free and cert.maximal
+    assert tw.cert.lattice_free and tw.cert.maximal
+    assert tw.cert == certify_lattice_free(tw.body)
     shrunk = homothety(tw.body, F12, F(1, 2))
     for zi, zj in itertools.combinations(tw.witnesses, 2):
         assert segment_meets(shrunk, zi, zj)
@@ -657,7 +657,7 @@ def test_tower_witnesses_defeat_sampled_covering_bodies():
     slanted = Polyhedron.from_halfspaces(
         [HalfSpace.make((F(-1), F(-1)), F(0)), HalfSpace.make((F(1), F(1)), F(2))], 2)
     few_facets = [
-        cube_face_construction(2, 2),
+        cube_face_construction(2, 2).body,
         cylinder_lift_witness(seg01(), (F(1, 2),), 2),
         slanted,
     ]
@@ -666,7 +666,7 @@ def test_tower_witnesses_defeat_sampled_covering_bodies():
         assert rep.kind == "infinite" or rep.value >= alpha
     # richer bodies may do better; the tower itself covers itself exactly
     assert relative_strength(tw.body, tw.body, F12).value == 1
-    full = relative_strength(cube_face_construction(2, 4), tw.body, F12)
+    full = relative_strength(cube_face_construction(2, 4).body, tw.body, F12)
     assert full.kind == "finite" and full.value >= alpha
 
 
@@ -686,7 +686,7 @@ def test_cylinder_over_a_segment_is_a_split():
 
 
 def test_cylinder_keeps_facets_and_holds_the_fibre():
-    diam = cube_face_construction(2, 4)
+    diam = cube_face_construction(2, 4).body
     out = cylinder_lift_witness(diam, F12, 3)
     assert len(out.halfspaces) == 4
     assert out.lineality == ((F(0), F(0), F(1)),)
