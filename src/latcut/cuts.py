@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .errors import DimensionMismatch, PointNotInterior
+from .errors import DimensionMismatch, OriginNotInterior, PointNotInterior
 from .geometry import Polyhedron, hausdorff_sq, polar
 from .linalg import Vec, ZERO
 
@@ -153,15 +153,14 @@ def f_metric(b1: Polyhedron, b2: Polyhedron, f) -> PolarDistance:
     """Hausdorff distance between (b1 - f) polar and (b2 - f) polar.
 
     Both polars are read off the bodies' own facets and vertices, so the
-    metric runs no conversion.
+    metric runs no conversion; ``polar`` tests that f is interior.
     """
     f = la.vec(f)
-    polars = []
-    for b in (b1, b2):
-        if not b.contains_point(f, strict=True):
-            raise PointNotInterior("polar metric needs interior points")
-        polars.append(polar(b, f))
-    return PolarDistance(hausdorff_sq(polars[0], polars[1]))
+    try:
+        polars = [polar(b, f) for b in (b1, b2)]
+    except OriginNotInterior as exc:
+        raise PointNotInterior("polar metric needs interior points") from exc
+    return PolarDistance(hausdorff_sq(*polars))
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,13 @@ every generator, and a facet iff no other row's tight set strictly contains
 its own without being every generator; a generator is a line iff it is
 tight on every row, and extreme iff no other generator's tight set strictly
 contains its own without being every row.  Affine images and polars run no
-conversion: both descriptions are read off the input's.  Homotheties and
-translates of a full-dimensional body are closed-form: normals, rays and
-lineality carry over, offsets and vertices move, and no canonical-form pass
-runs; a lower-dimensional body goes through its affine image, since its
-rows are reduced off its equalities and move with it.  Distances to a
-polytope walk its real faces, read off the stored incidence.
+conversion: both descriptions are read off the input's, and a polar runs no
+canonical-form pass either.  Homotheties and translates of a full-dimensional
+body are closed-form: normals, rays and lineality carry over, offsets and
+vertices move, and no canonical-form pass runs; a lower-dimensional body
+goes through its affine image, since its rows are reduced off its equalities
+and move with it.  Distances to a polytope walk its real faces, read off the
+stored incidence, and a Hausdorff walk stops at its running maximum.
 """
 
 from __future__ import annotations
@@ -163,16 +164,18 @@ def _halfspace_from_homog(z: Vec) -> HalfSpace:
 # canonical representatives
 
 
-def _canonical_basis(lines: list[Vec]) -> tuple[list[Vec], list[int]]:
+def _canonical_basis(lines: list[Vec]) -> list[Vec]:
     """RREF the line vectors, then scale each row primitive."""
-    rows = [list(l) for l in lines]
-    rows, pivots = la._rref(rows)
+    rows, _ = la._rref([list(l) for l in lines])
     rows = [r for r in rows if any(x != 0 for x in r)]
-    return [la.primitive(tuple(r)) for r in rows], pivots
+    return [la.primitive(tuple(r)) for r in rows]
 
 
-def _reduce_off(v: Vec, basis: list[Vec], pivots: list[int]) -> Vec:
-    for row, p in zip(basis, pivots):
+def _reduce_off(v: Vec, basis: list[Vec]) -> Vec:
+    """v minus multiples of the rows of a canonical basis, each row's pivot
+    (its first nonzero entry) cleared in turn."""
+    for row in basis:
+        p = next(i for i, x in enumerate(row) if x != 0)
         if v[p] != 0:
             v = vsub(v, vscale(v[p] / row[p], row))
     return v
@@ -252,22 +255,21 @@ class Polyhedron:
         ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
                 for j in range(len(gens))]
         gens = [gens[j] for j in _maximal(ginc, (1 << len(rows)) - 1)]
-        basis, pivots = _canonical_basis(list(lins))
-        vcan = sorted({_reduce_off(tuple(x / g[0] for x in g[1:]), basis, pivots)
+        basis = _canonical_basis(list(lins))
+        vcan = sorted({_reduce_off(tuple(x / g[0] for x in g[1:]), basis)
                        for g in gens if g[0] != 0})
-        rays = (_reduce_off(g[1:], basis, pivots) for g in gens if g[0] == 0)
+        rays = (_reduce_off(g[1:], basis) for g in gens if g[0] == 0)
         rcan = sorted({la.primitive(r) for r in rays if not la.is_zero_vec(r)})
-        eqs, eq_pivots = _canonical_basis(
-            [z for z, m in zip(rows, inc) if m == all_g])
+        eqs = _canonical_basis([z for z, m in zip(rows, inc) if m == all_g])
         rows = [rows[i] for i in _maximal(inc, all_g)]
         hs = set()
         for z in eqs:
             hs.update((_halfspace_from_homog(z), _halfspace_from_homog(vneg(z))))
         # the class of (-1, 0) is the inequality 0 . x <= 1, the face at
         # infinity: not a facet, though its normal need not reduce to zero
-        trivial = la.primitive(_reduce_off((-ONE,) + la.vzero(dim), eqs, eq_pivots))
+        trivial = la.primitive(_reduce_off((-ONE,) + la.vzero(dim), eqs))
         for z in rows:
-            z = _reduce_off(z, eqs, eq_pivots)
+            z = _reduce_off(z, eqs)
             if not la.is_zero_vec(z) and la.primitive(z) != trivial:
                 hs.add(_halfspace_from_homog(z))
         if not hs:
@@ -370,23 +372,26 @@ def polar(p: Polyhedron, center=None) -> Polyhedron:
     to the origin and must lie strictly inside p.
 
     With the center inside, the face lattice of the polar is that of p
-    turned upside down, so both descriptions are read off p with no
-    conversion: a facet a . x <= b of p gives the vertex a / (b - a . center),
-    a vertex v gives the facet (v - center) . y <= 1, and a ray r the facet
-    r . y <= 0 (a +/- pair of lineality rays gives an equality).  The origin
-    is one more vertex exactly when p's rays span the space.  The polar is
-    bounded and has no lineality.
+    turned upside down, so its canonical form is written down with no
+    conversion and no canonical-form pass: a facet a . x <= b of p gives the
+    vertex a / (b - a . center), a vertex v the facet (v - center) . y <= 1
+    (v - center reduced off p's lineality), and a ray r the facet r . y <= 0,
+    so a +/- pair of lineality rays gives an equality pair and the polar is
+    full-dimensional iff p has no lineality.  The origin is one more vertex
+    exactly when p's rays span the space.  The polar is bounded.
     """
     c = la.vzero(p.dim) if center is None else la.vec(center)
     if not p.contains_point(c, strict=True):
         raise OriginNotInterior("polar needs the center strictly inside p")
-    rows = [(-ONE,) + vsub(v, c) for v in p.vertices]
-    rows += [(ZERO,) + r for r in p.rays]
-    gens = [(ONE,) + vscale(ONE / h.eval_slack(c), h.normal)
-            for h in p.halfspaces]
+    verts = {vscale(ONE / h.eval_slack(c), h.normal) for h in p.halfspaces}
     if la.rank(p.rays) == p.dim:
-        gens.append((ONE,) + la.vzero(p.dim))
-    return Polyhedron._assemble(rows, gens, [], p.dim)
+        verts.add(la.vzero(p.dim))
+    hs = {HalfSpace.make(_reduce_off(vsub(v, c), p.lineality), ONE)
+          for v in p.vertices}
+    hs.update(HalfSpace.make(r, ZERO) for r in p.rays)
+    return Polyhedron(dim=p.dim, halfspaces=tuple(sorted(hs)),
+                      vertices=tuple(sorted(verts)), rays=(), lineality=(),
+                      fulldim=not p.lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +475,7 @@ def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
         m = tuple(tuple(lam if i == j else ZERO for j in range(p.dim))
                   for i in range(p.dim))
         return affine_image(p, m, v)
-    # each canonical basis row has its pivot at its first nonzero entry
-    pivots = [next(i for i, x in enumerate(l) if x != 0) for l in p.lineality]
-    s = _reduce_off(v, p.lineality, pivots)
+    s = _reduce_off(v, p.lineality)
     return Polyhedron(
         dim=p.dim,
         halfspaces=tuple(HalfSpace(h.normal, lam * h.offset + dot(h.normal, v))
@@ -622,8 +625,14 @@ def _face_frames(p: Polyhedron) -> list[tuple[Vec, list]]:
     return frames
 
 
-def _distance_sq(x: Vec, p: Polyhedron, frames) -> Fraction:
-    best = min(la.norm_sq(vsub(x, v)) for v in p.vertices)
+def _distance_sq(x: Vec, p: Polyhedron, frames, cap=None) -> Fraction:
+    """Squared distance from x to p, or the first value <= cap found."""
+    best = None
+    for v in p.vertices:
+        d = la.norm_sq(vsub(x, v))
+        if cap is not None and d <= cap:
+            return d
+        best = d if best is None else min(best, d)
     for base, basis in frames:
         rel = vsub(x, base)
         proj = base
@@ -631,6 +640,8 @@ def _distance_sq(x: Vec, p: Polyhedron, frames) -> Fraction:
             proj = vadd(proj, vscale(dot(rel, b) / bb, b))
         d = la.norm_sq(vsub(x, proj))
         if d < best and p.contains_point(proj):
+            if cap is not None and d <= cap:
+                return d
             best = d
     return best
 
@@ -652,13 +663,15 @@ def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
     sup over p of the distance to q is attained at a vertex of p because the
     distance function to a convex set is convex; likewise with the roles
     swapped.  All comparisons happen on squared values, so no roots appear.
+    Each walk stops at a point no farther than the running maximum, which
+    cannot raise it (the early break of Taha & Hanbury, TPAMI 2015).
     """
     p_frames, q_frames = _face_frames(p), _face_frames(q)
     d = ZERO
     for v in p.vertices:
-        d = max(d, _distance_sq(v, q, q_frames))
+        d = max(d, _distance_sq(v, q, q_frames, d))
     for v in q.vertices:
-        d = max(d, _distance_sq(v, p, p_frames))
+        d = max(d, _distance_sq(v, p, p_frames, d))
     return d
 
 

@@ -77,7 +77,7 @@ class ScenarioReport:
     def to_obj(self) -> dict:
         return {
             "scenario": self.scenario,
-            "params": {k: (v if isinstance(v, int) else la.format_frac(v))
+            "params": {k: (int(v) if v.denominator == 1 else la.format_frac(v))
                        for k, v in self.params.items()},
             "passed": self.passed,
             "assertions": [{"name": a.name, "pass": a.passed,
@@ -525,17 +525,22 @@ def _inapprox_checks(params):
 
 def _gauge_metric_checks(params):
     checks_n, seedbits = params["checks"], params["seed"]
+    faces = {}  # cube_face_construction(n, i).body, built when first asked for
+
+    def cube_face(n, i):
+        if (n, i) not in faces:
+            faces[n, i] = cube_face_construction(n, i).body
+        return faces[n, i]
 
     def body_pool(rng):
         pool = [
-            (cube_face_construction(2, 4).body, F12),
+            (cube_face(2, 4), F12),
             (base_triangle(rng.randint(1, 3)), F12),
             (split_along((0, 1), 0), F12),
             (Polyhedron.from_generators(
                 [(ZERO, ZERO), (F(3), ZERO), (ZERO, F(2)), (F(3), F(2))]),
              (ONE, ONE)),
-            (cube_face_construction(3, rng.choice((4, 6, 8))).body,
-             (F(1, 2), F(1, 2), F(1, 2))),
+            (cube_face(3, rng.choice((4, 6, 8))), (F(1, 2), F(1, 2), F(1, 2))),
         ]
         return pool
 
@@ -582,7 +587,7 @@ def _gauge_metric_checks(params):
 
     def metric_axioms():
         rng = random.Random(f"{seedbits}:met")
-        bodies = [cube_face_construction(2, 4).body, base_triangle(1),
+        bodies = [cube_face(2, 4), base_triangle(1),
                   base_triangle(2), split_along((0, 1), 0),
                   Polyhedron.from_generators(
                       [(ZERO, ZERO), (F(3), ZERO), (ZERO, F(2)), (F(3), F(2))]),
@@ -652,7 +657,7 @@ SCENARIOS = {
         _approximation_checks, {"count": 30, "seed": 0},
         "facet caps and factor bounds for both approximation pipelines"),
     "inapprox-witnesses": _Spec(
-        _inapprox_checks, {"alpha_hi": 10, "samples": 20, "seed": 0},
+        _inapprox_checks, {"alpha_hi": F(10), "samples": 20, "seed": 0},
         "towers and pyramids forcing facet counts, with proof identities"),
     "gauge-metric-properties": _Spec(
         _gauge_metric_checks, {"checks": 1000, "seed": 0},
@@ -666,8 +671,9 @@ def list_scenarios():
 
 def _coerce(key, value, default):
     try:
-        value = int(value) if isinstance(default, int) else la.frac(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        value = (int(value) if isinstance(default, int)
+                 else la.parse_frac(str(value)))
+    except (TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"parameter {key}: bad value {value!r}") from exc
     if key != "seed" and value < (1 if key == "tmax" else 0):
         raise OutOfRange(f"parameter {key} = {value} out of range")

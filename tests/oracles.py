@@ -280,3 +280,23 @@ def fraction_cone_dd(rows: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
         processed.append(a)
 
     return lines, rays
+
+
+def assembled_polar(p, center=None):
+    """(p - center) polar through ``Polyhedron._assemble``: the vertex rows,
+    the ray rows and the facet points go through the canonical-form pass,
+    which finds the equalities and drops redundant rows by incidence.  The
+    reference for the closed-form ``geometry.polar``."""
+    from latcut.errors import OriginNotInterior
+    from latcut.geometry import Polyhedron
+
+    c = la.vzero(p.dim) if center is None else la.vec(center)
+    if not p.contains_point(c, strict=True):
+        raise OriginNotInterior("polar needs the center strictly inside p")
+    rows = [(-ONE,) + vsub(v, c) for v in p.vertices]
+    rows += [(ZERO,) + r for r in p.rays]
+    gens = [(ONE,) + vscale(ONE / h.eval_slack(c), h.normal)
+            for h in p.halfspaces]
+    if la.rank(p.rays) == p.dim:
+        gens.append((ONE,) + la.vzero(p.dim))
+    return Polyhedron._assemble(rows, gens, [], p.dim)

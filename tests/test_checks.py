@@ -12,7 +12,7 @@ import textwrap
 from pathlib import Path
 
 import latcut
-from latcut import cli, constructions, lattice
+from latcut import cli, constructions, lattice, scenarios
 from latcut.scenarios import run_scenario
 
 PACKAGE = Path(latcut.__file__).parent
@@ -122,3 +122,14 @@ def test_construct_certifies_once(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert len(calls) == 1, argv
+
+
+def test_gauge_metric_builds_each_cube_face_body_once(monkeypatch):
+    # the four checks share one body per (n, i): (2, 4) and up to three
+    # 3-d bodies, where each check's pool used to build its own
+    calls = counting(monkeypatch, scenarios, "cube_face_construction")
+    for seed in (0, 7, 1007, 2007):
+        calls.clear()
+        assert run_scenario("gauge-metric-properties",
+                            {"checks": 8, "seed": seed}).passed
+        assert len(calls) <= 4 and len(calls) == len(set(calls)), (seed, calls)

@@ -226,11 +226,24 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     ("rho-closed-form", "--param", "trials=-3"),
     ("split-vs-triangles", "--param", "tmax=0"),
     ("cubeface-census", "--param", "n=-1"),
+    ("inapprox-witnesses", "--param", "samples=5/2"),
 ])
 def test_bad_scenario_parameters_exit_two(capsys, argv):
     code, out, err = run(capsys, "scenario", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and argv[-1].partition("=")[0] in err
+
+
+def test_alpha_hi_takes_a_rational(capsys):
+    params = {}
+    for alpha in ("5/2", "10"):
+        code, out, err = run(capsys, "scenario", "inapprox-witnesses", "--json",
+                             "--param", f"alpha_hi={alpha}",
+                             "--param", "samples=2")
+        assert (code, err) == (0, "")
+        params[alpha] = json.loads(out)["params"]["alpha_hi"]
+    # an integral ratio prints as the int the default prints as
+    assert params == {"5/2": "5/2", "10": 10}
 
 
 def test_failed_construction_check_exits_one(capsys, monkeypatch):

@@ -202,8 +202,12 @@ def test_f_metric_triangles_to_split():
 
 
 def test_f_metric_requires_interior():
-    with pytest.raises(PointNotInterior):
-        f_metric(SQ01, SPLIT_V, (0, F(1, 2)))
+    # f on the boundary of both bodies, then inside only the first one
+    for b1, b2, f in ((SQ01, SPLIT_V, (0, F(1, 2))),
+                      (SPLIT_V, SQ01, (F(1, 2), F(3, 2)))):
+        with pytest.raises(PointNotInterior,
+                           match="^polar metric needs interior points$"):
+            f_metric(b1, b2, f)
 
 
 def test_gauge_convergence_triangles():

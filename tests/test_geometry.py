@@ -23,6 +23,8 @@ from latcut.geometry import (
     Polyhedron,
     UnimodularMap,
     _canonical_basis,
+    _distance_sq,
+    _face_frames,
     affine_image,
     cone_dd,
     embed_last_axis,
@@ -42,6 +44,7 @@ from latcut.jsonio import parse_polyhedron
 from latcut.lattice import facet_interior_lattice_point
 
 from oracles import (
+    assembled_polar,
     brute_force_lp,
     brute_force_slice,
     brute_force_vertices,
@@ -420,6 +423,79 @@ def test_polar_closed_form_matches_conversion():
     assert la.vzero(2) not in polar(POLAR_BODIES[4]).vertices
 
 
+def _polar_inputs(rng, each):
+    """Seeded full-dimensional 1-3-d bodies, ``each`` of every kind (bounded,
+    pointed with rays that span less than the space, pointed with rays that
+    span it, and with lineality), each with its strictly interior centers."""
+    def q():
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+    def r(n):
+        return tuple(F(rng.randint(-2, 2)) for _ in range(n))
+
+    kinds = ("bounded", "rays", "spanning", "lineality")
+    out = {kind: [] for kind in kinds}
+    while min(map(len, out.values())) < each:
+        n = rng.randint(1, 3)
+        pts = [tuple(q() for _ in range(n)) for _ in range(n + rng.randint(1, 3))]
+        rays = [r(n) for _ in range(rng.randint(0, n + 1))]
+        if rng.random() < 0.3:
+            line = r(n)
+            rays += [line, la.vneg(line)]
+        try:
+            p = Polyhedron.from_generators(
+                pts, [x for x in rays if not la.is_zero_vec(x)], n)
+        except WholeSpace:
+            continue
+        if not p.fulldim:
+            continue
+        kind = ("lineality" if p.lineality else "bounded" if not p.rays
+                else "spanning" if la.rank(p.rays) == n else "rays")
+        inner = p.relative_interior_point()
+        centers = [inner]
+        for _ in range(2):
+            # the midpoint of the interior point and a vertex or a ray step
+            v = rng.choice(p.vertices)
+            for x in p.rays:
+                v = la.vadd(v, la.vscale(rng.randint(0, 2), x))
+            centers.append(tuple((a + b) / 2 for a, b in zip(inner, v)))
+        out[kind].append(
+            (p, [c for c in centers if p.contains_point(c, strict=True)]))
+    return out
+
+
+def test_polar_matches_the_assembled_route():
+    origin_inside = 0
+    for kind, bodies in _polar_inputs(random.Random(13), 30).items():
+        for p, centers in bodies:
+            if p.contains_point(la.vzero(p.dim), strict=True):
+                centers = centers + [None]
+                origin_inside += 1
+            for c in centers:
+                got = polar(p, c)
+                assert repr(got) == repr(assembled_polar(p, c)), (kind, p, c)
+                assert got.fulldim == (kind != "lineality")
+    assert origin_inside >= 10
+
+
+def test_polar_and_f_metric_run_no_assemble(monkeypatch):
+    calls = []
+    real = Polyhedron._assemble
+
+    def counting_assemble(rows, gens, lins, dim):
+        calls.append(dim)
+        return real(rows, gens, lins, dim)
+
+    inputs = _polar_inputs(random.Random(17), 5)
+    pairs = [(p, homothety(p, c, 2), c) for bodies in inputs.values()
+             for p, centers in bodies for c in centers]
+    monkeypatch.setattr(Polyhedron, "_assemble", staticmethod(counting_assemble))
+    for p, big, c in pairs:
+        polar(p, c)
+        f_metric(p, big, c)
+    assert calls == []
+
+
 def test_polar_of_unbounded_body_is_lower_dimensional():
     # polar of a slab is a segment (scaled normals), exact duality kept
     slab = Polyhedron.from_halfspaces([((0, 1), 2), ((0, -1), 2)], 2)
@@ -686,6 +762,32 @@ def test_distances_match_subset_scan():
         assert hausdorff_sq(p, q) == scan_hausdorff(p, q)
     with pytest.raises(ValueError):
         squared_distance_point((0, 0), POLAR_BODIES[3])
+
+
+def test_capped_distance_stops_at_the_cap():
+    rng = random.Random(23)
+
+    def pt(n):
+        return tuple(F(rng.randint(-8, 8), 2) for _ in range(n))
+
+    fired = above_exact = 0
+    for _ in range(30):
+        n = rng.randint(2, 3)
+        p = Polyhedron.from_generators([pt(n) for _ in range(n + 3)])
+        frames = _face_frames(p)
+        for _ in range(4):
+            x = pt(n)
+            exact = squared_distance_point(x, p)
+            for cap in (F(0), exact - 1, exact - F(1, 7), exact, exact + F(1, 3),
+                        exact + 4, 4 * exact + 9):
+                got = _distance_sq(x, p, frames, cap)
+                if exact > cap:
+                    assert got == exact
+                else:
+                    assert exact <= got <= cap
+                    fired += 1
+                    above_exact += got > exact
+    assert fired > 0 and above_exact > 0
 
 
 def test_halfspace_normalization():
