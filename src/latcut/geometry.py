@@ -49,6 +49,7 @@ stored incidence, and a Hausdorff walk stops at its running maximum.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,13 +144,13 @@ class HalfSpace:
     def make(normal, offset) -> "HalfSpace":
         normal = la.vec(normal)
         offset = la.frac(offset)
-        if la.is_zero_vec(normal):
+        # one positive scale turns the row into ints b, a; dividing by the
+        # gcd g of a makes the normal primitive
+        b, *a = la.integer_copy((offset,) + normal)
+        g = math.gcd(*a)
+        if g == 0:
             raise ValueError("half-space needs a nonzero normal")
-        prim = la.primitive(normal)
-        # positive scale factor relating normal to its primitive form
-        j = next(i for i, x in enumerate(normal) if x != 0)
-        scale = prim[j] / normal[j]
-        return HalfSpace(prim, offset * scale)
+        return HalfSpace(tuple(Fraction(z // g) for z in a), Fraction(b, g))
 
     def eval_slack(self, x: Vec) -> Fraction:
         return self.offset - dot(self.normal, x)

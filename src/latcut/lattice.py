@@ -10,20 +10,25 @@ witnesses on every facet certify maximality).
 
 Every interior and facet search ends in one strict integer search.
 ``_strict_integer`` solves den * t < num over all rows for an integer t (the
-largest when t is bounded above, else the smallest).  ``_scan`` runs the
-other coordinates over their integer ranges and solves one axis with it:
-bounded bodies scan their box, a half-line is a scan with no other axis,
-and a planar body with pointed recession scans its columns.  A facet
-search in the plane solves along the integer points of the facet's line.
-A pointed unbounded body of dimension 3 or more whose last coordinate is
-bounded is searched level by level: each integer level strictly inside the
-range cuts a full-dimensional slice, searched one dimension down.
+largest when t is bounded above, else the smallest).  It bounds t by floor
+division, -(-num // den) - 1 from above or num // den + 1 from below, which
+is exact for int and for Fraction pairs alike.  ``_scan`` runs the other
+coordinates over their integer ranges and solves one axis with it: bounded
+bodies scan their box, a half-line is a scan with no other axis, and a
+planar body with pointed recession scans its columns.  It scales each
+half-space to an int row once, so a candidate costs one int dot product per
+row and no Fraction is built until a point is found.  A facet search in
+the plane solves along the integer points of the facet's line.  A pointed
+unbounded body of dimension 3 or more whose last coordinate is bounded is
+searched level by level: each integer level strictly inside the range cuts
+a full-dimensional slice, searched one dimension down.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,24 +125,25 @@ def _strict_integer(pairs):
     """An integer t with den * t < num for every pair (num, den), or None.
 
     The largest such t when some den > 0 bounds t from above, else the
-    smallest; 0 when no pair bounds t.
+    smallest; 0 when no pair bounds t.  The pairs may be ints or Fractions:
+    t < num / den is t <= -(-num // den) - 1 when den > 0, and t > num / den
+    is t >= num // den + 1 when den < 0, both exact in floor division.
     """
     lo = hi = None
     for num, den in pairs:
-        if den == 0:
-            if num <= 0:
-                return None
-            continue
-        bound = num / den
         if den > 0:
-            if hi is None or bound < hi:
-                hi = bound
-        elif lo is None or bound > lo:
-            lo = bound
+            t = -(-num // den) - 1
+            if hi is None or t < hi:
+                hi = t
+        elif den < 0:
+            t = num // den + 1
+            if lo is None or t > lo:
+                lo = t
+        elif num <= 0:
+            return None
     if hi is not None:
-        t = math.ceil(hi) - 1
-        return t if lo is None or t > lo else None
-    return 0 if lo is None else math.floor(lo) + 1
+        return hi if lo is None or hi >= lo else None
+    return 0 if lo is None else lo
 
 
 def _scan(halfspaces, ranges, axis: int):
@@ -145,14 +151,18 @@ def _scan(halfspaces, ranges, axis: int):
 
     The coordinates other than axis run over their integer ranges in
     itertools.product order (ranges[axis] is ignored); for each choice the
-    axis coordinate is solved exactly by _strict_integer.
+    axis coordinate is solved exactly by _strict_integer.  Each half-space
+    a . x < b is scaled once to an int row, so a candidate costs one int
+    dot product per row.
     """
     others = [i for i in range(len(ranges)) if i != axis]
+    rows = []
+    for h in halfspaces:
+        b, *a = la.integer_copy((h.offset,) + h.normal)
+        rows.append((b, [a[i] for i in others], a[axis]))
     for combo in itertools.product(*(ranges[i] for i in others)):
-        t = _strict_integer(
-            (h.offset - sum((h.normal[i] * c for i, c in zip(others, combo)), ZERO),
-             h.normal[axis])
-            for h in halfspaces)
+        t = _strict_integer((b - sum(map(operator.mul, a, combo)), a_axis)
+                            for b, a, a_axis in rows)
         if t is None:
             continue
         z = [Fraction(t)] * len(ranges)

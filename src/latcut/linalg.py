@@ -30,6 +30,8 @@ def frac(x) -> Fraction:
 
     Floats are rejected: exactness is a package-wide contract.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("float input is not exact; pass int, str, or Fraction")
     return Fraction(x)

@@ -1,8 +1,18 @@
 """Exact rational simplex for systems A x <= b with free variables.
 
-Two-phase dense tableau method.  Bland's rule everywhere, which with exact
-Fractions guarantees termination.  Free variables are split into differences
-of nonnegatives; rows with negative right-hand side get a phase-1 artificial.
+Two-phase dense tableau method.  Free variables are split into differences
+of nonnegatives; rows with negative right-hand side get a phase-1
+artificial.  Every tableau row, and the objective row riding below them, is
+a list of ints (the rhs last) over one positive int denominator.  A pivot
+clears a column by (row * p - f * prow) / (d * p), p the positive pivot
+entry and f the row's entry in the column, then divides out
+gcd(d, *row), so entries stay the size of reduced fractions.
+
+Bland's rule everywhere: the lowest entering column, the minimum ratio
+b_i / t_ie, ties broken by the lower basis index.  The denominators cancel
+within a row, so each ratio comparison is one cross-multiplication of ints.
+The comparisons are exact, which guarantees termination, and only the
+returned ``LpResult`` holds Fractions.
 
 This solver is deliberately independent of the polyhedron code so that linear
 programming over an H-description and vertex enumeration stay two separate
@@ -11,9 +21,12 @@ routes that can be checked against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg as la
+from .errors import DimensionMismatch
 from .linalg import Vec, ZERO, ONE, dot
 
 _MAX = "max"
@@ -33,123 +46,134 @@ def solve_ineq(rows: list[Vec], rhs: list[Fraction], objective: Vec,
     """Optimize objective . x over {x : rows[i] . x <= rhs[i]}, x free."""
     if sense not in (_MAX, _MIN):
         raise ValueError("sense must be 'max' or 'min'")
+    objective = la.vec(objective)
+    rows = [la.vec(r) for r in rows]
+    rhs = [la.frac(b) for b in rhs]
     n = len(objective)
-    c_obj = objective if sense == _MAX else tuple(-v for v in objective)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("rows and objective differ in dimension")
+    c_obj = objective if sense == _MAX else la.vneg(objective)
 
     m = len(rows)
-    neg = [i for i in range(m) if rhs[i] < 0]
-    n_art = len(neg)
+    n_art = sum(1 for b in rhs if b < 0)
     ncols = 2 * n + m + n_art
     art_base = 2 * n + m
 
-    tab: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    # tab[:len(basis)] are the constraint rows; while a phase runs, its
+    # objective row is tab[-1].  Row i means tab[i] / den[i].
+    tab: list[list[int]] = []
+    den: list[int] = []
     basis: list[int] = []
-    art_index = 0
+    art_index = art_base
     for i in range(m):
         sign = -1 if rhs[i] < 0 else 1
-        row = [ZERO] * ncols
+        entries = rows[i] + (rhs[i],)
+        a, d = la.integer_copy(entries), la.denominator_lcm(entries)
+        row = [0] * (ncols + 1)
         for j in range(n):
-            row[j] = sign * rows[i][j]
-            row[n + j] = -sign * rows[i][j]
-        row[2 * n + i] = Fraction(sign)
+            row[j] = sign * a[j]
+            row[n + j] = -sign * a[j]
+        row[2 * n + i] = sign * d
+        row[-1] = sign * a[-1]
         if sign < 0:
-            row[art_base + art_index] = ONE
-            basis.append(art_base + art_index)
+            row[art_index] = d
+            basis.append(art_index)
             art_index += 1
         else:
             basis.append(2 * n + i)
         tab.append(row)
-        b.append(sign * rhs[i])
+        den.append(d)
 
-    def pivot(r: int, j: int, z: list[Fraction]) -> None:
-        pv = tab[r][j]
-        tab[r] = [x / pv for x in tab[r]]
-        b[r] /= pv
+    def clear(i: int, r: int, j: int) -> None:
+        """Clear column j of row i by row r, whose entry there is positive."""
+        row, prow = tab[i], tab[r]
+        f, p = row[j], prow[j]
+        new = [x * p - f * y for x, y in zip(row, prow)]
+        d = den[i] * p
+        g = math.gcd(d, *new)
+        tab[i] = [x // g for x in new]
+        den[i] = d // g
+
+    def pivot(r: int, j: int) -> None:
+        prow = tab[r]
+        g = math.gcd(*prow) if prow[j] > 0 else -math.gcd(*prow)
+        tab[r] = [x // g for x in prow]
+        den[r] = tab[r][j]
         for i in range(len(tab)):
             if i != r and tab[i][j] != 0:
-                f = tab[i][j]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
-                b[i] -= f * b[r]
-        if z[j] != 0:
-            f = z[j]
-            for k in range(ncols):
-                z[k] -= f * tab[r][k]
+                clear(i, r, j)
         basis[r] = j
 
-    def run(z: list[Fraction], allowed: int) -> int | None:
-        """Bland iterations on objective row z (maximization).  Returns the
-        entering column on unboundedness, else None at optimality."""
+    def start(z: list[int], d: int) -> None:
+        """Append the objective row z / d with every basic column cleared;
+        the basic entry of row r is den[r] > 0."""
+        tab.append(z)
+        den.append(d)
+        for r, bv in enumerate(basis):
+            if tab[-1][bv] != 0:
+                clear(len(tab) - 1, r, bv)
+
+    def run(allowed: int) -> int | None:
+        """Bland iterations on the objective row tab[-1] (maximization).
+        Returns the entering column on unboundedness, else None at
+        optimality."""
         while True:
+            z = tab[-1]
             enter = next((j for j in range(allowed) if z[j] > 0), None)
             if enter is None:
                 return None
             best_r = None
-            best_ratio = None
-            for i in range(len(tab)):
-                if tab[i][enter] > 0:
-                    ratio = b[i] / tab[i][enter]
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio and basis[i] < basis[best_r])):
-                        best_ratio = ratio
+            for i in range(len(basis)):
+                t = tab[i][enter]
+                if t > 0:
+                    if best_r is None:
+                        best_r = i
+                        continue
+                    # b_i / t < b_best / t_best, both over the rows' own
+                    # denominators, which cancel
+                    lhs = tab[i][-1] * tab[best_r][enter]
+                    rhs_ = tab[best_r][-1] * t
+                    if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[best_r]):
                         best_r = i
             if best_r is None:
                 return enter
-            pivot(best_r, enter, z)
+            pivot(best_r, enter)
 
     # phase 1: maximize -(sum of artificials)
     if n_art:
-        z1 = [ZERO] * ncols
-        for j in range(art_base, ncols):
-            z1[j] = Fraction(-1)
-        # canonicalize against the artificial basis rows
-        for r, bv in enumerate(basis):
-            if bv >= art_base:
-                for k in range(ncols):
-                    z1[k] += tab[r][k]
-        run(z1, ncols)
-        ph1 = sum((b[r] for r, bv in enumerate(basis) if bv >= art_base), ZERO)
-        if ph1 != 0:
+        start([0] * art_base + [-1] * n_art + [0], 1)
+        run(ncols)
+        # every b_i stays >= 0, so the artificials sum to 0 only if each is 0
+        if any(tab[r][-1] != 0 for r, bv in enumerate(basis) if bv >= art_base):
             return LpResult(status="infeasible")
         # drive remaining artificials (all at value 0) out of the basis
-        for r in range(len(tab)):
+        for r in range(len(basis)):
             if basis[r] >= art_base:
                 col = next((j for j in range(art_base) if tab[r][j] != 0), None)
                 if col is not None:
-                    pivot(r, col, z1)
-        keep = [r for r in range(len(tab)) if basis[r] < art_base]
-        if len(keep) != len(tab):
-            tabs = [tab[r] for r in keep]
-            bs = [b[r] for r in keep]
-            bas = [basis[r] for r in keep]
-            tab.clear(); tab.extend(tabs)
-            b.clear(); b.extend(bs)
-            basis.clear(); basis.extend(bas)
+                    pivot(r, col)
+        keep = [r for r in range(len(basis)) if basis[r] < art_base]
+        tab[:] = [tab[r] for r in keep]
+        den[:] = [den[r] for r in keep]
+        basis[:] = [basis[r] for r in keep]
 
     # phase 2
-    cost = [ZERO] * ncols
-    for j in range(n):
-        cost[j] = c_obj[j]
-        cost[n + j] = -c_obj[j]
-    z2 = list(cost)
-    for r, bv in enumerate(basis):
-        if cost[bv] != 0:
-            f = cost[bv]
-            for k in range(ncols):
-                z2[k] -= f * tab[r][k]
-    enter = run(z2, art_base)
+    cost = la.integer_copy(c_obj)
+    start(cost + [-x for x in cost] + [0] * (ncols - 2 * n + 1),
+          la.denominator_lcm(c_obj))
+    enter = run(art_base)
 
     def current_point() -> Vec:
         full = [ZERO] * ncols
         for r, bv in enumerate(basis):
-            full[bv] = b[r]
+            full[bv] = Fraction(tab[r][-1], den[r])
         return tuple(full[j] - full[n + j] for j in range(n))
 
     if enter is not None:
         d_full = [ZERO] * ncols
         d_full[enter] = ONE
         for r, bv in enumerate(basis):
-            d_full[bv] = -tab[r][enter]
+            d_full[bv] = Fraction(-tab[r][enter], den[r])
         ray = tuple(d_full[j] - d_full[n + j] for j in range(n))
         return LpResult(status="unbounded", point=current_point(), ray=ray)
 

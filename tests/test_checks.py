@@ -12,7 +12,7 @@ import textwrap
 from pathlib import Path
 
 import latcut
-from latcut import cli, constructions, lattice, scenarios
+from latcut import cli, constructions, geometry, lattice, scenarios, simplex
 from latcut.scenarios import run_scenario
 
 PACKAGE = Path(latcut.__file__).parent
@@ -92,9 +92,9 @@ def counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -109,6 +109,25 @@ def test_facet_searches_per_scenario(monkeypatch):
         assert run_scenario(name).passed
         counts[name] = len(calls)
     assert counts == {"cubeface-census": 44, "inapprox-witnesses": 32}, counts
+
+
+def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
+    # exact work at default parameters, the same on any host: one
+    # _strict_integer call per lattice candidate scanned (and per planar
+    # facet line), and the LPs that the lifting separation solves
+    candidates = counting(monkeypatch, lattice, "_strict_integer")
+    lps = counting(monkeypatch, simplex, "solve_ineq")
+    for module in (geometry, constructions):
+        monkeypatch.setattr(module, "solve_ineq", simplex.solve_ineq)
+    counts = {}
+    for name in ("cubeface-census", "lifting-end-to-end", "inapprox-witnesses"):
+        candidates.clear()
+        lps.clear()
+        assert run_scenario(name).passed
+        counts[name] = (len(candidates), len(lps))
+    assert counts == {"cubeface-census": (111, 0),
+                      "lifting-end-to-end": (120, 31),
+                      "inapprox-witnesses": (1538, 0)}, counts
 
 
 def test_construct_certifies_once(monkeypatch):

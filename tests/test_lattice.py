@@ -40,7 +40,12 @@ from latcut.lattice import (
     point_denominator,
 )
 
-from oracles import first_strict_point_by_columns, lattice_points_in_hrep
+from oracles import (
+    brute_force_vertices,
+    first_strict_point_by_columns,
+    fraction_strict_integer,
+    lattice_points_in_hrep,
+)
 
 DIAMOND = Polyhedron.from_halfspaces(
     [((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1)], 2)
@@ -405,6 +410,57 @@ def test_interior_point_follows_the_column_scan():
         assert interior_lattice_point(p) == want
         found += want is not None
     assert found > 20
+
+
+def test_strict_integer_matches_its_fraction_reference():
+    # int pairs (as _scan passes them) and Fraction pairs (as the planar
+    # facet search passes them) round by floor division to the integer the
+    # Fraction bounds round to by ceil and floor
+    rng = random.Random(5)
+    for _ in range(3000):
+        k = rng.randint(0, 5)
+        dens = [rng.randint(-4, 4) for _ in range(k)]
+        nums = [rng.randint(-30, 30) for _ in range(k)]
+        want = fraction_strict_integer(
+            [(F(a), F(b)) for a, b in zip(nums, dens)])
+        assert lattice._strict_integer(zip(nums, dens)) == want
+        q = [rng.randint(1, 6) for _ in range(k)]
+        rational = [(F(a, c), F(b, rng.randint(1, 3)))
+                    for a, b, c in zip(nums, dens, q)]
+        assert lattice._strict_integer(rational) == fraction_strict_integer(
+            rational)
+
+
+def test_scan_matches_the_column_oracle_on_random_boxes():
+    # a rational box cut by a few rational half-spaces that keep its
+    # center inside, scanned in int rows and by the Fraction oracle
+    rng = random.Random(29)
+    found = 0
+    for trial in range(80):
+        n = 2 + trial % 2
+        lo = [F(rng.randint(-12, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+        hi = [a + F(rng.randint(1, 16), rng.choice((1, 2))) for a in lo]
+        rows = []
+        for i in range(n):
+            e = tuple(F(int(i == j)) for j in range(n))
+            rows += [(e, hi[i]), (tuple(-x for x in e), -lo[i])]
+        center = tuple((a + b) / 2 for a, b in zip(lo, hi))
+        for _ in range(rng.randint(0, 3)):
+            a = tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 4)))
+                      for _ in range(n))
+            if any(a):
+                rows.append((a, la.dot(a, center) + F(rng.randint(1, 9), 4)))
+        verts = brute_force_vertices(rows, n)
+        vlo = [min(v[i] for v in verts) for i in range(n)]
+        vhi = [max(v[i] for v in verts) for i in range(n)]
+        axis = max(range(n), key=lambda i: vhi[i] - vlo[i])
+        ranges = [range(math.ceil(vlo[i]), math.floor(vhi[i]) + 1)
+                  for i in range(n)]
+        got = lattice._scan([HalfSpace.make(a, b) for a, b in rows], ranges,
+                            axis)
+        assert got == first_strict_point_by_columns(rows, n)
+        found += got is not None
+    assert 20 < found < 80
 
 
 def test_planar_facet_witness_is_furthest_along_the_facet():
