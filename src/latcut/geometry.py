@@ -167,9 +167,8 @@ def _halfspace_from_homog(z: Vec) -> HalfSpace:
 
 def _canonical_basis(lines: list[Vec]) -> list[Vec]:
     """RREF the line vectors, then scale each row primitive."""
-    rows, _ = la._rref([list(l) for l in lines])
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    return [la.primitive(tuple(r)) for r in rows]
+    tab, _, _ = la.rref_int(lines)
+    return [tuple(map(Fraction, la.primitive_int(r))) for r in tab if any(r)]
 
 
 def _reduce_off(v: Vec, basis: list[Vec]) -> Vec:
@@ -408,11 +407,15 @@ class UnimodularMap:
     shift: Vec
 
     def __post_init__(self):
+        n = len(self.matrix)
+        if any(len(row) != n for row in self.matrix) or len(self.shift) != n:
+            raise DimensionMismatch("unimodular map needs an n x n matrix "
+                                    "and a shift of length n")
         if any(x.denominator != 1 for row in self.matrix for x in row):
             raise ValueError("unimodular matrix must be integer")
         if any(x.denominator != 1 for x in self.shift):
             raise ValueError("unimodular shift must be integer")
-        if la.det(self.matrix) not in (1, -1):
+        if not la.has_integer_inverse(self.matrix):
             raise ValueError("matrix determinant must be +1 or -1")
 
     @staticmethod
@@ -434,7 +437,12 @@ def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
 
     Invertible affine maps carry facets to facets and extreme rays to extreme
     rays, so both descriptions transform directly with no reconversion.
+    The matrix and shift may hold ints or Fractions, not floats.
     """
+    matrix = tuple(la.vec(row) for row in matrix)
+    shift = la.vec(shift)
+    if any(len(row) != p.dim for row in (shift,) + matrix) or len(matrix) != p.dim:
+        raise DimensionMismatch("map dimension mismatch")
     inv_t = la.transpose(la.inverse(matrix))
     rows = []
     # a . x <= b  ->  (a inv) . y <= b + (a inv) . shift
@@ -448,8 +456,6 @@ def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
 
 
 def transform(p: Polyhedron, t: UnimodularMap) -> Polyhedron:
-    if len(t.shift) != p.dim:
-        raise DimensionMismatch("map dimension mismatch")
     return affine_image(p, t.matrix, t.shift)
 
 

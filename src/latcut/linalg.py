@@ -8,6 +8,10 @@ exactly the invariant the rest of the code relies on.  Kernels may work on
 integer copies internally (``integer_copy``) and return Fractions: ``dot``
 sums into one integer numerator over the product of the denominators and
 builds one Fraction per call.  Floats never enter any computation here.
+
+One fraction-free Gauss-Jordan step, ``pivot``, does every elimination:
+``rref_int`` and so ``rank``, ``solve``, ``inverse``, ``kernel_basis`` and
+the unimodularity test, and the tableau of ``simplex.solve_ineq``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import require
+from .errors import DimensionMismatch, require
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -129,35 +133,64 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+# ---------------------------------------------------------------------------
+# fraction-free Gauss-Jordan: row i of a table means tab[i] / den[i], ints
+# over a positive int, and each step ends with one gcd reduction
+
+
+def clear(tab: list[list[int]], den: list[int], i: int, r: int, j: int) -> None:
+    """Clear column j of row i by row r, whose entry there is positive:
+    (row * p - f * prow) / (d * p), p the pivot entry, f row i's entry."""
+    row, prow = tab[i], tab[r]
+    f, p = row[j], prow[j]
+    new = [x * p - f * y for x, y in zip(row, prow)]
+    d = den[i] * p
+    g = math.gcd(d, *new)
+    tab[i] = [x // g for x in new]
+    den[i] = d // g
+
+
+def pivot(tab: list[list[int]], den: list[int], r: int, j: int) -> None:
+    """Pivot on the nonzero entry (r, j): row r becomes its primitive ints,
+    sign chosen to make entry j positive, over that entry (so the entry
+    reads 1), and column j is cleared from every other row."""
+    prow = tab[r]
+    g = math.gcd(*prow) if prow[j] > 0 else -math.gcd(*prow)
+    tab[r] = [x // g for x in prow]
+    den[r] = tab[r][j]
+    for i in range(len(tab)):
+        if i != r and tab[i][j] != 0:
+            clear(tab, den, i, r, j)
+
+
+def rref_int(m: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form of the rows of m as a table: (tab, den,
+    pivot columns).  Zero rows come last, over 1."""
+    tab = [integer_copy(row) for row in m]
+    den = [denominator_lcm(row) for row in m]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    for c in range(len(tab[0]) if tab else 0):
+        r = len(pivots)
+        if r == len(tab):
             break
-    return rows, pivots
+        i = next((i for i in range(r, len(tab)) if tab[i][c] != 0), None)
+        if i is None:
+            continue
+        tab[r], tab[i] = tab[i], tab[r]
+        den[r], den[i] = den[i], den[r]
+        pivot(tab, den, r, c)
+        pivots.append(c)
+    return tab, den, pivots
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form as Fraction rows, and the pivot columns."""
+    tab, den, pivots = rref_int(rows)
+    return [[Fraction(x, d) for x in row] for row, d in zip(tab, den)], pivots
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(row) for row in m]
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(rref_int(m)[2])
 
 
 def solve(m: Mat, b: Vec):
@@ -165,50 +198,40 @@ def solve(m: Mat, b: Vec):
     if not m:
         return None if any(x != 0 for x in b) else ()
     ncols = len(m[0])
-    aug = [list(row) + [bi] for row, bi in zip(m, b)]
-    rows, pivots = _rref(aug)
+    tab, den, pivots = rref_int([list(row) + [bi] for row, bi in zip(m, b)])
     # inconsistent iff a pivot lands in the augmented column
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
     for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
+        x[c] = Fraction(tab[r][ncols], den[r])
     return tuple(x)
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    rows, pivots = _rref(aug)
+    if any(len(row) != n for row in m):
+        raise DimensionMismatch("matrix is not square")
+    tab, den, pivots = rref_int(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row, d in zip(tab, den))
 
 
-def det(m: Mat) -> Fraction:
-    n = len(m)
-    rows = [list(row) for row in m]
-    out = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            out = -out
-        out *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
+def has_integer_inverse(m: Mat) -> bool:
+    """Whether the square matrix m has an integer inverse; for an integer m
+    that is det m = +1 or -1."""
+    try:
+        inv = inverse(m)
+    except ValueError:
+        return False
+    return all(is_integer_vec(row) for row in inv)
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """Rational basis of {x : m x = 0} (free-variable back substitution)."""
-    rows = [list(row) for row in m]
-    rows, pivots = _rref(rows)
+    rows, pivots = _rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
@@ -247,6 +270,17 @@ def project_off(v: Vec, basis: Sequence[Vec]) -> Vec:
 # ---------------------------------------------------------------------------
 # integer / unimodular utilities
 
+def _col_addmul(mats: list[list[int]], dst: int, src: int, k: int) -> None:
+    """Add k times column src to column dst in every row of mats."""
+    for w in mats:
+        w[dst] += k * w[src]
+
+
+def _col_swap(mats: list[list[int]], a: int, b: int) -> None:
+    for w in mats:
+        w[a], w[b] = w[b], w[a]
+
+
 def unimodular_with_bottom_row(u: Vec) -> Mat:
     """Unimodular integer matrix whose bottom row is the primitive vector u.
 
@@ -254,38 +288,23 @@ def unimodular_with_bottom_row(u: Vec) -> Mat:
     companion matrix records the operations; the inverse of that companion
     has u as its last row.
     """
-    u = primitive(u)
-    n = len(u)
-    row = [int(x) for x in u]
+    row = [int(x) for x in primitive(u)]
+    n = len(row)
     c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_addmul(dst, src, k):
-        row[dst] += k * row[src]
-        for i in range(n):
-            c[i][dst] += k * c[i][src]
-
-    def col_swap(a, b):
-        row[a], row[b] = row[b], row[a]
-        for i in range(n):
-            c[i][a], c[i][b] = c[i][b], c[i][a]
-
-    def col_neg(a):
-        row[a] = -row[a]
-        for i in range(n):
-            c[i][a] = -c[i][a]
-
+    both = [row] + c
     # euclid all entries into the last column
     for j in range(n - 1):
         while row[j] != 0:
             if row[n - 1] == 0 or abs(row[j]) < abs(row[n - 1]):
-                col_swap(j, n - 1)
+                _col_swap(both, j, n - 1)
             else:
-                col_addmul(j, n - 1, -(row[j] // row[n - 1]))
+                _col_addmul(both, j, n - 1, -(row[j] // row[n - 1]))
     if row[n - 1] < 0:
-        col_neg(n - 1)
+        for w in both:
+            w[n - 1] = -w[n - 1]
     # row = u.C = (0, ..., 0, gcd(u)) = e_n, so u is the last row of C^-1,
     # which is integral because C is a product of unimodular column steps
-    return inverse(tuple(tuple(Fraction(x) for x in r) for r in c))
+    return inverse(c)
 
 
 def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:
@@ -307,14 +326,13 @@ def alignment_unimodular(lines: Sequence[Vec]) -> Mat:
     if not lines:
         raise ValueError("no lineality directions given")
     n = len(lines[0])
-    perp = kernel_basis([list(l) for l in lines], n)
+    perp = kernel_basis(lines, n)
     if not perp:
         raise ValueError("lineality spans the whole space")
     # the transform is unimodular and its trailing columns span the kernel
     # lattice, so its inverse sends span(lines) onto the trailing axes
     c, rk = _column_echelon([primitive(p) for p in perp])
-    cmat = tuple(tuple(Fraction(c[i][j]) for j in range(n)) for i in range(n))
-    u = inverse(cmat)
+    u = inverse(c)
     for l in lines:
         require(is_zero_vec(mat_vec(u, l)[:rk]), "lineality misses the trailing axes")
     return u
@@ -327,18 +345,7 @@ def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:
     n = len(rows[0])
     work = [[int(x) for x in r] for r in rows]
     c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_addmul(dst, src, k):
-        for w in work:
-            w[dst] += k * w[src]
-        for i in range(n):
-            c[i][dst] += k * c[i][src]
-
-    def col_swap(a, b):
-        for w in work:
-            w[a], w[b] = w[b], w[a]
-        for i in range(n):
-            c[i][a], c[i][b] = c[i][b], c[i][a]
+    both = work + c
 
     pivot_col = 0
     for r in work:
@@ -349,10 +356,10 @@ def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:
             nz = [j for j in range(pivot_col, n) if r[j] != 0]
             if len(nz) == 1:
                 if nz[0] != pivot_col:
-                    col_swap(nz[0], pivot_col)
+                    _col_swap(both, nz[0], pivot_col)
                 break
             nz.sort(key=lambda j: abs(r[j]))
-            col_addmul(nz[1], nz[0], -(r[nz[1]] // r[nz[0]]))
+            _col_addmul(both, nz[1], nz[0], -(r[nz[1]] // r[nz[0]]))
         pivot_col += 1
         if pivot_col == n:
             break

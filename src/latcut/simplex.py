@@ -3,8 +3,9 @@
 Two-phase dense tableau method.  Free variables are split into differences
 of nonnegatives; rows with negative right-hand side get a phase-1
 artificial.  Every tableau row, and the objective row riding below them, is
-a list of ints (the rhs last) over one positive int denominator.  A pivot
-clears a column by (row * p - f * prow) / (d * p), p the positive pivot
+a list of ints (the rhs last) over one positive int denominator, and every
+pivot is the package's one fraction-free Gauss-Jordan step, ``la.pivot``:
+it clears a column by (row * p - f * prow) / (d * p), p the positive pivot
 entry and f the row's entry in the column, then divides out
 gcd(d, *row), so entries stay the size of reduced fractions.
 
@@ -21,7 +22,6 @@ routes that can be checked against each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,26 +84,6 @@ def solve_ineq(rows: list[Vec], rhs: list[Fraction], objective: Vec,
         tab.append(row)
         den.append(d)
 
-    def clear(i: int, r: int, j: int) -> None:
-        """Clear column j of row i by row r, whose entry there is positive."""
-        row, prow = tab[i], tab[r]
-        f, p = row[j], prow[j]
-        new = [x * p - f * y for x, y in zip(row, prow)]
-        d = den[i] * p
-        g = math.gcd(d, *new)
-        tab[i] = [x // g for x in new]
-        den[i] = d // g
-
-    def pivot(r: int, j: int) -> None:
-        prow = tab[r]
-        g = math.gcd(*prow) if prow[j] > 0 else -math.gcd(*prow)
-        tab[r] = [x // g for x in prow]
-        den[r] = tab[r][j]
-        for i in range(len(tab)):
-            if i != r and tab[i][j] != 0:
-                clear(i, r, j)
-        basis[r] = j
-
     def start(z: list[int], d: int) -> None:
         """Append the objective row z / d with every basic column cleared;
         the basic entry of row r is den[r] > 0."""
@@ -111,7 +91,7 @@ def solve_ineq(rows: list[Vec], rhs: list[Fraction], objective: Vec,
         den.append(d)
         for r, bv in enumerate(basis):
             if tab[-1][bv] != 0:
-                clear(len(tab) - 1, r, bv)
+                la.clear(tab, den, len(tab) - 1, r, bv)
 
     def run(allowed: int) -> int | None:
         """Bland iterations on the objective row tab[-1] (maximization).
@@ -137,7 +117,8 @@ def solve_ineq(rows: list[Vec], rhs: list[Fraction], objective: Vec,
                         best_r = i
             if best_r is None:
                 return enter
-            pivot(best_r, enter)
+            la.pivot(tab, den, best_r, enter)
+            basis[best_r] = enter
 
     # phase 1: maximize -(sum of artificials)
     if n_art:
@@ -151,7 +132,8 @@ def solve_ineq(rows: list[Vec], rhs: list[Fraction], objective: Vec,
             if basis[r] >= art_base:
                 col = next((j for j in range(art_base) if tab[r][j] != 0), None)
                 if col is not None:
-                    pivot(r, col)
+                    la.pivot(tab, den, r, col)
+                    basis[r] = col
         keep = [r for r in range(len(basis)) if basis[r] < art_base]
         tab[:] = [tab[r] for r in keep]
         den[:] = [den[r] for r in keep]

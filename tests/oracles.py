@@ -458,3 +458,55 @@ def fraction_solve_ineq(rows, rhs, objective, sense="max"):
     x = current_point()
     val = dot(objective, x)
     return LpResult(status="optimal", value=val, point=x)
+
+
+def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form in place; returns (rows, pivot column list).
+
+    The Fraction elimination ``linalg.rref_int`` replaced: the reference for
+    it and for ``rank``, ``solve``, ``inverse`` and ``kernel_basis``.  Its
+    entries must be Fractions (an int pivot divides to a float).
+    """
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def fraction_det(m) -> Fraction:
+    """Determinant by Fraction Gaussian elimination: the reference for the
+    unimodularity test ``linalg.has_integer_inverse``."""
+    n = len(m)
+    rows = [list(row) for row in m]
+    out = ONE
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            out = -out
+        out *= rows[c][c]
+        inv = ONE / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out

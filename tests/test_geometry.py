@@ -577,6 +577,32 @@ def test_unimodular_map_validation():
         UnimodularMap.make([[1, 0], [0, 1]], (F(1, 2), 0))
 
 
+def test_unimodular_map_needs_a_square_matrix_and_a_full_shift():
+    # a 2x3 matrix, a 3x2 matrix, and a shift one entry too long
+    for matrix, shift in [([[1, 0, 0], [0, 1, 0]], None),
+                          ([[1, 0], [0, 1], [0, 0]], None),
+                          ([[1, 0], [0, 1]], (0, 0, 0))]:
+        with pytest.raises(DimensionMismatch):
+            UnimodularMap.make(matrix, shift)
+
+
+def test_affine_image_takes_int_matrices_and_rejects_floats():
+    tri = Polyhedron.from_generators([(0, 0), (2, 0), (1, 2)])
+    img = affine_image(tri, ((2, 1), (1, 1)), (0, 0))
+    assert img == affine_image(tri, ((F(2), F(1)), (F(1), F(1))), (F(0), F(0)))
+    assert img == Polyhedron.from_generators([(0, 0), (4, 2), (4, 3)])
+    with pytest.raises(TypeError):
+        affine_image(tri, ((2.0, 1), (1, 1)), (0, 0))
+    with pytest.raises(TypeError):
+        affine_image(tri, ((2, 1), (1, 1)), (0.5, 0))
+    for matrix, shift in [(((1, 0, 0), (0, 1, 0)), (0, 0)),
+                          (((1, 0), (0, 1), (0, 0)), (0, 0)),
+                          (((1, 0), (0, 1)), (0, 0, 0)),
+                          (((1,),), (0,))]:
+        with pytest.raises(DimensionMismatch):
+            affine_image(tri, matrix, shift)
+
+
 def test_homothety_and_scale_shift():
     tri = Polyhedron.from_generators([(0, 0), (2, 0), (1, 2)])
     assert homothety(tri, (1, 1), 1) == tri
