@@ -27,23 +27,25 @@ updated at each insertion rather than recomputed.  ``Fraction`` appears only
 in its result.
 
 Each constructor runs one conversion.  ``Polyhedron._assemble`` is the one
-routine that brings both descriptions to canonical form, for the
-constructors and for affine images alike, and it drops the redundant part of
-either side from one incidence table of rows against generators, with the
-row x0 >= 0 (the face at infinity) added to the rows.  This is the
-combinatorial form of the test in Fukuda & Prodon, "Double description
-method revisited", 1996: a row is an implicit equality iff it is tight on
-every generator, and a facet iff no other row's tight set strictly contains
-its own without being every generator; a generator is a line iff it is
-tight on every row, and extreme iff no other generator's tight set strictly
-contains its own without being every row.  Affine images and polars run no
-conversion: both descriptions are read off the input's, and a polar runs no
-canonical-form pass either.  Homotheties and translates of a full-dimensional
-body are closed-form: normals, rays and lineality carry over, offsets and
-vertices move, and no canonical-form pass runs; a lower-dimensional body
-goes through its affine image, since its rows are reduced off its equalities
-and move with it.  Distances to a polytope walk its real faces, read off the
-stored incidence, and a Hausdorff walk stops at its running maximum.
+routine that brings both descriptions to canonical form for the
+constructors, and it drops the redundant part of either side from one
+incidence table of rows against generators, with the row x0 >= 0 (the face
+at infinity) added to the rows.  This is the combinatorial form of the test
+in Fukuda & Prodon, "Double description method revisited", 1996: a row is
+an implicit equality iff it is tight on every generator, and a facet iff no
+other row's tight set strictly contains its own without being every
+generator; a generator is a line iff it is tight on every row, and extreme
+iff no other generator's tight set strictly contains its own without being
+every row.  Affine images, homotheties and polars run neither a conversion
+nor this pass.  An invertible map carries facets to facets and extreme
+generators to extreme generators, so ``_image`` maps the normals by the
+inverse and the generators by the map, and only reduces a flat body's
+other rows off its mapped equalities and the generators off the mapped
+lineality.  A ``UnimodularMap`` keeps its inverse, so ``transform`` runs no
+elimination.  A homothety of a full-dimensional body keeps normals, rays
+and lineality, and the polar turns the face lattice upside down.  Distances
+to a polytope walk its real faces, read off the stored incidence, and a
+Hausdorff walk stops at its running maximum.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg as la
@@ -401,10 +403,13 @@ def polar(p: Polyhedron, center=None) -> Polyhedron:
 @dataclass(frozen=True)
 class UnimodularMap:
     """x -> m x + shift with m an integer matrix of determinant +/-1 and an
-    integer shift, so the integer lattice maps onto itself."""
+    integer shift, so the integer lattice maps onto itself.  The integer
+    inverse of m is kept (not compared, not shown): given, it is checked by
+    one integer product; otherwise one elimination finds it."""
 
     matrix: Mat
     shift: Vec
+    inverse_matrix: Mat | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -415,8 +420,23 @@ class UnimodularMap:
             raise ValueError("unimodular matrix must be integer")
         if any(x.denominator != 1 for x in self.shift):
             raise ValueError("unimodular shift must be integer")
-        if not la.has_integer_inverse(self.matrix):
-            raise ValueError("matrix determinant must be +1 or -1")
+        inv = self.inverse_matrix
+        if inv is None:
+            try:
+                inv = la.inverse(self.matrix)
+            except ValueError:
+                inv = ()
+            if len(inv) != n or not all(map(la.is_integer_vec, inv)):
+                raise ValueError("matrix determinant must be +1 or -1")
+            object.__setattr__(self, "inverse_matrix", inv)
+        else:
+            # integer m times an integer n x n matrix gives the identity only
+            # when det m = +/-1 and that matrix is m^-1
+            require(len(inv) == n and all(len(row) == n and la.is_integer_vec(row)
+                                          for row in inv)
+                    and tuple(la.mat_vec(self.matrix, col) for col in zip(*inv))
+                    == la.identity(n),
+                    "stored inverse is not the integer inverse of the matrix")
 
     @staticmethod
     def make(matrix, shift=None) -> "UnimodularMap":
@@ -428,35 +448,59 @@ class UnimodularMap:
         return vadd(la.mat_vec(self.matrix, la.vec(x)), self.shift)
 
     def inverse(self) -> "UnimodularMap":
-        inv = la.inverse(self.matrix)
-        return UnimodularMap(inv, vneg(la.mat_vec(inv, self.shift)))
+        inv = self.inverse_matrix
+        return UnimodularMap(inv, vneg(la.mat_vec(inv, self.shift)), self.matrix)
+
+
+def _image(p: Polyhedron, matrix: Mat, inv: Mat, shift: Vec) -> Polyhedron:
+    """Image of p under x -> matrix x + shift, given inv = matrix^-1, with
+    no incidence pass (module docstring): a . x <= b becomes
+    (a inv) . y <= b + (a inv) . shift, and vertices and rays are mapped and
+    reduced off the canonical basis of the image lineality."""
+    if len(matrix) != p.dim or len(shift) != p.dim:
+        raise DimensionMismatch("map dimension mismatch")
+    inv_t = la.transpose(inv)
+    # a flat p keeps each equality as a pair of opposite rows
+    both = () if p.fulldim else set(p.halfspaces)
+    rows, eq_rows = [], []
+    for h in p.halfspaces:
+        a2 = la.mat_vec(inv_t, h.normal)
+        z = (-h.offset - dot(a2, shift),) + a2
+        flat = both and HalfSpace(vneg(h.normal), -h.offset) in both
+        (eq_rows if flat else rows).append(z)
+    eqs = _canonical_basis(eq_rows)
+    # distinct rows and generators of p have distinct images
+    hs = [_halfspace_from_homog(_reduce_off(z, eqs)) for z in rows]
+    for z in eqs:
+        hs += [_halfspace_from_homog(z), _halfspace_from_homog(vneg(z))]
+    basis = _canonical_basis([la.mat_vec(matrix, l) for l in p.lineality])
+    verts = [_reduce_off(vadd(la.mat_vec(matrix, v), shift), basis)
+             for v in p.vertices]
+    rays = (_reduce_off(la.mat_vec(matrix, r), basis) for r in p.rays)
+    all_rays = [la.primitive(r) for r in rays if not la.is_zero_vec(r)]
+    for l in basis:
+        all_rays.extend((l, vneg(l)))
+    return Polyhedron(dim=p.dim, halfspaces=tuple(sorted(hs)),
+                      vertices=tuple(sorted(verts)), rays=tuple(sorted(all_rays)),
+                      lineality=tuple(basis), fulldim=not eqs)
 
 
 def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
     """Image of p under the invertible map x -> matrix x + shift.
 
-    Invertible affine maps carry facets to facets and extreme rays to extreme
-    rays, so both descriptions transform directly with no reconversion.
-    The matrix and shift may hold ints or Fractions, not floats.
+    The matrix is inverted once and the image written in closed form (see
+    ``_image``); no conversion and no canonical-form pass runs.  The matrix
+    and shift may hold ints or Fractions, not floats.
     """
     matrix = tuple(la.vec(row) for row in matrix)
     shift = la.vec(shift)
     if any(len(row) != p.dim for row in (shift,) + matrix) or len(matrix) != p.dim:
         raise DimensionMismatch("map dimension mismatch")
-    inv_t = la.transpose(la.inverse(matrix))
-    rows = []
-    # a . x <= b  ->  (a inv) . y <= b + (a inv) . shift
-    for h in p.halfspaces:
-        a2 = la.mat_vec(inv_t, h.normal)
-        rows.append((-h.offset - dot(a2, shift),) + a2)
-    gens = [(ONE,) + vadd(la.mat_vec(matrix, v), shift) for v in p.vertices]
-    gens += [(ZERO,) + la.mat_vec(matrix, r) for r in p.rays]
-    lins = [la.mat_vec(matrix, l) for l in p.lineality]
-    return Polyhedron._assemble(rows, gens, lins, p.dim)
+    return _image(p, matrix, la.inverse(matrix), shift)
 
 
 def transform(p: Polyhedron, t: UnimodularMap) -> Polyhedron:
-    return affine_image(p, t.matrix, t.shift)
+    return _image(p, t.matrix, t.inverse_matrix, t.shift)
 
 
 def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
@@ -467,10 +511,11 @@ def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
     a . y <= lam b + a . v, and a vertex x becomes lam x + s with s the shift
     v reduced off the lineality basis.  No canonical-form pass runs.
 
-    A lower-dimensional p goes through affine_image: its facet rows are
-    reduced off the equalities, so they depend on where the body sits (the
-    segment conv{(0, 1), (1, 1)} has the row x - y <= 0, its translate by
-    (0, 2) the row 3x - y <= 0, not x - y <= -2).
+    A lower-dimensional p is written as the image under the diagonal map
+    lam I, whose inverse is the diagonal 1/lam: its facet rows are reduced
+    off the equalities, so they depend on where the body sits (the segment
+    conv{(0, 1), (1, 1)} has the row x - y <= 0, its translate by (0, 2)
+    the row 3x - y <= 0, not x - y <= -2).
     """
     lam = la.frac(lam)
     v = la.vec(v)
@@ -479,9 +524,9 @@ def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
     if len(v) != p.dim:
         raise DimensionMismatch("shift dimension mismatch")
     if not p.fulldim:
-        m = tuple(tuple(lam if i == j else ZERO for j in range(p.dim))
-                  for i in range(p.dim))
-        return affine_image(p, m, v)
+        eye = la.identity(p.dim)
+        return _image(p, tuple(vscale(lam, e) for e in eye),
+                      tuple(vscale(1 / lam, e) for e in eye), v)
     s = _reduce_off(v, p.lineality)
     return Polyhedron(
         dim=p.dim,

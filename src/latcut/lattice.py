@@ -250,8 +250,8 @@ def _bounded_interior_point(p: Polyhedron):
         u_best = min((h.normal for h in p.halfspaces),
                      key=lambda u: _width_along(p, u))
         if _width_along(p, u_best) < min(b - a for a, b in zip(lo, hi)):
-            um = la.alignment_unimodular([u_best])
-            m = UnimodularMap.make(la.transpose(la.inverse(um)))
+            um, cm = la.alignment_unimodular([u_best])
+            m = UnimodularMap(la.transpose(cm), la.vzero(p.dim), la.transpose(um))
             z = _bounded_interior_point(transform(p, m))
             return None if z is None else m.inverse().apply(z)
     axis = max(range(p.dim), key=lambda i: hi[i] - lo[i])
@@ -262,12 +262,11 @@ def _bounded_interior_point(p: Polyhedron):
 
 def _split_off_lineality(p: Polyhedron):
     """Unimodular change sending the lineality space to the trailing axes,
-    then dropping them.  Returns (quotient, lift, u): lift maps integer
-    quotient points back to integer points of p, and u is the unimodular
-    matrix of the change."""
+    then dropping them.  Returns (quotient, lift, umap): lift maps integer
+    quotient points back to integer points of p, and umap is the change."""
     k = len(p.lineality)
-    u = la.alignment_unimodular(list(p.lineality))
-    umap = UnimodularMap.make(u)
+    u, c = la.alignment_unimodular(list(p.lineality))
+    umap = UnimodularMap(u, la.vzero(p.dim), c)
     q = transform(p, umap)
     keep = p.dim - k
     # the lineality now spans the trailing axes, so every normal, vertex and
@@ -286,7 +285,7 @@ def _split_off_lineality(p: Polyhedron):
     def back(z: Vec) -> Vec:
         return inv.apply(tuple(z) + (ZERO,) * k)
 
-    return quotient, back, u
+    return quotient, back, umap
 
 
 def _planar_pointed_interior_point(p: Polyhedron):
@@ -294,11 +293,12 @@ def _planar_pointed_interior_point(p: Polyhedron):
     recession, or None.  One recession ray is rotated onto the vertical
     axis; fibers over integer abscissas are then exactly searchable."""
     r0 = p.rays[0]
-    u = la.alignment_unimodular([r0])
+    u, c = la.alignment_unimodular([r0])
     if la.mat_vec(u, r0)[-1] < 0:
-        u = tuple(tuple(-x for x in row) if i == len(u) - 1 else row
-                  for i, row in enumerate(u))
-    umap = UnimodularMap.make(u)
+        # negating the last row of u negates the last column of its inverse
+        u = (u[0], la.vneg(u[1]))
+        c = tuple((row[0], -row[1]) for row in c)
+    umap = UnimodularMap(u, la.vzero(2), c)
     q = transform(p, umap)
     inv = umap.inverse()
     lo, _ = q.support((-1, 0))
@@ -367,7 +367,7 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     # by a unimodular map and search one dimension down
     if h.offset.denominator != 1:
         return None  # primitive normal: a fractional level misses Z^n entirely
-    u = la.alignment_unimodular([h.normal])
+    u, c = la.alignment_unimodular([h.normal])
     level = h.offset * la.mat_vec(u, h.normal)[-1]
     # under y = U^-T x the plane becomes y_n = level and a . x <= b becomes
     # (U a) . y <= b; fixing y_n leaves constraints in y_1..y_{n-1} (a row
@@ -376,7 +376,7 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     # assembled with no conversion
     rotated = [HalfSpace(la.mat_vec(u, a), b) for a, b in others]
     rows = [(-g.offset,) + g.normal for g in fix_last_axis(rotated, level)]
-    inv_t = la.transpose(la.inverse(u))
+    inv_t = la.transpose(c)
     gens = [(ONE,) + la.mat_vec(inv_t, v)[:-1] for v in p.vertices
             if h.eval_slack(v) == 0]
     gens += [(ZERO,) + la.mat_vec(inv_t, r)[:-1] for r in p.rays
@@ -402,13 +402,13 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
     if not p.fulldim:
         raise NotFullDimensional("lattice-free check needs a full-dimensional body")
     if p.lineality:
-        quotient, back, u = _split_off_lineality(p)
+        quotient, back, umap = _split_off_lineality(p)
         sub = certify_lattice_free(quotient)
         if not sub.lattice_free:
             return LatticeFreeCert(False, back(sub.interior_witness), (), None)
         # match each facet of p with its image facet in the quotient
         k = len(p.lineality)
-        inv_t = la.transpose(la.inverse(u))
+        inv_t = la.transpose(umap.inverse_matrix)
         witnesses = []
         for h in p.halfspaces:
             a2 = la.mat_vec(inv_t, h.normal)
@@ -473,10 +473,10 @@ def lattice_width(p: Polyhedron) -> WidthReport:
     if p.rays:
         if not p.recession_is_subspace():
             raise UnsupportedShape("width search needs subspace recession")
-        quotient, _, u = _split_off_lineality(p)
+        quotient, _, umap = _split_off_lineality(p)
         sub = lattice_width(quotient)
         k = len(p.lineality)
-        direction = la.mat_vec(la.transpose(u), sub.direction + (ZERO,) * k)
+        direction = la.mat_vec(la.transpose(umap.matrix), sub.direction + (ZERO,) * k)
         return WidthReport(sub.width, la.primitive(direction),
                            sub.segment_bound, sub.search_bound)
     n = p.dim

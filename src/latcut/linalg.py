@@ -10,8 +10,8 @@ sums into one integer numerator over the product of the denominators and
 builds one Fraction per call.  Floats never enter any computation here.
 
 One fraction-free Gauss-Jordan step, ``pivot``, does every elimination:
-``rref_int`` and so ``rank``, ``solve``, ``inverse``, ``kernel_basis`` and
-the unimodularity test, and the tableau of ``simplex.solve_ineq``.
+``rref_int`` and so ``rank``, ``solve``, ``inverse`` and ``kernel_basis``,
+and the tableau of ``simplex.solve_ineq``.
 """
 
 from __future__ import annotations
@@ -219,16 +219,6 @@ def inverse(m: Mat) -> Mat:
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row, d in zip(tab, den))
 
 
-def has_integer_inverse(m: Mat) -> bool:
-    """Whether the square matrix m has an integer inverse; for an integer m
-    that is det m = +1 or -1."""
-    try:
-        inv = inverse(m)
-    except ValueError:
-        return False
-    return all(is_integer_vec(row) for row in inv)
-
-
 def kernel_basis(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """Rational basis of {x : m x = 0} (free-variable back substitution)."""
     rows, pivots = _rref(m)
@@ -316,9 +306,9 @@ def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:
     return [tuple(Fraction(c[i][j]) for i in range(n)) for j in range(rk, n)]
 
 
-def alignment_unimodular(lines: Sequence[Vec]) -> Mat:
-    """Unimodular U sending the rational subspace span(lines) onto the span
-    of the trailing coordinate axes.
+def alignment_unimodular(lines: Sequence[Vec]) -> tuple[Mat, Mat]:
+    """(U, U^-1) with U unimodular, sending the rational subspace
+    span(lines) onto the span of the trailing coordinate axes.
 
     Works through the saturated integer kernel of the subspace's orthogonal
     complement, so U and its inverse are integer matrices.
@@ -335,7 +325,7 @@ def alignment_unimodular(lines: Sequence[Vec]) -> Mat:
     u = inverse(c)
     for l in lines:
         require(is_zero_vec(mat_vec(u, l)[:rk]), "lineality misses the trailing axes")
-    return u
+    return u, tuple(tuple(map(Fraction, row)) for row in c)
 
 
 def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:

@@ -303,6 +303,31 @@ def assembled_polar(p, center=None):
     return Polyhedron._assemble(rows, gens, [], p.dim)
 
 
+def assembled_affine_image(p, matrix, shift):
+    """Image of p under the invertible map x -> matrix x + shift through
+    ``Polyhedron._assemble``: the mapped rows and generators go through the
+    canonical-form pass, which finds the equalities and keeps facets and
+    extreme generators by incidence.  The reference for the closed-form
+    ``geometry.affine_image`` and ``geometry.transform``."""
+    from latcut.errors import DimensionMismatch
+    from latcut.geometry import Polyhedron
+
+    matrix = tuple(la.vec(row) for row in matrix)
+    shift = la.vec(shift)
+    if any(len(row) != p.dim for row in (shift,) + matrix) or len(matrix) != p.dim:
+        raise DimensionMismatch("map dimension mismatch")
+    inv_t = la.transpose(la.inverse(matrix))
+    rows = []
+    # a . x <= b  ->  (a inv) . y <= b + (a inv) . shift
+    for h in p.halfspaces:
+        a2 = la.mat_vec(inv_t, h.normal)
+        rows.append((-h.offset - dot(a2, shift),) + a2)
+    gens = [(ONE,) + vadd(la.mat_vec(matrix, v), shift) for v in p.vertices]
+    gens += [(ZERO,) + la.mat_vec(matrix, r) for r in p.rays]
+    lins = [la.mat_vec(matrix, l) for l in p.lineality]
+    return Polyhedron._assemble(rows, gens, lins, p.dim)
+
+
 def fraction_strict_integer(pairs):
     """An integer t with den * t < num for every pair (num, den), or None.
 
@@ -492,7 +517,7 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
 
 def fraction_det(m) -> Fraction:
     """Determinant by Fraction Gaussian elimination: the reference for the
-    unimodularity test ``linalg.has_integer_inverse``."""
+    unimodularity test of ``geometry.UnimodularMap``."""
     n = len(m)
     rows = [list(row) for row in m]
     out = ONE

@@ -66,6 +66,26 @@ def test_checks_raise_under_python_dash_o():
                                 "lifted body is not lattice-free"]
 
 
+def test_a_wrong_stored_inverse_raises_under_python_dash_o():
+    out = run_child("""
+        import sys
+        from fractions import Fraction as F
+        from latcut import CertificateError, UnimodularMap
+        print(sys.flags.optimize)
+        m = ((F(1), F(1)), (F(0), F(1)))
+        for inv in [((F(1), F(1)), (F(0), F(1))), ((F(1), F(-1)),)]:
+            try:
+                UnimodularMap(m, (F(0), F(0)), inv)
+            except CertificateError as exc:
+                print(exc)
+        print(UnimodularMap(m, (F(0), F(0)), ((F(1), F(-1)), (F(0), F(1))))
+              == UnimodularMap.make(m))
+    """, "-O")
+    assert out.splitlines() == [
+        "1", *["stored inverse is not the integer inverse of the matrix"] * 2,
+        "True"]
+
+
 def test_scenario_reports_are_the_same_under_python_dash_o():
     code = """
         import json
@@ -128,6 +148,22 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
     assert counts == {"cubeface-census": (111, 0),
                       "lifting-end-to-end": (120, 31),
                       "inapprox-witnesses": (1538, 0)}, counts
+
+
+def test_inversions_per_scenario(monkeypatch):
+    # a unimodular map is inverted once, when it is made without its
+    # inverse; transform, UnimodularMap.inverse and the lattice searches
+    # read the stored one
+    calls = counting(monkeypatch, latcut.linalg, "inverse")
+    ceilings = {"cubeface-census": 33, "approximation-factors": 147,
+                "lifting-end-to-end": 36, "inapprox-witnesses": 30,
+                "truncated-cone-shrink": 0}
+    counts = {}
+    for name in ceilings:
+        calls.clear()
+        assert run_scenario(name).passed
+        counts[name] = len(calls)
+    assert all(counts[name] <= ceilings[name] for name in ceilings), counts
 
 
 def test_construct_certifies_once(monkeypatch):

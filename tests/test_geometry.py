@@ -12,6 +12,7 @@ from latcut import geometry, lattice
 from latcut import linalg as la
 from latcut.cuts import f_metric
 from latcut.errors import (
+    CertificateError,
     DimensionMismatch,
     EmptySet,
     NotSeparable,
@@ -44,6 +45,7 @@ from latcut.jsonio import parse_polyhedron
 from latcut.lattice import facet_interior_lattice_point
 
 from oracles import (
+    assembled_affine_image,
     assembled_polar,
     brute_force_lp,
     brute_force_slice,
@@ -586,6 +588,36 @@ def test_unimodular_map_needs_a_square_matrix_and_a_full_shift():
             UnimodularMap.make(matrix, shift)
 
 
+def test_transform_rejects_a_map_of_the_wrong_size():
+    tri = Polyhedron.from_generators([(0, 0), (2, 0), (1, 2)])
+    for n in (1, 3):
+        with pytest.raises(DimensionMismatch):
+            transform(tri, UnimodularMap.make(la.identity(n), (1,) * n))
+
+
+def test_unimodular_map_keeps_its_inverse_out_of_equality():
+    m = ((F(2), F(1), F(0)), (F(1), F(1), F(0)), (F(0), F(3), F(-1)))
+    inv = ((F(1), F(-1), F(0)), (F(-1), F(2), F(0)), (F(-3), F(6), F(-1)))
+    made = UnimodularMap.make(m, (1, -2, 0))
+    given = UnimodularMap(m, la.vec((1, -2, 0)), inv)
+    twice = made.inverse().inverse()
+    assert made.inverse_matrix == inv
+    assert made == given == twice
+    assert hash(made) == hash(given) == hash(twice)
+    assert repr(made) == repr(given) == repr(twice)
+    assert "inverse" not in repr(made)
+    assert made.inverse() == UnimodularMap.make(inv, la.mat_vec(inv, (-1, 2, 0)))
+    assert made.inverse().inverse_matrix == m
+    # a stored inverse that is not the integer inverse is refused
+    wrong = [(inv[1], inv[0], inv[2]),                        # rows swapped
+             tuple(la.vscale(F(1, 2), r) for r in la.identity(3)),
+             inv[:2], tuple(r[:2] for r in inv),
+             (inv[0], inv[1], inv[2] + (F(0),))]
+    for bad in wrong:
+        with pytest.raises(CertificateError):
+            UnimodularMap(m, la.vzero(3), bad)
+
+
 def test_affine_image_takes_int_matrices_and_rejects_floats():
     tri = Polyhedron.from_generators([(0, 0), (2, 0), (1, 2)])
     img = affine_image(tri, ((2, 1), (1, 1)), (0, 0))
@@ -670,9 +702,9 @@ def test_scale_shift_closed_form_matches_affine_image():
         diag = tuple(tuple(lam if i == j else F(0) for j in range(n))
                      for i in range(n))
         assert repr(minkowski_scale_shift(p, lam, v)) == repr(
-            affine_image(p, diag, v))
-        assert translate(p, v) == affine_image(p, la.identity(n), v)
-        assert homothety(p, c, lam) == affine_image(
+            assembled_affine_image(p, diag, v))
+        assert translate(p, v) == assembled_affine_image(p, la.identity(n), v)
+        assert homothety(p, c, lam) == assembled_affine_image(
             p, diag, la.vscale(1 - lam, c))
         seen["flat"] += not p.fulldim
         seen["rays"] += bool(p.rays) and not p.lineality
@@ -680,7 +712,7 @@ def test_scale_shift_closed_form_matches_affine_image():
     assert min(seen.values()) >= 20, seen
 
 
-def test_full_dimensional_scale_shift_runs_no_assemble(monkeypatch):
+def test_scale_shift_runs_no_assemble(monkeypatch):
     calls = []
     real = Polyhedron._assemble
 
@@ -696,8 +728,94 @@ def test_full_dimensional_scale_shift_runs_no_assemble(monkeypatch):
         homothety(p, one, F(3, 2))
         translate(p, one)
         minkowski_scale_shift(p, 2, one)
-        assert len(calls) == (0 if p.fulldim else 3)
+        assert calls == []
     assert any(not p.fulldim for p in bodies)
+
+
+def _random_unimodular(rng, n):
+    """A product of a few random integer row operations and sign flips."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 5)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            k = rng.randint(-2, 2)
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return UnimodularMap.make(m, [rng.randint(-3, 3) for _ in range(n)])
+
+
+def _image_inputs(rng, count):
+    """Seeded bodies of five kinds (bounded, with rays, with lineality,
+    flat, flat with a ray or a line), each with a unimodular, a diagonal
+    and a general rational map: (kind, body, map kind, matrix, shift)."""
+    bodies = _scale_shift_bodies(rng, count)
+    flats = [p for p in bodies if not p.fulldim and len(p.vertices) == 2]
+    for p in flats[:count // 4]:
+        d = la.vsub(p.vertices[1], p.vertices[0])
+        rays = [d] if rng.random() < 0.5 else [d, la.vneg(d)]
+        if p.dim == 3 and rng.random() < 0.5:
+            rays = [la.vec(rng.randint(-2, 2) for _ in range(3))] + rays[1:]
+        bodies.append(Polyhedron.from_generators(p.vertices, rays, p.dim))
+    out = []
+    for p in bodies:
+        n = p.dim
+        kind = ("flat with recession" if not p.fulldim and p.rays else
+                "flat" if not p.fulldim else "lineality" if p.lineality else
+                "rays" if p.rays else "bounded")
+        t = _random_unimodular(rng, n)
+        out.append((kind, p, "unimodular", t.matrix, t.shift))
+        lam = F(rng.randint(1, 12), rng.randint(1, 5))
+        shift = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
+        out.append((kind, p, "diagonal",
+                    tuple(la.vscale(lam, e) for e in la.identity(n)), shift))
+        while True:
+            m = tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(n)) for _ in range(n))
+            if la.rank(m) == n:
+                break
+        out.append((kind, p, "general", m, shift))
+    return out
+
+
+def test_images_match_the_assembled_route():
+    seen = {}
+    for kind, p, map_kind, m, s in _image_inputs(random.Random(29), 320):
+        want = repr(assembled_affine_image(p, m, s))
+        assert repr(affine_image(p, m, s)) == want, (kind, map_kind, p, m, s)
+        if map_kind == "unimodular":
+            t = UnimodularMap.make(m, s)
+            assert repr(transform(p, t)) == want, (kind, p, m, s)
+            assert transform(transform(p, t), t.inverse()) == p
+        seen[kind, map_kind] = seen.get((kind, map_kind), 0) + 1
+    assert sum(seen.values()) >= 1000
+    assert len(seen) == 15 and min(seen.values()) >= 20, seen
+
+
+def test_images_run_no_assemble_and_maps_no_inverse(monkeypatch):
+    assembles = []
+    inverses = []
+    real_assemble, real_inverse = Polyhedron._assemble, la.inverse
+
+    def counting_assemble(rows, gens, lins, dim):
+        assembles.append(dim)
+        return real_assemble(rows, gens, lins, dim)
+
+    def counting_inverse(m):
+        inverses.append(m)
+        return real_inverse(m)
+
+    inputs = [(p, UnimodularMap.make(m, s)) for _, p, map_kind, m, s
+              in _image_inputs(random.Random(31), 40) if map_kind == "unimodular"]
+    monkeypatch.setattr(Polyhedron, "_assemble", staticmethod(counting_assemble))
+    monkeypatch.setattr(la, "inverse", counting_inverse)
+    for p, t in inputs:
+        transform(transform(p, t), t.inverse())
+        assert inverses == []
+        affine_image(p, t.matrix, t.shift)
+        assert len(inverses) == 1
+        inverses.clear()
+    assert assembles == []
 
 
 def test_sections_and_embeddings():
@@ -969,3 +1087,24 @@ def test_separation_complete(pa, pb):
         return
     assert all(h.eval_slack(v) >= 0 for v in a.vertices)
     assert all(h.eval_slack(v) <= 0 for v in b.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(point3, min_size=1, max_size=5),
+       st.lists(point3, max_size=2),
+       st.tuples(*[st.integers(min_value=-2, max_value=2)] * 9),
+       st.tuples(half, half, half))
+def test_images_match_the_assembled_route_hypothesis(pts, raw_rays, entries, shift):
+    rays = [r for r in raw_rays if not la.is_zero_vec(r)]
+    try:
+        p = Polyhedron.from_generators(pts, rays, 3)
+    except WholeSpace:
+        return
+    m = tuple(tuple(F(x) for x in entries[3 * i:3 * i + 3]) for i in range(3))
+    if la.rank(m) < 3:
+        return
+    want = repr(assembled_affine_image(p, m, shift))
+    assert repr(affine_image(p, m, shift)) == want
+    if all(x.denominator == 1 for x in shift) and all(
+            map(la.is_integer_vec, la.inverse(m))):
+        assert repr(transform(p, UnimodularMap.make(m, shift))) == want

@@ -180,7 +180,7 @@ def test_split_off_lineality_runs_no_conversion(monkeypatch):
     wanted = []
     for p in bodies:
         keep = p.dim - len(p.lineality)
-        u = la.alignment_unimodular(p.lineality)
+        u, _ = la.alignment_unimodular(p.lineality)
         q = transform(p, UnimodularMap.make(u))
         rays = [r[:keep] for r in q.rays if not la.is_zero_vec(r[:keep])]
         wanted.append(Polyhedron.from_generators(
@@ -310,7 +310,7 @@ def _facet_by_conversion(p, j):
     others = [g for i, g in enumerate(p.halfspaces) if i != j]
     if h.offset.denominator != 1:
         return None, None
-    u = la.alignment_unimodular([h.normal])
+    u, _ = la.alignment_unimodular([h.normal])
     level = h.offset * la.mat_vec(u, h.normal)[-1]
     rotated = [HalfSpace(la.mat_vec(u, g.normal), g.offset) for g in others]
     try:
