@@ -340,7 +340,7 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
         shift = vzero(n - 1) + (Fraction(t),)
     else:
         shift = vzero(n - 1) + (Fraction(-t),)
-    phi = UnimodularMap.make(matrix, shift)
+    phi = UnimodularMap(matrix, shift, matrix)  # the identity or a flip: m^-1 = m
     f0 = phi.apply(f)
     lp0 = transform(lp, phi)
 
@@ -465,7 +465,8 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
         return ApproxResult(l, ONE)
     wr = lattice_width(l)
     require(wr.width <= flt, "lattice width exceeds the flatness bound")
-    phi = UnimodularMap.make(la.unimodular_with_bottom_row(wr.direction))
+    m, c = la.unimodular_with_bottom_row(wr.direction)
+    phi = UnimodularMap(m, vzero(n), c)
     lt = transform(l, phi)
     ft = phi.apply(f)
     gamma = Fraction(1, flt)
@@ -506,20 +507,19 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
     wr = lattice_width(l)
     require(wr.width <= flt, "lattice width exceeds the flatness bound")
     fn = dot(wr.direction, f)
+    m, c = la.unimodular_with_bottom_row(wr.direction)
     if fn.denominator > 1:
         # strictly fractional level: the slab between the neighbouring
         # integer levels holds the 1/bound homothety since fn keeps a
         # distance of at least 1/s from both
-        phi = UnimodularMap.make(la.unimodular_with_bottom_row(wr.direction))
+        phi = UnimodularMap(m, vzero(n), c)
         b0 = split_along(vzero(n - 1) + (ONE,), math.floor(fn))
         require(b0.contains(homothety(transform(l, phi), phi.apply(f),
                                       Fraction(1, bound))),
                 "slab misses the 1/bound homothety")
         b = transform(b0, phi.inverse())
     else:
-        shift = vzero(n - 1) + (-fn,)
-        phi = UnimodularMap.make(la.unimodular_with_bottom_row(wr.direction),
-                                 shift)
+        phi = UnimodularMap(m, vzero(n - 1) + (-fn,), c)
         lt = transform(l, phi)
         ft = phi.apply(f)
         mmax = grow_to_maximal(level_slice(lt, 0))
@@ -723,7 +723,8 @@ def _tower(f: Vec, alpha: Fraction):
         return body, [(z1,), (z1 + 1,)]
     scaled = tuple(int(x * point_denominator(f)) for x in f)
     u = la.integer_kernel_basis([la.vec(scaled)])[0]
-    phi = UnimodularMap.make(la.unimodular_with_bottom_row(u))
+    m, c = la.unimodular_with_bottom_row(u)
+    phi = UnimodularMap(m, vzero(n), c)
     ft = phi.apply(f)
     fprime = ft[:-1]
     sub_body, sub_zs = _tower(fprime, alpha)

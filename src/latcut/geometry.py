@@ -46,6 +46,11 @@ elimination.  A homothety of a full-dimensional body keeps normals, rays
 and lineality, and the polar turns the face lattice upside down.  Distances
 to a polytope walk its real faces, read off the stored incidence, and a
 Hausdorff walk stops at its running maximum.
+
+The canonical form, images, homotheties, polars and containment run on int
+copies taken once per call (no int form is stored): a row or generator is
+any positive multiple of itself, a point (d, x) is x over d, ``_reduce``
+takes a vector off a canonical basis, and each output Fraction is built once.
 """
 
 from __future__ import annotations
@@ -158,29 +163,56 @@ class HalfSpace:
         return self.offset - dot(self.normal, x)
 
 
-def _halfspace_from_homog(z: Vec) -> HalfSpace:
-    """Homogenized dual vector (z0, c) -> inequality c . x <= -z0."""
-    return HalfSpace.make(z[1:], -z[0])
-
-
 # ---------------------------------------------------------------------------
 # canonical representatives
 
 
-def _canonical_basis(lines: list[Vec]) -> list[Vec]:
-    """RREF the line vectors, then scale each row primitive."""
+def _canonical_basis(lines) -> list[tuple[int, ...]]:
+    """RREF the line vectors, then scale each row to primitive ints; each
+    row's pivot (its first nonzero entry) is positive."""
     tab, _, _ = la.rref_int(lines)
-    return [tuple(map(Fraction, la.primitive_int(r))) for r in tab if any(r)]
+    return [la.primitive_int(r) for r in tab if any(r)]
 
 
-def _reduce_off(v: Vec, basis: list[Vec]) -> Vec:
-    """v minus multiples of the rows of a canonical basis, each row's pivot
-    (its first nonzero entry) cleared in turn."""
+def _reduce(z: list[int], basis) -> list[int]:
+    """z off a canonical basis, each row's positive pivot p cleared in turn
+    by z row[p] - z[p] row (for a point (d, x) off rows (0, l) the
+    denominator d is multiplied by row[p])."""
     for row in basis:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if v[p] != 0:
-            v = vsub(v, vscale(v[p] / row[p], row))
-    return v
+        p = next(i for i, x in enumerate(row) if x)
+        f = z[p]
+        if f:
+            q = row[p]
+            z = [a * q - f * b for a, b in zip(z, row)]
+    return z
+
+
+def _apply(m, g) -> list[int]:
+    """The int matrix m times the int vector g."""
+    return [sum(map(operator.mul, row, g)) for row in m]
+
+
+def _scaled(m) -> tuple[list[list[int]], int]:
+    """The rows of a rational matrix as ints over one positive denominator."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def _int_row(h: HalfSpace) -> list[int]:
+    """(-p, q a) for a . x <= p / q: the row (-b, a) in ints (a is integral)."""
+    q = h.offset.denominator
+    return [-h.offset.numerator] + [q * a.numerator for a in h.normal]
+
+
+def _halfspaces(rows) -> tuple[HalfSpace, ...]:
+    """The half-spaces c . x <= -z0 of distinct int rows (z0, c), c nonzero,
+    sorted: each normal made primitive and each offset one Fraction."""
+    keys = []
+    for z0, *c in rows:
+        g = math.gcd(*c)
+        keys.append((tuple(x // g for x in c), Fraction(-z0, g)))
+    keys.sort()
+    return tuple(HalfSpace(tuple(map(Fraction, a)), b) for a, b in keys)
 
 
 def _maximal(masks: list[int], full: int) -> list[int]:
@@ -246,45 +278,44 @@ class Polyhedron:
         point and ray; and from a basis of the lineality space in R^dim.
         Other rows and generators are dropped by incidence (module
         docstring); the x0 >= 0 row added here tells a quadrant's rays
-        apart from its vertex.
+        apart from its vertex.  Runs on int copies of rows and generators.
         """
-        rows = list(rows) + [(-ONE,) + la.vzero(dim)]  # x0 >= 0
-        gs = [la.integer_copy(g) for g in gens]  # tightness survives scaling
-        inc = [sum(1 << j for j, g in enumerate(gs)
+        x0 = [-1] + [0] * dim  # x0 >= 0
+        rows = [la.integer_copy(z) for z in rows] + [x0]
+        gens = [la.integer_copy(g) for g in gens]
+        inc = [sum(1 << j for j, g in enumerate(gens)
                    if sum(map(operator.mul, z, g)) == 0)
-               for z in map(la.integer_copy, rows)]
+               for z in rows]
         all_g = (1 << len(gens)) - 1
         ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
                 for j in range(len(gens))]
-        gens = [gens[j] for j in _maximal(ginc, (1 << len(rows)) - 1)]
-        basis = _canonical_basis(list(lins))
-        vcan = sorted({_reduce_off(tuple(x / g[0] for x in g[1:]), basis)
-                       for g in gens if g[0] != 0})
-        rays = (_reduce_off(g[1:], basis) for g in gens if g[0] == 0)
-        rcan = sorted({la.primitive(r) for r in rays if not la.is_zero_vec(r)})
+        basis = _canonical_basis(lins)
+        lin_rows = [(0,) + l for l in basis]
+        verts, rays = set(), set()
+        for j in _maximal(ginc, (1 << len(rows)) - 1):
+            g = _reduce(gens[j], lin_rows)
+            if g[0]:
+                verts.add(la.primitive_int(g))
+            elif any(g):
+                rays.add(la.primitive_int(g[1:]))
+        rays.update(basis, (tuple(-x for x in l) for l in basis))
         eqs = _canonical_basis([z for z, m in zip(rows, inc) if m == all_g])
-        rows = [rows[i] for i in _maximal(inc, all_g)]
-        hs = set()
-        for z in eqs:
-            hs.update((_halfspace_from_homog(z), _halfspace_from_homog(vneg(z))))
+        facets = {la.primitive_int(z)
+                  for z in (_reduce(rows[i], eqs) for i in _maximal(inc, all_g))
+                  if any(z)}
         # the class of (-1, 0) is the inequality 0 . x <= 1, the face at
         # infinity: not a facet, though its normal need not reduce to zero
-        trivial = la.primitive(_reduce_off((-ONE,) + la.vzero(dim), eqs))
-        for z in rows:
-            z = _reduce_off(z, eqs)
-            if not la.is_zero_vec(z) and la.primitive(z) != trivial:
-                hs.add(_halfspace_from_homog(z))
-        if not hs:
+        facets.discard(la.primitive_int(_reduce(x0, eqs)))
+        facets.update(z for e in eqs for z in (e, tuple(-x for x in e)))
+        if not facets:
             raise WholeSpace("generators span the whole space")
-        all_rays = list(rcan)
-        for l in basis:
-            all_rays.extend((l, vneg(l)))
         return Polyhedron(
             dim=dim,
-            halfspaces=tuple(sorted(hs)),
-            vertices=tuple(vcan),
-            rays=tuple(sorted(all_rays)),
-            lineality=tuple(basis),
+            halfspaces=_halfspaces(facets),
+            vertices=tuple(sorted(tuple(Fraction(x, d) for x in v)
+                                  for d, *v in verts)),
+            rays=tuple(tuple(map(Fraction, r)) for r in sorted(rays)),
+            lineality=tuple(tuple(map(Fraction, l)) for l in basis),
             fulldim=not eqs,
         )
 
@@ -299,24 +330,22 @@ class Polyhedron:
         return all(dot(h.normal, x) <= h.offset for h in self.halfspaces)
 
     def contains(self, other: "Polyhedron") -> bool:
-        """Set containment: other is a subset of self."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        for h in self.halfspaces:
-            if any(dot(h.normal, v) > h.offset for v in other.vertices):
-                return False
-            if any(dot(h.normal, r) > 0 for r in other.rays):
-                return False
-        return True
+        """Set containment: other is a subset of self.  Each row (-p, q a)
+        of self meets int copies (d, x) of other's vertices as
+        q a . x <= p d, and other's rays r as a . r <= 0."""
+        return self._holds(other, operator.gt)
 
     def contains_in_interior(self, other: "Polyhedron") -> bool:
         """other lies in the topological interior of self."""
+        return self._holds(other, operator.ge)
+
+    def _holds(self, other: "Polyhedron", fails) -> bool:
         if self.dim != other.dim:
             raise DimensionMismatch("ambient dimensions differ")
-        for h in self.halfspaces:
-            if any(dot(h.normal, v) >= h.offset for v in other.vertices):
-                return False
-            if any(dot(h.normal, r) > 0 for r in other.rays):
+        gens = [(la.integer_copy((ONE,) + v), fails) for v in other.vertices]
+        gens += [(la.integer_copy((ZERO,) + r), operator.gt) for r in other.rays]
+        for z in map(_int_row, self.halfspaces):
+            if any(test(sum(map(operator.mul, z, g)), 0) for g, test in gens):
                 return False
         return True
 
@@ -385,13 +414,23 @@ def polar(p: Polyhedron, center=None) -> Polyhedron:
     c = la.vzero(p.dim) if center is None else la.vec(center)
     if not p.contains_point(c, strict=True):
         raise OriginNotInterior("polar needs the center strictly inside p")
-    verts = {vscale(ONE / h.eval_slack(c), h.normal) for h in p.halfspaces}
+    # on ints: c is cx over cd, and a vertex (d, x) is x over d
+    cd, *cx = la.integer_copy((ONE,) + c)
+    verts = []
+    for h in p.halfspaces:
+        z0, *a = _int_row(h)
+        slack = -z0 * cd - sum(map(operator.mul, a, cx))
+        verts.append(tuple(Fraction(cd * x, slack) for x in a))
     if la.rank(p.rays) == p.dim:
-        verts.add(la.vzero(p.dim))
-    hs = {HalfSpace.make(_reduce_off(vsub(v, c), p.lineality), ONE)
-          for v in p.vertices}
-    hs.update(HalfSpace.make(r, ZERO) for r in p.rays)
-    return Polyhedron(dim=p.dim, halfspaces=tuple(sorted(hs)),
+        verts.append(la.vzero(p.dim))
+    lin_rows = [[0] + la.integer_copy(l) for l in p.lineality]
+    rows = []
+    for v in p.vertices:
+        d, *x = la.integer_copy((ONE,) + v)
+        rows.append(_reduce([-d * cd] + [cd * a - d * b for a, b in zip(x, cx)],
+                            lin_rows))
+    rows += ([0] + la.integer_copy(r) for r in p.rays)
+    return Polyhedron(dim=p.dim, halfspaces=_halfspaces(rows),
                       vertices=tuple(sorted(verts)), rays=(), lineality=(),
                       fulldim=not p.lineality)
 
@@ -456,33 +495,43 @@ def _image(p: Polyhedron, matrix: Mat, inv: Mat, shift: Vec) -> Polyhedron:
     """Image of p under x -> matrix x + shift, given inv = matrix^-1, with
     no incidence pass (module docstring): a . x <= b becomes
     (a inv) . y <= b + (a inv) . shift, and vertices and rays are mapped and
-    reduced off the canonical basis of the image lineality."""
+    reduced off the canonical basis of the image lineality.  On ints, the
+    homogenized map h = [[1, 0], [shift, matrix]] sends a generator g to
+    h g and a row z to z h^-1.
+    """
     if len(matrix) != p.dim or len(shift) != p.dim:
         raise DimensionMismatch("map dimension mismatch")
-    inv_t = la.transpose(inv)
+    (*mi, si), dm = _scaled(tuple(matrix) + (shift,))
+    ki, dk = _scaled(inv)
+    fwd = [[dm] + [0] * p.dim] + [[s] + row for s, row in zip(si, mi)]
+    # the columns of dm dk h^-1 = [[dm dk, 0], [-ki si, dm ki]]
+    back = [[dm * dk] + [-x for x in _apply(ki, si)]]
+    back += ([0] + [dm * x for x in col] for col in zip(*ki))
+    rows = [la.primitive_int(_apply(back, _int_row(h))) for h in p.halfspaces]
     # a flat p keeps each equality as a pair of opposite rows
-    both = () if p.fulldim else set(p.halfspaces)
-    rows, eq_rows = [], []
-    for h in p.halfspaces:
-        a2 = la.mat_vec(inv_t, h.normal)
-        z = (-h.offset - dot(a2, shift),) + a2
-        flat = both and HalfSpace(vneg(h.normal), -h.offset) in both
-        (eq_rows if flat else rows).append(z)
-    eqs = _canonical_basis(eq_rows)
+    both = () if p.fulldim else set(rows)
+    flat = [tuple(-x for x in z) in both for z in rows]
+    eqs = _canonical_basis([z for z, f in zip(rows, flat) if f])
     # distinct rows and generators of p have distinct images
-    hs = [_halfspace_from_homog(_reduce_off(z, eqs)) for z in rows]
-    for z in eqs:
-        hs += [_halfspace_from_homog(z), _halfspace_from_homog(vneg(z))]
-    basis = _canonical_basis([la.mat_vec(matrix, l) for l in p.lineality])
-    verts = [_reduce_off(vadd(la.mat_vec(matrix, v), shift), basis)
-             for v in p.vertices]
-    rays = (_reduce_off(la.mat_vec(matrix, r), basis) for r in p.rays)
-    all_rays = [la.primitive(r) for r in rays if not la.is_zero_vec(r)]
-    for l in basis:
-        all_rays.extend((l, vneg(l)))
-    return Polyhedron(dim=p.dim, halfspaces=tuple(sorted(hs)),
-                      vertices=tuple(sorted(verts)), rays=tuple(sorted(all_rays)),
-                      lineality=tuple(basis), fulldim=not eqs)
+    facets = [_reduce(z, eqs) for z, f in zip(rows, flat) if not f]
+    facets += (z for e in eqs for z in (e, tuple(-x for x in e)))
+    basis = _canonical_basis([_apply(fwd, [0] + la.integer_copy(l))[1:]
+                              for l in p.lineality])
+    lin_rows = [(0,) + l for l in basis]
+    verts = []
+    for v in p.vertices:
+        d, *x = _reduce(_apply(fwd, la.integer_copy((ONE,) + v)), lin_rows)
+        verts.append(tuple(Fraction(a, d) for a in x))
+    rays = basis + [tuple(-x for x in l) for l in basis]
+    for r in p.rays:
+        _, *y = _reduce(_apply(fwd, [0] + la.integer_copy(r)), lin_rows)
+        if any(y):
+            rays.append(la.primitive_int(y))
+    return Polyhedron(dim=p.dim, halfspaces=_halfspaces(facets),
+                      vertices=tuple(sorted(verts)),
+                      rays=tuple(tuple(map(Fraction, r)) for r in sorted(rays)),
+                      lineality=tuple(tuple(map(Fraction, l)) for l in basis),
+                      fulldim=not eqs)
 
 
 def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
@@ -527,16 +576,24 @@ def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
         eye = la.identity(p.dim)
         return _image(p, tuple(vscale(lam, e) for e in eye),
                       tuple(vscale(1 / lam, e) for e in eye), v)
-    s = _reduce_off(v, p.lineality)
-    return Polyhedron(
-        dim=p.dim,
-        halfspaces=tuple(HalfSpace(h.normal, lam * h.offset + dot(h.normal, v))
-                         for h in p.halfspaces),
-        vertices=tuple(vadd(vscale(lam, x), s) for x in p.vertices),
-        rays=p.rays,
-        lineality=p.lineality,
-        fulldim=True,
-    )
+    # one denominator per result: lam = P / Q, v = V / dv, s = S / ds,
+    # a vertex x = X / dx and an offset b = bn / bd
+    P, Q = lam.numerator, lam.denominator
+    dv, *V = la.integer_copy((ONE,) + v)
+    ds, *S = _reduce([dv] + V, [[0] + la.integer_copy(l) for l in p.lineality])
+    hs = []
+    for h in p.halfspaces:
+        bn, bd = h.offset.numerator, h.offset.denominator
+        av = sum(a.numerator * x for a, x in zip(h.normal, V))
+        hs.append(HalfSpace(h.normal,
+                            Fraction(P * bn * dv + Q * bd * av, Q * bd * dv)))
+    verts = []
+    for x in p.vertices:
+        dx, *X = la.integer_copy((ONE,) + x)
+        verts.append(tuple(Fraction(P * ds * a + Q * dx * s, Q * dx * ds)
+                           for a, s in zip(X, S)))
+    return Polyhedron(dim=p.dim, halfspaces=tuple(hs), vertices=tuple(verts),
+                      rays=p.rays, lineality=p.lineality, fulldim=True)
 
 
 def homothety(p: Polyhedron, center, factor) -> Polyhedron:

@@ -85,17 +85,15 @@ def norm_sq(u: Vec) -> Fraction:
 
 
 def denominator_lcm(u: Sequence[Fraction]) -> int:
-    out = 1
-    for a in u:
-        out = math.lcm(out, a.denominator)
-    return out
+    return math.lcm(*[a.denominator for a in u])
 
 
 def integer_copy(u: Sequence[Fraction]) -> list[int]:
     """u scaled by the lcm of its denominators: a positive multiple of u in
     integers, with every sign and every zero where u has it."""
-    m = denominator_lcm(u)
-    return [a.numerator * (m // a.denominator) for a in u]
+    dens = [a.denominator for a in u]
+    m = math.lcm(*dens)
+    return [a.numerator * (m // d) for a, d in zip(u, dens)]
 
 
 def primitive_int(v: Sequence[int]) -> tuple[int, ...]:
@@ -271,12 +269,13 @@ def _col_swap(mats: list[list[int]], a: int, b: int) -> None:
         w[a], w[b] = w[b], w[a]
 
 
-def unimodular_with_bottom_row(u: Vec) -> Mat:
-    """Unimodular integer matrix whose bottom row is the primitive vector u.
+def unimodular_with_bottom_row(u: Vec) -> tuple[Mat, Mat]:
+    """(U, U^-1) with U a unimodular integer matrix whose bottom row is the
+    primitive vector u.
 
     Column gcd elimination reduces u to the last unit row vector while a
-    companion matrix records the operations; the inverse of that companion
-    has u as its last row.
+    companion matrix C records the operations; U = C^-1 has u as its last
+    row, and C is returned as its inverse.
     """
     row = [int(x) for x in primitive(u)]
     n = len(row)
@@ -294,7 +293,7 @@ def unimodular_with_bottom_row(u: Vec) -> Mat:
             w[n - 1] = -w[n - 1]
     # row = u.C = (0, ..., 0, gcd(u)) = e_n, so u is the last row of C^-1,
     # which is integral because C is a product of unimodular column steps
-    return inverse(c)
+    return inverse(c), tuple(tuple(map(Fraction, row)) for row in c)
 
 
 def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:

@@ -283,13 +283,121 @@ def fraction_cone_dd(rows: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
     return lines, rays
 
 
+def _fraction_canonical_basis(lines):
+    """RREF the line vectors, then scale each row primitive (Fraction rows)."""
+    rows, _ = fraction_rref([list(la.vec(l)) for l in lines])
+    return [la.primitive(r) for r in rows if not la.is_zero_vec(r)]
+
+
+def _fraction_reduce_off(v, basis):
+    """v minus multiples of the rows of a canonical basis, each row's pivot
+    (its first nonzero entry) cleared in turn."""
+    for row in basis:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if v[p] != 0:
+            v = vsub(v, vscale(v[p] / row[p], row))
+    return v
+
+
+def _maximal_masks(masks, full):
+    """Indices of the tight-set bit masks that no other mask short of full
+    strictly contains."""
+    others = set(masks) - {full}
+    return [i for i, m in enumerate(masks)
+            if not any(m != o and m & o == m for o in others)]
+
+
+def fraction_assemble(rows, gens, lins, dim):
+    """``Polyhedron._assemble`` on Fraction rows and generators: the same
+    incidence pass, with the generators divided out, reduced off the
+    lineality and the rows off the equalities in Fraction arithmetic, and
+    every result collected in sets of Fraction tuples.  The reference for
+    the integer kernel."""
+    from latcut.errors import WholeSpace
+    from latcut.geometry import HalfSpace, Polyhedron
+
+    def halfspace(z):
+        return HalfSpace.make(z[1:], -z[0])
+
+    rows = [la.vec(z) for z in rows] + [(-ONE,) + la.vzero(dim)]  # x0 >= 0
+    gens = [la.vec(g) for g in gens]
+    gs = [la.integer_copy(g) for g in gens]  # tightness survives scaling
+    inc = [sum(1 << j for j, g in enumerate(gs)
+               if sum(x * y for x, y in zip(z, g)) == 0)
+           for z in map(la.integer_copy, rows)]
+    all_g = (1 << len(gens)) - 1
+    ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
+            for j in range(len(gens))]
+    gens = [gens[j] for j in _maximal_masks(ginc, (1 << len(rows)) - 1)]
+    basis = _fraction_canonical_basis(list(lins))
+    vcan = sorted({_fraction_reduce_off(tuple(x / g[0] for x in g[1:]), basis)
+                   for g in gens if g[0] != 0})
+    rays = (_fraction_reduce_off(g[1:], basis) for g in gens if g[0] == 0)
+    rcan = sorted({la.primitive(r) for r in rays if not la.is_zero_vec(r)})
+    eqs = _fraction_canonical_basis([z for z, m in zip(rows, inc) if m == all_g])
+    rows = [rows[i] for i in _maximal_masks(inc, all_g)]
+    hs = set()
+    for z in eqs:
+        hs.update((halfspace(z), halfspace(vneg(z))))
+    # the class of (-1, 0) is the inequality 0 . x <= 1, the face at
+    # infinity: not a facet, though its normal need not reduce to zero
+    trivial = la.primitive(_fraction_reduce_off((-ONE,) + la.vzero(dim), eqs))
+    for z in rows:
+        z = _fraction_reduce_off(z, eqs)
+        if not la.is_zero_vec(z) and la.primitive(z) != trivial:
+            hs.add(halfspace(z))
+    if not hs:
+        raise WholeSpace("generators span the whole space")
+    all_rays = list(rcan)
+    for l in basis:
+        all_rays.extend((l, vneg(l)))
+    return Polyhedron(
+        dim=dim,
+        halfspaces=tuple(sorted(hs)),
+        vertices=tuple(vcan),
+        rays=tuple(sorted(all_rays)),
+        lineality=tuple(basis),
+        fulldim=not eqs,
+    )
+
+
+def fraction_scale_shift(p, lam, v):
+    """lam * p + v for a full-dimensional p in Fraction arithmetic: each
+    offset lam b + a . v and each vertex lam x + s, s the shift reduced off
+    the lineality.  The reference for ``geometry.minkowski_scale_shift``."""
+    from latcut.geometry import HalfSpace, Polyhedron
+
+    lam, v = la.frac(lam), la.vec(v)
+    s = _fraction_reduce_off(v, p.lineality)
+    return Polyhedron(
+        dim=p.dim,
+        halfspaces=tuple(HalfSpace(h.normal, lam * h.offset + fraction_dot(h.normal, v))
+                         for h in p.halfspaces),
+        vertices=tuple(vadd(vscale(lam, x), s) for x in p.vertices),
+        rays=p.rays, lineality=p.lineality, fulldim=True)
+
+
+def slack_contains(p, q, strict=False):
+    """q inside p, or inside its interior when strict, by the slack rule:
+    every row of p has a nonnegative slack (positive when strict) at every
+    vertex of q, and no ray of q increases a row of p.  The reference for
+    ``Polyhedron.contains`` and ``contains_in_interior``."""
+    for h in p.halfspaces:
+        for v in q.vertices:
+            s = h.offset - fraction_dot(h.normal, v)  # h.eval_slack(v)
+            if s < 0 or strict and s == 0:
+                return False
+        if any(fraction_dot(h.normal, r) > 0 for r in q.rays):
+            return False
+    return True
+
+
 def assembled_polar(p, center=None):
-    """(p - center) polar through ``Polyhedron._assemble``: the vertex rows,
+    """(p - center) polar through ``fraction_assemble``: the vertex rows,
     the ray rows and the facet points go through the canonical-form pass,
     which finds the equalities and drops redundant rows by incidence.  The
     reference for the closed-form ``geometry.polar``."""
     from latcut.errors import OriginNotInterior
-    from latcut.geometry import Polyhedron
 
     c = la.vzero(p.dim) if center is None else la.vec(center)
     if not p.contains_point(c, strict=True):
@@ -300,17 +408,16 @@ def assembled_polar(p, center=None):
             for h in p.halfspaces]
     if la.rank(p.rays) == p.dim:
         gens.append((ONE,) + la.vzero(p.dim))
-    return Polyhedron._assemble(rows, gens, [], p.dim)
+    return fraction_assemble(rows, gens, [], p.dim)
 
 
 def assembled_affine_image(p, matrix, shift):
     """Image of p under the invertible map x -> matrix x + shift through
-    ``Polyhedron._assemble``: the mapped rows and generators go through the
+    ``fraction_assemble``: the mapped rows and generators go through the
     canonical-form pass, which finds the equalities and keeps facets and
     extreme generators by incidence.  The reference for the closed-form
     ``geometry.affine_image`` and ``geometry.transform``."""
     from latcut.errors import DimensionMismatch
-    from latcut.geometry import Polyhedron
 
     matrix = tuple(la.vec(row) for row in matrix)
     shift = la.vec(shift)
@@ -325,7 +432,7 @@ def assembled_affine_image(p, matrix, shift):
     gens = [(ONE,) + vadd(la.mat_vec(matrix, v), shift) for v in p.vertices]
     gens += [(ZERO,) + la.mat_vec(matrix, r) for r in p.rays]
     lins = [la.mat_vec(matrix, l) for l in p.lineality]
-    return Polyhedron._assemble(rows, gens, lins, p.dim)
+    return fraction_assemble(rows, gens, lins, p.dim)
 
 
 def fraction_strict_integer(pairs):

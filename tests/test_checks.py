@@ -8,7 +8,9 @@ import json
 import os
 import subprocess
 import sys
+import random
 import textwrap
+from fractions import Fraction as F
 from pathlib import Path
 
 import latcut
@@ -153,10 +155,11 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
 def test_inversions_per_scenario(monkeypatch):
     # a unimodular map is inverted once, when it is made without its
     # inverse; transform, UnimodularMap.inverse and the lattice searches
-    # read the stored one
+    # read the stored one, and the constructions hand their maps the
+    # inverse they already hold
     calls = counting(monkeypatch, latcut.linalg, "inverse")
-    ceilings = {"cubeface-census": 33, "approximation-factors": 147,
-                "lifting-end-to-end": 36, "inapprox-witnesses": 30,
+    ceilings = {"cubeface-census": 33, "approximation-factors": 118,
+                "lifting-end-to-end": 16, "inapprox-witnesses": 22,
                 "truncated-cone-shrink": 0}
     counts = {}
     for name in ceilings:
@@ -188,3 +191,39 @@ def test_gauge_metric_builds_each_cube_face_body_once(monkeypatch):
         assert run_scenario("gauge-metric-properties",
                             {"checks": 8, "seed": seed}).passed
         assert len(calls) <= 4 and len(calls) == len(set(calls)), (seed, calls)
+
+
+def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
+    # containment, homotheties, images and both constructors take their own
+    # int copies: no linalg.dot or linalg.mat_vec on their Fraction values
+    rng = random.Random(3)
+    f = (F(1, 2), F(1, 3), F(1, 5))
+    bodies = [scenarios.random_polytope_around(rng, f) for _ in range(4)]
+    cylinder = geometry.Polyhedron.from_generators(
+        [(0, 0, 0), (2, 1, 0), (1, 3, 0)], [(0, 0, 1), (0, 0, -1)])
+    flat = geometry.Polyhedron.from_generators([(0, 1, 2), (3, 1, 1)])
+    bodies += [cylinder, flat]
+    maps = [scenarios.random_unimodular(rng, 3) for _ in bodies]
+    dots = counting(monkeypatch, latcut.linalg, "dot")
+    monkeypatch.setattr(geometry, "dot", latcut.linalg.dot)
+    mat_vecs = counting(monkeypatch, latcut.linalg, "mat_vec")
+    runs = {
+        "contains": lambda p, q, t: p.contains(q),
+        "contains_in_interior": lambda p, q, t: p.contains_in_interior(q),
+        "minkowski_scale_shift":
+            lambda p, q, t: geometry.minkowski_scale_shift(p, F(3, 2), f),
+        "transform": lambda p, q, t: geometry.transform(p, t),
+        "from_halfspaces":
+            lambda p, q, t: geometry.Polyhedron.from_halfspaces(p.halfspaces, 3),
+        "from_generators": lambda p, q, t: geometry.Polyhedron.from_generators(
+            p.vertices, p.rays, 3),
+    }
+    counts = {}
+    for name, run in runs.items():
+        dots.clear()
+        mat_vecs.clear()
+        for p, t in zip(bodies, maps):
+            for q in bodies:
+                run(p, q, t)
+        counts[name] = (len(dots), len(mat_vecs))
+    assert all(c == (0, 0) for c in counts.values()), counts

@@ -1,5 +1,6 @@
 """Conversion engine, polarity, transforms, LP, separation, distances."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from latcut.errors import (
     EmptySet,
     NotSeparable,
     OriginNotInterior,
+    UnsupportedShape,
     WholeSpace,
 )
 from latcut.geometry import (
@@ -50,9 +52,12 @@ from oracles import (
     brute_force_lp,
     brute_force_slice,
     brute_force_vertices,
+    fraction_assemble,
     fraction_cone_dd,
+    fraction_scale_shift,
     hausdorff_sq_polygons,
     polygon_dist_sq,
+    slack_contains,
     subset_scan_dist_sq,
 )
 
@@ -818,6 +823,157 @@ def test_images_run_no_assemble_and_maps_no_inverse(monkeypatch):
     assert assembles == []
 
 
+KINDS = ("bounded", "rays", "lineality", "flat")
+
+
+def _kind(p):
+    return ("flat" if not p.fulldim else "lineality" if p.lineality else
+            "rays" if p.rays else "bounded")
+
+
+def _bodies_of_every_kind(rng, per):
+    """Seeded bodies in dimensions 1-3, per of each kind (bounded, pointed
+    unbounded, with lineality, flat; a line in R^1 is the whole space), as
+    {(kind, dim): [bodies]}.  Flat bodies lie on a line or, in R^3, a plane
+    through a point, some with a ray or a line along it."""
+    def q():
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+    def vec(n):
+        return tuple(F(rng.randint(-2, 2)) for _ in range(n))
+
+    out = {(k, n): [] for n in (1, 2, 3) for k in KINDS if (k, n) != ("lineality", 1)}
+    while any(len(v) < per for v in out.values()):
+        n = rng.randint(1, 3)
+        pts = [tuple(q() for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+        rays = [vec(n) for _ in range(rng.choice((0, 0, 1, 2)))]
+        if rays and rng.random() < 0.4:
+            rays.append(la.vneg(rays[0]))
+        if rng.random() < 0.3:
+            span = [vec(n) for _ in range(rng.randint(0, min(2, n - 1)))]
+            flat = []
+            for _ in range(rng.randint(0, 3)):
+                x = pts[0]
+                for d in span:
+                    x = la.vadd(x, la.vscale(rng.randint(-3, 3), d))
+                flat.append(x)
+            pts = pts[:1] + flat
+            rays = [d for d in span if rng.random() < 0.3]
+            if rays and rng.random() < 0.5:
+                rays.append(la.vneg(rays[0]))
+        rays = [r for r in rays if not la.is_zero_vec(r)]
+        try:
+            p = Polyhedron.from_generators(pts, rays, n)
+        except WholeSpace:
+            continue
+        bucket = out[_kind(p), n]
+        if len(bucket) < per:
+            bucket.append(p)
+    return out
+
+
+def _check_assemble_against_the_fraction_route(mp):
+    """Run every Polyhedron._assemble call through oracles.fraction_assemble
+    too and compare the two by repr (WholeSpace from both alike); returns
+    the list of results."""
+    real = Polyhedron._assemble
+    log = []
+
+    def checked(rows, gens, lins, dim):
+        try:
+            want = repr(fraction_assemble(rows, gens, lins, dim))
+        except WholeSpace:
+            with pytest.raises(WholeSpace):
+                real(rows, gens, lins, dim)
+            raise
+        got = real(rows, gens, lins, dim)
+        assert repr(got) == want, (rows, gens, lins, dim)
+        log.append(got)
+        return got
+
+    mp.setattr(Polyhedron, "_assemble", staticmethod(checked))
+    return log
+
+
+def test_assemble_matches_the_fraction_route(monkeypatch):
+    bodies = _bodies_of_every_kind(random.Random(43), 25)
+    log = _check_assemble_against_the_fraction_route(monkeypatch)
+    for (kind, n), ps in bodies.items():
+        for p in ps:
+            q = Polyhedron.from_generators(p.vertices, p.rays, n)
+            assert q == p
+            assert Polyhedron.from_halfspaces(p.halfspaces, n) == p
+            # a quotient by the lineality and a facet body, as the lattice
+            # searches assemble them
+            if p.fulldim:
+                with contextlib.suppress(UnsupportedShape):
+                    lattice.interior_lattice_point(p)
+            if p.fulldim and not p.rays and n > 1:
+                facet_interior_lattice_point(p, 0)
+    with pytest.raises(WholeSpace):
+        Polyhedron.from_generators([(0, 0)], [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    seen = {}
+    for p in log:
+        seen[_kind(p), p.dim] = seen.get((_kind(p), p.dim), 0) + 1
+    assert len(seen) == 11 and min(seen.values()) >= 50, seen
+    assert len(log) >= 600
+
+
+def test_scale_shift_matches_the_fraction_formula():
+    rng = random.Random(47)
+    count = 0
+    for (kind, n), ps in _bodies_of_every_kind(rng, 15).items():
+        for p in ps:
+            lam = F(rng.randint(1, 12), rng.randint(1, 5))
+            v = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
+            c = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(n))
+            if p.fulldim:
+                want = fraction_scale_shift(p, lam, v)
+                assert repr(minkowski_scale_shift(p, lam, v)) == repr(want), (p, lam, v)
+                assert repr(homothety(p, c, lam)) == repr(
+                    fraction_scale_shift(p, lam, la.vscale(1 - lam, c)))
+                assert repr(translate(p, v)) == repr(fraction_scale_shift(p, 1, v))
+                count += 1
+            diag = tuple(la.vscale(lam, e) for e in la.identity(n))
+            assert repr(minkowski_scale_shift(p, lam, v)) == repr(
+                assembled_affine_image(p, diag, v)), (kind, p, lam, v)
+    assert count >= 120
+
+
+def test_containment_matches_the_slack_rule():
+    rng = random.Random(53)
+    bodies = _bodies_of_every_kind(rng, 8)
+    outcomes = {}
+    for (kind, n), ps in bodies.items():
+        others = [q for (_, m), qs in bodies.items() if m == n for q in qs]
+        for p in ps:
+            c = p.relative_interior_point()
+            pairs = [(p, p)] + [(p, q) for q in rng.sample(others, 6)]
+            # about a vertex, the homothety keeps that vertex on p's facets
+            for center in (c, p.vertices[0]):
+                for lam in (F(1, 2), F(3, 2)):
+                    hp = homothety(p, center, lam)
+                    pairs += [(p, hp), (hp, p)]
+            for a, b in pairs:
+                got = (a.contains(b), a.contains_in_interior(b))
+                assert got == (slack_contains(a, b),
+                               slack_contains(a, b, strict=True)), (a, b)
+                on_facet = any(h.eval_slack(v) == 0 for h in a.halfspaces
+                               for v in b.vertices)
+                key = got + (on_facet, bool(b.rays))
+                outcomes[key] = outcomes.get(key, 0) + 1
+    # inside with a vertex on a facet, strictly inside, outside, and each
+    # with rays
+    for key in [(True, False, True, False), (True, False, True, True),
+                (True, True, False, False), (False, False, False, False),
+                (False, False, True, True), (True, True, False, True)]:
+        assert outcomes.get(key, 0) >= 5, (key, outcomes)
+    with pytest.raises(DimensionMismatch):
+        bodies["bounded", 2][0].contains(bodies["bounded", 3][0])
+    with pytest.raises(DimensionMismatch):
+        bodies["bounded", 2][0].contains_in_interior(bodies["bounded", 1][0])
+
+
 def test_sections_and_embeddings():
     tri = Polyhedron.from_generators([(0, 0), (2, 0), (1, 2)])
     d = level_slice(tri, 1)
@@ -1108,3 +1264,49 @@ def test_images_match_the_assembled_route_hypothesis(pts, raw_rays, entries, shi
     if all(x.denominator == 1 for x in shift) and all(
             map(la.is_integer_vec, la.inverse(m))):
         assert repr(transform(p, UnimodularMap.make(m, shift))) == want
+
+
+rational = st.builds(F, st.integers(min_value=-9, max_value=9),
+                     st.integers(min_value=1, max_value=3))
+
+
+@st.composite
+def generator_lists(draw):
+    """(dim, points, rays) in dimensions 1-3; some lie on a line, with a ray
+    along it or none."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    pts = draw(st.lists(st.tuples(*[rational] * n), min_size=1, max_size=5))
+    rays = draw(st.lists(st.tuples(*[coord] * n), max_size=3))
+    if draw(st.booleans()):
+        d = draw(st.tuples(*[coord] * n))
+        ks = draw(st.lists(st.integers(min_value=-3, max_value=3), max_size=3))
+        pts = pts[:1] + [la.vadd(pts[0], la.vscale(k, d)) for k in ks]
+        rays = [d] * draw(st.integers(min_value=0, max_value=1))
+    return n, pts, [r for r in rays if not la.is_zero_vec(r)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_lists(), st.builds(F, st.integers(min_value=1, max_value=12),
+                                    st.integers(min_value=1, max_value=5)),
+       st.data())
+def test_int_kernels_match_the_fraction_routes_hypothesis(gens, lam, data):
+    n, pts, rays = gens
+    with pytest.MonkeyPatch.context() as mp:
+        _check_assemble_against_the_fraction_route(mp)
+        try:
+            p = Polyhedron.from_generators(pts, rays, n)
+        except WholeSpace:
+            return
+        assert Polyhedron.from_halfspaces(p.halfspaces, n) == p
+    v = data.draw(st.tuples(*[rational] * n))
+    if p.fulldim:
+        assert repr(minkowski_scale_shift(p, lam, v)) == repr(
+            fraction_scale_shift(p, lam, v))
+    m = data.draw(st.tuples(*[st.tuples(*[rational] * n)] * n))
+    if la.rank(m) == n:
+        assert repr(affine_image(p, m, v)) == repr(assembled_affine_image(p, m, v))
+    for center in (p.relative_interior_point(), p.vertices[0]):
+        q = homothety(p, center, lam)
+        for a, b in ((p, q), (q, p), (p, p)):
+            assert (a.contains(b), a.contains_in_interior(b)) == (
+                slack_contains(a, b), slack_contains(a, b, strict=True))
