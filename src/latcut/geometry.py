@@ -23,8 +23,8 @@ a polyhedron are the extreme rays of its homogenized dual cone.  The routine
 is fraction-free, as in cdd and lrs: each row is scaled to integers by the
 lcm of its denominators, lines and rays are primitive int tuples, and each
 ray carries its zero set over the rows inserted so far as a bit mask,
-updated at each insertion rather than recomputed.  ``Fraction`` appears only
-in its result.
+updated at each insertion rather than recomputed.  It returns those int
+tuples as they are; no ``Fraction`` appears in it.
 
 Each constructor runs one conversion.  ``Polyhedron._assemble`` is the one
 routine that brings both descriptions to canonical form for the
@@ -36,8 +36,9 @@ an implicit equality iff it is tight on every generator, and a facet iff no
 other row's tight set strictly contains its own without being every
 generator; a generator is a line iff it is tight on every row, and extreme
 iff no other generator's tight set strictly contains its own without being
-every row.  Affine images, homotheties and polars run neither a conversion
-nor this pass.  An invertible map carries facets to facets and extreme
+every row, so the lineality space is the span of the generators tight on
+every row and no caller passes it.  Affine images, homotheties and polars
+run neither a conversion nor this pass.  An invertible map carries facets to facets and extreme
 generators to extreme generators, so ``_image`` maps the normals by the
 inverse and the generators by the map, and only reduces a flat body's
 other rows off its mapped equalities and the generators off the mapped
@@ -78,16 +79,17 @@ from .simplex import LpResult, solve_ineq
 # cone double description
 
 
-def cone_dd(rows: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
+def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Generators of the cone {y : r . y <= 0 for all r in rows}.
 
-    Returns (lines, rays): a basis of the lineality space and the extreme
-    rays of the quotient by it.  Rows equal to zero are skipped.  The work
-    runs on integer copies of the rows, with lines and rays kept as
-    primitive int tuples and each ray's zero set carried as a bit mask
-    (bit k: the k-th row that cut the cone is tight on the ray).  A row the
-    cone already satisfies gets no bit: it is redundant for every later cone
-    too, and the adjacency test holds over any rows that define the cone.
+    Returns (lines, rays) as primitive int tuples: a basis of the lineality
+    space, the generators tight on every row, and the extreme rays of the
+    quotient by it.  Rows equal to zero are skipped.  The work runs on
+    integer copies of the rows, and each ray's zero set is carried as a bit
+    mask (bit k: the k-th row that cut the cone is tight on the ray).  A row
+    the cone already satisfies gets no bit: it is redundant for every later
+    cone too, and the adjacency test holds over any rows that define the
+    cone.
     """
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
@@ -132,8 +134,7 @@ def cone_dd(rows: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
             # cone: the row is redundant and takes no bit
             continue
         bit <<= 1
-    return ([tuple(map(Fraction, l)) for l in lines],
-            [tuple(map(Fraction, r)) for r in rays])
+    return lines, rays
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +248,13 @@ class Polyhedron:
         for h in hs:
             if len(h.normal) != dim:
                 raise DimensionMismatch(f"normal {h.normal} not in dimension {dim}")
-        rows = [(-h.offset,) + h.normal for h in hs]
-        lines, rays = cone_dd(rows + [(-ONE,) + la.vzero(dim)], dim + 1)  # x0 >= 0
+        # integer_copy, not _int_row: a HalfSpace built by a caller may have a
+        # normal that is not an integer vector
+        rows = [la.integer_copy((-h.offset,) + h.normal) for h in hs]
+        lines, rays = cone_dd(rows + [[-1] + [0] * dim], dim + 1)  # x0 >= 0
         if not any(r[0] > 0 for r in rays):
             raise EmptySet("no feasible point satisfies all half-spaces")
-        return Polyhedron._assemble(rows, rays, [l[1:] for l in lines], dim)
+        return Polyhedron._assemble(rows, rays + lines, dim)
 
     @staticmethod
     def from_generators(vertices, rays=(), dim: int | None = None) -> "Polyhedron":
@@ -266,19 +269,18 @@ class Polyhedron:
                 raise DimensionMismatch(f"generator {g} not in dimension {dim}")
         gens = [(ONE,) + v for v in verts] + [(ZERO,) + r for r in recrays]
         dlines, drays = cone_dd(gens, dim + 1)
-        rows = dlines + drays
-        lins = la.kernel_basis([z[1:] for z in rows], dim)
-        return Polyhedron._assemble(rows, gens, lins, dim)
+        return Polyhedron._assemble(dlines + drays, gens, dim)
 
     @staticmethod
-    def _assemble(rows, gens, lins, dim) -> "Polyhedron":
+    def _assemble(rows, gens, dim) -> "Polyhedron":
         """Canonical form from homogenized rows (z0, c), read as c . x <= -z0,
-        that include every facet and span the implicit equalities; from
+        that include every facet and span the implicit equalities, and from
         homogenized generators (1, v) and (0, r) that include every extreme
-        point and ray; and from a basis of the lineality space in R^dim.
-        Other rows and generators are dropped by incidence (module
-        docstring); the x0 >= 0 row added here tells a quadrant's rays
-        apart from its vertex.  Runs on int copies of rows and generators.
+        point and ray and span the lineality space.  The lineality space is
+        the span of the generators tight on every row; other rows and
+        generators are dropped by incidence (module docstring).  The x0 >= 0
+        row added here tells a quadrant's rays apart from its vertex, and no
+        point is tight on it.  Runs on int copies of rows and generators.
         """
         x0 = [-1] + [0] * dim  # x0 >= 0
         rows = [la.integer_copy(z) for z in rows] + [x0]
@@ -287,12 +289,13 @@ class Polyhedron:
                    if sum(map(operator.mul, z, g)) == 0)
                for z in rows]
         all_g = (1 << len(gens)) - 1
+        all_r = (1 << len(rows)) - 1
         ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
                 for j in range(len(gens))]
-        basis = _canonical_basis(lins)
+        basis = _canonical_basis([g[1:] for g, m in zip(gens, ginc) if m == all_r])
         lin_rows = [(0,) + l for l in basis]
         verts, rays = set(), set()
-        for j in _maximal(ginc, (1 << len(rows)) - 1):
+        for j in _maximal(ginc, all_r):
             g = _reduce(gens[j], lin_rows)
             if g[0]:
                 verts.add(la.primitive_int(g))

@@ -279,7 +279,7 @@ def _split_off_lineality(p: Polyhedron):
     rows = [(-h.offset,) + h.normal[:keep] for h in q.halfspaces]
     gens = [(ONE,) + v[:keep] for v in q.vertices]
     gens += [(ZERO,) + r[:keep] for r in rays]
-    quotient = Polyhedron._assemble(rows, gens, [], keep)
+    quotient = Polyhedron._assemble(rows, gens, keep)
     inv = umap.inverse()
 
     def back(z: Vec) -> Vec:
@@ -372,8 +372,8 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     # under y = U^-T x the plane becomes y_n = level and a . x <= b becomes
     # (U a) . y <= b; fixing y_n leaves constraints in y_1..y_{n-1} (a row
     # parallel to the plane holds strictly on it, as p is full-dimensional);
-    # the facet's generators are p's generators tight on it, so the facet is
-    # assembled with no conversion
+    # the facet's generators are p's generators tight on it, its lineality
+    # pairs among them, so the facet is assembled with no conversion
     rotated = [HalfSpace(la.mat_vec(u, a), b) for a, b in others]
     rows = [(-g.offset,) + g.normal for g in fix_last_axis(rotated, level)]
     inv_t = la.transpose(c)
@@ -381,9 +381,8 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
             if h.eval_slack(v) == 0]
     gens += [(ZERO,) + la.mat_vec(inv_t, r)[:-1] for r in p.rays
              if dot(h.normal, r) == 0]
-    lins = [la.mat_vec(inv_t, l)[:-1] for l in p.lineality]
     try:
-        sub = Polyhedron._assemble(rows, gens, lins, p.dim - 1)
+        sub = Polyhedron._assemble(rows, gens, p.dim - 1)
     except WholeSpace:
         z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
     else:

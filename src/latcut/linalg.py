@@ -11,7 +11,8 @@ builds one Fraction per call.  Floats never enter any computation here.
 
 One fraction-free Gauss-Jordan step, ``pivot``, does every elimination:
 ``rref_int`` and so ``rank``, ``solve``, ``inverse`` and ``kernel_basis``,
-and the tableau of ``simplex.solve_ineq``.
+and the tableau of ``simplex.solve_ineq``; ``solve``, ``inverse`` and
+``kernel_basis`` read its table and build one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -181,12 +182,6 @@ def rref_int(m: Sequence[Sequence[Fraction]]):
     return tab, den, pivots
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form as Fraction rows, and the pivot columns."""
-    tab, den, pivots = rref_int(rows)
-    return [[Fraction(x, d) for x in row] for row, d in zip(tab, den)], pivots
-
-
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     return len(rref_int(m)[2])
 
@@ -218,15 +213,15 @@ def inverse(m: Mat) -> Mat:
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
-    """Rational basis of {x : m x = 0} (free-variable back substitution)."""
-    rows, pivots = _rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Rational basis of {x : m x = 0} (free-variable back substitution),
+    read off the ``rref_int`` table with one Fraction per entry."""
+    tab, den, pivots = rref_int(m)
     basis = []
-    for fcol in free:
+    for fcol in (c for c in range(ncols) if c not in pivots):
         x = [ZERO] * ncols
         x[fcol] = ONE
         for r, c in enumerate(pivots):
-            x[c] = -rows[r][fcol]
+            x[c] = Fraction(-tab[r][fcol], den[r])
         basis.append(tuple(x))
     return basis
 

@@ -307,19 +307,37 @@ def _maximal_masks(masks, full):
             if not any(m != o and m & o == m for o in others)]
 
 
-def fraction_assemble(rows, gens, lins, dim):
+def fraction_kernel(rows, ncols):
+    """Basis of {x : rows . x = 0} by free-variable back substitution on
+    the Fraction elimination: the reference for ``linalg.kernel_basis``."""
+    red, pivots = fraction_rref([list(r) for r in rows])
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        x = [ZERO] * ncols
+        x[fcol] = ONE
+        for r, c in enumerate(pivots):
+            x[c] = -red[r][fcol]
+        basis.append(tuple(x))
+    return basis
+
+
+def fraction_assemble(rows, gens, dim):
     """``Polyhedron._assemble`` on Fraction rows and generators: the same
-    incidence pass, with the generators divided out, reduced off the
-    lineality and the rows off the equalities in Fraction arithmetic, and
-    every result collected in sets of Fraction tuples.  The reference for
-    the integer kernel."""
+    incidence pass, with the lineality taken as the kernel of the row
+    normals, the generators divided out, reduced off the lineality and the
+    rows off the equalities in Fraction arithmetic, and every result
+    collected in sets of Fraction tuples.  The reference for the integer
+    kernel, which reads the lineality off the generators tight on every
+    row instead."""
     from latcut.errors import WholeSpace
     from latcut.geometry import HalfSpace, Polyhedron
 
     def halfspace(z):
         return HalfSpace.make(z[1:], -z[0])
 
-    rows = [la.vec(z) for z in rows] + [(-ONE,) + la.vzero(dim)]  # x0 >= 0
+    rows = [la.vec(z) for z in rows]
+    lins = fraction_kernel([z[1:] for z in rows], dim)
+    rows.append((-ONE,) + la.vzero(dim))  # x0 >= 0
     gens = [la.vec(g) for g in gens]
     gs = [la.integer_copy(g) for g in gens]  # tightness survives scaling
     inc = [sum(1 << j for j, g in enumerate(gs)
@@ -329,7 +347,7 @@ def fraction_assemble(rows, gens, lins, dim):
     ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
             for j in range(len(gens))]
     gens = [gens[j] for j in _maximal_masks(ginc, (1 << len(rows)) - 1)]
-    basis = _fraction_canonical_basis(list(lins))
+    basis = _fraction_canonical_basis(lins)
     vcan = sorted({_fraction_reduce_off(tuple(x / g[0] for x in g[1:]), basis)
                    for g in gens if g[0] != 0})
     rays = (_fraction_reduce_off(g[1:], basis) for g in gens if g[0] == 0)
@@ -408,7 +426,7 @@ def assembled_polar(p, center=None):
             for h in p.halfspaces]
     if la.rank(p.rays) == p.dim:
         gens.append((ONE,) + la.vzero(p.dim))
-    return fraction_assemble(rows, gens, [], p.dim)
+    return fraction_assemble(rows, gens, p.dim)
 
 
 def assembled_affine_image(p, matrix, shift):
@@ -431,8 +449,7 @@ def assembled_affine_image(p, matrix, shift):
         rows.append((-h.offset - dot(a2, shift),) + a2)
     gens = [(ONE,) + vadd(la.mat_vec(matrix, v), shift) for v in p.vertices]
     gens += [(ZERO,) + la.mat_vec(matrix, r) for r in p.rays]
-    lins = [la.mat_vec(matrix, l) for l in p.lineality]
-    return fraction_assemble(rows, gens, lins, p.dim)
+    return fraction_assemble(rows, gens, p.dim)
 
 
 def fraction_strict_integer(pairs):

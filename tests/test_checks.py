@@ -169,6 +169,22 @@ def test_inversions_per_scenario(monkeypatch):
     assert all(counts[name] <= ceilings[name] for name in ceilings), counts
 
 
+def test_kernel_bases_per_scenario(monkeypatch):
+    # the constructors read the lineality off the generators tight on every
+    # row; the kernels left are _zero_combination's and those behind
+    # alignment_unimodular
+    calls = counting(monkeypatch, latcut.linalg, "kernel_basis")
+    ceilings = {"cubeface-census": 33, "approximation-factors": 41,
+                "lifting-end-to-end": 20, "inapprox-witnesses": 14,
+                "truncated-cone-shrink": 0}
+    counts = {}
+    for name in ceilings:
+        calls.clear()
+        assert run_scenario(name).passed
+        counts[name] = len(calls)
+    assert all(counts[name] <= ceilings[name] for name in ceilings), str(counts)
+
+
 def test_construct_certifies_once(monkeypatch):
     calls = counting(monkeypatch, lattice, "certify_lattice_free")
     for module in (constructions, cli):
@@ -195,7 +211,8 @@ def test_gauge_metric_builds_each_cube_face_body_once(monkeypatch):
 
 def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
     # containment, homotheties, images and both constructors take their own
-    # int copies: no linalg.dot or linalg.mat_vec on their Fraction values
+    # int copies: no linalg.dot or linalg.mat_vec on their Fraction values,
+    # and no linalg.kernel_basis (the lineality is read off the generators)
     rng = random.Random(3)
     f = (F(1, 2), F(1, 3), F(1, 5))
     bodies = [scenarios.random_polytope_around(rng, f) for _ in range(4)]
@@ -207,6 +224,7 @@ def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
     dots = counting(monkeypatch, latcut.linalg, "dot")
     monkeypatch.setattr(geometry, "dot", latcut.linalg.dot)
     mat_vecs = counting(monkeypatch, latcut.linalg, "mat_vec")
+    kernels = counting(monkeypatch, latcut.linalg, "kernel_basis")
     runs = {
         "contains": lambda p, q, t: p.contains(q),
         "contains_in_interior": lambda p, q, t: p.contains_in_interior(q),
@@ -222,8 +240,9 @@ def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
     for name, run in runs.items():
         dots.clear()
         mat_vecs.clear()
+        kernels.clear()
         for p, t in zip(bodies, maps):
             for q in bodies:
                 run(p, q, t)
-        counts[name] = (len(dots), len(mat_vecs))
-    assert all(c == (0, 0) for c in counts.values()), counts
+        counts[name] = (len(dots), len(mat_vecs), len(kernels))
+    assert all(c == (0, 0, 0) for c in counts.values()), str(counts)

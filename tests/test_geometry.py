@@ -105,6 +105,9 @@ def test_redundant_inputs_are_dropped():
         [((3, -1), -1), ((-3, 1), 1), ((1, 0), F(1, 3)), ((3, -1), 0)], 2)
     assert len(ray.halfspaces) == 3
     assert ray.vertices == ((F(1, 3), F(2)),) and ray.rays == ((F(-1), F(-3)),)
+    # a HalfSpace built directly, its normal not an integer vector
+    half = Polyhedron.from_halfspaces([HalfSpace((F(1, 2),), F(1)), ((-1,), 0)], 1)
+    assert half.vertices == ((F(0),), (F(2),))
     # lineality given as rays, one direction twice
     slab = Polyhedron.from_generators(
         [(0, 0), (0, 5), (1, 0)], [(0, 1), (0, -1), (0, 2)], 2)
@@ -246,14 +249,15 @@ def test_cone_dd_runs_no_fraction_arithmetic(monkeypatch):
     assert calls == []
 
 
-def test_cone_dd_returns_lists_of_fraction_tuples():
-    # perfbench's tracer reads len(rows) and len(result[1])
+def test_cone_dd_returns_lists_of_int_tuples():
+    # perfbench's tracer reads len(rows) and len(result[1]); _assemble takes
+    # the primitive int tuples as they are
     lines, rays = cone_dd([(F(0), F(-1), F(0)), (F(-1), F(1, 2), F(0))], 3)
     assert type(lines) is list and type(rays) is list
-    assert len(lines) == 1 and len(rays) == 2
+    assert lines == [(0, 0, 1)] and sorted(rays) == [(1, 0, 0), (1, 2, 0)]
     for v in lines + rays:
         assert type(v) is tuple and len(v) == 3
-        assert all(type(x) is F for x in v)
+        assert all(type(x) is int for x in v)
 
 
 def test_redundant_generators_keep_every_extreme_ray():
@@ -489,9 +493,9 @@ def test_polar_and_f_metric_run_no_assemble(monkeypatch):
     calls = []
     real = Polyhedron._assemble
 
-    def counting_assemble(rows, gens, lins, dim):
+    def counting_assemble(rows, gens, dim):
         calls.append(dim)
-        return real(rows, gens, lins, dim)
+        return real(rows, gens, dim)
 
     inputs = _polar_inputs(random.Random(17), 5)
     pairs = [(p, homothety(p, c, 2), c) for bodies in inputs.values()
@@ -721,9 +725,9 @@ def test_scale_shift_runs_no_assemble(monkeypatch):
     calls = []
     real = Polyhedron._assemble
 
-    def counting_assemble(rows, gens, lins, dim):
+    def counting_assemble(rows, gens, dim):
         calls.append(dim)
-        return real(rows, gens, lins, dim)
+        return real(rows, gens, dim)
 
     bodies = _scale_shift_bodies(random.Random(5), 40)
     monkeypatch.setattr(Polyhedron, "_assemble", staticmethod(counting_assemble))
@@ -802,9 +806,9 @@ def test_images_run_no_assemble_and_maps_no_inverse(monkeypatch):
     inverses = []
     real_assemble, real_inverse = Polyhedron._assemble, la.inverse
 
-    def counting_assemble(rows, gens, lins, dim):
+    def counting_assemble(rows, gens, dim):
         assembles.append(dim)
-        return real_assemble(rows, gens, lins, dim)
+        return real_assemble(rows, gens, dim)
 
     def counting_inverse(m):
         inverses.append(m)
@@ -879,15 +883,15 @@ def _check_assemble_against_the_fraction_route(mp):
     real = Polyhedron._assemble
     log = []
 
-    def checked(rows, gens, lins, dim):
+    def checked(rows, gens, dim):
         try:
-            want = repr(fraction_assemble(rows, gens, lins, dim))
+            want = repr(fraction_assemble(rows, gens, dim))
         except WholeSpace:
             with pytest.raises(WholeSpace):
-                real(rows, gens, lins, dim)
+                real(rows, gens, dim)
             raise
-        got = real(rows, gens, lins, dim)
-        assert repr(got) == want, (rows, gens, lins, dim)
+        got = real(rows, gens, dim)
+        assert repr(got) == want, (rows, gens, dim)
         log.append(got)
         return got
 
@@ -895,23 +899,46 @@ def _check_assemble_against_the_fraction_route(mp):
     return log
 
 
+# (points, rays, lineality dimension): the rays span the lineality with no
+# +/- pair among them, as r, s, -r - s or r, -2r
+_PLANE = [(1, 0, 1), (0, 1, -1), (-1, -1, 0)]
+_LINEALITY_WITHOUT_PAIRS = [
+    ([(F(1, 2), 0)], [(1, 2), (-2, -4)], 1),                  # a line
+    ([(0, 0), (1, 0)], [(1, 1), (-3, -3), (0, 1)], 1),        # a half-plane
+    ([(F(1, 2), F(1, 3), 0)], _PLANE + [(1, 1, 1)], 2),       # a half-space
+    ([(0, 0, 0), (0, 0, 1)], _PLANE, 2),                      # a slab
+    ([(0, 0, 0), (1, 0, 0), (0, 2, 0)], [(1, 1, 1), (-2, -2, -2)], 1),  # a prism
+    ([(F(1, 2), 0, 0)], _PLANE, 2),                           # flat: a plane
+    ([(0, 0, F(1, 2)), (1, 0, F(1, 2))], [(0, 1, 0), (0, -2, 0)], 1),  # a strip
+    ([(0, 0, F(1, 2))], [(0, 1, 0), (0, -2, 0), (1, 0, 0)], 1),  # a half-plane
+    ([(1, 0, 0)], [(1, 1, 1), (-2, -2, -2)], 1),             # a line
+]
+
+
 def test_assemble_matches_the_fraction_route(monkeypatch):
     bodies = _bodies_of_every_kind(random.Random(43), 25)
     log = _check_assemble_against_the_fraction_route(monkeypatch)
+    for pts, rays, k in _LINEALITY_WITHOUT_PAIRS:
+        p = Polyhedron.from_generators(pts, rays)
+        assert len(p.lineality) == k and _canonical_basis(p.lineality) == (
+            _canonical_basis([la.vec(r) for r in rays[:k + 1]]))
+        bodies.setdefault(("no pairs", p.dim), []).append(p)
     for (kind, n), ps in bodies.items():
         for p in ps:
             q = Polyhedron.from_generators(p.vertices, p.rays, n)
             assert q == p
             assert Polyhedron.from_halfspaces(p.halfspaces, n) == p
-            # a quotient by the lineality and a facet body, as the lattice
+            # a quotient by the lineality and facet bodies, as the lattice
             # searches assemble them
             if p.fulldim:
                 with contextlib.suppress(UnsupportedShape):
                     lattice.interior_lattice_point(p)
-            if p.fulldim and not p.rays and n > 1:
-                facet_interior_lattice_point(p, 0)
-    with pytest.raises(WholeSpace):
-        Polyhedron.from_generators([(0, 0)], [(1, 0), (-1, 0), (0, 1), (0, -1)])
+            if p.fulldim and n > 1 and (p.lineality or not p.rays):
+                for j in range(len(p.halfspaces)):
+                    facet_interior_lattice_point(p, j)
+    for rays in ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 0), (0, 1), (-1, -1)]):
+        with pytest.raises(WholeSpace):
+            Polyhedron.from_generators([(0, 0)], rays)
     seen = {}
     for p in log:
         seen[_kind(p), p.dim] = seen.get((_kind(p), p.dim), 0) + 1

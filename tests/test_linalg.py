@@ -10,7 +10,7 @@ from latcut import linalg as la
 from latcut.errors import DimensionMismatch
 from latcut.geometry import UnimodularMap
 
-from oracles import fraction_det, fraction_dot, fraction_rref
+from oracles import fraction_det, fraction_dot, fraction_kernel, fraction_rref
 
 entry = st.one_of(
     st.integers(min_value=-60, max_value=60),
@@ -60,22 +60,20 @@ def _identity_right(m):
 
 
 def check_against_fraction_rref(m, ncols, b):
-    """_rref, rank, kernel_basis, solve and (for a square m) inverse agree
-    with what the Fraction elimination gives for the same rows."""
+    """rref_int (its table divided out), rank, kernel_basis, solve and (for
+    a square m) inverse agree with what the Fraction elimination gives for
+    the same rows."""
     want_rows, want_piv = fraction_rref(_fractions(m))
-    got_rows, got_piv = la._rref(m)
+    tab, den, got_piv = la.rref_int(m)
+    got_rows = [[F(x, d) for x in row] for row, d in zip(tab, den)]
     assert (got_rows, got_piv) == (want_rows, want_piv)
-    assert all(type(x) is F for row in got_rows for x in row)
+    assert all(type(x) is int for row in tab for x in row)
+    assert all(type(d) is int and d > 0 for d in den)
     assert la.rank(m) == len(want_piv)
 
-    kernel = []
-    for fcol in (c for c in range(ncols) if c not in want_piv):
-        x = [F(0)] * ncols
-        x[fcol] = F(1)
-        for r, c in enumerate(want_piv):
-            x[c] = -want_rows[r][fcol]
-        kernel.append(tuple(x))
-    assert la.kernel_basis(m, ncols) == kernel
+    kernel = la.kernel_basis(m, ncols)
+    assert kernel == fraction_kernel(_fractions(m), ncols)
+    assert all(type(x) is F for v in kernel for x in v)
 
     aug_rows, aug_piv = fraction_rref([row + [F(bi)] for row, bi in
                                        zip(_fractions(m), b)])
@@ -163,7 +161,7 @@ def test_integer_rref_matches_the_fraction_rref_hypothesis(system):
 
 
 def test_empty_rows():
-    assert la._rref([]) == ([], [])
+    assert la.rref_int([]) == ([], [], [])
     assert la.rank([]) == 0
     assert la.kernel_basis([], 2) == [(1, 0), (0, 1)]
     assert la.solve((), ()) == ()
