@@ -34,8 +34,8 @@ class NotFullDimensional(LatcutError):
 
 
 class UnsupportedShape(LatcutError):
-    """Recession cone is not a linear subspace, so lattice questions about
-    the body fall outside what this package decides."""
+    """Recession cone is not a linear subspace; raised only by the lattice
+    width, which needs a bounded quotient."""
 
 
 class UnsupportedDimension(LatcutError):

@@ -267,7 +267,8 @@ class Polyhedron:
         for g in itertools.chain(verts, recrays):
             if len(g) != dim:
                 raise DimensionMismatch(f"generator {g} not in dimension {dim}")
-        gens = [(ONE,) + v for v in verts] + [(ZERO,) + r for r in recrays]
+        gens = [la.integer_copy((ONE,) + v) for v in verts]
+        gens += [la.integer_copy((ZERO,) + r) for r in recrays]
         dlines, drays = cone_dd(gens, dim + 1)
         return Polyhedron._assemble(dlines + drays, gens, dim)
 
@@ -280,11 +281,11 @@ class Polyhedron:
         the span of the generators tight on every row; other rows and
         generators are dropped by incidence (module docstring).  The x0 >= 0
         row added here tells a quadrant's rays apart from its vertex, and no
-        point is tight on it.  Runs on int copies of rows and generators.
+        point is tight on it.  Rows and generators are ints, each any
+        positive multiple of itself, and none is copied.
         """
         x0 = [-1] + [0] * dim  # x0 >= 0
-        rows = [la.integer_copy(z) for z in rows] + [x0]
-        gens = [la.integer_copy(g) for g in gens]
+        rows = [*rows, x0]
         inc = [sum(1 << j for j, g in enumerate(gens)
                    if sum(map(operator.mul, z, g)) == 0)
                for z in rows]

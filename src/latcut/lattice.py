@@ -13,15 +13,14 @@ Every interior and facet search ends in one strict integer search.
 largest when t is bounded above, else the smallest).  It bounds t by floor
 division, -(-num // den) - 1 from above or num // den + 1 from below, which
 is exact for int and for Fraction pairs alike.  ``_scan`` runs the other
-coordinates over their integer ranges and solves one axis with it: bounded
-bodies scan their box, a half-line is a scan with no other axis, and a
-planar body with pointed recession scans its columns.  It scales each
-half-space to an int row once, so a candidate costs one int dot product per
-row and no Fraction is built until a point is found.  A facet search in
-the plane solves along the integer points of the facet's line.  A pointed
-unbounded body of dimension 3 or more whose last coordinate is bounded is
-searched level by level: each integer level strictly inside the range cuts
-a full-dimensional slice, searched one dimension down.
+coordinates over their integer ranges and solves one axis with it, one int
+dot product per row and candidate: bounded bodies scan their box, a
+half-line is a scan with no other axis, and so is each fiber of a body
+whose one ray is turned onto the last axis.  A facet search in the plane
+solves along the integer points of the facet's line.  A pointed body whose
+rays span the space holds a ball far out along them; one whose rays span
+neither a line nor the space is searched level by level along a direction
+orthogonal to them, each slice one dimension down.
 """
 
 from __future__ import annotations
@@ -185,19 +184,16 @@ def _integer_point_on_line(a: Vec, beta: Fraction, others):
 
 
 # ---------------------------------------------------------------------------
-# interior integer point, all supported shapes
+# interior integer point
 
 
 def interior_lattice_point(p: Polyhedron):
     """An integer point strictly inside p, or None when p is lattice-free.
 
-    Handles bounded bodies in any dimension, unbounded bodies whose
-    recession cone is a linear subspace (reduced to a bounded quotient by a
-    unimodular change of coordinates), pointed recession cones in the plane,
-    and pointed recession cones in higher dimensions when the last
-    coordinate stays bounded: each integer level w strictly inside its range
-    is searched in level_slice(p, w), and w is appended to a point found.
-    Other unbounded shapes raise UnsupportedShape.
+    Decides every full-dimensional body.  A bounded body scans its box, one
+    whose recession cone holds a line is searched in its quotient by the
+    lineality space (split off by a unimodular change of coordinates), and
+    any other, whose recession cone is pointed, by the span of its rays.
     """
     if not p.fulldim:
         raise NotFullDimensional("interior search needs a full-dimensional body")
@@ -209,20 +205,54 @@ def interior_lattice_point(p: Polyhedron):
         return None if z is None else back(z)
     if p.dim == 1:
         return _scan(p.halfspaces, [None], 0)  # a half-line
-    if p.dim == 2:
-        return _planar_pointed_interior_point(p)
-    if any(r[-1] != 0 for r in p.rays):
-        raise UnsupportedShape("pointed unbounded recession is only searched "
-                               "in the plane or with a bounded last axis")
-    # interior integer points sit on integer levels strictly inside the last
-    # axis range, and there they are the interior points of the level slice,
-    # a full-dimensional body one dimension down
-    levels = [v[-1] for v in p.vertices]
-    for w in range(math.floor(min(levels)) + 1, math.ceil(max(levels))):
-        z = interior_lattice_point(level_slice(p, w))
-        if z is not None:
-            return z + (Fraction(w),)
-    return None
+    return _pointed_interior_point(p)
+
+
+def _level_map(u: Vec) -> UnimodularMap:
+    """A unimodular map whose last new coordinate is +/- primitive(u) . x."""
+    um, cm = la.alignment_unimodular([u])
+    return UnimodularMap(la.transpose(cm), la.vzero(len(u)), la.transpose(um))
+
+
+def _pointed_interior_point(p: Polyhedron):
+    """Interior integer point of an unbounded body of dimension 2 or more
+    with pointed recession, or None, by the span of the rays."""
+    perp = la.kernel_basis(p.rays, p.dim)
+    if 0 < len(perp) < p.dim - 1:
+        # u . x is bounded for u in perp: interior integer points sit on
+        # integer levels strictly inside its range, and there they are the
+        # interior points of the level slice, one dimension down
+        m = _level_map(perp[0])
+        q = transform(p, m)
+        levels = [v[-1] for v in q.vertices]
+        for w in range(math.floor(min(levels)) + 1, math.ceil(max(levels))):
+            z = interior_lattice_point(level_slice(q, w))
+            if z is not None:
+                return m.inverse().apply(z + (Fraction(w),))
+        return None
+    u, c = la.alignment_unimodular([p.rays[0]])
+    umap = UnimodularMap(u, la.vzero(p.dim), c)
+    q = transform(p, umap)
+    if perp:
+        # the one ray is the last axis and the other coordinates are bounded:
+        # scan their box, each fiber a half-line
+        cols = list(zip(*q.vertices))[:-1]
+        ranges = [range(math.ceil(min(xs)), math.floor(max(xs)) + 1) for xs in cols]
+        z = _scan(q.halfspaces, ranges + [None], p.dim - 1)
+        return None if z is None else umap.inverse().apply(z)
+    # the rays span the space, so their sum w is interior to the recession
+    # cone: far enough along it the body contains a unit ball, hence an
+    # integer point
+    w = tuple(map(sum, zip(*q.rays)))
+    c = q.relative_interior_point()
+    m = min(-dot(h.normal, w) for h in q.halfspaces)
+    require(m > 0, "recession direction is not interior")
+    weight = max(sum(abs(x) for x in h.normal) for h in q.halfspaces)
+    t = Fraction(math.ceil(weight / m) + 1)
+    center = vadd(c, vscale(t, w))
+    z = tuple(Fraction(round(x)) for x in center)
+    require(q.contains_point(z, strict=True), "rounded point is not interior")
+    return umap.inverse().apply(z)
 
 
 def _width_along(p: Polyhedron, u: Vec) -> Fraction:
@@ -250,8 +280,7 @@ def _bounded_interior_point(p: Polyhedron):
         u_best = min((h.normal for h in p.halfspaces),
                      key=lambda u: _width_along(p, u))
         if _width_along(p, u_best) < min(b - a for a, b in zip(lo, hi)):
-            um, cm = la.alignment_unimodular([u_best])
-            m = UnimodularMap(la.transpose(cm), la.vzero(p.dim), la.transpose(um))
+            m = _level_map(u_best)
             z = _bounded_interior_point(transform(p, m))
             return None if z is None else m.inverse().apply(z)
     axis = max(range(p.dim), key=lambda i: hi[i] - lo[i])
@@ -270,57 +299,24 @@ def _split_off_lineality(p: Polyhedron):
     q = transform(p, umap)
     keep = p.dim - k
     # the lineality now spans the trailing axes, so every normal, vertex and
-    # non-lineality ray of q has a zero tail and the quotient drops it
+    # non-lineality ray of q has a zero tail; dropping it keeps every normal
+    # primitive and every sort order, so the quotient is read off q
     rays = [r for r in q.rays if not la.is_zero_vec(r[:keep])]
     normals = [h.normal for h in q.halfspaces]
     if any(not la.is_zero_vec(x[keep:])
            for x in itertools.chain(normals, q.vertices, rays)):
         raise CertificateError("lineality did not split off the trailing axes")
-    rows = [(-h.offset,) + h.normal[:keep] for h in q.halfspaces]
-    gens = [(ONE,) + v[:keep] for v in q.vertices]
-    gens += [(ZERO,) + r[:keep] for r in rays]
-    quotient = Polyhedron._assemble(rows, gens, keep)
+    quotient = Polyhedron(
+        dim=keep,
+        halfspaces=tuple(HalfSpace(h.normal[:keep], h.offset) for h in q.halfspaces),
+        vertices=tuple(v[:keep] for v in q.vertices),
+        rays=tuple(r[:keep] for r in rays), lineality=(), fulldim=p.fulldim)
     inv = umap.inverse()
 
     def back(z: Vec) -> Vec:
         return inv.apply(tuple(z) + (ZERO,) * k)
 
     return quotient, back, umap
-
-
-def _planar_pointed_interior_point(p: Polyhedron):
-    """Interior integer point of an unbounded planar body with pointed
-    recession, or None.  One recession ray is rotated onto the vertical
-    axis; fibers over integer abscissas are then exactly searchable."""
-    r0 = p.rays[0]
-    u, c = la.alignment_unimodular([r0])
-    if la.mat_vec(u, r0)[-1] < 0:
-        # negating the last row of u negates the last column of its inverse
-        u = (u[0], la.vneg(u[1]))
-        c = tuple((row[0], -row[1]) for row in c)
-    umap = UnimodularMap(u, la.vzero(2), c)
-    q = transform(p, umap)
-    inv = umap.inverse()
-    lo, _ = q.support((-1, 0))
-    hi, _ = q.support((1, 0))
-    if lo is not None and hi is not None:
-        # a vertical strip: scan its columns
-        z = _scan(q.halfspaces, [range(math.ceil(-lo), math.floor(hi) + 1), None], 1)
-        return None if z is None else inv.apply(z)
-    # horizontally unbounded too: the recession cone is a full-dimensional
-    # pointed cone, so far enough along an interior recession direction the
-    # body contains a unit ball, hence an integer point.
-    require(len(q.rays) == 2, "pointed planar cone without two rays")
-    w = vadd(q.rays[0], q.rays[1])
-    c = q.relative_interior_point()
-    m = min(-dot(h.normal, w) for h in q.halfspaces if dot(h.normal, w) != 0)
-    require(m > 0, "recession direction is not interior")
-    weight = max(sum(abs(x) for x in h.normal) for h in q.halfspaces)
-    t = Fraction(math.ceil(weight / m) + 1)
-    center = vadd(c, vscale(t, w))
-    z = tuple(Fraction(round(x)) for x in center)
-    require(q.contains_point(z, strict=True), "rounded point is not interior")
-    return inv.apply(z)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +371,13 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     # the facet's generators are p's generators tight on it, its lineality
     # pairs among them, so the facet is assembled with no conversion
     rotated = [HalfSpace(la.mat_vec(u, a), b) for a, b in others]
-    rows = [(-g.offset,) + g.normal for g in fix_last_axis(rotated, level)]
+    rows = [la.integer_copy((-g.offset,) + g.normal)
+            for g in fix_last_axis(rotated, level)]
     inv_t = la.transpose(c)
-    gens = [(ONE,) + la.mat_vec(inv_t, v)[:-1] for v in p.vertices
-            if h.eval_slack(v) == 0]
-    gens += [(ZERO,) + la.mat_vec(inv_t, r)[:-1] for r in p.rays
-             if dot(h.normal, r) == 0]
+    gens = [la.integer_copy((ONE,) + la.mat_vec(inv_t, v)[:-1])
+            for v in p.vertices if h.eval_slack(v) == 0]
+    gens += [la.integer_copy((ZERO,) + la.mat_vec(inv_t, r)[:-1])
+             for r in p.rays if dot(h.normal, r) == 0]
     try:
         sub = Polyhedron._assemble(rows, gens, p.dim - 1)
     except WholeSpace:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcut import geometry, lattice
+from latcut import geometry, lattice, scenarios
 from latcut import linalg as la
 from latcut.errors import (
     NotFullDimensional,
@@ -191,12 +191,20 @@ def test_split_off_lineality_runs_no_conversion(monkeypatch):
         calls.append(dim)
         return cone_dd(rows, dim)
 
+    real_assemble = Polyhedron._assemble
+    assembled = []
+
+    def counting_assemble(rows, gens, dim):
+        assembled.append(dim)
+        return real_assemble(rows, gens, dim)
+
     monkeypatch.setattr(geometry, "cone_dd", counting_cone_dd)
+    monkeypatch.setattr(Polyhedron, "_assemble", staticmethod(counting_assemble))
     for p, want in zip(bodies, wanted):
         quotient, back, _ = _split_off_lineality(p)
         assert quotient == want
         assert p.contains_point(back(quotient.relative_interior_point()))
-    assert calls == []
+    assert calls == [] and assembled == [], (calls, assembled)
 
 
 def test_certify_strip_with_pointed_recession():
@@ -223,12 +231,15 @@ def test_certify_requires_full_dimension():
         certify_lattice_free(seg)
 
 
-def test_certify_unsupported_3d_pointed():
+def test_certify_3d_orthant_holds_a_lattice_point():
     p = Polyhedron.from_generators(
         [(F(1, 2), F(1, 2), F(1, 2))],
         [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    with pytest.raises(UnsupportedShape):
-        certify_lattice_free(p)
+    cert = certify_lattice_free(p)
+    assert not cert.lattice_free
+    w = cert.interior_witness
+    assert all(x.denominator == 1 for x in w) and p.contains_point(w, strict=True)
+    _check_cert(p, cert)
 
 
 def _half_prisms(count=80, seed=17):
@@ -267,23 +278,85 @@ def _half_prisms(count=80, seed=17):
     return out
 
 
-def test_half_prisms_match_box_enumeration():
-    free = 0
+def _moved_off_the_last_axis(p, rng):
+    """p under z <- z + k x (k = +/-1) followed by a seeded random
+    unimodular map, so an x-ray usually leaves the last axis."""
+    k = F(rng.choice((-1, 1)))
+    shear = UnimodularMap.make([(1, 0, 0), (0, 1, 0), (k, 0, 1)])
+    return transform(transform(p, shear), scenarios.random_unimodular(rng, 3))
+
+
+def _check_interior_search(p, holds_a_point):
+    """interior_lattice_point and the certificate agree with the oracle."""
+    z = interior_lattice_point(p)
+    assert (z is not None) == holds_a_point
+    if z is not None:
+        assert all(x.denominator == 1 for x in z)
+        assert p.contains_point(z, strict=True)
+    cert = certify_lattice_free(p)
+    assert cert.lattice_free == (z is None)
+    _check_cert(p, cert)
+
+
+def test_half_prisms_match_box_enumeration(monkeypatch):
+    rng = random.Random(29)
+    cases = []
     for p, q in _half_prisms():
         assert not p.lineality and p.rays and all(r[-1] == 0 for r in p.rays)
         lo, hi = q.bounding_box()
         strict = lattice_points_in_hrep(
             [(h.normal, h.offset) for h in q.halfspaces], lo, hi, strict=True)
-        z = interior_lattice_point(p)
-        assert (z is None) == (not strict)
-        if z is not None:
-            assert all(x.denominator == 1 for x in z)
-            assert p.contains_point(z, strict=True)
-        free += z is None
-        cert = certify_lattice_free(p)
-        assert cert.lattice_free == (z is None)
-        _check_cert(p, cert)
-    assert free >= 10
+        moved = _moved_off_the_last_axis(p, rng)
+        cases += [(p, bool(strict)), (moved, bool(strict))]
+    calls = []
+
+    def counting_cone_dd(rows, dim):
+        calls.append(dim)
+        return cone_dd(rows, dim)
+
+    monkeypatch.setattr(geometry, "cone_dd", counting_cone_dd)
+    for p, holds_a_point in cases:
+        _check_interior_search(p, holds_a_point)
+    free = sum(not h for _, h in cases) // 2
+    moved = sum(r[-1] != 0 for p, _ in cases[1::2] for r in p.rays)
+    assert free >= 10 and moved >= 70, (free, moved)
+    # a ray spanning a line is one scan, so no body is converted
+    assert calls == [], len(calls)
+
+
+def test_pointed_bodies_of_ray_rank_two_and_three():
+    """Two-ray planar cones times a z-interval hold an interior integer point
+    iff an integer lies strictly inside the interval; cones on three
+    independent rays always do.  Each body is searched as built and under
+    a seeded unimodular map."""
+    rng = random.Random(31)
+
+    def q():
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def independent(n):
+        while True:
+            rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+            if la.rank(rays) == n:
+                return rays
+
+    seen = {True: 0, False: 0}
+    for i in range(60):
+        apex = (q(), q(), q())
+        if i % 2:
+            rays = independent(3)
+            pts, holds_a_point = [apex], True
+        else:
+            rays = [r + (0,) for r in independent(2)]
+            lo, hi = apex[2], apex[2] + F(rng.randint(1, 4), rng.randint(2, 4))
+            pts = [apex[:2] + (lo,), apex[:2] + (hi,)]
+            holds_a_point = math.floor(lo) + 1 < hi
+        p = Polyhedron.from_generators(pts, rays, 3)
+        assert p.fulldim and not p.lineality
+        for body in (p, transform(p, scenarios.random_unimodular(rng, 3))):
+            _check_interior_search(body, holds_a_point)
+        seen[holds_a_point] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_facet_witness_nonexistent_on_fractional_line():
