@@ -45,13 +45,15 @@ other rows off its mapped equalities and the generators off the mapped
 lineality.  A ``UnimodularMap`` keeps its inverse, so ``transform`` runs no
 elimination.  A homothety of a full-dimensional body keeps normals, rays
 and lineality, and the polar turns the face lattice upside down.  Distances
-to a polytope walk its real faces, read off the stored incidence, and a
-Hausdorff walk stops at its running maximum.
+to a polytope walk its real faces, found from the vertices tight on each
+row, on one int scale per call, and a Hausdorff walk stops at its running
+maximum.
 
-The canonical form, images, homotheties, polars and containment run on int
-copies taken once per call (no int form is stored): a row or generator is
-any positive multiple of itself, a point (d, x) is x over d, ``_reduce``
-takes a vector off a canonical basis, and each output Fraction is built once.
+The canonical form, images, homotheties, polars, containment and distances
+run on int copies taken once per call (no int form is stored): a row or
+generator is any positive multiple of itself, a point (d, x) is x over d,
+``_reduce`` takes a vector off a canonical basis, and each output Fraction
+is built once.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .errors import (
     WholeSpace,
     require,
 )
-from .linalg import Mat, Vec, ZERO, ONE, dot, vadd, vneg, vscale, vsub
+from .linalg import Mat, Vec, ZERO, ONE, dot, vadd, vneg, vscale
 from .simplex import LpResult, solve_ineq
 
 
@@ -193,10 +195,15 @@ def _apply(m, g) -> list[int]:
     return [sum(map(operator.mul, row, g)) for row in m]
 
 
+def _on_scale(v, s: int) -> list[int]:
+    """s v as ints, for s a multiple of every denominator of v."""
+    return [x.numerator * (s // x.denominator) for x in v]
+
+
 def _scaled(m) -> tuple[list[list[int]], int]:
     """The rows of a rational matrix as ints over one positive denominator."""
     d = math.lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+    return [_on_scale(row, d) for row in m], d
 
 
 def _int_row(h: HalfSpace) -> list[int]:
@@ -474,11 +481,12 @@ class UnimodularMap:
             object.__setattr__(self, "inverse_matrix", inv)
         else:
             # integer m times an integer n x n matrix gives the identity only
-            # when det m = +/-1 and that matrix is m^-1
+            # when det m = +/-1 and that matrix is m^-1: one int product
+            m = [_on_scale(row, 1) for row in self.matrix]
             require(len(inv) == n and all(len(row) == n and la.is_integer_vec(row)
                                           for row in inv)
-                    and tuple(la.mat_vec(self.matrix, col) for col in zip(*inv))
-                    == la.identity(n),
+                    and [_apply(m, _on_scale(col, 1)) for col in zip(*inv)]
+                    == [[int(i == j) for j in range(n)] for i in range(n)],
                     "stored inverse is not the integer inverse of the matrix")
 
     @staticmethod
@@ -492,7 +500,8 @@ class UnimodularMap:
 
     def inverse(self) -> "UnimodularMap":
         inv = self.inverse_matrix
-        return UnimodularMap(inv, vneg(la.mat_vec(inv, self.shift)), self.matrix)
+        shift = _apply([_on_scale(r, 1) for r in inv], _on_scale(self.shift, 1))
+        return UnimodularMap(inv, tuple(Fraction(-x) for x in shift), self.matrix)
 
 
 def _image(p: Polyhedron, matrix: Mat, inv: Mat, shift: Vec) -> Polyhedron:
@@ -704,20 +713,24 @@ def separate(p: Polyhedron, q: Polyhedron, slack_point=None) -> HalfSpace:
 # exact euclidean distances (squared) between polytopes
 
 
-def _face_frames(p: Polyhedron) -> list[tuple[Vec, list]]:
-    """A frame for a bounded p and for each face with two or more vertices.
-
-    The faces are the vertex sets tight on each half-space, closed under
-    pairwise intersection.  A frame is a base vertex and an
-    orthogonal basis (with squared lengths) of the face's affine hull, built
-    by Gram-Schmidt from the face's other vertices.
+def _face_frames(p: Polyhedron, s: int) -> tuple[list[list[int]], list[tuple]]:
+    """p's vertices as ints (s, s v) for s clearing their denominators, and a
+    frame for a bounded p and each face with two or more vertices: the faces
+    are the vertex sets tight on each int row z, closed under intersection.
+    A frame is a base vertex, an orthogonal int basis b_k of the face's hull
+    by fraction-free Gram-Schmidt (u <- bb u - (u . b) b, made primitive,
+    bb = |b|^2), P the lcm of the bb_k, w_k = P / bb_k, and the ints
+    (z . base P, z . b_k w_k) of each row z not tight on the whole face (a
+    row tight there holds on the face's affine hull).
     """
     if p.rays:
         raise ValueError("distance helper needs a bounded target")
-    verts = p.vertices
+    verts = [_on_scale((ONE,) + v, s) for v in p.vertices]
+    rows = list(map(_int_row, p.halfspaces))
+    tight = [frozenset(i for i, v in enumerate(verts)
+                       if not sum(map(operator.mul, z, v))) for z in rows]
     faces = {frozenset(range(len(verts)))}
-    todo = [frozenset(i for i, v in enumerate(verts) if h.eval_slack(v) == 0)
-            for h in p.halfspaces]
+    todo = list(tight)
     while todo:
         f = todo.pop()
         if len(f) < 2 or f in faces:
@@ -727,36 +740,45 @@ def _face_frames(p: Polyhedron) -> list[tuple[Vec, list]]:
     frames = []
     for f in faces:
         base, *rest = (verts[i] for i in sorted(f))
-        basis: list[tuple[Vec, Fraction]] = []
+        basis, bbs = [], []
         for v in rest:
-            u = vsub(v, base)
-            for b, bb in basis:
-                u = vsub(u, vscale(dot(u, b) / bb, b))
-            if not la.is_zero_vec(u):
-                basis.append((u, la.norm_sq(u)))
-        frames.append((base, basis))
-    return frames
+            u = [x - y for x, y in zip(v, base)]
+            for b, bb in zip(basis, bbs):
+                ub = sum(map(operator.mul, u, b))
+                u = [bb * x - ub * y for x, y in zip(u, b)]
+            if any(u):
+                basis.append(la.primitive_int(u))
+                bbs.append(sum(x * x for x in basis[-1]))
+        big = math.lcm(*bbs)
+        weights = [big // bb for bb in bbs]
+        tests = [[t * w for t, w in zip(_apply([base, *basis], z), [big, *weights])]
+                 for z, t in zip(rows, tight) if not f <= t]
+        frames.append((base, big, basis, weights, tests))
+    return verts, frames
 
 
-def _distance_sq(x: Vec, p: Polyhedron, frames, cap=None) -> Fraction:
-    """Squared distance from x to p, or the first value <= cap found."""
-    best = None
-    for v in p.vertices:
-        d = la.norm_sq(vsub(x, v))
-        if cap is not None and d <= cap:
-            return d
-        best = d if best is None else min(best, d)
-    for base, basis in frames:
-        rel = vsub(x, base)
-        proj = base
-        for b, bb in basis:
-            proj = vadd(proj, vscale(dot(rel, b) / bb, b))
-        d = la.norm_sq(vsub(x, proj))
-        if d < best and p.contains_point(proj):
-            if cap is not None and d <= cap:
-                return d
-            best = d
-    return best
+def _distance_sq(x: list[int], verts, frames, cap=(-1, 1)) -> tuple[int, int]:
+    """Squared distance (num, den) from x to the body of ``_face_frames``, on
+    its scale, or the first value <= cap = (num, den) found.  A face gives
+    (|rel|^2 P - sum c_k^2 w_k) / P for rel = x - base and c_k = rel . b_k,
+    and x projects into the body iff t_0 + sum c_k t_k <= 0 on every row.
+    """
+    (cn, cd), bn, bd = cap, None, 1
+    for v in verts:
+        d = sum((a - b) ** 2 for a, b in zip(x, v))
+        if d * cd <= cn:
+            return d, 1
+        bn = d if bn is None or d < bn else bn
+    for base, big, basis, weights, tests in frames:
+        rel = [a - b for a, b in zip(x, base)]
+        c = [sum(map(operator.mul, rel, b)) for b in basis]
+        d = sum(r * r for r in rel) * big - sum(k * k * w for k, w in zip(c, weights))
+        if d * bd < bn * big and all(t0 + sum(map(operator.mul, c, t)) <= 0
+                                     for t0, *t in tests):
+            if d * cd <= cn * big:
+                return d, big
+            bn, bd = d, big
+    return bn, bd
 
 
 def squared_distance_point(x: Vec, p: Polyhedron) -> Fraction:
@@ -764,10 +786,14 @@ def squared_distance_point(x: Vec, p: Polyhedron) -> Fraction:
 
     The closest point lies in the relative interior of a unique face and is
     the orthogonal projection of x onto that face's affine hull.  So the
-    minimum over the vertices and over the projections onto each real face
-    (from the stored incidence) that land inside p is the distance.
+    minimum over the vertices and over the projections onto each face that
+    land inside p is the distance.  It runs on ints for one scale s per
+    call (``_face_frames``), and the result is d / s^2.
     """
-    return _distance_sq(la.vec(x), p, _face_frames(p))
+    x = la.vec(x)
+    s = math.lcm(*(a.denominator for v in p.vertices + (x,) for a in v))
+    n, d = _distance_sq(_on_scale((ONE,) + x, s), *_face_frames(p, s))
+    return Fraction(n, d * s * s)
 
 
 def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
@@ -777,15 +803,18 @@ def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
     distance function to a convex set is convex; likewise with the roles
     swapped.  All comparisons happen on squared values, so no roots appear.
     Each walk stops at a point no farther than the running maximum, which
-    cannot raise it (the early break of Taha & Hanbury, TPAMI 2015).
+    cannot raise it (the early break of Taha & Hanbury, TPAMI 2015).  Both
+    walks run on ints for one scale s, and the result is d / s^2.
     """
-    p_frames, q_frames = _face_frames(p), _face_frames(q)
-    d = ZERO
-    for v in p.vertices:
-        d = max(d, _distance_sq(v, q, q_frames, d))
-    for v in q.vertices:
-        d = max(d, _distance_sq(v, p, p_frames, d))
-    return d
+    s = math.lcm(*(a.denominator for v in p.vertices + q.vertices for a in v))
+    (pv, pf), (qv, qf) = _face_frames(p, s), _face_frames(q, s)
+    dn, dd = 0, 1
+    for xs, verts, frames in ((pv, qv, qf), (qv, pv, pf)):
+        for x in xs:
+            n, d = _distance_sq(x, verts, frames, (dn, dd))
+            if n * dd > dn * d:
+                dn, dd = n, d
+    return Fraction(dn, dd * s * s)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,81 @@ def hausdorff_sq_polygons(verts_a, verts_b, inside_a, inside_b):
                one_sided(verts_b, verts_a, inside_a))
 
 
+def _fraction_face_frames(p):
+    """A frame for a bounded p and for each face with two or more vertices.
+
+    The faces are the vertex sets tight on each half-space, closed under
+    pairwise intersection.  A frame is a base vertex and an orthogonal
+    basis (with squared lengths) of the face's affine hull, built by
+    Gram-Schmidt from the face's other vertices, in Fraction arithmetic.
+    """
+    if p.rays:
+        raise ValueError("distance helper needs a bounded target")
+    verts = p.vertices
+    faces = {frozenset(range(len(verts)))}
+    todo = [frozenset(i for i, v in enumerate(verts) if h.eval_slack(v) == 0)
+            for h in p.halfspaces]
+    while todo:
+        f = todo.pop()
+        if len(f) < 2 or f in faces:
+            continue
+        todo.extend(f & g for g in faces)
+        faces.add(f)
+    frames = []
+    for f in faces:
+        base, *rest = (verts[i] for i in sorted(f))
+        basis = []
+        for v in rest:
+            u = vsub(v, base)
+            for b, bb in basis:
+                u = vsub(u, vscale(dot(u, b) / bb, b))
+            if not la.is_zero_vec(u):
+                basis.append((u, la.norm_sq(u)))
+        frames.append((base, basis))
+    return frames
+
+
+def _fraction_walk(x, p, frames, cap=None):
+    """Squared distance from x to p, or the first value <= cap found: the
+    vertices first, then each face's projection, tested by
+    ``contains_point`` only when it beats the best so far."""
+    best = None
+    for v in p.vertices:
+        d = la.norm_sq(vsub(x, v))
+        if cap is not None and d <= cap:
+            return d
+        best = d if best is None or d < best else best
+    for base, basis in frames:
+        rel = vsub(x, base)
+        proj = base
+        for b, bb in basis:
+            proj = vadd(proj, vscale(dot(rel, b) / bb, b))
+        d = la.norm_sq(vsub(x, proj))
+        if d < best and p.contains_point(proj):
+            if cap is not None and d <= cap:
+                return d
+            best = d
+    return best
+
+
+def fraction_distance_sq(x, p):
+    """Squared distance from x to a bounded p by the Fraction face walk:
+    the reference for ``geometry.squared_distance_point``."""
+    return _fraction_walk(la.vec(x), p, _fraction_face_frames(p))
+
+
+def fraction_hausdorff_sq(p, q):
+    """Squared Hausdorff distance of bounded p and q by the capped Fraction
+    face walk: the reference for ``geometry.hausdorff_sq``."""
+    p_frames, q_frames = _fraction_face_frames(p), _fraction_face_frames(q)
+    d = ZERO
+    for v in p.vertices:
+        d = max(d, _fraction_walk(v, q, q_frames, d))
+    for v in q.vertices:
+        d = max(d, _fraction_walk(v, p, p_frames, d))
+    return d
+
+
 def brute_force_slice(vertices, level):
     """Sorted extreme points of a polytope's slice at x_n = level, in the
     first n-1 coordinates (n <= 3), or None when the level misses it.

@@ -246,3 +246,34 @@ def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
                 run(p, q, t)
         counts[name] = (len(dots), len(mat_vecs), len(kernels))
     assert all(c == (0, 0, 0) for c in counts.values()), str(counts)
+
+
+def test_distance_walks_make_no_fraction_vector_calls(monkeypatch):
+    # the Hausdorff and point-distance walks take one int scale per call: no
+    # linalg.dot, vsub or norm_sq and no HalfSpace.eval_slack on Fractions
+    rng = random.Random(5)
+    f = (F(1, 2), F(1, 3), F(1, 5))
+    bodies = [scenarios.random_polytope_around(rng, f) for _ in range(3)]
+    bodies.append(geometry.Polyhedron.from_generators(
+        [(0, 0, 0), (2, 1, 0), (1, 3, 0)], [(0, 0, 1), (0, 0, -1)]))
+    polars = [geometry.polar(b, f) for b in bodies[:3]]
+    polars.append(geometry.polar(bodies[3], (1, F(4, 3), 7)))
+    assert not polars[-1].fulldim
+    points = [(F(1, 3), F(-2, 5), 1), (0, 0, 0), (F(7, 2), 1, F(-1, 6))]
+    calls = {name: counting(monkeypatch, latcut.linalg, name)
+             for name in ("dot", "vsub", "norm_sq")}
+    monkeypatch.setattr(geometry, "dot", latcut.linalg.dot)
+    calls["eval_slack"] = counting(monkeypatch, geometry.HalfSpace, "eval_slack")
+    runs = {
+        "hausdorff_sq": lambda p: [geometry.hausdorff_sq(p, q) for q in polars],
+        "squared_distance_point":
+            lambda p: [geometry.squared_distance_point(x, p) for x in points],
+    }
+    counts = {}
+    for name, run in runs.items():
+        for c in calls.values():
+            c.clear()
+        for p in polars:
+            run(p)
+        counts[name] = {k: len(c) for k, c in calls.items()}
+    assert all(not any(c.values()) for c in counts.values()), str(counts)

@@ -26,6 +26,7 @@ from latcut.geometry import (
     _canonical_basis,
     _distance_sq,
     _face_frames,
+    _on_scale,
     affine_image,
     cone_dd,
     embed_last_axis,
@@ -52,6 +53,8 @@ from oracles import (
     brute_force_vertices,
     fraction_assemble,
     fraction_cone_dd,
+    fraction_distance_sq,
+    fraction_hausdorff_sq,
     fraction_scale_shift,
     hausdorff_sq_polygons,
     polygon_dist_sq,
@@ -235,7 +238,7 @@ def test_cone_dd_runs_no_fraction_arithmetic(monkeypatch):
         return wrapper
 
     for mod, name in [(geometry, "dot"), (geometry, "vscale"),
-                      (geometry, "vsub"), (la, "primitive")]:
+                      (la, "vsub"), (la, "primitive")]:
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     square = [(F(-1), F(1), F(0)), (F(0), F(-1), F(0)), (F(-1), F(0), F(1)),
               (F(0), F(0), F(-1)), (F(-1), F(0), F(0))]
@@ -1054,6 +1057,11 @@ def test_squared_distances():
     assert hausdorff_sq(sq, sq) == 0
 
 
+def assert_same_fraction(got, want):
+    assert type(got) is F and type(want) is F, (got, want)
+    assert got == want
+
+
 def test_distances_match_subset_scan():
     rng = random.Random(5)
 
@@ -1080,10 +1088,13 @@ def test_distances_match_subset_scan():
     for i, p in enumerate(targets):
         for _ in range(6):
             x = pt(p.dim)
-            assert squared_distance_point(x, p) == subset_scan_dist_sq(
-                x, p.vertices, p.contains_point)
+            got = squared_distance_point(x, p)
+            assert got == subset_scan_dist_sq(x, p.vertices, p.contains_point)
+            assert_same_fraction(got, fraction_distance_sq(x, p))
         q = next(q for q in targets[i + 1:] + targets if q.dim == p.dim)
-        assert hausdorff_sq(p, q) == scan_hausdorff(p, q)
+        got = hausdorff_sq(p, q)
+        assert got == scan_hausdorff(p, q)
+        assert_same_fraction(got, fraction_hausdorff_sq(p, q))
     with pytest.raises(ValueError):
         squared_distance_point((0, 0), POLAR_BODIES[3])
 
@@ -1098,13 +1109,19 @@ def test_capped_distance_stops_at_the_cap():
     for _ in range(30):
         n = rng.randint(2, 3)
         p = Polyhedron.from_generators([pt(n) for _ in range(n + 3)])
-        frames = _face_frames(p)
         for _ in range(4):
             x = pt(n)
             exact = squared_distance_point(x, p)
+            # the int walk reads x as (s, s x) and the cap as (num, den) for
+            # one scale s, and a distance (num, den) there is num / (den s^2)
+            s = math.lcm(*(a.denominator for v in p.vertices + (x,) for a in v))
+            verts, frames = _face_frames(p, s)
             for cap in (F(0), exact - 1, exact - F(1, 7), exact, exact + F(1, 3),
                         exact + 4, 4 * exact + 9):
-                got = _distance_sq(x, p, frames, cap)
+                c = cap * s * s
+                num, den = _distance_sq(_on_scale((F(1),) + x, s), verts, frames,
+                                        (c.numerator, c.denominator))
+                got = F(num, den * s * s)
                 if exact > cap:
                     assert got == exact
                 else:
@@ -1112,6 +1129,49 @@ def test_capped_distance_stops_at_the_cap():
                     fired += 1
                     above_exact += got > exact
     assert fired > 0 and above_exact > 0
+
+
+def test_int_walk_matches_the_fraction_walk():
+    # polars of seeded 1-, 2- and 3-d bodies with denominators 1, 2 and 3
+    # (flat where the body has lineality), and random polytopes with
+    # denominators up to 7, against the Fraction walk of tests/oracles.py
+    rng = random.Random(31)
+
+    def pt(n):
+        return tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7)))
+                     for _ in range(n))
+
+    polars = [polar(p, c) for bodies in _polar_inputs(random.Random(29), 6).values()
+              for p, centers in bodies for c in centers]
+    polytopes = [Polyhedron.from_generators(
+        [pt(n) for _ in range(rng.randint(1, n + 4))]) for n in (1, 2, 3) for _ in range(8)]
+    targets = polars + polytopes
+    assert sum(not p.fulldim for p in polars) >= 6
+    assert {p.dim for p in polars} == {1, 2, 3}
+    for i, p in enumerate(targets):
+        for q in [q for q in targets[i:] if q.dim == p.dim][:4]:
+            assert_same_fraction(hausdorff_sq(p, q), fraction_hausdorff_sq(p, q))
+        for x in [pt(p.dim) for _ in range(3)] + list(p.vertices[:1]):
+            assert_same_fraction(squared_distance_point(x, p),
+                                 fraction_distance_sq(x, p))
+
+
+def test_f_metric_pairs_match_the_fraction_walk(monkeypatch):
+    # every polar pair f_metric measures in gauge-metric-properties
+    from latcut import cuts
+    from latcut.scenarios import run_scenario
+
+    pairs = []
+
+    def checked(p, q):
+        got = hausdorff_sq(p, q)
+        assert_same_fraction(got, fraction_hausdorff_sq(p, q))
+        pairs.append(got)
+        return got
+
+    monkeypatch.setattr(cuts, "hausdorff_sq", checked)
+    assert run_scenario("gauge-metric-properties", {"checks": 24}).passed
+    assert len(pairs) >= 40 and any(pairs)
 
 
 def test_halfspace_normalization():
