@@ -161,49 +161,3 @@ def f_metric(b1: Polyhedron, b2: Polyhedron, f) -> PolarDistance:
     except OriginNotInterior as exc:
         raise PointNotInterior("polar metric needs interior points") from exc
     return PolarDistance(hausdorff_sq(*polars))
-
-
-# ---------------------------------------------------------------------------
-# convergence of gauges along a sequence of bodies
-
-
-@dataclass(frozen=True)
-class GaugeConvergenceEntry:
-    dist_sq: Fraction          # polar metric to the limit body, squared
-    max_deviation: Fraction    # worst gauge gap over the sampled directions
-    lipschitz_ok: bool         # deviation^2 <= dist_sq * |r|^2 on every sample
-
-
-@dataclass(frozen=True)
-class GaugeConvergenceReport:
-    entries: tuple
-
-    def all_lipschitz(self) -> bool:
-        return all(e.lipschitz_ok for e in self.entries)
-
-
-def gauge_convergence_check(seq, b: Polyhedron, f, sample_dirs) -> GaugeConvergenceReport:
-    """Compare gauges of a body sequence against a limit body.
-
-    The gauge of B-f is the support function of (B-f) polar, and support
-    functions of compact sets differ by at most the Hausdorff distance per
-    unit of direction length; each entry checks that bound exactly:
-    (psi_t(r) - psi(r))^2 <= dist_sq * |r|^2.
-    """
-    f = la.vec(f)
-    dirs = [la.vec(r) for r in sample_dirs]
-    limit_vals = [gauge(b, f, r) for r in dirs]
-    entries = []
-    for bt in seq:
-        d = f_metric(bt, b, f)
-        worst = ZERO
-        ok = True
-        for r, lim in zip(dirs, limit_vals):
-            dev = gauge(bt, f, r) - lim
-            if dev < 0:
-                dev = -dev
-            worst = max(worst, dev)
-            if dev * dev > d.dist_sq * la.norm_sq(r):
-                ok = False
-        entries.append(GaugeConvergenceEntry(d.dist_sq, worst, ok))
-    return GaugeConvergenceReport(tuple(entries))

@@ -377,14 +377,6 @@ class Polyhedron:
         rayset = set(self.rays)
         return all(vneg(r) in rayset for r in self.rays)
 
-    def implied_equalities(self) -> list[HalfSpace]:
-        """Half-spaces that hold with equality on the whole set."""
-        out = []
-        for h in self.halfspaces:
-            if HalfSpace.make(vneg(h.normal), -h.offset) in self.halfspaces:
-                out.append(h)
-        return out
-
     def support(self, direction) -> tuple[Fraction | None, Vec | None]:
         """(sup of direction . x, attaining vertex) with None meaning +inf."""
         direction = la.vec(direction)
@@ -618,24 +610,6 @@ def homothety(p: Polyhedron, center, factor) -> Polyhedron:
 
 def translate(p: Polyhedron, v) -> Polyhedron:
     return minkowski_scale_shift(p, 1, v)
-
-
-# ---------------------------------------------------------------------------
-# linear programming over a polyhedron
-
-
-def lp_solve(objective, p: Polyhedron, sense: str = "max") -> LpResult:
-    """Exact LP over p's half-space description (simplex, Bland's rule).
-
-    Deliberately ignores p's generators so vertex enumeration and pivoting
-    stay independent routes.
-    """
-    objective = la.vec(objective)
-    if len(objective) != p.dim:
-        raise DimensionMismatch("objective dimension mismatch")
-    rows = [h.normal for h in p.halfspaces]
-    rhs = [h.offset for h in p.halfspaces]
-    return solve_ineq(rows, rhs, objective, sense)
 
 
 # ---------------------------------------------------------------------------

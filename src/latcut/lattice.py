@@ -8,19 +8,18 @@ interior integer point, or per-facet integer witnesses (an integer point in
 each facet's relative interior proves the body cannot be enlarged, so
 witnesses on every facet certify maximality).
 
-Every interior and facet search ends in one strict integer search.
-``_strict_integer`` solves den * t < num over all rows for an integer t (the
-largest when t is bounded above, else the smallest).  It bounds t by floor
-division, -(-num // den) - 1 from above or num // den + 1 from below, which
-is exact for int and for Fraction pairs alike.  ``_scan`` runs the other
-coordinates over their integer ranges and solves one axis with it, one int
-dot product per row and candidate: bounded bodies scan their box, a
-half-line is a scan with no other axis, and so is each fiber of a body
-whose one ray is turned onto the last axis.  A facet search in the plane
-solves along the integer points of the facet's line.  A pointed body whose
-rays span the space holds a ball far out along them; one whose rays span
-neither a line nor the space is searched level by level along a direction
-orthogonal to them, each slice one dimension down.
+Every enumeration is one integer column scan: ``_columns`` runs all axes
+but one over integer ranges in itertools.product order and solves that one
+as an exact integer interval by floor division, one int dot product per
+row.  ``_scan`` takes the first nonempty column (at the end
+``_strict_integer`` picks), ``lattice_points_in`` expands every column, and
+``lattice_width`` expands the integer points of the difference body's
+polar.  Bounded bodies scan their box, a half-line is a scan with no other
+axis, and so is each fiber of a body whose one ray is turned onto the last
+axis.  A facet search in the plane solves along the integer points of the
+facet's line.  A pointed body whose rays span the space holds a ball far out
+along them; one whose rays span neither a line nor the space is searched
+level by level along a direction orthogonal to them.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     UnimodularMap,
+    _on_scale,
     fix_last_axis,
     level_slice,
     transform,
@@ -58,17 +58,15 @@ from .linalg import ONE, ZERO, Vec, dot, vadd, vscale
 
 
 def lattice_points_in(p: Polyhedron, strict: bool = False) -> list[Vec]:
-    """All integer points of p (of its interior when strict)."""
+    """All integer points of p (of its interior when strict), in
+    itertools.product order: every column of its box, last axis solved."""
     if p.rays:
         raise UnboundedEnumeration("cannot enumerate an unbounded polyhedron")
     lo, hi = p.bounding_box()
     ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
-    out = []
-    for z in itertools.product(*ranges):
-        z = tuple(Fraction(c) for c in z)
-        if p.contains_point(z, strict=strict):
-            out.append(z)
-    return out
+    return [tuple(map(Fraction, combo + (t,)))
+            for combo, (t0, t1) in _columns(p.halfspaces, ranges, p.dim - 1, strict)
+            for t in range(t0, t1 + 1)]
 
 
 def point_denominator(x) -> int:
@@ -120,14 +118,11 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _strict_integer(pairs):
-    """An integer t with den * t < num for every pair (num, den), or None.
-
-    The largest such t when some den > 0 bounds t from above, else the
-    smallest; 0 when no pair bounds t.  The pairs may be ints or Fractions:
-    t < num / den is t <= -(-num // den) - 1 when den > 0, and t > num / den
-    is t >= num // den + 1 when den < 0, both exact in floor division.
-    """
+def _interval(pairs):
+    """(lo, hi) bounding the integers t with den * t < num for every pair
+    (num, den), an end None where no pair bounds it, or None when there are
+    none.  Floor division is exact for int and Fraction pairs alike:
+    t <= -(-num // den) - 1 when den > 0, t >= num // den + 1 when den < 0."""
     lo = hi = None
     for num, den in pairs:
         if den > 0:
@@ -140,33 +135,53 @@ def _strict_integer(pairs):
                 lo = t
         elif num <= 0:
             return None
-    if hi is not None:
-        return hi if lo is None or hi >= lo else None
-    return 0 if lo is None else lo
+    if lo is not None and hi is not None and hi < lo:
+        return None
+    return lo, hi
 
 
-def _scan(halfspaces, ranges, axis: int):
-    """First integer point strictly inside every half-space, or None.
+def _end(lo, hi):
+    """The integer of a nonempty interval that the searches return: its top
+    when bounded above, else its bottom, else 0."""
+    return hi if hi is not None else 0 if lo is None else lo
+
+
+def _strict_integer(pairs):
+    """An integer t with den * t < num for every pair (num, den), or None:
+    the largest when some den > 0 bounds t from above, else the smallest; 0
+    when no pair bounds t."""
+    span = _interval(pairs)
+    return None if span is None else _end(*span)
+
+
+def _columns(halfspaces, ranges, axis: int, strict: bool = True):
+    """The one integer column scan: (combo, (lo, hi)) for every nonempty
+    column of integer points in the half-spaces (their interior if strict).
 
     The coordinates other than axis run over their integer ranges in
     itertools.product order (ranges[axis] is ignored); for each choice the
-    axis coordinate is solved exactly by _strict_integer.  Each half-space
-    a . x < b is scaled once to an int row, so a candidate costs one int
-    dot product per row.
+    axis coordinate is the interval solved by _interval.  Each half-space is
+    scaled once to an int row, a . z < b, or a . z < b + 1 for a . z <= b,
+    so a column costs one int dot product per row.
     """
     others = [i for i in range(len(ranges)) if i != axis]
     rows = []
     for h in halfspaces:
         b, *a = la.integer_copy((h.offset,) + h.normal)
-        rows.append((b, [a[i] for i in others], a[axis]))
+        rows.append((b + (not strict), [a[i] for i in others], a[axis]))
     for combo in itertools.product(*(ranges[i] for i in others)):
-        t = _strict_integer((b - sum(map(operator.mul, a, combo)), a_axis)
-                            for b, a, a_axis in rows)
-        if t is None:
-            continue
-        z = [Fraction(t)] * len(ranges)
-        for i, c in zip(others, combo):
-            z[i] = Fraction(c)
+        span = _interval((b - sum(map(operator.mul, a, combo)), a_axis)
+                         for b, a, a_axis in rows)
+        if span is not None:
+            yield combo, span
+
+
+def _scan(halfspaces, ranges, axis: int):
+    """First integer point strictly inside every half-space, or None: the
+    first nonempty column, at the end _strict_integer picks."""
+    for combo, span in _columns(halfspaces, ranges, axis):
+        z = list(map(Fraction, combo))
+        z.insert(axis, Fraction(_end(*span)))
         return tuple(z)
     return None
 
@@ -431,10 +446,12 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
 class WidthReport:
     """Certified lattice width.
 
-    Soundness of the search bound: the body contains an axis-parallel
-    segment of length segment_bound in every axis, so a direction u has
-    width at least ||u||_inf * segment_bound; directions outside the
-    searched box therefore cannot beat the reported optimum.
+    Soundness: width_u(p) is the support function of p - p at u, so K =
+    w0 (p - p) polar, with rows (v - v') . u <= w0 over vertex pairs, holds
+    every direction no wider than the best axis width w0; the scan covers
+    K's integer points.  The bounds are read off K's box with m the largest
+    coordinate of its vertices: p holds a segment of length segment_bound
+    = w0 / m along every axis, and search_bound = ceil(m) >= ||u||_inf on K.
     """
 
     width: Fraction
@@ -443,27 +460,10 @@ class WidthReport:
     search_bound: int
 
 
-def _max_inner_segment(p: Polyhedron, axis: int) -> Fraction:
-    """Length of the longest segment parallel to the given axis inside p."""
-    from .simplex import solve_ineq
-
-    n = p.dim
-    rows = []
-    rhs = []
-    e = tuple(ONE if i == axis else ZERO for i in range(n))
-    for h in p.halfspaces:
-        rows.append(h.normal + (ZERO,))
-        rhs.append(h.offset)
-        rows.append(h.normal + (dot(h.normal, e),))
-        rhs.append(h.offset)
-    obj = la.vzero(n) + (ONE,)
-    res = solve_ineq(rows, rhs, obj, sense="max")
-    require(res.status == "optimal", "inner segment LP is not optimal")
-    return res.value
-
-
 def lattice_width(p: Polyhedron) -> WidthReport:
-    """Minimum over primitive integer directions of the support width."""
+    """Minimum over primitive integer directions of the support width: the
+    first direction of least width in itertools.product order over K (see
+    WidthReport), with its first nonzero entry positive."""
     if not p.fulldim:
         raise NotFullDimensional("width needs a full-dimensional body")
     if p.rays:
@@ -476,29 +476,28 @@ def lattice_width(p: Polyhedron) -> WidthReport:
         return WidthReport(sub.width, la.primitive(direction),
                            sub.segment_bound, sub.search_bound)
     n = p.dim
-    if n == 1:
-        w = _width_along(p, (ONE,))
-        return WidthReport(w, (ONE,), w, 1)
-    tau = min(_max_inner_segment(p, i) for i in range(n))
-    require(tau > 0, "full-dimensional body without an inner segment")
-    best = min((_width_along(p, tuple(ONE if i == j else ZERO for j in range(n))), i)
-               for i in range(n))
-    best_w = best[0]
-    best_u = tuple(ONE if i == best[1] else ZERO for i in range(n))
-    bound = math.ceil(best_w / tau)
-    for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-        u = tuple(Fraction(c) for c in cand)
-        if la.is_zero_vec(u):
-            continue
-        first = next(c for c in u if c != 0)
-        if first < 0:
-            continue  # widths are sign-symmetric
-        if math.gcd(*(int(c) for c in u)) != 1:
-            continue
-        w = _width_along(p, u)
-        if w < best_w:
-            best_w, best_u = w, u
-    return WidthReport(best_w, best_u, tau, bound)
+    s = la.denominator_lcm([x for v in p.vertices for x in v])
+    verts = [_on_scale(v, s) for v in p.vertices]
+
+    def spread(u):
+        vals = [sum(map(operator.mul, u, v)) for v in verts]
+        return max(vals) - min(vals)
+
+    best, axis = min((spread([int(i == j) for j in range(n)]), i) for i in range(n))
+    best_u = tuple(ONE if i == axis else ZERO for i in range(n))
+    w0 = Fraction(best, s)  # K's rows on scale s: (s v - s x) . u <= s w0
+    k = Polyhedron.from_halfspaces([(list(map(operator.sub, v, x)), best) for v, x
+                                    in itertools.permutations(verts, 2)], n)
+    top = max(max(y) for y in k.vertices)
+    require(top > 0, "difference body polar is not full-dimensional")
+    for u in lattice_points_in(k):
+        z = [c.numerator for c in u]
+        if next((c for c in z if c), 0) <= 0 or math.gcd(*z) != 1:
+            continue  # zero, the mirror of a direction, or not primitive
+        w = spread(z)
+        if w < best:
+            best, best_u = w, u
+    return WidthReport(Fraction(best, s), best_u, w0 / top, math.ceil(top))
 
 
 # ---------------------------------------------------------------------------

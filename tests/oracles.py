@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from latcut import linalg as la
 from latcut.linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub
-from latcut.simplex import LpResult
+from latcut.simplex import LpResult, solve_ineq
 
 
 def brute_force_vertices(halfspaces, dim):
@@ -60,6 +60,63 @@ def lattice_points_in_hrep(halfspaces, lo, hi, strict=False):
         if ok:
             out.append(z)
     return out
+
+
+def lp_solve(objective, p, sense="max") -> LpResult:
+    """Exact LP over p's half-space description by the simplex: an LP route
+    that ignores p's generators, so vertex enumeration and pivoting stay
+    independent."""
+    objective = la.vec(objective)
+    assert len(objective) == p.dim
+    rows = [h.normal for h in p.halfspaces]
+    rhs = [h.offset for h in p.halfspaces]
+    return solve_ineq(rows, rhs, objective, sense)
+
+
+def max_inner_segment(p, axis):
+    """Length of the longest segment parallel to the given axis inside p,
+    by one LP over (x, t): x and x + t e_axis both in p, t maximal."""
+    n = p.dim
+    rows, rhs = [], []
+    for h in p.halfspaces:
+        rows += [h.normal + (ZERO,), h.normal + (h.normal[axis],)]
+        rhs += [h.offset, h.offset]
+    res = solve_ineq(rows, rhs, la.vzero(n) + (ONE,), sense="max")
+    assert res.status == "optimal"
+    return res.value
+
+
+def box_scan_width(p):
+    """(width, direction, segment_bound, search_bound) of a bounded body of
+    dimension >= 2 by scanning every primitive u in [-B, B]^n.
+
+    segment_bound is the shortest longest axis segment (one LP per axis), so
+    u has width at least ||u||_inf segment_bound and B = ceil(w0 /
+    segment_bound) for the best axis width w0 bounds the search.  A
+    direction replaces the best only when strictly thinner, so the first of
+    least width in itertools.product order is kept.
+    """
+    n = p.dim
+
+    def width(u):
+        vals = [dot(u, v) for v in p.vertices]
+        return max(vals) - min(vals)
+
+    axes = [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
+    tau = min(max_inner_segment(p, i) for i in range(n))
+    best_w, i = min((width(e), i) for i, e in enumerate(axes))
+    best_u = axes[i]
+    bound = math.ceil(best_w / tau)
+    for cand in itertools.product(range(-bound, bound + 1), repeat=n):
+        if not any(cand) or next(c for c in cand if c) < 0:
+            continue
+        if math.gcd(*cand) != 1:
+            continue
+        u = la.vec(cand)
+        w = width(u)
+        if w < best_w:
+            best_w, best_u = w, u
+    return best_w, best_u, tau, bound
 
 
 def fraction_dot(u, v):

@@ -134,22 +134,39 @@ def test_facet_searches_per_scenario(monkeypatch):
 
 
 def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
-    # exact work at default parameters, the same on any host: one
-    # _strict_integer call per lattice candidate scanned (and per planar
-    # facet line), and the LPs that the lifting separation solves
-    candidates = counting(monkeypatch, lattice, "_strict_integer")
+    # exact work at default parameters, the same on any host: one _interval
+    # call per lattice column scanned (and per planar facet line), and the
+    # LPs that the lifting separation solves; lattice_width solves none
+    candidates = counting(monkeypatch, lattice, "_interval")
     lps = counting(monkeypatch, simplex, "solve_ineq")
     for module in (geometry, constructions):
         monkeypatch.setattr(module, "solve_ineq", simplex.solve_ineq)
     counts = {}
-    for name in ("cubeface-census", "lifting-end-to-end", "inapprox-witnesses"):
+    for name in ("cubeface-census", "lifting-end-to-end", "inapprox-witnesses",
+                 "approximation-factors"):
         candidates.clear()
         lps.clear()
         assert run_scenario(name).passed
         counts[name] = (len(candidates), len(lps))
     assert counts == {"cubeface-census": (111, 0),
                       "lifting-end-to-end": (120, 31),
-                      "inapprox-witnesses": (1538, 0)}, counts
+                      "inapprox-witnesses": (1538, 0),
+                      "approximation-factors": (880, 22)}, counts
+
+
+def test_width_runs_one_conversion_and_no_lp(monkeypatch):
+    # a bounded body's width converts its difference body's polar once and
+    # reads both search bounds off its vertices
+    conversions = counting(monkeypatch, geometry, "cone_dd")
+    lps = counting(monkeypatch, simplex, "solve_ineq")
+    counts = {}
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        p = latcut.parse_polyhedron(path.read_text())
+        if p.dim >= 2 and not p.rays:
+            conversions.clear()
+            lattice.lattice_width(p)
+            counts[path.stem] = (len(conversions), len(lps))
+    assert len(counts) == 11 and set(counts.values()) == {(1, 0)}, counts
 
 
 def test_inversions_per_scenario(monkeypatch):

@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes, seeds, and error paths."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,24 @@ def test_width_bound_flag_drives_exit_code(capsys):
     code, doc = run_json(capsys, "width", str(FIXTURES / "diamond.json"),
                          "--bound", "3/2")
     assert code == 1 and doc["within_bound"] is False
+
+
+def test_width_of_tower_3d_ends(capsys):
+    # B = 338 here: a box scan over [-B, B]^3 would try 3.1e8 directions
+    path = FIXTURES / "tower_3d.json"
+    code, doc = run_json(capsys, "width", str(path))
+    assert code == 0
+    assert doc == {"width": "5/3", "direction": ["0/1", "3/1", "-5/1"],
+                   "segment_bound": "1/9", "search_bound": 338}
+    body = latcut.parse_polyhedron(path.read_text())
+
+    def spread(u):
+        vals = [sum(F(a) * x for a, x in zip(u, v)) for v in body.vertices]
+        return max(vals) - min(vals)
+
+    assert spread((0, 3, -5)) == F(5, 3)
+    assert min(spread(u) for u in itertools.product(range(-2, 3), repeat=3)
+               if any(u)) >= F(5, 3)
 
 
 def test_cut_emits_exact_split_coefficients(capsys, tmp_path):

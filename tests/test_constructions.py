@@ -9,6 +9,7 @@ containments and factor bounds on every instance.
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -44,16 +45,19 @@ from latcut.geometry import (
     embed_last_axis,
     homothety,
     level_slice,
-    lp_solve,
     minkowski_scale_shift,
 )
 from latcut import lattice
 from latcut import linalg as la
+from latcut.jsonio import parse_polyhedron
 from latcut.lattice import certify_lattice_free, flatness_bound, point_denominator
 from latcut.scenarios import _lift_instances
 from latcut.strength import relative_strength
 
+from oracles import lp_solve
+
 F12 = (F(1, 2), F(1, 2))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def tri(t):
@@ -502,6 +506,36 @@ def test_pipeline_outputs_are_certified_on_a_mixed_family():
                 cert = certify_lattice_free(res.body)
                 assert cert.lattice_free
                 assert res.body.contains(homothety(l, f, 1 / res.factor))
+
+
+def test_lattice_free_bodies_are_flat():
+    # every lattice-free fixture (tower_3d and the lineality ones included)
+    # and every pipeline and tower output is at most flatness_bound(n) thin
+    # in some integer direction, the bound the approximation factors use
+    bodies = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        p = parse_polyhedron(path.read_text())
+        if certify_lattice_free(p).lattice_free:
+            bodies.append(p)
+    assert len(bodies) == 14
+    towers = [simplex_tower((F(1, 2),), F(2)), simplex_tower(F12, F(2)),
+              simplex_tower(F12, F(3)), simplex_tower((F(1, 2), F(1, 3)), F(3)),
+              simplex_tower((F(1, 2), F(1, 3), F(1, 5)), F(5, 2))]
+    bodies += [tw.body for tw in towers]
+    targets = [cube_face_construction(2, i).body for i in (2, 3, 4)]
+    targets += [cube_face_construction(3, i).body for i in (2, 5, 6, 8)]
+    targets += [tri(1), tri(2), towers[1].body]
+    fs = (F12, (F(1, 3), F(1, 2)), (F(1, 2), F(3, 4)), (F(1), F(1, 2)),
+          (F(1, 2), F(1, 2), F(1, 2)), (F(1, 3), F(1, 2), F(3, 4)),
+          (F(1), F(1, 2), F(1, 2)))
+    for l in targets:
+        for f in fs:
+            if len(f) == l.dim and l.contains_point(f, strict=True):
+                bodies += [approximate_any_f(l, f).body,
+                           approximate_fixed_f(l, f).body]
+    assert len(bodies) > 50
+    for p in bodies:
+        assert lattice.lattice_width(p).width <= flatness_bound(p.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from latcut.geometry import (
     hausdorff_sq,
     homothety,
     level_slice,
-    lp_solve,
     minkowski_scale_shift,
     polar,
     product_with_line,
@@ -57,6 +56,7 @@ from oracles import (
     fraction_hausdorff_sq,
     fraction_scale_shift,
     hausdorff_sq_polygons,
+    lp_solve,
     polygon_dist_sq,
     slack_contains,
     subset_scan_dist_sq,
@@ -350,7 +350,8 @@ def test_cone_has_anchor_vertex():
 def test_lower_dimensional_segment():
     p = Polyhedron.from_generators([(0, 0), (1, 0)])
     assert not p.fulldim
-    eqs = p.implied_equalities()
+    eqs = [h for h in p.halfspaces
+           if HalfSpace.make(la.vneg(h.normal), -h.offset) in p.halfspaces]
     assert {(h.normal, h.offset) for h in eqs} == {
         ((F(0), F(1)), F(0)), ((F(0), F(-1)), F(0))}
 

@@ -5,10 +5,12 @@ import math
 import random
 from fractions import Fraction as F
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcut import geometry, lattice, scenarios
+from latcut import geometry, jsonio, lattice, scenarios
 from latcut import linalg as la
 from latcut.errors import (
     NotFullDimensional,
@@ -41,6 +43,7 @@ from latcut.lattice import (
 )
 
 from oracles import (
+    box_scan_width,
     brute_force_vertices,
     first_strict_point_by_columns,
     fraction_strict_integer,
@@ -52,6 +55,7 @@ DIAMOND = Polyhedron.from_halfspaces(
 SQUARE01 = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
 SLAB = Polyhedron.from_halfspaces([((1, 0), 1), ((-1, 0), 0)], 2)
 BIG_TRIANGLE = Polyhedron.from_generators([(0, 0), (2, 0), (0, 2)])
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _check_cert(p, cert):
@@ -639,6 +643,45 @@ def test_width_pointed_unsupported():
                                    [(1, 0)], 2)
     with pytest.raises(UnsupportedShape):
         lattice_width(p)
+
+
+def _report(r):
+    return r.width, r.direction, r.segment_bound, r.search_bound
+
+
+def test_width_matches_the_box_scan():
+    # the difference-body scan returns the whole report of the box scan over
+    # [-B, B]^n with one LP per axis: width, the first direction of least
+    # width, segment_bound and search_bound
+    rng = random.Random(17)
+    bodies = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        p = jsonio.parse_polyhedron(path.read_text())
+        if p.lineality:
+            p = _split_off_lineality(p)[0]  # the width is the quotient's
+        if p.dim < 2 or p.rays or path.stem == "tower_3d":
+            continue  # tower_3d: B = 338, the box scan does not end
+        bodies += [p] + [transform(p, scenarios.random_unimodular(rng, p.dim))
+                         for _ in range(3)]
+    for trial in range(80):
+        n = 2 + trial % 2
+        if trial % 4 < 2:
+            pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                         for _ in range(n)) for _ in range(n + 2)]
+            p = Polyhedron.from_generators(pts)
+        else:
+            f = tuple(F(rng.randint(0, 3), rng.choice((2, 3))) for _ in range(n))
+            p = scenarios.random_polytope_around(rng, f, spread=2)
+        if p.fulldim:
+            bodies.append(transform(p, scenarios.random_unimodular(rng, n)))
+    assert len(bodies) > 100
+    moved = 0
+    for p in bodies:
+        got = _report(lattice_width(p))
+        assert got == box_scan_width(p)
+        moved += la.vec(got[1]) not in {tuple(F(int(i == j)) for j in range(p.dim))
+                                        for i in range(p.dim)}
+    assert moved > 20  # many optima are not an axis
 
 
 def _support_width(p, u):
