@@ -92,14 +92,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_width(args) -> int:
     rep = lattice_width(_read_poly(args.body, args.strict))
+    inf = rep.width is None  # then every field is None
     doc = {
-        "width": la.format_frac(rep.width),
-        "direction": jsonio.vec_to_obj(rep.direction),
-        "segment_bound": la.format_frac(rep.segment_bound),
+        "width": "inf" if inf else la.format_frac(rep.width),
+        "direction": None if inf else jsonio.vec_to_obj(rep.direction),
+        "segment_bound": "inf" if inf else la.format_frac(rep.segment_bound),
         "search_bound": rep.search_bound,
     }
     if args.bound is not None:
-        doc["within_bound"] = rep.width <= args.bound
+        doc["within_bound"] = not inf and rep.width <= args.bound
     _emit(doc)
     return 0 if args.bound is None or doc["within_bound"] else 1
 

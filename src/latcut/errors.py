@@ -33,11 +33,6 @@ class NotFullDimensional(LatcutError):
     """Operation defined only for full-dimensional bodies."""
 
 
-class UnsupportedShape(LatcutError):
-    """Recession cone is not a linear subspace; raised only by the lattice
-    width, which needs a bounded quotient."""
-
-
 class UnsupportedDimension(LatcutError):
     pass
 

@@ -14,12 +14,12 @@ as an exact integer interval by floor division, one int dot product per
 row.  ``_scan`` takes the first nonempty column (at the end
 ``_strict_integer`` picks), ``lattice_points_in`` expands every column, and
 ``lattice_width`` expands the integer points of the difference body's
-polar.  Bounded bodies scan their box, a half-line is a scan with no other
-axis, and so is each fiber of a body whose one ray is turned onto the last
-axis.  A facet search in the plane solves along the integer points of the
-facet's line.  A pointed body whose rays span the space holds a ball far out
-along them; one whose rays span neither a line nor the space is searched
-level by level along a direction orthogonal to them.
+polar, taken after projecting along the rays.  Bounded bodies scan their box, a
+half-line is a scan with no other axis, and so is each fiber of a body whose
+one ray is turned onto the last axis.  A facet search in the plane solves
+along the integer points of the facet's line.  A pointed body whose rays span
+the space holds a ball far out along them; one whose rays span neither a line
+nor the space is searched level by level along a direction orthogonal to them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg as la
@@ -37,7 +37,6 @@ from .errors import (
     NotLatticeFreeInput,
     UnboundedEnumeration,
     UnsupportedDimension,
-    UnsupportedShape,
     WholeSpace,
     require,
 )
@@ -444,40 +443,46 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
 
 @dataclass(frozen=True)
 class WidthReport:
-    """Certified lattice width.
+    """Certified lattice width; every field is None when it is infinite.
 
-    Soundness: width_u(p) is the support function of p - p at u, so K =
-    w0 (p - p) polar, with rows (v - v') . u <= w0 over vertex pairs, holds
-    every direction no wider than the best axis width w0; the scan covers
-    K's integer points.  The bounds are read off K's box with m the largest
-    coordinate of its vertices: p holds a segment of length segment_bound
-    = w0 / m along every axis, and search_bound = ceil(m) >= ||u||_inf on K.
+    Soundness: width_u(p) is finite only for u orthogonal to the rays (rank n
+    rays leave room for every ball).  A unimodular U sends their span onto
+    the trailing r axes, so those u are U^T (c, 0), and width_u(p) is the
+    support function at c of P - P, P the hull of the leading n - r entries
+    of U v over the vertices.  The scan covers K = w0 (P - P) polar, which
+    holds every c no wider than the best axis width w0.  With m the largest
+    coordinate of K's vertices, P holds a segment of length segment_bound =
+    w0 / m along every axis, and search_bound = ceil(m) >= ||c||_inf on K.
     """
 
-    width: Fraction
-    direction: Vec
-    segment_bound: Fraction
-    search_bound: int
+    width: Fraction | None
+    direction: Vec | None
+    segment_bound: Fraction | None
+    search_bound: int | None
 
 
 def lattice_width(p: Polyhedron) -> WidthReport:
-    """Minimum over primitive integer directions of the support width: the
-    first direction of least width in itertools.product order over K (see
-    WidthReport), with its first nonzero entry positive."""
+    """Least support width over primitive integer directions: the first of
+    least width in itertools.product order over K (see WidthReport), leading
+    entry positive; for an unbounded p, its projection's mapped back by U^T."""
     if not p.fulldim:
         raise NotFullDimensional("width needs a full-dimensional body")
-    if p.rays:
-        if not p.recession_is_subspace():
-            raise UnsupportedShape("width search needs subspace recession")
-        quotient, _, umap = _split_off_lineality(p)
-        sub = lattice_width(quotient)
-        k = len(p.lineality)
-        direction = la.mat_vec(la.transpose(umap.matrix), sub.direction + (ZERO,) * k)
-        return WidthReport(sub.width, la.primitive(direction),
-                           sub.segment_bound, sub.search_bound)
-    n = p.dim
-    s = la.denominator_lcm([x for v in p.vertices for x in v])
-    verts = [_on_scale(v, s) for v in p.vertices]
+    r = la.rank(p.rays)
+    if r == p.dim:
+        return WidthReport(None, None, None, None)
+    if not r:
+        return _width(p.vertices, p.dim)
+    u, _ = la.alignment_unimodular(p.rays)
+    sub = _width([la.mat_vec(u, v)[:-r] for v in p.vertices], p.dim - r)  # rays map to 0
+    back = la.mat_vec(la.transpose(u), sub.direction + (ZERO,) * r)
+    return replace(sub, direction=la.primitive(back))
+
+
+def _width(points, n: int) -> WidthReport:
+    """Width of the hull of points spanning n-space (see WidthReport)."""
+    points = list(dict.fromkeys(points))  # a repeated point would give K a zero row
+    s = la.denominator_lcm([x for v in points for x in v])
+    verts = [_on_scale(v, s) for v in points]
 
     def spread(u):
         vals = [sum(map(operator.mul, u, v)) for v in verts]
@@ -486,8 +491,9 @@ def lattice_width(p: Polyhedron) -> WidthReport:
     best, axis = min((spread([int(i == j) for j in range(n)]), i) for i in range(n))
     best_u = tuple(ONE if i == axis else ZERO for i in range(n))
     w0 = Fraction(best, s)  # K's rows on scale s: (s v - s x) . u <= s w0
-    k = Polyhedron.from_halfspaces([(list(map(operator.sub, v, x)), best) for v, x
-                                    in itertools.permutations(verts, 2)], n)
+    diffs = [list(map(operator.sub, v, x)) for v, x in itertools.permutations(verts, 2)]
+    diffs.sort(key=lambda d: -sum(x * x for x in d))  # longest first: fewer DD rays
+    k = Polyhedron.from_halfspaces([(d, best) for d in diffs], n)
     top = max(max(y) for y in k.vertices)
     require(top > 0, "difference body polar is not full-dimensional")
     for u in lattice_points_in(k):

@@ -119,6 +119,24 @@ def box_scan_width(p):
     return best_w, best_u, tau, bound
 
 
+def orthogonal_brute_width(vertices, rays, bound=6):
+    """Least support width of conv(vertices) + cone(rays) over the primitive
+    integer u in [-bound, bound]^n orthogonal to every ray, the directions
+    along which it is finite; None when no such u is in the box."""
+    n = len(vertices[0])
+    best = None
+    for cand in itertools.product(range(-bound, bound + 1), repeat=n):
+        if not any(cand) or math.gcd(*cand) != 1:
+            continue
+        if any(fraction_dot(cand, r) != 0 for r in rays):
+            continue
+        vals = [fraction_dot(cand, v) for v in vertices]
+        w = max(vals) - min(vals)
+        if best is None or w < best:
+            best = w
+    return best
+
+
 def fraction_dot(u, v):
     """sum of u_i v_i, one Fraction product and sum at a time; independent
     of ``linalg.dot``, whose integer accumulation it checks."""

@@ -155,18 +155,43 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
 
 
 def test_width_runs_one_conversion_and_no_lp(monkeypatch):
-    # a bounded body's width converts its difference body's polar once and
-    # reads both search bounds off its vertices
+    # a finite width converts the polar of its projection's difference body
+    # once and reads both search bounds off its vertices; an infinite one
+    # converts nothing, and no width transforms a body or solves an LP
     conversions = counting(monkeypatch, geometry, "cone_dd")
     lps = counting(monkeypatch, simplex, "solve_ineq")
+    images = counting(monkeypatch, geometry, "transform")
+    monkeypatch.setattr(lattice, "transform", geometry.transform)
     counts = {}
     for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
         p = latcut.parse_polyhedron(path.read_text())
-        if p.dim >= 2 and not p.rays:
-            conversions.clear()
-            lattice.lattice_width(p)
-            counts[path.stem] = (len(conversions), len(lps))
-    assert len(counts) == 11 and set(counts.values()) == {(1, 0)}, counts
+        assert p.fulldim
+        conversions.clear()
+        finite = lattice.lattice_width(p).width is not None
+        counts[path.stem] = (finite, len(conversions), len(images), len(lps))
+    assert len(counts) == 20
+    assert {name for name, c in counts.items() if not c[0]} == {
+        "quadrant", "ray_1d", "wedge"}, counts
+    assert all(c[1:] == (int(c[0]), 0, 0) for c in counts.values()), counts
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing in the package raises is dead API
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    errors = {"LatcutError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in errors for b in node.bases):
+            errors.add(node.name)
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert len(errors) > 10
+    assert sorted(errors - raised) == ["LatcutError"], errors - raised
 
 
 def test_inversions_per_scenario(monkeypatch):

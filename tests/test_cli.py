@@ -91,6 +91,18 @@ def test_width_of_tower_3d_ends(capsys):
                if any(u)) >= F(5, 3)
 
 
+def test_width_is_infinite_when_the_rays_span_the_space(capsys):
+    # quadrant, wedge and ray_1d hold balls of every radius
+    infinite = {"width": "inf", "direction": None, "segment_bound": "inf",
+                "search_bound": None}
+    for name in ("quadrant", "wedge", "ray_1d"):
+        path = str(FIXTURES / f"{name}.json")
+        code, doc = run_json(capsys, "width", path)
+        assert code == 0 and doc == infinite, name
+        code, doc = run_json(capsys, "width", path, "--bound", "3/2")
+        assert code == 1 and doc == {**infinite, "within_bound": False}, name
+
+
 def test_cut_emits_exact_split_coefficients(capsys, tmp_path):
     cols = tmp_path / "cols.json"
     cols.write_text('[["0", "1"], ["1", "0"], ["-1", "0"]]')
@@ -184,6 +196,29 @@ def test_approx_fixed_mode_respects_facet_cap(capsys):
     assert code == 0
     assert doc["facets"] <= 3
     assert doc["certificate"]["lattice_free"] is True
+
+
+def test_approx_covers_a_pointed_strip(capsys, tmp_path):
+    # 1/8 <= y <= 7/8, x >= 0, x + 4y >= 1, -x + 4y <= 3: five facets and
+    # the ray (1, 0); the pipelines rotate its width direction (0, 1) onto
+    # an axis and cover it by the split 0 <= y <= 1
+    strip = _hrep_file(tmp_path / "strip.json", 2, [
+        (["0/1", "-1/1"], "-1/8"), (["0/1", "1/1"], "7/8"),
+        (["-1/1", "0/1"], "0/1"), (["-1/1", "-4/1"], "-1/1"),
+        (["-1/1", "4/1"], "3/1")])
+    l = latcut.parse_polyhedron(strip.read_text())
+    assert len(l.halfspaces) == 5 and l.rays == ((F(1), F(0)),)
+    f = (F(1), F(1, 2))
+    for mode, cap in (("any", 3), ("fixed", 3)):
+        code, doc = run_json(capsys, "approx", "--mode", mode,
+                             "--l", str(strip), "--f", "1,1/2")
+        assert code == 0
+        assert doc["facets"] == 2 <= cap
+        assert doc["factor"] == "3/4"
+        assert doc["certificate"]["lattice_free"] is True
+        body = latcut.parse_polyhedron(json.dumps(doc["body"]))
+        rep = latcut.relative_strength(body, l, f)
+        assert rep.kind == "finite" and rep.value == F(3, 4)
 
 
 def test_scenario_text_and_json_outputs(capsys):

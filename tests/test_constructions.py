@@ -509,15 +509,21 @@ def test_pipeline_outputs_are_certified_on_a_mixed_family():
 
 
 def test_lattice_free_bodies_are_flat():
-    # every lattice-free fixture (tower_3d and the lineality ones included)
-    # and every pipeline and tower output is at most flatness_bound(n) thin
-    # in some integer direction, the bound the approximation factors use
+    # every lattice-free fixture (tower_3d and the lineality ones included),
+    # two pointed half-strips, and every pipeline and tower output is at most
+    # flatness_bound(n) thin in some integer direction, the bound the
+    # approximation factors use
     bodies = []
     for path in sorted(FIXTURES.glob("*.json")):
         p = parse_polyhedron(path.read_text())
         if certify_lattice_free(p).lattice_free:
             bodies.append(p)
     assert len(bodies) == 14
+    bodies += [Polyhedron.from_generators([(0, F(1, 4)), (0, F(1, 2))], [(1, 0)], 2),
+               Polyhedron.from_halfspaces(
+                   [((0, -1), F(-1, 8)), ((0, 1), F(7, 8)), ((-1, 0), 0),
+                    ((-1, -4), -1), ((-1, 4), 3)], 2)]
+    assert all(p.rays and certify_lattice_free(p).lattice_free for p in bodies[-2:])
     towers = [simplex_tower((F(1, 2),), F(2)), simplex_tower(F12, F(2)),
               simplex_tower(F12, F(3)), simplex_tower((F(1, 2), F(1, 3)), F(3)),
               simplex_tower((F(1, 2), F(1, 3), F(1, 5)), F(5, 2))]

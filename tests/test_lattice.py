@@ -17,7 +17,6 @@ from latcut.errors import (
     NotLatticeFreeInput,
     UnboundedEnumeration,
     UnsupportedDimension,
-    UnsupportedShape,
     WholeSpace,
 )
 from latcut.geometry import (
@@ -48,6 +47,7 @@ from oracles import (
     first_strict_point_by_columns,
     fraction_strict_integer,
     lattice_points_in_hrep,
+    orthogonal_brute_width,
 )
 
 DIAMOND = Polyhedron.from_halfspaces(
@@ -638,11 +638,80 @@ def test_width_slab_through_quotient():
     assert r.direction == (F(1), F(0))
 
 
-def test_width_pointed_unsupported():
+def test_width_of_a_half_strip():
     p = Polyhedron.from_generators([(0, F(1, 4)), (0, F(1, 2))],
                                    [(1, 0)], 2)
-    with pytest.raises(UnsupportedShape):
-        lattice_width(p)
+    r = lattice_width(p)
+    assert r.width == F(1, 4)
+    assert r.direction == (F(0), F(1))
+
+
+def test_width_is_infinite_when_the_rays_span_the_space():
+    bodies = [Polyhedron.from_generators([(0, 0)], [(1, 0), (0, 1)], 2),
+              Polyhedron.from_generators([(F(1, 2),)], [(-1,)], 1),
+              Polyhedron.from_halfspaces([((1, 2), 3)], 2),  # a half-plane
+              Polyhedron.from_generators([(0, 0, 0), (1, 0, 0)],
+                                         [(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)]
+    for p in bodies:
+        assert lattice_width(p) == lattice.WidthReport(None, None, None, None)
+
+
+def _pointed_bodies(rng, count):
+    """Seeded pointed 2-d and 3-d bodies with rays of rank 1 to n - 1, each
+    under a random unimodular map."""
+    bodies = []
+    while len(bodies) < count:
+        n = 2 + len(bodies) % 2
+        r = 1 + rng.randrange(n - 1)
+        pts = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n))
+               for _ in range(rng.randint(2, n + 2))]
+        rays = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(r)]
+        if la.rank(rays) != r:
+            continue
+        p = Polyhedron.from_generators(pts, rays, n)
+        if p.fulldim and not p.lineality:
+            bodies.append(transform(p, scenarios.random_unimodular(rng, n)))
+    return bodies
+
+
+def test_width_of_pointed_bodies_matches_the_orthogonal_brute_force():
+    # the width is the least spread over the directions orthogonal to the
+    # rays; no direction of the oracle's box is thinner, and when the one
+    # found lies in the box the two minima agree
+    bodies = _pointed_bodies(random.Random(23), 60)
+    assert {la.rank(p.rays) for p in bodies} == {1, 2}
+    compared = 0
+    for p in bodies:
+        r = lattice_width(p)
+        assert all(la.dot(r.direction, ray) == 0 for ray in p.rays)
+        assert r.width == _support_width(p, r.direction)
+        assert math.gcd(*(int(c) for c in r.direction)) == 1
+        want = orthogonal_brute_width(p.vertices, p.rays)
+        assert want is None or r.width <= want
+        if max(abs(c) for c in r.direction) <= 6:
+            assert r.width == want
+            compared += 1
+    assert compared >= 55, compared
+
+
+def test_width_is_invariant_under_unimodular_maps():
+    # x -> U x + s keeps the width, infinite ones included, and sends an
+    # optimal direction u to U^-T u, which attains it on the image
+    rng = random.Random(29)
+    for path in sorted(FIXTURES.glob("*.json")):
+        p = jsonio.parse_polyhedron(path.read_text())
+        r = lattice_width(p)
+        for _ in range(3):
+            m = scenarios.random_unimodular(rng, p.dim)
+            q = transform(p, m)
+            rq = lattice_width(q)
+            assert rq.width == r.width, path.stem
+            if r.width is None:
+                assert rq == r
+                continue
+            u = la.mat_vec(la.transpose(m.inverse_matrix), r.direction)
+            assert all(la.dot(u, ray) == 0 for ray in q.rays)
+            assert _support_width(q, u) == r.width, path.stem
 
 
 def _report(r):
