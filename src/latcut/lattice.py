@@ -8,18 +8,21 @@ interior integer point, or per-facet integer witnesses (an integer point in
 each facet's relative interior proves the body cannot be enlarged, so
 witnesses on every facet certify maximality).
 
-Every enumeration is one integer column scan: ``_columns`` runs all axes
-but one over integer ranges in itertools.product order and solves that one
-as an exact integer interval by floor division, one int dot product per
-row.  ``_scan`` takes the first nonempty column (at the end
-``_strict_integer`` picks), ``lattice_points_in`` expands every column, and
-``lattice_width`` expands the integer points of the difference body's
-polar, taken after projecting along the rays.  Bounded bodies scan their box, a
-half-line is a scan with no other axis, and so is each fiber of a body whose
-one ray is turned onto the last axis.  A facet search in the plane solves
-along the integer points of the facet's line.  A pointed body whose rays span
-the space holds a ball far out along them; one whose rays span neither a line
-nor the space is searched level by level along a direction orthogonal to them.
+Every enumeration is one integer column scan: ``_columns`` takes int rows
+(z0, a), read a . z + z0 <= 0, runs all axes but one over integer ranges in
+itertools.product order and solves that one as an exact integer interval by
+floor division, one int dot product per row.  ``_scan`` takes the first
+nonempty column (at the end ``_strict_integer`` picks), ``lattice_points_in``
+expands every column, and ``lattice_width`` expands the integer points of
+the difference body's polar, taken after projecting along the rays.  Bounded
+bodies scan their box, a half-line is a scan with no other axis, and so is
+each fiber of a body whose one ray is turned onto the last axis.  A facet
+search in the plane solves along the integer points of the facet's line; in
+space it turns the facet onto a level of the last axis by an int unimodular
+pair and scans the other rows there, a bounded polygon in its box directly.
+A pointed body whose rays span the space holds a ball far out along them; one
+whose rays span neither a line nor the space is searched level by level along
+a direction orthogonal to them.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ from .geometry import (
     HalfSpace,
     Polyhedron,
     UnimodularMap,
+    _apply,
+    _int_row,
     _on_scale,
-    fix_last_axis,
     level_slice,
     transform,
 )
@@ -63,8 +67,9 @@ def lattice_points_in(p: Polyhedron, strict: bool = False) -> list[Vec]:
         raise UnboundedEnumeration("cannot enumerate an unbounded polyhedron")
     lo, hi = p.bounding_box()
     ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+    rows = list(map(_int_row, p.halfspaces))
     return [tuple(map(Fraction, combo + (t,)))
-            for combo, (t0, t1) in _columns(p.halfspaces, ranges, p.dim - 1, strict)
+            for combo, (t0, t1) in _columns(rows, ranges, p.dim - 1, strict)
             for t in range(t0, t1 + 1)]
 
 
@@ -85,22 +90,6 @@ def flatness_bound(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # integer points on a constrained line (the 2-d workhorse)
-
-
-def _integer_line(a: Vec, beta: Fraction):
-    """All integer solutions of a . z = beta as z0 + Z d, a primitive 2-d.
-
-    Returns None when beta is not an integer (no integer solutions then).
-    """
-    if beta.denominator != 1:
-        return None
-    a1, a2 = int(a[0]), int(a[1])
-    g, u, v = _xgcd(a1, a2)
-    require(g == 1, "line normal is not primitive")
-    b = int(beta)
-    z0 = (Fraction(u * b), Fraction(v * b))
-    d = (Fraction(-a2), Fraction(a1))
-    return z0, d
 
 
 def _xgcd(a: int, b: int):
@@ -153,32 +142,31 @@ def _strict_integer(pairs):
     return None if span is None else _end(*span)
 
 
-def _columns(halfspaces, ranges, axis: int, strict: bool = True):
+def _columns(rows, ranges, axis: int, strict: bool = True):
     """The one integer column scan: (combo, (lo, hi)) for every nonempty
-    column of integer points in the half-spaces (their interior if strict).
+    column of integer points in the int rows (z0, a), read a . z + z0 <= 0
+    (< 0 if strict).
 
     The coordinates other than axis run over their integer ranges in
     itertools.product order (ranges[axis] is ignored); for each choice the
-    axis coordinate is the interval solved by _interval.  Each half-space is
-    scaled once to an int row, a . z < b, or a . z < b + 1 for a . z <= b,
-    so a column costs one int dot product per row.
+    axis coordinate is the interval solved by _interval, a . z < -z0, or
+    a . z < 1 - z0 when not strict, so a column costs one int dot product
+    per row.
     """
     others = [i for i in range(len(ranges)) if i != axis]
-    rows = []
-    for h in halfspaces:
-        b, *a = la.integer_copy((h.offset,) + h.normal)
-        rows.append((b + (not strict), [a[i] for i in others], a[axis]))
+    split = [(-z0 + (not strict), [a[i] for i in others], a[axis])
+             for z0, *a in rows]
     for combo in itertools.product(*(ranges[i] for i in others)):
         span = _interval((b - sum(map(operator.mul, a, combo)), a_axis)
-                         for b, a, a_axis in rows)
+                         for b, a, a_axis in split)
         if span is not None:
             yield combo, span
 
 
-def _scan(halfspaces, ranges, axis: int):
-    """First integer point strictly inside every half-space, or None: the
-    first nonempty column, at the end _strict_integer picks."""
-    for combo, span in _columns(halfspaces, ranges, axis):
+def _scan(rows, ranges, axis: int):
+    """First integer point strictly inside every int row (z0, a), or None:
+    the first nonempty column, at the end _strict_integer picks."""
+    for combo, span in _columns(rows, ranges, axis):
         z = list(map(Fraction, combo))
         z.insert(axis, Fraction(_end(*span)))
         return tuple(z)
@@ -186,15 +174,17 @@ def _scan(halfspaces, ranges, axis: int):
 
 
 def _integer_point_on_line(a: Vec, beta: Fraction, others):
-    """Integer z with a . z = beta and g . z < c for every (g, c) in others."""
-    param = _integer_line(a, beta)
-    if param is None:
+    """Integer z with a . z = beta, a primitive 2-d, and g . z < c for every
+    (g, c) in others, or None: the integer solutions of a . z = beta are
+    z0 + t d (none when beta is not an integer), and _strict_integer picks t.
+    """
+    if beta.denominator != 1:
         return None
-    z0, d = param
+    g, u, v = _xgcd(int(a[0]), int(a[1]))
+    require(g == 1, "line normal is not primitive")
+    z0, d = (u * beta, v * beta), (-a[1], a[0])
     t = _strict_integer((b - dot(g, z0), dot(g, d)) for g, b in others)
-    if t is None:
-        return None
-    return vadd(z0, vscale(Fraction(t), d))
+    return None if t is None else vadd(z0, vscale(Fraction(t), d))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +208,7 @@ def interior_lattice_point(p: Polyhedron):
         z = interior_lattice_point(quotient)
         return None if z is None else back(z)
     if p.dim == 1:
-        return _scan(p.halfspaces, [None], 0)  # a half-line
+        return _scan(list(map(_int_row, p.halfspaces)), [None], 0)  # a half-line
     return _pointed_interior_point(p)
 
 
@@ -252,7 +242,7 @@ def _pointed_interior_point(p: Polyhedron):
         # scan their box, each fiber a half-line
         cols = list(zip(*q.vertices))[:-1]
         ranges = [range(math.ceil(min(xs)), math.floor(max(xs)) + 1) for xs in cols]
-        z = _scan(q.halfspaces, ranges + [None], p.dim - 1)
+        z = _scan(list(map(_int_row, q.halfspaces)), ranges + [None], p.dim - 1)
         return None if z is None else umap.inverse().apply(z)
     # the rays span the space, so their sum w is interior to the recession
     # cone: far enough along it the body contains a unit ball, hence an
@@ -297,10 +287,13 @@ def _bounded_interior_point(p: Polyhedron):
             m = _level_map(u_best)
             z = _bounded_interior_point(transform(p, m))
             return None if z is None else m.inverse().apply(z)
-    axis = max(range(p.dim), key=lambda i: hi[i] - lo[i])
-    ranges = [None if i == axis else range(math.ceil(lo[i]), math.floor(hi[i]) + 1)
-              for i in range(p.dim)]
-    return _scan(p.halfspaces, ranges, axis)
+    return _box_scan(list(map(_int_row, p.halfspaces)), lo, hi)
+
+
+def _box_scan(rows, lo, hi, s=1):
+    """_scan over the box lo / s .. hi / s, its widest axis solved."""
+    axis = max(range(len(lo)), key=lambda i: hi[i] - lo[i])
+    return _scan(rows, [range(-(-a // s), b // s + 1) for a, b in zip(lo, hi)], axis)
 
 
 def _split_off_lineality(p: Polyhedron):
@@ -360,7 +353,11 @@ class LatticeFreeCert:
 
 
 def facet_interior_lattice_point(p: Polyhedron, j: int):
-    """Integer point in the relative interior of facet j, or None."""
+    """Integer point in the relative interior of facet j, or None.
+
+    From dimension 3 on, U from ``la.alignment_int`` turns the facet onto a
+    level of the last axis and the search runs on int rows there: a bounded
+    polygon is scanned in its box, any other facet assembled and searched."""
     if not p.fulldim:
         raise NotFullDimensional("facet search needs a full-dimensional body")
     h = p.halfspaces[j]
@@ -373,38 +370,45 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
         return None
     if p.dim == 2:
         return _integer_point_on_line(h.normal, h.offset, others)
-    # higher dimensions: rotate the facet hyperplane onto a coordinate level
-    # by a unimodular map and search one dimension down
     if h.offset.denominator != 1:
         return None  # primitive normal: a fractional level misses Z^n entirely
-    u, c = la.alignment_unimodular([h.normal])
-    level = h.offset * la.mat_vec(u, h.normal)[-1]
-    # under y = U^-T x the plane becomes y_n = level and a . x <= b becomes
-    # (U a) . y <= b; fixing y_n leaves constraints in y_1..y_{n-1} (a row
-    # parallel to the plane holds strictly on it, as p is full-dimensional);
-    # the facet's generators are p's generators tight on it, its lineality
-    # pairs among them, so the facet is assembled with no conversion
-    rotated = [HalfSpace(la.mat_vec(u, a), b) for a, b in others]
-    rows = [la.integer_copy((-g.offset,) + g.normal)
-            for g in fix_last_axis(rotated, level)]
-    inv_t = la.transpose(c)
-    gens = [la.integer_copy((ONE,) + la.mat_vec(inv_t, v)[:-1])
-            for v in p.vertices if h.eval_slack(v) == 0]
-    gens += [la.integer_copy((ZERO,) + la.mat_vec(inv_t, r)[:-1])
-             for r in p.rays if dot(h.normal, r) == 0]
-    try:
-        sub = Polyhedron._assemble(rows, gens, p.dim - 1)
-    except WholeSpace:
-        z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
+    u, c = la.alignment_int([h.normal])
+    tight = _int_row(h)
+    int_others = [_int_row(g) for i, g in enumerate(p.halfspaces) if i != j]
+    level = -tight[0] * sum(map(operator.mul, u[-1], tight[1:]))
+    # under y = U^-T x = C^T x the plane becomes y_n = level and a row (z0, a)
+    # becomes (z0, U a); fixing y_n leaves (z0 + (U a)_n level, (U a)[:-1]),
+    # and a row whose head vanishes (parallel to the plane) holds strictly
+    rows = []
+    for z0, *a in int_others:
+        *head, last = _apply(u, a)
+        if any(head):
+            rows.append([z0 + last * level] + head)
+        else:
+            require(z0 + last * level < 0, "a parallel row misses the facet")
+    # the facet's generators are p's generators tight on it, mapped by C^T
+    ct = list(zip(*c))
+    homog = [(ONE,) + v for v in p.vertices] + [(ZERO,) + r for r in p.rays]
+    gens = [[g[0]] + _apply(ct, g[1:])[:-1] for g in map(la.integer_copy, homog)
+            if not sum(map(operator.mul, tight, g))]
+    if p.dim == 3 and all(g[0] for g in gens):
+        # the columns and order of the assembled polygon's scan: its box is
+        # its vertices' box, and a redundant row cuts no strict point
+        s = math.lcm(*(g[0] for g in gens))
+        cols = list(zip(*([x * (s // g[0]) for x in g[1:]] for g in gens)))
+        z2 = _box_scan(rows, list(map(min, cols)), list(map(max, cols)), s)
     else:
-        z2 = interior_lattice_point(sub)
-        if z2 is None:
-            return None
-    z = la.mat_vec(la.transpose(u), tuple(z2) + (level,))
-    require(dot(h.normal, z) == h.offset
-            and all(dot(a, z) < b for a, b in others),
+        try:
+            z2 = interior_lattice_point(Polyhedron._assemble(rows, gens, p.dim - 1))
+        except WholeSpace:
+            z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
+    if z2 is None:
+        return None
+    z = _apply(list(zip(*u)), _on_scale(z2, 1) + [level])
+    on, *off = _apply([tight] + int_others, [1] + z)
+    require(on == 0 and all(x < 0 for x in off),
             "facet witness is not in the relative interior")
-    return z
+    return tuple(map(Fraction, z))
 
 
 def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:

@@ -12,12 +12,15 @@ builds one Fraction per call.  Floats never enter any computation here.
 One fraction-free Gauss-Jordan step, ``pivot``, does every elimination:
 ``rref_int`` and so ``rank``, ``solve``, ``inverse`` and ``kernel_basis``,
 and the tableau of ``simplex.solve_ineq``; ``solve``, ``inverse`` and
-``kernel_basis`` read its table and build one Fraction per entry.
+``kernel_basis`` read its table and build one Fraction per entry.  The
+unimodular matrices come from an int column echelon that keeps C^-1 by the
+inverse row step of each column step, so none of them is ever inverted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -253,15 +256,22 @@ def project_off(v: Vec, basis: Sequence[Vec]) -> Vec:
 # ---------------------------------------------------------------------------
 # integer / unimodular utilities
 
-def _col_addmul(mats: list[list[int]], dst: int, src: int, k: int) -> None:
-    """Add k times column src to column dst in every row of mats."""
+def _col_addmul(mats: list[list[int]], inv: list[list[int]], dst: int, src: int, k: int):
+    """Column dst += k column src in mats, row src -= k row dst in inv."""
     for w in mats:
         w[dst] += k * w[src]
+    inv[src] = [a - k * b for a, b in zip(inv[src], inv[dst])]
 
 
-def _col_swap(mats: list[list[int]], a: int, b: int) -> None:
+def _col_swap(mats: list[list[int]], inv: list[list[int]], a: int, b: int):
+    """Swap columns a and b in mats and rows a and b in inv."""
     for w in mats:
         w[a], w[b] = w[b], w[a]
+    inv[a], inv[b] = inv[b], inv[a]
+
+
+def _fractions(m) -> Mat:
+    return tuple(tuple(map(Fraction, row)) for row in m)
 
 
 def unimodular_with_bottom_row(u: Vec) -> tuple[Mat, Mat]:
@@ -269,66 +279,78 @@ def unimodular_with_bottom_row(u: Vec) -> tuple[Mat, Mat]:
     primitive vector u.
 
     Column gcd elimination reduces u to the last unit row vector while a
-    companion matrix C records the operations; U = C^-1 has u as its last
-    row, and C is returned as its inverse.
+    companion matrix C records the operations and U = C^-1 the inverse row
+    steps; U has u as its last row, and C is returned as its inverse.
     """
     row = [int(x) for x in primitive(u)]
     n = len(row)
-    c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    c, inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
     both = [row] + c
     # euclid all entries into the last column
     for j in range(n - 1):
         while row[j] != 0:
             if row[n - 1] == 0 or abs(row[j]) < abs(row[n - 1]):
-                _col_swap(both, j, n - 1)
+                _col_swap(both, inv, j, n - 1)
             else:
-                _col_addmul(both, j, n - 1, -(row[j] // row[n - 1]))
+                _col_addmul(both, inv, j, n - 1, -(row[j] // row[n - 1]))
     if row[n - 1] < 0:
         for w in both:
             w[n - 1] = -w[n - 1]
+        inv[n - 1] = [-x for x in inv[n - 1]]
     # row = u.C = (0, ..., 0, gcd(u)) = e_n, so u is the last row of C^-1,
     # which is integral because C is a product of unimodular column steps
-    return inverse(c), tuple(tuple(map(Fraction, row)) for row in c)
+    return _fractions(inv), _fractions(c)
 
 
 def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:
     """Basis of the saturated lattice {z in Z^n : rows . z = 0}."""
     if not rows:
         raise ValueError("need at least one row")
-    n = len(rows[0])
-    c, rk = _column_echelon([primitive(r) for r in rows])
-    return [tuple(Fraction(c[i][j]) for i in range(n)) for j in range(rk, n)]
+    ints = [integer_copy(r) for r in rows]
+    if not all(map(any, ints)):
+        raise ValueError("zero vector has no primitive form")
+    c, _, rk = _column_echelon(ints)
+    return [tuple(Fraction(row[j]) for row in c) for j in range(rk, len(c))]
 
 
-def alignment_unimodular(lines: Sequence[Vec]) -> tuple[Mat, Mat]:
-    """(U, U^-1) with U unimodular, sending the rational subspace
-    span(lines) onto the span of the trailing coordinate axes.
-
-    Works through the saturated integer kernel of the subspace's orthogonal
-    complement, so U and its inverse are integer matrices.
-    """
+def alignment_int(lines: Sequence[Vec]) -> tuple[list[list[int]], list[list[int]]]:
+    """(U, U^-1) as int rows, U unimodular, sending the rational subspace
+    span(lines) onto the span of the trailing coordinate axes.  Works through
+    the saturated integer kernel of its orthogonal complement, read off the
+    ``rref_int`` table of the lines on one int scale."""
     if not lines:
         raise ValueError("no lineality directions given")
     n = len(lines[0])
-    perp = kernel_basis(lines, n)
-    if not perp:
+    tab, den, pivots = rref_int(lines)
+    free = [j for j in range(n) if j not in pivots]
+    if not free:
         raise ValueError("lineality spans the whole space")
+    m = math.lcm(*den)
+    perp = [[m * (k == j) for k in range(n)] for j in free]
+    for x, j in zip(perp, free):
+        for row, d, p in zip(tab, den, pivots):
+            x[p] = -row[j] * (m // d)
     # the transform is unimodular and its trailing columns span the kernel
     # lattice, so its inverse sends span(lines) onto the trailing axes
-    c, rk = _column_echelon([primitive(p) for p in perp])
-    u = inverse(c)
-    for l in lines:
-        require(is_zero_vec(mat_vec(u, l)[:rk]), "lineality misses the trailing axes")
-    return u, tuple(tuple(map(Fraction, row)) for row in c)
+    c, u, rk = _column_echelon(perp)
+    for l in map(integer_copy, lines):
+        require(not any(sum(map(operator.mul, row, l)) for row in u[:rk]),
+                "lineality misses the trailing axes")
+    return u, c
 
 
-def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:
-    """Column transform C (unimodular, integer) with rows.C in echelon form,
-    and the rank of the integer rows; the trailing columns of C span the
-    integer kernel of rows."""
+def alignment_unimodular(lines: Sequence[Vec]) -> tuple[Mat, Mat]:
+    """``alignment_int`` as Fraction matrices."""
+    return tuple(map(_fractions, alignment_int(lines)))
+
+
+def _column_echelon(rows: list[list[int]]):
+    """(C, C^-1, rank) for int rows: C unimodular with rows.C in echelon
+    form, C^-1 kept by the inverse row step of each column step; the
+    trailing columns of C span the integer kernel of rows."""
     n = len(rows[0])
-    work = [[int(x) for x in r] for r in rows]
-    c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    work = [list(r) for r in rows]
+    c, inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
     both = work + c
 
     pivot_col = 0
@@ -340,18 +362,17 @@ def _column_echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], int]:
             nz = [j for j in range(pivot_col, n) if r[j] != 0]
             if len(nz) == 1:
                 if nz[0] != pivot_col:
-                    _col_swap(both, nz[0], pivot_col)
+                    _col_swap(both, inv, nz[0], pivot_col)
                 break
             nz.sort(key=lambda j: abs(r[j]))
-            _col_addmul(both, nz[1], nz[0], -(r[nz[1]] // r[nz[0]]))
+            _col_addmul(both, inv, nz[1], nz[0], -(r[nz[1]] // r[nz[0]]))
         pivot_col += 1
         if pivot_col == n:
             break
-    for j in range(pivot_col, n):
-        v = tuple(Fraction(c[i][j]) for i in range(n))
-        require(all(dot(row, v) == 0 for row in rows),
+    for col in list(zip(*c))[pivot_col:]:
+        require(not any(sum(map(operator.mul, row, col)) for row in rows),
                 "kernel column leaves the kernel")
-    return c, pivot_col
+    return c, inv, pivot_col
 
 
 def format_frac(x) -> str:

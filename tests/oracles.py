@@ -809,3 +809,93 @@ def fraction_det(m) -> Fraction:
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Fraction unimodular route that the tracked-inverse int echelon replaced
+
+
+def _fraction_col_addmul(mats, dst, src, k):
+    for w in mats:
+        w[dst] += k * w[src]
+
+
+def _fraction_col_swap(mats, a, b):
+    for w in mats:
+        w[a], w[b] = w[b], w[a]
+
+
+def _fraction_column_echelon(rows):
+    """Column transform C (unimodular, integer) with rows.C in echelon form,
+    and the rank; the trailing columns of C span the integer kernel."""
+    n = len(rows[0])
+    work = [[int(x) for x in r] for r in rows]
+    c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    both = work + c
+    pivot_col = 0
+    for r in work:
+        if all(r[j] == 0 for j in range(pivot_col, n)):
+            continue
+        while True:
+            nz = [j for j in range(pivot_col, n) if r[j] != 0]
+            if len(nz) == 1:
+                if nz[0] != pivot_col:
+                    _fraction_col_swap(both, nz[0], pivot_col)
+                break
+            nz.sort(key=lambda j: abs(r[j]))
+            _fraction_col_addmul(both, nz[1], nz[0], -(r[nz[1]] // r[nz[0]]))
+        pivot_col += 1
+        if pivot_col == n:
+            break
+    for j in range(pivot_col, n):
+        v = tuple(Fraction(c[i][j]) for i in range(n))
+        assert all(dot(row, v) == 0 for row in rows)
+    return c, pivot_col
+
+
+def _as_fractions(m):
+    return tuple(tuple(map(Fraction, row)) for row in m)
+
+
+def fraction_alignment(lines):
+    """(U, U^-1) sending span(lines) onto the trailing axes: the Fraction
+    kernel of the lines, its column echelon and one ``inverse``; the
+    reference for ``linalg.alignment_unimodular``."""
+    if not lines:
+        raise ValueError("no lineality directions given")
+    perp = la.kernel_basis(lines, len(lines[0]))
+    if not perp:
+        raise ValueError("lineality spans the whole space")
+    c, rk = _fraction_column_echelon([la.primitive(p) for p in perp])
+    u = la.inverse(c)
+    for l in lines:
+        assert la.is_zero_vec(la.mat_vec(u, l)[:rk])
+    return u, _as_fractions(c)
+
+
+def fraction_integer_kernel_basis(rows):
+    """The reference for ``linalg.integer_kernel_basis``."""
+    if not rows:
+        raise ValueError("need at least one row")
+    n = len(rows[0])
+    c, rk = _fraction_column_echelon([la.primitive(r) for r in rows])
+    return [tuple(Fraction(c[i][j]) for i in range(n)) for j in range(rk, n)]
+
+
+def fraction_unimodular_with_bottom_row(u):
+    """The reference for ``linalg.unimodular_with_bottom_row``: the same
+    column steps, with U found by one ``inverse``."""
+    row = [int(x) for x in la.primitive(u)]
+    n = len(row)
+    c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    both = [row] + c
+    for j in range(n - 1):
+        while row[j] != 0:
+            if row[n - 1] == 0 or abs(row[j]) < abs(row[n - 1]):
+                _fraction_col_swap(both, j, n - 1)
+            else:
+                _fraction_col_addmul(both, j, n - 1, -(row[j] // row[n - 1]))
+    if row[n - 1] < 0:
+        for w in both:
+            w[n - 1] = -w[n - 1]
+    return la.inverse(c), _as_fractions(c)

@@ -197,11 +197,11 @@ def test_every_error_class_is_raised():
 def test_inversions_per_scenario(monkeypatch):
     # a unimodular map is inverted once, when it is made without its
     # inverse; transform, UnimodularMap.inverse and the lattice searches
-    # read the stored one, and the constructions hand their maps the
-    # inverse they already hold
+    # read the stored one, the constructions hand their maps the inverse
+    # they already hold, and the unimodular echelons track their own
     calls = counting(monkeypatch, latcut.linalg, "inverse")
-    ceilings = {"cubeface-census": 33, "approximation-factors": 118,
-                "lifting-end-to-end": 16, "inapprox-witnesses": 22,
+    ceilings = {"cubeface-census": 0, "approximation-factors": 60,
+                "lifting-end-to-end": 0, "inapprox-witnesses": 0,
                 "truncated-cone-shrink": 0}
     counts = {}
     for name in ceilings:
@@ -213,11 +213,11 @@ def test_inversions_per_scenario(monkeypatch):
 
 def test_kernel_bases_per_scenario(monkeypatch):
     # the constructors read the lineality off the generators tight on every
-    # row; the kernels left are _zero_combination's and those behind
-    # alignment_unimodular
+    # row and the alignments read theirs off the rref table; the kernels
+    # left are _zero_combination's and those of pointed interior searches
     calls = counting(monkeypatch, latcut.linalg, "kernel_basis")
-    ceilings = {"cubeface-census": 33, "approximation-factors": 41,
-                "lifting-end-to-end": 20, "inapprox-witnesses": 14,
+    ceilings = {"cubeface-census": 0, "approximation-factors": 6,
+                "lifting-end-to-end": 4, "inapprox-witnesses": 0,
                 "truncated-cone-shrink": 0}
     counts = {}
     for name in ceilings:
@@ -225,6 +225,31 @@ def test_kernel_bases_per_scenario(monkeypatch):
         assert run_scenario(name).passed
         counts[name] = len(calls)
     assert all(counts[name] <= ceilings[name] for name in ceilings), str(counts)
+
+
+def test_bounded_3d_facet_search_builds_no_sub_body(monkeypatch):
+    # a bounded facet of a 3-d body is rotated, levelled and scanned on int
+    # rows: no Fraction matrix work, no half-space normalisation, no level
+    # fix and no assembled 2-d body
+    rng = random.Random(24)
+    f = (F(1, 2), F(1, 3), F(1, 5))
+    bodies = [scenarios.random_polytope_around(rng, f) for _ in range(4)]
+    bodies += [constructions.cube_face_construction(3, i).body for i in (4, 8)]
+    calls = {name: counting(monkeypatch, latcut.linalg, name)
+             for name in ("mat_vec", "inverse", "kernel_basis")}
+    calls["make"] = counting(monkeypatch, geometry.HalfSpace, "make")
+    calls["_assemble"] = counting(monkeypatch, geometry.Polyhedron, "_assemble")
+    calls["fix_last_axis"] = counting(monkeypatch, geometry, "fix_last_axis")
+    monkeypatch.setattr(lattice, "fix_last_axis", geometry.fix_last_axis,
+                        raising=False)
+    witnesses = 0
+    for p in bodies:
+        assert p.dim == 3 and p.is_bounded()
+        for j in range(len(p.halfspaces)):
+            witnesses += lattice.facet_interior_lattice_point(p, j) is not None
+    counts = {name: len(c) for name, c in calls.items()}
+    assert witnesses >= 15
+    assert not any(counts.values()), counts
 
 
 def test_construct_certifies_once(monkeypatch):

@@ -1184,16 +1184,17 @@ def test_halfspace_normalization():
 
 
 def test_every_normal_is_a_primitive_integer_vector(monkeypatch):
-    # cuts.gauge reads normals as ints: every constructor, closed form and
-    # the facet search's rotated rows must keep them primitive integer
-    rotated = []
-    fix = lattice.fix_last_axis
+    # cuts.gauge reads normals as ints: every constructor and closed form
+    # must keep them primitive integer, and the rows that the facet search
+    # scans must be ints
+    scanned = []
+    columns = lattice._columns
 
-    def recording_fix(halfspaces, level):
-        rotated.extend(halfspaces)
-        return fix(halfspaces, level)
+    def recording_columns(rows, ranges, axis, strict=True):
+        scanned.extend(rows)
+        return columns(rows, ranges, axis, strict)
 
-    monkeypatch.setattr(lattice, "fix_last_axis", recording_fix)
+    monkeypatch.setattr(lattice, "_columns", recording_columns)
     bodies = []
     for path in FIXTURES:
         p = parse_polyhedron(path.read_text())
@@ -1213,10 +1214,11 @@ def test_every_normal_is_a_primitive_integer_vector(monkeypatch):
             except WholeSpace:
                 pass
     normals = [h.normal for b in bodies for h in b.halfspaces]
-    assert rotated
-    for a in normals + [h.normal for h in rotated]:
+    for a in normals:
         assert all(x.denominator == 1 for x in a)
         assert math.gcd(*(x.numerator for x in a)) == 1
+    assert scanned
+    assert all(type(x) is int for row in scanned for x in row)
 
 
 # -- randomized structural invariants ---------------------------------------

@@ -10,7 +10,15 @@ from latcut import linalg as la
 from latcut.errors import DimensionMismatch
 from latcut.geometry import UnimodularMap
 
-from oracles import fraction_det, fraction_dot, fraction_kernel, fraction_rref
+from oracles import (
+    fraction_alignment,
+    fraction_det,
+    fraction_dot,
+    fraction_integer_kernel_basis,
+    fraction_kernel,
+    fraction_rref,
+    fraction_unimodular_with_bottom_row,
+)
 
 entry = st.one_of(
     st.integers(min_value=-60, max_value=60),
@@ -207,3 +215,85 @@ def test_unimodular_map_accepts_exactly_determinant_plus_minus_one():
                 UnimodularMap.make(m)
             rejected += 1
     assert accepted > 1000 and rejected > 500, (accepted, rejected)
+
+
+# ---------------------------------------------------------------------------
+# the tracked-inverse int echelon against the Fraction route
+
+
+def _outcome(f, arg):
+    """f(arg), or the type and message of the error it raises."""
+    try:
+        return f(arg)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def check_unimodular_routes(lines):
+    """alignment_unimodular, integer_kernel_basis and
+    unimodular_with_bottom_row give what the Fraction route gives, bit for
+    bit, errors included."""
+    got = _outcome(la.alignment_unimodular, lines)
+    assert got == _outcome(fraction_alignment, lines)
+    if lines and type(got[0]) is not type:
+        u, c = got
+        assert all(type(x) is F and x.denominator == 1 for m in (u, c)
+                   for row in m for x in row)
+    assert (_outcome(la.integer_kernel_basis, lines)
+            == _outcome(fraction_integer_kernel_basis, lines))
+    for v in lines:
+        assert (_outcome(la.unimodular_with_bottom_row, v)
+                == _outcome(fraction_unimodular_with_bottom_row, v))
+    return got
+
+
+def random_lines(rng, n, rank):
+    """rank independent-looking rational lines in n-space plus up to two
+    combinations of them; entries are ints or small-denominator Fractions."""
+    def entry():
+        return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+
+    base = [tuple(entry() for _ in range(n)) for _ in range(rank)]
+    lines = list(base)
+    for _ in range(rng.randint(0, 2)):
+        coef = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in base]
+        lines.append(tuple(sum((k * b[j] for k, b in zip(coef, base)), F(0))
+                           for j in range(n)))
+    rng.shuffle(lines)
+    return lines
+
+
+def test_unimodular_routes_match_the_fraction_route():
+    rng = random.Random(24)
+    aligned = errors = dependent = 0
+    for k in range(900):
+        n = 2 + k % 3
+        lines = random_lines(rng, n, rng.randint(1, n - 1))
+        dependent += la.rank(lines) < len(lines)
+        got = check_unimodular_routes(lines)
+        if type(got[0]) is type:
+            errors += 1
+        else:
+            aligned += 1
+            u, c = got
+            assert la.inverse(u) == c
+    # full-rank and empty lines raise on both routes; a zero line aligns
+    # (the kernel of its row does not), on both routes alike
+    for lines in ([(F(1), F(2)), (F(3), F(-1))], []):
+        assert check_unimodular_routes(lines)[0] is ValueError
+    for lines in ([(F(0), F(0), F(0))], [(F(1), F(2), F(0)), (F(0), F(0), F(0))]):
+        check_unimodular_routes(lines)
+    assert aligned > 700 and dependent > 300, (aligned, errors, dependent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[_q] * n), min_size=1, max_size=n + 1)))
+def test_unimodular_routes_match_the_fraction_route_hypothesis(lines):
+    check_unimodular_routes([tuple(map(F, l)) for l in lines])
+
+
+def test_integer_kernel_basis_rejects_a_zero_row():
+    for rows in ([(0, 0)], [(1, 2, 3), (0, 0, 0)], [(F(0), F(0), F(0), F(0))]):
+        with pytest.raises(ValueError, match="zero vector"):
+            la.integer_kernel_basis([la.vec(r) for r in rows])
