@@ -15,14 +15,14 @@ floor division, one int dot product per row.  ``_scan`` takes the first
 nonempty column (at the end ``_strict_integer`` picks), ``lattice_points_in``
 expands every column, and ``lattice_width`` expands the integer points of
 the difference body's polar, taken after projecting along the rays.  Bounded
-bodies scan their box, a half-line is a scan with no other axis, and so is
-each fiber of a body whose one ray is turned onto the last axis.  A facet
-search in the plane solves along the integer points of the facet's line; in
-space it turns the facet onto a level of the last axis by an int unimodular
-pair and scans the other rows there, a bounded polygon in its box directly.
-A pointed body whose rays span the space holds a ball far out along them; one
-whose rays span neither a line nor the space is searched level by level along
-a direction orthogonal to them.
+bodies scan their box.  An unbounded body is projected along its rays by the
+same int frame as its width: the projection's box is scanned, and one
+``_strict_integer`` step along the ray sum lifts the point it finds back into
+the body.  A lineality body's certificate is still read off its quotient by
+the lineality space.  A facet search in the plane solves along the integer
+points of the facet's line; in space it turns the facet onto a level of the
+last axis by an int unimodular pair and scans the other rows there, a bounded
+polygon in its box directly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
@@ -50,7 +50,6 @@ from .geometry import (
     _apply,
     _int_row,
     _on_scale,
-    level_slice,
     transform,
 )
 from .linalg import ONE, ZERO, Vec, dot, vadd, vscale
@@ -194,69 +193,52 @@ def _integer_point_on_line(a: Vec, beta: Fraction, others):
 def interior_lattice_point(p: Polyhedron):
     """An integer point strictly inside p, or None when p is lattice-free.
 
-    Decides every full-dimensional body.  A bounded body scans its box, one
-    whose recession cone holds a line is searched in its quotient by the
-    lineality space (split off by a unimodular change of coordinates), and
-    any other, whose recession cone is pointed, by the span of its rays.
+    Decides every full-dimensional body.  A bounded body scans its box.  An
+    unbounded one is read in the frame y = U x of its rays (``_ray_frame``):
+    the rows whose trailing part vanishes, those parallel to every ray, cut
+    out its projection along the rays, which ``_box_scan`` searches in the
+    box of the projected vertices for the first interior integer y'.  Every
+    other row has a negative product with the ray sum w, so x = C (y', t w)
+    for the least integer t that ``_strict_integer`` returns over all rows,
+    where a row parallel to the rays re-checks y'.  When the rays span the
+    space, U is the identity and y' is empty.
     """
     if not p.fulldim:
         raise NotFullDimensional("interior search needs a full-dimensional body")
     if p.is_bounded():
         return _bounded_interior_point(p)
-    if p.lineality:
-        quotient, back, _ = _split_off_lineality(p)
-        z = interior_lattice_point(quotient)
-        return None if z is None else back(z)
-    if p.dim == 1:
-        return _scan(list(map(_int_row, p.halfspaces)), [None], 0)  # a half-line
-    return _pointed_interior_point(p)
+    _, c, r, s, heads = _ray_frame(p)
+    k = p.dim - r
+    rows = list(map(_int_row, p.halfspaces))
+    y = ()
+    if k:
+        ct = list(zip(*c))  # a . x = (C^T a) . y
+        turned = ([z0] + _apply(ct, a) for z0, *a in rows)
+        y = _box_scan([b[:k + 1] for b in turned if not any(b[k + 1:])], heads, s)
+        if y is None:
+            return None
+    x0 = _apply(c, _on_scale(y, 1) + [0] * r)
+    w = list(map(sum, zip(*map(la.integer_copy, p.rays))))
+    t = _strict_integer((-z0 - sum(map(operator.mul, a, x0)),
+                         sum(map(operator.mul, a, w))) for z0, *a in rows)
+    require(t is not None, "projected point is not interior")
+    return tuple(Fraction(a + t * b) for a, b in zip(x0, w))
+
+
+def _ray_frame(p: Polyhedron):
+    """(U, C, r, s, heads): int rows U and C = U^-1 sending the r-dimensional
+    span of p's rays onto the trailing r axes of y = U x (the identity when r
+    is 0 or n), and heads the leading n - r entries of U s v for each vertex
+    v, s their common denominator: p projected along its rays, on one scale."""
+    u, c, r = la.alignment_int(p.rays, p.dim)
+    s = la.denominator_lcm([x for v in p.vertices for x in v])
+    return u, c, r, s, [_apply(u, _on_scale(v, s))[:p.dim - r] for v in p.vertices]
 
 
 def _level_map(u: Vec) -> UnimodularMap:
     """A unimodular map whose last new coordinate is +/- primitive(u) . x."""
     um, cm = la.alignment_unimodular([u])
     return UnimodularMap(la.transpose(cm), la.vzero(len(u)), la.transpose(um))
-
-
-def _pointed_interior_point(p: Polyhedron):
-    """Interior integer point of an unbounded body of dimension 2 or more
-    with pointed recession, or None, by the span of the rays."""
-    perp = la.kernel_basis(p.rays, p.dim)
-    if 0 < len(perp) < p.dim - 1:
-        # u . x is bounded for u in perp: interior integer points sit on
-        # integer levels strictly inside its range, and there they are the
-        # interior points of the level slice, one dimension down
-        m = _level_map(perp[0])
-        q = transform(p, m)
-        levels = [v[-1] for v in q.vertices]
-        for w in range(math.floor(min(levels)) + 1, math.ceil(max(levels))):
-            z = interior_lattice_point(level_slice(q, w))
-            if z is not None:
-                return m.inverse().apply(z + (Fraction(w),))
-        return None
-    u, c = la.alignment_unimodular([p.rays[0]])
-    umap = UnimodularMap(u, la.vzero(p.dim), c)
-    q = transform(p, umap)
-    if perp:
-        # the one ray is the last axis and the other coordinates are bounded:
-        # scan their box, each fiber a half-line
-        cols = list(zip(*q.vertices))[:-1]
-        ranges = [range(math.ceil(min(xs)), math.floor(max(xs)) + 1) for xs in cols]
-        z = _scan(list(map(_int_row, q.halfspaces)), ranges + [None], p.dim - 1)
-        return None if z is None else umap.inverse().apply(z)
-    # the rays span the space, so their sum w is interior to the recession
-    # cone: far enough along it the body contains a unit ball, hence an
-    # integer point
-    w = tuple(map(sum, zip(*q.rays)))
-    c = q.relative_interior_point()
-    m = min(-dot(h.normal, w) for h in q.halfspaces)
-    require(m > 0, "recession direction is not interior")
-    weight = max(sum(abs(x) for x in h.normal) for h in q.halfspaces)
-    t = Fraction(math.ceil(weight / m) + 1)
-    center = vadd(c, vscale(t, w))
-    z = tuple(Fraction(round(x)) for x in center)
-    require(q.contains_point(z, strict=True), "rounded point is not interior")
-    return umap.inverse().apply(z)
 
 
 def _width_along(p: Polyhedron, u: Vec) -> Fraction:
@@ -287,13 +269,14 @@ def _bounded_interior_point(p: Polyhedron):
             m = _level_map(u_best)
             z = _bounded_interior_point(transform(p, m))
             return None if z is None else m.inverse().apply(z)
-    return _box_scan(list(map(_int_row, p.halfspaces)), lo, hi)
+    return _box_scan(list(map(_int_row, p.halfspaces)), p.vertices)
 
 
-def _box_scan(rows, lo, hi, s=1):
-    """_scan over the box lo / s .. hi / s, its widest axis solved."""
-    axis = max(range(len(lo)), key=lambda i: hi[i] - lo[i])
-    return _scan(rows, [range(-(-a // s), b // s + 1) for a, b in zip(lo, hi)], axis)
+def _box_scan(rows, points, s=1):
+    """_scan over the box of points / s, its widest axis solved."""
+    cols = list(zip(*points))
+    axis = max(range(len(cols)), key=lambda i: max(cols[i]) - min(cols[i]))
+    return _scan(rows, [range(-(-min(a) // s), max(a) // s + 1) for a in cols], axis)
 
 
 def _split_off_lineality(p: Polyhedron):
@@ -372,7 +355,7 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
         return _integer_point_on_line(h.normal, h.offset, others)
     if h.offset.denominator != 1:
         return None  # primitive normal: a fractional level misses Z^n entirely
-    u, c = la.alignment_int([h.normal])
+    u, c, _ = la.alignment_int([h.normal], p.dim)
     tight = _int_row(h)
     int_others = [_int_row(g) for i, g in enumerate(p.halfspaces) if i != j]
     level = -tight[0] * sum(map(operator.mul, u[-1], tight[1:]))
@@ -395,8 +378,7 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
         # the columns and order of the assembled polygon's scan: its box is
         # its vertices' box, and a redundant row cuts no strict point
         s = math.lcm(*(g[0] for g in gens))
-        cols = list(zip(*([x * (s // g[0]) for x in g[1:]] for g in gens)))
-        z2 = _box_scan(rows, list(map(min, cols)), list(map(max, cols)), s)
+        z2 = _box_scan(rows, [[x * (s // g[0]) for x in g[1:]] for g in gens], s)
     else:
         try:
             z2 = interior_lattice_point(Polyhedron._assemble(rows, gens, p.dim - 1))
@@ -468,46 +450,39 @@ class WidthReport:
 def lattice_width(p: Polyhedron) -> WidthReport:
     """Least support width over primitive integer directions: the first of
     least width in itertools.product order over K (see WidthReport), leading
-    entry positive; for an unbounded p, its projection's mapped back by U^T."""
+    entry positive, for the hull of the vertices projected along the rays
+    (``_ray_frame``), mapped back by U^T."""
     if not p.fulldim:
         raise NotFullDimensional("width needs a full-dimensional body")
-    r = la.rank(p.rays)
-    if r == p.dim:
+    um, _, r, s, heads = _ray_frame(p)
+    n = p.dim - r
+    if not n:
         return WidthReport(None, None, None, None)
-    if not r:
-        return _width(p.vertices, p.dim)
-    u, _ = la.alignment_unimodular(p.rays)
-    sub = _width([la.mat_vec(u, v)[:-r] for v in p.vertices], p.dim - r)  # rays map to 0
-    back = la.mat_vec(la.transpose(u), sub.direction + (ZERO,) * r)
-    return replace(sub, direction=la.primitive(back))
-
-
-def _width(points, n: int) -> WidthReport:
-    """Width of the hull of points spanning n-space (see WidthReport)."""
-    points = list(dict.fromkeys(points))  # a repeated point would give K a zero row
-    s = la.denominator_lcm([x for v in points for x in v])
-    verts = [_on_scale(v, s) for v in points]
+    # a repeated point would give K a zero row
+    verts = list(dict.fromkeys(map(tuple, heads)))
 
     def spread(u):
         vals = [sum(map(operator.mul, u, v)) for v in verts]
         return max(vals) - min(vals)
 
     best, axis = min((spread([int(i == j) for j in range(n)]), i) for i in range(n))
-    best_u = tuple(ONE if i == axis else ZERO for i in range(n))
+    best_u = [int(i == axis) for i in range(n)]
     w0 = Fraction(best, s)  # K's rows on scale s: (s v - s x) . u <= s w0
     diffs = [list(map(operator.sub, v, x)) for v, x in itertools.permutations(verts, 2)]
     diffs.sort(key=lambda d: -sum(x * x for x in d))  # longest first: fewer DD rays
     k = Polyhedron.from_halfspaces([(d, best) for d in diffs], n)
     top = max(max(y) for y in k.vertices)
     require(top > 0, "difference body polar is not full-dimensional")
-    for u in lattice_points_in(k):
-        z = [c.numerator for c in u]
-        if next((c for c in z if c), 0) <= 0 or math.gcd(*z) != 1:
+    for c in lattice_points_in(k):
+        z = [x.numerator for x in c]
+        if next((x for x in z if x), 0) <= 0 or math.gcd(*z) != 1:
             continue  # zero, the mirror of a direction, or not primitive
         w = spread(z)
         if w < best:
-            best, best_u = w, u
-    return WidthReport(Fraction(best, s), best_u, w0 / top, math.ceil(top))
+            best, best_u = w, z
+    back = la.primitive_int(_apply(list(zip(*um)), best_u + [0] * r))  # U^T (c, 0)
+    return WidthReport(Fraction(best, s), tuple(map(Fraction, back)), w0 / top,
+                       math.ceil(top))
 
 
 # ---------------------------------------------------------------------------

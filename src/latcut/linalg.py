@@ -313,18 +313,17 @@ def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:
     return [tuple(Fraction(row[j]) for row in c) for j in range(rk, len(c))]
 
 
-def alignment_int(lines: Sequence[Vec]) -> tuple[list[list[int]], list[list[int]]]:
-    """(U, U^-1) as int rows, U unimodular, sending the rational subspace
-    span(lines) onto the span of the trailing coordinate axes.  Works through
-    the saturated integer kernel of its orthogonal complement, read off the
+def alignment_int(lines: Sequence[Vec], n: int):
+    """(U, U^-1, r) as int rows: r the dimension of span(lines) in n-space
+    and U unimodular, sending that span onto the span of the trailing r
+    coordinate axes; the identity pair when r is 0 or n.  Works through the
+    saturated integer kernel of its orthogonal complement, read off the
     ``rref_int`` table of the lines on one int scale."""
-    if not lines:
-        raise ValueError("no lineality directions given")
-    n = len(lines[0])
     tab, den, pivots = rref_int(lines)
     free = [j for j in range(n) if j not in pivots]
     if not free:
-        raise ValueError("lineality spans the whole space")
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        return eye, eye, n
     m = math.lcm(*den)
     perp = [[m * (k == j) for k in range(n)] for j in free]
     for x, j in zip(perp, free):
@@ -336,12 +335,18 @@ def alignment_int(lines: Sequence[Vec]) -> tuple[list[list[int]], list[list[int]
     for l in map(integer_copy, lines):
         require(not any(sum(map(operator.mul, row, l)) for row in u[:rk]),
                 "lineality misses the trailing axes")
-    return u, c
+    return u, c, n - rk
 
 
 def alignment_unimodular(lines: Sequence[Vec]) -> tuple[Mat, Mat]:
-    """``alignment_int`` as Fraction matrices."""
-    return tuple(map(_fractions, alignment_int(lines)))
+    """(U, U^-1) of ``alignment_int`` as Fraction matrices, for lines that
+    span neither zero nor the whole space."""
+    if not lines:
+        raise ValueError("no lineality directions given")
+    u, c, r = alignment_int(lines, len(lines[0]))
+    if r == len(u):
+        raise ValueError("lineality spans the whole space")
+    return _fractions(u), _fractions(c)
 
 
 def _column_echelon(rows: list[list[int]]):

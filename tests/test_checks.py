@@ -175,6 +175,37 @@ def test_width_runs_one_conversion_and_no_lp(monkeypatch):
     assert all(c[1:] == (int(c[0]), 0, 0) for c in counts.values()), counts
 
 
+def test_unbounded_interior_search_is_one_pass(monkeypatch):
+    # every unbounded body is projected along its rays and scanned once: no
+    # image, level slice, conversion, kernel or rank, and no recursion
+    rng = random.Random(25)
+    gens = [([(0, 0, 0), (0, 0, 2)], [(1, 2, 0), (-3, 1, 0)]),
+            ([(F(1, 2), F(1, 3), F(1, 5))], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            ([(0, 0, F(1, 2)), (1, 3, F(1, 3)), (0, 1, 0)], [(2, 1, 0)]),
+            ([(0, 0, 0), (0, 1, 1)], [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),
+            ([(F(7, 2),)], [(-1,)])]
+    bodies = [geometry.Polyhedron.from_generators(v, r) for v, r in gens]
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        bodies.append(latcut.parse_polyhedron(path.read_text()))
+    bodies = [p for p in bodies if p.rays]
+    bodies += [geometry.transform(p, scenarios.random_unimodular(rng, p.dim))
+               for p in bodies]
+    calls = {"transform": counting(monkeypatch, lattice, "transform"),
+             "level_slice": counting(monkeypatch, geometry, "level_slice"),
+             "cone_dd": counting(monkeypatch, geometry, "cone_dd"),
+             "kernel_basis": counting(monkeypatch, latcut.linalg, "kernel_basis"),
+             "rank": counting(monkeypatch, latcut.linalg, "rank")}
+    monkeypatch.setattr(lattice, "level_slice", geometry.level_slice, raising=False)
+    searches = counting(monkeypatch, lattice, "interior_lattice_point")
+    found = 0
+    for p in bodies:
+        found += lattice.interior_lattice_point(p) is not None
+    counts = {name: len(c) for name, c in calls.items()}
+    assert len(bodies) >= 20 and found >= 10, (len(bodies), found)
+    assert len(searches) == len(bodies), len(searches)
+    assert not any(counts.values()), counts
+
+
 def test_every_error_class_is_raised():
     # an error class that nothing in the package raises is dead API
     tree = ast.parse((PACKAGE / "errors.py").read_text())
@@ -214,7 +245,7 @@ def test_inversions_per_scenario(monkeypatch):
 def test_kernel_bases_per_scenario(monkeypatch):
     # the constructors read the lineality off the generators tight on every
     # row and the alignments read theirs off the rref table; the kernels
-    # left are _zero_combination's and those of pointed interior searches
+    # left are _zero_combination's
     calls = counting(monkeypatch, latcut.linalg, "kernel_basis")
     ceilings = {"cubeface-census": 0, "approximation-factors": 6,
                 "lifting-end-to-end": 4, "inapprox-witnesses": 0,

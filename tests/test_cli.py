@@ -64,6 +64,30 @@ def test_check_exit_codes_follow_the_verdict(capsys, tmp_path):
     assert doc["interior_witness"] is not None
 
 
+def test_check_witnesses_of_bodies_whose_rays_span_the_plane(capsys):
+    # the rays span the plane, so the witness is t w for the ray sum w and the
+    # least integer t that puts it strictly inside: w = (0, 1) + (1, 0) in
+    # the quadrant, w = (-1, 2) + (1, 2) in the wedge, and t = 1 in both
+    for name, witness in (("quadrant", ["1/1", "1/1"]), ("wedge", ["0/1", "4/1"])):
+        code, doc = run_json(capsys, "check", str(FIXTURES / f"{name}.json"))
+        assert code == 1 and doc["lattice_free"] is False, name
+        assert doc["interior_witness"] == witness, name
+
+
+def test_check_and_width_match_the_golden_outputs(capsys):
+    # stdout and exit code of check and width on every fixture, byte for byte
+    golden = json.loads((Path(__file__).parent / "golden" / "cli_outputs.json")
+                        .read_text())
+    got = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        for command in ("check", "width"):
+            code, out, err = run(capsys, command, str(path))
+            assert err == "", (command, path.stem)
+            got[f"{command} {path.stem}"] = {"exit": code, "stdout": out}
+    assert len(got) == 40
+    assert got == golden
+
+
 def test_width_bound_flag_drives_exit_code(capsys):
     code, doc = run_json(capsys, "width", str(FIXTURES / "diamond.json"),
                          "--bound", "4")

@@ -363,6 +363,81 @@ def test_pointed_bodies_of_ray_rank_two_and_three():
     assert min(seen.values()) >= 10, seen
 
 
+UNBOUNDED_KINDS = ("lineality", "lineality and rays", "ray rank below n",
+                   "ray rank n", "half-line")
+
+
+def _unbounded_bodies(kind, count, rng):
+    """count seeded unbounded bodies of one recession shape, each as built
+    and under a seeded unimodular map.  For the shapes whose rays can all
+    lie in x_n = 0, every second body keeps x_n within [0, 1], so it is
+    lattice-free."""
+    def q():
+        return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+    out = []
+    while len(out) < 2 * count:
+        n = 1 if kind == "half-line" else rng.choice((2, 3))
+        thin = len(out) % 4 == 0 and kind not in ("ray rank n", "half-line")
+
+        def ray():
+            head = tuple(rng.randint(-2, 2) for _ in range(n - 1))
+            return head + (0 if thin else rng.randint(-2, 2),)
+
+        pts = [tuple(q() for _ in range(n - 1))
+               + (F(rng.randint(0, 3), 3) if thin else q(),)
+               for _ in range(rng.randint(1, 3))]
+        if thin:
+            pts += [pts[0][:-1] + (F(0),), pts[0][:-1] + (F(1),)]
+        l = ray()
+        m = ray() if n == 3 and rng.random() < 0.5 else None  # a second line
+        rays = {"lineality": [l, la.vneg(l)] + ([m, la.vneg(m)] if m else []),
+                "lineality and rays": [l, la.vneg(l), ray()],
+                "ray rank below n": [ray() for _ in range(n - 1)],
+                "ray rank n": [ray() for _ in range(n)],
+                "half-line": [(rng.choice((-1, 1)),)]}[kind]
+        if not all(map(any, rays)):
+            continue
+        p = Polyhedron.from_generators(pts, rays, n)
+        shape = {"lineality": p.lineality and len(p.rays) == 2 * len(p.lineality),
+                 "lineality and rays": p.lineality and len(p.rays) > 2 * len(p.lineality),
+                 "ray rank below n": not p.lineality and la.rank(p.rays) < n,
+                 "ray rank n": not p.lineality and la.rank(p.rays) == n,
+                 "half-line": True}[kind]
+        if p.fulldim and shape:
+            out += [p, transform(p, scenarios.random_unimodular(rng, n))]
+    return out
+
+
+def test_unbounded_interior_search_matches_the_box_oracle():
+    """One search for every unbounded body: its decision is the box oracle's
+    on the body cut to [-6, 6]^n, and its witness is integral, strictly
+    inside, and the least step t along the integer ray sum w (one step less
+    leaves the interior).  A lineality body's witness is its certificate's,
+    which is read off the quotient."""
+    rng = random.Random(41)
+    seen = {}
+    for kind in UNBOUNDED_KINDS:
+        for p in _unbounded_bodies(kind, 12, rng):
+            z = interior_lattice_point(p)
+            rows = [(h.normal, h.offset) for h in p.halfspaces]
+            box = lattice_points_in_hrep(rows, (-6,) * p.dim, (6,) * p.dim, strict=True)
+            assert (z is None) == (not box), (kind, p)
+            seen[kind, z is None] = seen.get((kind, z is None), 0) + 1
+            if kind == "lineality":
+                assert certify_lattice_free(p).interior_witness == z
+            if z is None:
+                continue
+            assert all(x.denominator == 1 for x in z)
+            assert p.contains_point(z, strict=True)
+            w = tuple(map(sum, zip(*map(la.integer_copy, p.rays))))
+            if any(w):
+                assert not p.contains_point(la.vsub(z, w), strict=True), (kind, p)
+    assert all(seen.get((kind, False), 0) >= 5 for kind in UNBOUNDED_KINDS), seen
+    assert all(seen.get((kind, True), 0) >= 5
+               for kind in UNBOUNDED_KINDS[:3]), seen
+
+
 def test_facet_witness_nonexistent_on_fractional_line():
     p = Polyhedron.from_halfspaces(
         [((0, 1), F(1, 2)), ((0, -1), 0), ((1, 0), 10), ((-1, 0), 10)], 2)
