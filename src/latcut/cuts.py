@@ -24,36 +24,44 @@ from .geometry import Polyhedron, hausdorff_sq, polar
 from .linalg import Vec, ZERO
 
 
+def _shifted(b: Polyhedron, f: Vec):
+    """(F, df, [(c_i, a_i)]): f = F / df on ints, and for each row (z0, a)
+    of b its normal a with c = -z0 df - a . F, which is df times the row's
+    slack at f and must be positive (else PointNotInterior)."""
+    if len(f) != b.dim:
+        raise DimensionMismatch("point dimension mismatch")
+    fi, df = la.integer_copy(f), la.denominator_lcm(f)
+    rows = [(-z0 * df - sum(map(operator.mul, a, fi)), a) for z0, *a in b.rows]
+    if any(c <= 0 for c, _ in rows):
+        raise PointNotInterior(f"{tuple(map(str, f))} is not interior to the body")
+    return fi, df, rows
+
+
+def _ratio(rows, r) -> tuple[int, int]:
+    """max(0, max_i a_i . r / c_i) as (num, den) over ``_shifted`` rows and
+    an int r, the first maximum by cross-multiplication."""
+    num, den = 0, 1
+    for c, a in rows:
+        n = sum(map(operator.mul, a, r))
+        if n * den > num * c:
+            num, den = n, c
+    return num, den
+
+
 def gauge(b: Polyhedron, f, r) -> Fraction:
     """psi of B-f at r: max(0, max_i a_i . r / (b_i - a_i . f)).
 
-    Runs in integers, since every normal a_i is a primitive integer vector
-    (a HalfSpace invariant).  With f = F / df, r = R / dr and b_i = p_i / q_i
-    for integer F, R, the shifted offset times q_i df is
-    c_i = p_i df - q_i a_i . F, which must be positive (else
-    PointNotInterior), and facet i's ratio is q_i a_i . R / c_i times
-    df / dr.  Ratios compare by cross-multiplication; one Fraction is built.
+    Runs on b's int rows (z0, a), read a . x <= -z0: with f = F / df and
+    r = R / dr, row i's ratio is a . R / c times df / dr for c from
+    ``_shifted``.  One Fraction is built.
     """
     f = la.vec(f)
     r = la.vec(r)
     if len(r) != b.dim:
         raise DimensionMismatch("direction dimension mismatch")
-    if len(f) != b.dim:
-        raise DimensionMismatch("point dimension mismatch")
-    fi, df = la.integer_copy(f), la.denominator_lcm(f)
-    ri, dr = la.integer_copy(r), la.denominator_lcm(r)
-    num, den = 0, 1
-    for h in b.halfspaces:
-        a = [x.numerator for x in h.normal]
-        q = h.offset.denominator
-        c = h.offset.numerator * df - q * sum(map(operator.mul, a, fi))
-        if c <= 0:
-            raise PointNotInterior(
-                f"{tuple(map(str, f))} is not interior to the body")
-        n = q * sum(map(operator.mul, a, ri))
-        if n * den > num * c:
-            num, den = n, c
-    return Fraction(num * df, den * dr)
+    _, df, rows = _shifted(b, f)
+    num, den = _ratio(rows, la.integer_copy(r))
+    return Fraction(num * df, den * la.denominator_lcm(r))
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,19 @@ to a polytope walk its real faces, found from the vertices tight on each
 row, on one int scale per call, and a Hausdorff walk stops at its running
 maximum.
 
-The canonical form, images, homotheties, polars, containment and distances
-run on int copies taken once per call (no int form is stored): a row or
-generator is any positive multiple of itself, a point (d, x) is x over d,
-``_reduce`` takes a vector off a canonical basis, and each output Fraction
-is built once.
+A ``Polyhedron`` stores its canonical form on ints, and every kernel above
+reads and writes that form with no ``Fraction`` in between: a row is a
+primitive (z0, a), read a . x <= -z0, a point a primitive (d, x) with d > 0,
+read x / d, and rays and lineality are primitive int vectors.  Inside a
+kernel a row or generator is any positive multiple of itself, and
+``_reduce`` takes a vector off a canonical basis.  The ``Fraction`` views
+(``halfspaces``, ``vertices``, ``rays``, ``lineality``) are built on first
+read; only data that a caller passes in is converted to ints.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -206,21 +210,20 @@ def _scaled(m) -> tuple[list[list[int]], int]:
     return [_on_scale(row, d) for row in m], d
 
 
-def _int_row(h: HalfSpace) -> list[int]:
-    """(-p, q a) for a . x <= p / q: the row (-b, a) in ints (a is integral)."""
-    q = h.offset.denominator
-    return [-h.offset.numerator] + [q * a.numerator for a in h.normal]
+def _normal(z) -> list[int]:
+    """The primitive normal of an int row (z0, a)."""
+    g = math.gcd(*z[1:])
+    return [x // g for x in z[1:]]
 
 
-def _halfspaces(rows) -> tuple[HalfSpace, ...]:
-    """The half-spaces c . x <= -z0 of distinct int rows (z0, c), c nonzero,
-    sorted: each normal made primitive and each offset one Fraction."""
-    keys = []
-    for z0, *c in rows:
-        g = math.gcd(*c)
-        keys.append((tuple(x // g for x in c), Fraction(-z0, g)))
-    keys.sort()
-    return tuple(HalfSpace(tuple(map(Fraction, a)), b) for a, b in keys)
+def _canonical(dim, rows, points, rays, lines, fulldim) -> "Polyhedron":
+    """The Polyhedron of primitive int rows, points, rays and lineality
+    basis, put in view order: rows by primitive normal, points by x / d
+    compared on one common denominator, rays as int tuples."""
+    s = math.lcm(*(pt[0] for pt in points))
+    points = sorted(points, key=lambda pt: [x * (s // pt[0]) for x in pt[1:]])
+    return Polyhedron(dim, tuple(sorted(rows, key=_normal)), tuple(points),
+                      tuple(sorted(rays)), tuple(lines), fulldim)
 
 
 def _maximal(masks: list[int], full: int) -> list[int]:
@@ -237,12 +240,38 @@ def _maximal(masks: list[int], full: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Polyhedron:
+    """A rational polyhedron in canonical form, stored on ints: ``rows``
+    are primitive (z0, a), read a . x <= -z0, sorted by primitive normal;
+    ``points`` primitive (d, x), d > 0, one per vertex x / d, sorted by
+    x / d; ``directions`` the primitive recession rays, lineality as +/-
+    pairs, sorted; ``lines`` the canonical basis of the lineality space.
+    Equality, hash and repr read these; ``halfspaces``, ``vertices``,
+    ``rays`` and ``lineality`` are their ``Fraction`` views."""
+
     dim: int
-    halfspaces: tuple[HalfSpace, ...]
-    vertices: tuple[Vec, ...]
-    rays: tuple[Vec, ...]          # recession rays; lineality as +/- pairs
-    lineality: tuple[Vec, ...]     # canonical basis of the lineality space
+    rows: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[int, ...], ...]
+    directions: tuple[tuple[int, ...], ...]
+    lines: tuple[tuple[int, ...], ...]
     fulldim: bool
+
+    # the Fraction views, each built on its first read
+    halfspaces = functools.cached_property(lambda self: tuple(
+        HalfSpace(tuple(map(Fraction, _normal(z))), Fraction(-z[0], math.gcd(*z[1:])))
+        for z in self.rows))
+    vertices = functools.cached_property(lambda self: tuple(
+        tuple(Fraction(x, d) for x in xs) for d, *xs in self.points))
+    rays = functools.cached_property(lambda self: la._fractions(self.directions))
+    lineality = functools.cached_property(lambda self: la._fractions(self.lines))
+
+    @staticmethod
+    def of(dim, halfspaces, vertices, rays, lineality, fulldim) -> "Polyhedron":
+        """The polyhedron whose ``Fraction`` views are these canonical fields."""
+        return _canonical(dim, [tuple(la.integer_copy((-h.offset,) + h.normal))
+                                for h in halfspaces],
+                          [tuple(la.integer_copy((ONE,) + v)) for v in vertices],
+                          [tuple(la.integer_copy(r)) for r in rays],
+                          [tuple(la.integer_copy(l)) for l in lineality], fulldim)
 
     # -- construction -------------------------------------------------------
 
@@ -255,8 +284,8 @@ class Polyhedron:
         for h in hs:
             if len(h.normal) != dim:
                 raise DimensionMismatch(f"normal {h.normal} not in dimension {dim}")
-        # integer_copy, not _int_row: a HalfSpace built by a caller may have a
-        # normal that is not an integer vector
+        # a HalfSpace built by a caller may have a normal that is not an
+        # integer vector
         rows = [la.integer_copy((-h.offset,) + h.normal) for h in hs]
         lines, rays = cone_dd(rows + [[-1] + [0] * dim], dim + 1)  # x0 >= 0
         if not any(r[0] > 0 for r in rays):
@@ -320,15 +349,7 @@ class Polyhedron:
         facets.update(z for e in eqs for z in (e, tuple(-x for x in e)))
         if not facets:
             raise WholeSpace("generators span the whole space")
-        return Polyhedron(
-            dim=dim,
-            halfspaces=_halfspaces(facets),
-            vertices=tuple(sorted(tuple(Fraction(x, d) for x in v)
-                                  for d, *v in verts)),
-            rays=tuple(tuple(map(Fraction, r)) for r in sorted(rays)),
-            lineality=tuple(tuple(map(Fraction, l)) for l in basis),
-            fulldim=not eqs,
-        )
+        return _canonical(dim, facets, verts, rays, basis, not eqs)
 
     # -- queries -------------------------------------------------------------
 
@@ -336,14 +357,15 @@ class Polyhedron:
         x = la.vec(x)
         if len(x) != self.dim:
             raise DimensionMismatch("point dimension mismatch")
-        if strict:
-            return all(dot(h.normal, x) < h.offset for h in self.halfspaces)
-        return all(dot(h.normal, x) <= h.offset for h in self.halfspaces)
+        d, *xs = la.integer_copy((ONE,) + x)
+        test = operator.lt if strict else operator.le
+        return all(test(z0 * d + sum(map(operator.mul, a, xs)), 0)
+                   for z0, *a in self.rows)
 
     def contains(self, other: "Polyhedron") -> bool:
-        """Set containment: other is a subset of self.  Each row (-p, q a)
-        of self meets int copies (d, x) of other's vertices as
-        q a . x <= p d, and other's rays r as a . r <= 0."""
+        """Set containment: other is a subset of self.  Each row z of self
+        meets other's points g = (d, x) as z . g <= 0, and its rays r as
+        z . (0, r) <= 0."""
         return self._holds(other, operator.gt)
 
     def contains_in_interior(self, other: "Polyhedron") -> bool:
@@ -353,15 +375,15 @@ class Polyhedron:
     def _holds(self, other: "Polyhedron", fails) -> bool:
         if self.dim != other.dim:
             raise DimensionMismatch("ambient dimensions differ")
-        gens = [(la.integer_copy((ONE,) + v), fails) for v in other.vertices]
-        gens += [(la.integer_copy((ZERO,) + r), operator.gt) for r in other.rays]
-        for z in map(_int_row, self.halfspaces):
+        gens = [(g, fails) for g in other.points]
+        gens += [((0,) + r, operator.gt) for r in other.directions]
+        for z in self.rows:
             if any(test(sum(map(operator.mul, z, g)), 0) for g, test in gens):
                 return False
         return True
 
     def is_bounded(self) -> bool:
-        return not self.rays
+        return not self.directions
 
     def relative_interior_point(self) -> Vec:
         p = self.vertices[0]
@@ -389,13 +411,6 @@ class Polyhedron:
                 best, arg = val, v
         return best, arg
 
-    def bounding_box(self) -> tuple[Vec, Vec]:
-        if self.rays:
-            raise ValueError("bounding box needs a bounded polyhedron")
-        lo = tuple(min(v[i] for v in self.vertices) for i in range(self.dim))
-        hi = tuple(max(v[i] for v in self.vertices) for i in range(self.dim))
-        return lo, hi
-
 
 # ---------------------------------------------------------------------------
 # polarity
@@ -415,27 +430,24 @@ def polar(p: Polyhedron, center=None) -> Polyhedron:
     exactly when p's rays span the space.  The polar is bounded.
     """
     c = la.vzero(p.dim) if center is None else la.vec(center)
-    if not p.contains_point(c, strict=True):
-        raise OriginNotInterior("polar needs the center strictly inside p")
-    # on ints: c is cx over cd, and a vertex (d, x) is x over d
+    if len(c) != p.dim:
+        raise DimensionMismatch("point dimension mismatch")
+    # on ints: c is cx / cd, a point (d, x) is x / d, and a row (z0, a) gives
+    # the vertex (t, cd a), t = cd times its slack at c, positive iff c is in
     cd, *cx = la.integer_copy((ONE,) + c)
-    verts = []
-    for h in p.halfspaces:
-        z0, *a = _int_row(h)
-        slack = -z0 * cd - sum(map(operator.mul, a, cx))
-        verts.append(tuple(Fraction(cd * x, slack) for x in a))
-    if la.rank(p.rays) == p.dim:
-        verts.append(la.vzero(p.dim))
-    lin_rows = [[0] + la.integer_copy(l) for l in p.lineality]
-    rows = []
-    for v in p.vertices:
-        d, *x = la.integer_copy((ONE,) + v)
-        rows.append(_reduce([-d * cd] + [cd * a - d * b for a, b in zip(x, cx)],
-                            lin_rows))
-    rows += ([0] + la.integer_copy(r) for r in p.rays)
-    return Polyhedron(dim=p.dim, halfspaces=_halfspaces(rows),
-                      vertices=tuple(sorted(verts)), rays=(), lineality=(),
-                      fulldim=not p.lineality)
+    verts = [[-z0 * cd - sum(map(operator.mul, a, cx))] + [cd * x for x in a]
+             for z0, *a in p.rows]
+    if any(v[0] <= 0 for v in verts):
+        raise OriginNotInterior("polar needs the center strictly inside p")
+    verts = list(map(la.primitive_int, verts))
+    if la.rank(p.directions) == p.dim:
+        verts.append((1,) + (0,) * p.dim)
+    lin_rows = [(0,) + l for l in p.lines]
+    rows = [la.primitive_int(_reduce([-d * cd] + [cd * a - d * b
+                                                  for a, b in zip(x, cx)], lin_rows))
+            for d, *x in p.points]
+    rows += ((0,) + r for r in p.directions)
+    return _canonical(p.dim, rows, verts, (), (), not p.lines)
 
 
 # ---------------------------------------------------------------------------
@@ -512,31 +524,23 @@ def _image(p: Polyhedron, matrix: Mat, inv: Mat, shift: Vec) -> Polyhedron:
     # the columns of dm dk h^-1 = [[dm dk, 0], [-ki si, dm ki]]
     back = [[dm * dk] + [-x for x in _apply(ki, si)]]
     back += ([0] + [dm * x for x in col] for col in zip(*ki))
-    rows = [la.primitive_int(_apply(back, _int_row(h))) for h in p.halfspaces]
+    rows = [la.primitive_int(_apply(back, z)) for z in p.rows]
     # a flat p keeps each equality as a pair of opposite rows
     both = () if p.fulldim else set(rows)
     flat = [tuple(-x for x in z) in both for z in rows]
     eqs = _canonical_basis([z for z, f in zip(rows, flat) if f])
     # distinct rows and generators of p have distinct images
-    facets = [_reduce(z, eqs) for z, f in zip(rows, flat) if not f]
+    facets = [la.primitive_int(_reduce(z, eqs)) for z, f in zip(rows, flat) if not f]
     facets += (z for e in eqs for z in (e, tuple(-x for x in e)))
-    basis = _canonical_basis([_apply(fwd, [0] + la.integer_copy(l))[1:]
-                              for l in p.lineality])
+    basis = _canonical_basis([_apply(fwd, (0,) + l)[1:] for l in p.lines])
     lin_rows = [(0,) + l for l in basis]
-    verts = []
-    for v in p.vertices:
-        d, *x = _reduce(_apply(fwd, la.integer_copy((ONE,) + v)), lin_rows)
-        verts.append(tuple(Fraction(a, d) for a in x))
+    verts = [la.primitive_int(_reduce(_apply(fwd, g), lin_rows)) for g in p.points]
     rays = basis + [tuple(-x for x in l) for l in basis]
-    for r in p.rays:
-        _, *y = _reduce(_apply(fwd, [0] + la.integer_copy(r)), lin_rows)
+    for r in p.directions:
+        _, *y = _reduce(_apply(fwd, (0,) + r), lin_rows)
         if any(y):
             rays.append(la.primitive_int(y))
-    return Polyhedron(dim=p.dim, halfspaces=_halfspaces(facets),
-                      vertices=tuple(sorted(verts)),
-                      rays=tuple(tuple(map(Fraction, r)) for r in sorted(rays)),
-                      lineality=tuple(tuple(map(Fraction, l)) for l in basis),
-                      fulldim=not eqs)
+    return _canonical(p.dim, facets, verts, rays, basis, not eqs)
 
 
 def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
@@ -581,24 +585,18 @@ def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
         eye = la.identity(p.dim)
         return _image(p, tuple(vscale(lam, e) for e in eye),
                       tuple(vscale(1 / lam, e) for e in eye), v)
-    # one denominator per result: lam = P / Q, v = V / dv, s = S / ds,
-    # a vertex x = X / dx and an offset b = bn / bd
+    # on ints: lam = P / Q, v = V / dv, s = S / ds and a point (dx, X); a
+    # row a . x <= -z0 becomes Q dv a . y <= Q a . V - P dv z0
     P, Q = lam.numerator, lam.denominator
     dv, *V = la.integer_copy((ONE,) + v)
-    ds, *S = _reduce([dv] + V, [[0] + la.integer_copy(l) for l in p.lineality])
-    hs = []
-    for h in p.halfspaces:
-        bn, bd = h.offset.numerator, h.offset.denominator
-        av = sum(a.numerator * x for a, x in zip(h.normal, V))
-        hs.append(HalfSpace(h.normal,
-                            Fraction(P * bn * dv + Q * bd * av, Q * bd * dv)))
-    verts = []
-    for x in p.vertices:
-        dx, *X = la.integer_copy((ONE,) + x)
-        verts.append(tuple(Fraction(P * ds * a + Q * dx * s, Q * dx * ds)
-                           for a, s in zip(X, S)))
-    return Polyhedron(dim=p.dim, halfspaces=tuple(hs), vertices=tuple(verts),
-                      rays=p.rays, lineality=p.lineality, fulldim=True)
+    ds, *S = _reduce([dv] + V, [(0,) + l for l in p.lines])
+    pd, qd, pds = P * dv, Q * dv, P * ds
+    rows = tuple(la.primitive_int([pd * z0 - Q * sum(map(operator.mul, a, V))]
+                                  + [qd * x for x in a]) for z0, *a in p.rows)
+    points = tuple(la.primitive_int([Q * dx * ds] + [pds * a + Q * dx * s
+                                                     for a, s in zip(X, S)])
+                   for dx, *X in p.points)
+    return Polyhedron(p.dim, rows, points, p.directions, p.lines, True)
 
 
 def homothety(p: Polyhedron, center, factor) -> Polyhedron:
@@ -697,10 +695,10 @@ def _face_frames(p: Polyhedron, s: int) -> tuple[list[list[int]], list[tuple]]:
     (z . base P, z . b_k w_k) of each row z not tight on the whole face (a
     row tight there holds on the face's affine hull).
     """
-    if p.rays:
+    if p.directions:
         raise ValueError("distance helper needs a bounded target")
-    verts = [_on_scale((ONE,) + v, s) for v in p.vertices]
-    rows = list(map(_int_row, p.halfspaces))
+    verts = [[s] + [x * (s // d) for x in xs] for d, *xs in p.points]
+    rows = p.rows
     tight = [frozenset(i for i, v in enumerate(verts)
                        if not sum(map(operator.mul, z, v))) for z in rows]
     faces = {frozenset(range(len(verts)))}
@@ -765,7 +763,7 @@ def squared_distance_point(x: Vec, p: Polyhedron) -> Fraction:
     call (``_face_frames``), and the result is d / s^2.
     """
     x = la.vec(x)
-    s = math.lcm(*(a.denominator for v in p.vertices + (x,) for a in v))
+    s = math.lcm(*(a.denominator for a in x), *(pt[0] for pt in p.points))
     n, d = _distance_sq(_on_scale((ONE,) + x, s), *_face_frames(p, s))
     return Fraction(n, d * s * s)
 
@@ -780,7 +778,7 @@ def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
     cannot raise it (the early break of Taha & Hanbury, TPAMI 2015).  Both
     walks run on ints for one scale s, and the result is d / s^2.
     """
-    s = math.lcm(*(a.denominator for v in p.vertices + q.vertices for a in v))
+    s = math.lcm(*(pt[0] for pt in p.points + q.points))
     (pv, pf), (qv, qf) = _face_frames(p, s), _face_frames(q, s)
     dn, dd = 0, 1
     for xs, verts, frames in ((pv, qv, qf), (qv, pv, pf)):

@@ -104,12 +104,14 @@ def polyhedron_from_obj(obj, text: str = "", strict: bool = True) -> Polyhedron:
             if not isinstance(hrep, list):
                 raise ParseError("'hrep' must be a list")
             hs = []
-            for item in hrep:
+            for k, item in enumerate(hrep):
                 _check_keys(item, HS_KEYS, "half-space", strict)
                 if "a" not in item or "b" not in item:
                     raise ParseError("half-space needs keys 'a' and 'b'")
-                hs.append(HalfSpace.make(_vec(text, item["a"], dim, strict, "'a'"),
-                                         _frac(text, item["b"], strict)))
+                a = _vec(text, item["a"], dim, strict, "'a'")
+                if not any(a):
+                    raise ParseError(f"half-space {k} of 'hrep' has a zero normal")
+                hs.append(HalfSpace.make(a, _frac(text, item["b"], strict)))
             from_h = Polyhedron.from_halfspaces(hs, dim)
         if "vrep" in obj:
             vrep = obj["vrep"]

@@ -48,11 +48,10 @@ from .geometry import (
     Polyhedron,
     UnimodularMap,
     _apply,
-    _int_row,
-    _on_scale,
+    _normal,
     transform,
 )
-from .linalg import ONE, ZERO, Vec, dot, vadd, vscale
+from .linalg import ONE, ZERO, Vec
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +61,16 @@ from .linalg import ONE, ZERO, Vec, dot, vadd, vscale
 def lattice_points_in(p: Polyhedron, strict: bool = False) -> list[Vec]:
     """All integer points of p (of its interior when strict), in
     itertools.product order: every column of its box, last axis solved."""
-    if p.rays:
+    return [tuple(map(Fraction, z)) for z in _points_in(p, strict)]
+
+
+def _points_in(p: Polyhedron, strict: bool = False) -> list[tuple[int, ...]]:
+    """``lattice_points_in`` as int tuples."""
+    if p.directions:
         raise UnboundedEnumeration("cannot enumerate an unbounded polyhedron")
-    lo, hi = p.bounding_box()
-    ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
-    rows = list(map(_int_row, p.halfspaces))
-    return [tuple(map(Fraction, combo + (t,)))
-            for combo, (t0, t1) in _columns(rows, ranges, p.dim - 1, strict)
+    s, points = _common_scale(p)
+    return [combo + (t,)
+            for combo, (t0, t1) in _columns(p.rows, _box(points, s), p.dim - 1, strict)
             for t in range(t0, t1 + 1)]
 
 
@@ -172,18 +174,17 @@ def _scan(rows, ranges, axis: int):
     return None
 
 
-def _integer_point_on_line(a: Vec, beta: Fraction, others):
-    """Integer z with a . z = beta, a primitive 2-d, and g . z < c for every
-    (g, c) in others, or None: the integer solutions of a . z = beta are
-    z0 + t d (none when beta is not an integer), and _strict_integer picks t.
+def _integer_point_on_line(a, beta: int, rows):
+    """Integer z with a . z = beta, a a primitive 2-d int normal, strictly
+    inside every int row (w0, w), read w . z + w0 < 0, or None: the integer
+    solutions of a . z = beta are x + t d, and _strict_integer picks t.
     """
-    if beta.denominator != 1:
-        return None
-    g, u, v = _xgcd(int(a[0]), int(a[1]))
+    g, u, v = _xgcd(a[0], a[1])
     require(g == 1, "line normal is not primitive")
-    z0, d = (u * beta, v * beta), (-a[1], a[0])
-    t = _strict_integer((b - dot(g, z0), dot(g, d)) for g, b in others)
-    return None if t is None else vadd(z0, vscale(Fraction(t), d))
+    x, d = (u * beta, v * beta), (-a[1], a[0])
+    t = _strict_integer((-w0 - w[0] * x[0] - w[1] * x[1], w[0] * d[0] + w[1] * d[1])
+                        for w0, *w in rows)
+    return None if t is None else tuple(Fraction(a + t * b) for a, b in zip(x, d))
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +210,17 @@ def interior_lattice_point(p: Polyhedron):
         return _bounded_interior_point(p)
     _, c, r, s, heads = _ray_frame(p)
     k = p.dim - r
-    rows = list(map(_int_row, p.halfspaces))
     y = ()
     if k:
         ct = list(zip(*c))  # a . x = (C^T a) . y
-        turned = ([z0] + _apply(ct, a) for z0, *a in rows)
+        turned = ([z0] + _apply(ct, a) for z0, *a in p.rows)
         y = _box_scan([b[:k + 1] for b in turned if not any(b[k + 1:])], heads, s)
         if y is None:
             return None
-    x0 = _apply(c, _on_scale(y, 1) + [0] * r)
-    w = list(map(sum, zip(*map(la.integer_copy, p.rays))))
+    x0 = _apply(c, list(map(int, y)) + [0] * r)
+    w = list(map(sum, zip(*p.directions)))
     t = _strict_integer((-z0 - sum(map(operator.mul, a, x0)),
-                         sum(map(operator.mul, a, w))) for z0, *a in rows)
+                         sum(map(operator.mul, a, w))) for z0, *a in p.rows)
     require(t is not None, "projected point is not interior")
     return tuple(Fraction(a + t * b) for a, b in zip(x0, w))
 
@@ -230,9 +230,15 @@ def _ray_frame(p: Polyhedron):
     span of p's rays onto the trailing r axes of y = U x (the identity when r
     is 0 or n), and heads the leading n - r entries of U s v for each vertex
     v, s their common denominator: p projected along its rays, on one scale."""
-    u, c, r = la.alignment_int(p.rays, p.dim)
-    s = la.denominator_lcm([x for v in p.vertices for x in v])
-    return u, c, r, s, [_apply(u, _on_scale(v, s))[:p.dim - r] for v in p.vertices]
+    u, c, r = la.alignment_int(p.directions, p.dim)
+    s, points = _common_scale(p)
+    return u, c, r, s, [_apply(u, v)[:p.dim - r] for v in points]
+
+
+def _common_scale(p: Polyhedron):
+    """(s, [s v]): p's vertices v on ints, s the lcm of their denominators."""
+    s = math.lcm(*(g[0] for g in p.points))
+    return s, [[x * (s // d) for x in xs] for d, *xs in p.points]
 
 
 def _level_map(u: Vec) -> UnimodularMap:
@@ -241,9 +247,9 @@ def _level_map(u: Vec) -> UnimodularMap:
     return UnimodularMap(la.transpose(cm), la.vzero(len(u)), la.transpose(um))
 
 
-def _width_along(p: Polyhedron, u: Vec) -> Fraction:
-    """Width of a bounded p along u: the spread of u . x over its vertices."""
-    vals = [dot(u, v) for v in p.vertices]
+def _spread(u, points) -> int:
+    """max - min of u . v over int points v."""
+    vals = [sum(map(operator.mul, u, v)) for v in points]
     return max(vals) - min(vals)
 
 
@@ -258,25 +264,30 @@ def _bounded_interior_point(p: Polyhedron):
     Normal widths survive the unimodular map and the thinnest normal is then
     an axis, so a realigned body is never realigned again.
     """
-    lo, hi = p.bounding_box()
+    s, points = _common_scale(p)
+    extents = [max(a) - min(a) for a in zip(*points)]  # on scale s
     budget = 1
-    for e in sorted(hi[i] - lo[i] for i in range(p.dim))[:-1]:
-        budget *= math.floor(e) + 1
+    for e in sorted(extents)[:-1]:
+        budget *= e // s + 1
     if p.dim >= 3 and budget > 20000:
-        u_best = min((h.normal for h in p.halfspaces),
-                     key=lambda u: _width_along(p, u))
-        if _width_along(p, u_best) < min(b - a for a, b in zip(lo, hi)):
+        u_best = min(map(_normal, p.rows), key=lambda u: _spread(u, points))
+        if _spread(u_best, points) < min(extents):
             m = _level_map(u_best)
             z = _bounded_interior_point(transform(p, m))
             return None if z is None else m.inverse().apply(z)
-    return _box_scan(list(map(_int_row, p.halfspaces)), p.vertices)
+    return _box_scan(p.rows, points, s)
+
+
+def _box(points, s) -> list[range]:
+    """The integer ranges of the box of int points / s."""
+    return [range(-(-min(a) // s), max(a) // s + 1) for a in zip(*points)]
 
 
 def _box_scan(rows, points, s=1):
     """_scan over the box of points / s, its widest axis solved."""
     cols = list(zip(*points))
     axis = max(range(len(cols)), key=lambda i: max(cols[i]) - min(cols[i]))
-    return _scan(rows, [range(-(-min(a) // s), max(a) // s + 1) for a in cols], axis)
+    return _scan(rows, _box(points, s), axis)
 
 
 def _split_off_lineality(p: Polyhedron):
@@ -296,11 +307,9 @@ def _split_off_lineality(p: Polyhedron):
     if any(not la.is_zero_vec(x[keep:])
            for x in itertools.chain(normals, q.vertices, rays)):
         raise CertificateError("lineality did not split off the trailing axes")
-    quotient = Polyhedron(
-        dim=keep,
-        halfspaces=tuple(HalfSpace(h.normal[:keep], h.offset) for h in q.halfspaces),
-        vertices=tuple(v[:keep] for v in q.vertices),
-        rays=tuple(r[:keep] for r in rays), lineality=(), fulldim=p.fulldim)
+    quotient = Polyhedron.of(
+        keep, [HalfSpace(h.normal[:keep], h.offset) for h in q.halfspaces],
+        [v[:keep] for v in q.vertices], [r[:keep] for r in rays], (), p.fulldim)
     inv = umap.inverse()
 
     def back(z: Vec) -> Vec:
@@ -343,21 +352,16 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     polygon is scanned in its box, any other facet assembled and searched."""
     if not p.fulldim:
         raise NotFullDimensional("facet search needs a full-dimensional body")
-    h = p.halfspaces[j]
-    others = [(g.normal, g.offset) for i, g in enumerate(p.halfspaces) if i != j]
-    if p.dim == 1:
-        x = h.offset / h.normal[0]
-        z = (x,)
-        if x.denominator == 1 and all(dot(a, z) < b for a, b in others):
-            return z
-        return None
-    if p.dim == 2:
-        return _integer_point_on_line(h.normal, h.offset, others)
-    if h.offset.denominator != 1:
+    tight = p.rows[j]
+    int_others = p.rows[:j] + p.rows[j + 1:]
+    if math.gcd(*tight[1:]) != 1:
         return None  # primitive normal: a fractional level misses Z^n entirely
-    u, c, _ = la.alignment_int([h.normal], p.dim)
-    tight = _int_row(h)
-    int_others = [_int_row(g) for i, g in enumerate(p.halfspaces) if i != j]
+    if p.dim == 1:
+        x = -tight[0] * tight[1]  # the normal is +/-1
+        return (Fraction(x),) if all(w0 + w * x < 0 for w0, w in int_others) else None
+    if p.dim == 2:
+        return _integer_point_on_line(tight[1:], -tight[0], int_others)
+    u, c, _ = la.alignment_int([tight[1:]], p.dim)
     level = -tight[0] * sum(map(operator.mul, u[-1], tight[1:]))
     # under y = U^-T x = C^T x the plane becomes y_n = level and a row (z0, a)
     # becomes (z0, U a); fixing y_n leaves (z0 + (U a)_n level, (U a)[:-1]),
@@ -371,8 +375,8 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
             require(z0 + last * level < 0, "a parallel row misses the facet")
     # the facet's generators are p's generators tight on it, mapped by C^T
     ct = list(zip(*c))
-    homog = [(ONE,) + v for v in p.vertices] + [(ZERO,) + r for r in p.rays]
-    gens = [[g[0]] + _apply(ct, g[1:])[:-1] for g in map(la.integer_copy, homog)
+    homog = list(p.points) + [(0,) + r for r in p.directions]
+    gens = [[g[0]] + _apply(ct, g[1:])[:-1] for g in homog
             if not sum(map(operator.mul, tight, g))]
     if p.dim == 3 and all(g[0] for g in gens):
         # the columns and order of the assembled polygon's scan: its box is
@@ -386,8 +390,8 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
             z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
     if z2 is None:
         return None
-    z = _apply(list(zip(*u)), _on_scale(z2, 1) + [level])
-    on, *off = _apply([tight] + int_others, [1] + z)
+    z = _apply(list(zip(*u)), list(map(int, z2)) + [level])
+    on, *off = _apply([tight, *int_others], [1] + z)
     require(on == 0 and all(x < 0 for x in off),
             "facet witness is not in the relative interior")
     return tuple(map(Fraction, z))
@@ -466,21 +470,20 @@ def lattice_width(p: Polyhedron) -> WidthReport:
         return max(vals) - min(vals)
 
     best, axis = min((spread([int(i == j) for j in range(n)]), i) for i in range(n))
-    best_u = [int(i == axis) for i in range(n)]
+    best_u = tuple(int(i == axis) for i in range(n))
     w0 = Fraction(best, s)  # K's rows on scale s: (s v - s x) . u <= s w0
     diffs = [list(map(operator.sub, v, x)) for v, x in itertools.permutations(verts, 2)]
     diffs.sort(key=lambda d: -sum(x * x for x in d))  # longest first: fewer DD rays
     k = Polyhedron.from_halfspaces([(d, best) for d in diffs], n)
-    top = max(max(y) for y in k.vertices)
+    top = max(Fraction(max(x), d) for d, *x in k.points)
     require(top > 0, "difference body polar is not full-dimensional")
-    for c in lattice_points_in(k):
-        z = [x.numerator for x in c]
+    for z in _points_in(k):
         if next((x for x in z if x), 0) <= 0 or math.gcd(*z) != 1:
             continue  # zero, the mirror of a direction, or not primitive
         w = spread(z)
         if w < best:
             best, best_u = w, z
-    back = la.primitive_int(_apply(list(zip(*um)), best_u + [0] * r))  # U^T (c, 0)
+    back = la.primitive_int(_apply(list(zip(*um)), best_u + (0,) * r))  # U^T (c, 0)
     return WidthReport(Fraction(best, s), tuple(map(Fraction, back)), w0 / top,
                        math.ceil(top))
 
@@ -515,13 +518,14 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
         j = cert.unwitnessed()[0]
         h = q.halfspaces[j]
         others = [g for i, g in enumerate(q.halfspaces) if i != j]
+        cons = q.rows[:j] + q.rows[j + 1:]
         q = _try_drop(others)
         if q is None:
             # the facet cannot be dropped: push it to the nearest integer level
-            cons = [(g.normal, g.offset) for g in others]
-            level = Fraction(math.ceil(h.offset))
+            normal = list(map(int, h.normal))
+            level = math.ceil(h.offset)
             while True:
-                z = _integer_point_on_line(h.normal, level, cons)
+                z = _integer_point_on_line(normal, level, cons)
                 if z is not None and level > h.offset:
                     break
                 level += 1

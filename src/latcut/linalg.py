@@ -103,7 +103,7 @@ def integer_copy(u: Sequence[Fraction]) -> list[int]:
 def primitive_int(v: Sequence[int]) -> tuple[int, ...]:
     """A nonzero integer vector divided by the gcd of its entries."""
     g = math.gcd(*v)
-    return tuple(z // g for z in v)
+    return tuple(v) if g == 1 else tuple([z // g for z in v])
 
 
 def primitive(u: Sequence[Fraction]) -> Vec:

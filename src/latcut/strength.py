@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .cuts import gauge
+from .cuts import _ratio, _shifted, gauge
 from .errors import NotPolytope, PointNotInterior
 from .geometry import Polyhedron, homothety
 from .linalg import ZERO, Vec, vadd, vscale, vsub
@@ -44,22 +44,28 @@ class StrengthReport:
 
 
 def relative_strength(b: Polyhedron, l: Polyhedron, f) -> StrengthReport:
-    """Least alpha with homothety(b, f, alpha) containing l."""
+    """Least alpha with homothety(b, f, alpha) containing l.  B's shifted
+    offsets are taken once; a point (dx, X) of L gives v - f =
+    (df X - dx F) / (dx df), whose gauge is the ``_ratio`` of df X - dx F
+    over dx."""
     f = la.vec(f)
     if not l.contains_point(f, strict=True):
         return StrengthReport("zero", ZERO, None)
-    if not b.contains_point(f, strict=True):
+    try:
+        fi, df, rows = _shifted(b, f)
+    except PointNotInterior:
         return StrengthReport("infinite", None, None)
-    for w in l.rays:
-        if gauge(b, f, w) > 0:
-            return StrengthReport("infinite", None, w)
-    best = ZERO
-    arg = l.vertices[0]
-    for v in l.vertices:
-        val = gauge(b, f, vsub(v, f))
-        if val > best:
-            best, arg = val, v
-    return StrengthReport("finite", best, arg)
+    for w in l.directions:
+        if _ratio(rows, w)[0] > 0:
+            return StrengthReport("infinite", None, tuple(map(Fraction, w)))
+    bn, bd, arg = 0, 1, l.points[0]
+    for g in l.points:
+        dx, *x = g
+        n, d = _ratio(rows, [df * a - dx * b for a, b in zip(x, fi)])
+        if n * bd > bn * d * dx:
+            bn, bd, arg = n, d * dx, g
+    return StrengthReport("finite", Fraction(bn, bd),
+                          tuple(Fraction(x, arg[0]) for x in arg[1:]))
 
 
 def family_strength_upper(family, l: Polyhedron, f):
@@ -117,14 +123,19 @@ class SandwichReport:
 
 
 def sandwich(family, l: Polyhedron, f) -> SandwichReport:
+    """Each member's strength is taken once: on a polytope L it is the
+    largest vertex gauge m, so ``family_strength_lower`` is upper / (k + 1)."""
     f = la.vec(f)
-    n_bound = len(l.vertices) + len(l.rays) + 1
-    if l.rays:
+    n_bound = len(l.points) + len(l.directions) + 1
+    if l.directions:
         # replace L by an inscribed polytope sharing its generator count;
         # the bracket then holds for that polytope
         l = inner_approximation(l, f, 1)
-    return SandwichReport(family_strength_upper(family, l, f),
-                          family_strength_lower(family, l, f), n_bound)
+    upper = family_strength_upper(family, l, f)
+    # with no finite member, an empty family over an f outside L gives 0
+    lower = (upper / (len(l.points) + 1) if upper is not None
+             else None if l.contains_point(f, strict=True) else ZERO)
+    return SandwichReport(upper, lower, n_bound)
 
 
 def inner_approximation(l: Polyhedron, f, t: int) -> Polyhedron:

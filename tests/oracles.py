@@ -519,7 +519,7 @@ def fraction_assemble(rows, gens, dim):
     all_rays = list(rcan)
     for l in basis:
         all_rays.extend((l, vneg(l)))
-    return Polyhedron(
+    return Polyhedron.of(
         dim=dim,
         halfspaces=tuple(sorted(hs)),
         vertices=tuple(vcan),
@@ -537,7 +537,7 @@ def fraction_scale_shift(p, lam, v):
 
     lam, v = la.frac(lam), la.vec(v)
     s = _fraction_reduce_off(v, p.lineality)
-    return Polyhedron(
+    return Polyhedron.of(
         dim=p.dim,
         halfspaces=tuple(HalfSpace(h.normal, lam * h.offset + fraction_dot(h.normal, v))
                          for h in p.halfspaces),

@@ -3,6 +3,7 @@ program under ``python -O``, and constructions certified exactly once."""
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -374,4 +375,41 @@ def test_distance_walks_make_no_fraction_vector_calls(monkeypatch):
         for p in polars:
             run(p)
         counts[name] = {k: len(c) for k, c in calls.items()}
+    assert all(not any(c.values()) for c in counts.values()), str(counts)
+
+
+def test_hot_chain_builds_no_fraction_view(monkeypatch):
+    # the strength and polar-metric chains read and write the stored int
+    # form: no halfspaces, vertices, rays or lineality view is built, on the
+    # inputs (fresh copies, so nothing is cached) or on any body in between
+    rng = random.Random(26)
+    f = (F(1, 2), F(1, 3), F(1, 5))
+    bodies = [scenarios.random_polytope_around(rng, f) for _ in range(4)]
+    bodies.append(geometry.Polyhedron.from_generators(
+        [(0, 0, 0), (2, 1, 0), (1, 3, 0)], [(0, 0, 1), (0, 0, -1)]))
+    maps = [scenarios.random_unimodular(rng, 3) for _ in bodies]
+    views = {}
+    for name in ("halfspaces", "vertices", "rays", "lineality"):
+        prop = vars(geometry.Polyhedron)[name]
+        views[name] = counting(monkeypatch, prop, "func")
+    runs = {
+        "homothety-contains": lambda b, l, t: geometry.homothety(
+            b, f, F(7, 3)).contains(l),
+        "translate": lambda b, l, t: geometry.translate(b, (1, F(-2, 3), 4)),
+        "transform": lambda b, l, t: geometry.transform(b, t),
+        "gauge": lambda b, l, t: latcut.cuts.gauge(b, f, (F(3, 2), -1, 2)),
+        "relative_strength": lambda b, l, t: latcut.strength.relative_strength(
+            b, l, f),
+        "polar-hausdorff_sq": lambda b, l, t: geometry.hausdorff_sq(
+            geometry.polar(b, f), geometry.polar(l, f)),
+    }
+    counts = {}
+    for name, run in runs.items():
+        for c in views.values():
+            c.clear()
+        for b, t in zip(bodies, maps):
+            for l in bodies[:4]:
+                fresh = [dataclasses.replace(p) for p in (b, l)]
+                run(*fresh, t)
+        counts[name] = {k: len(c) for k, c in views.items()}
     assert all(not any(c.values()) for c in counts.values()), str(counts)

@@ -298,6 +298,16 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "denominator" in err
 
 
+def test_a_zero_normal_exits_two_not_one(capsys, tmp_path):
+    # exit 1 from check means "not lattice-free", so bad data must exit 2
+    body = tmp_path / "zero.json"
+    body.write_text(json.dumps({"dim": 2, "hrep": [
+        {"a": ["0/1", "0/1"], "b": "1/1"}, {"a": ["1/1", "0/1"], "b": "1/1"}]}))
+    code, out, err = run(capsys, "check", str(body))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "half-space 0" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("rho-closed-form", "--param", "trials=abc"),
     ("rho-closed-form", "--seed", "x"),

@@ -1397,3 +1397,53 @@ def test_int_kernels_match_the_fraction_routes_hypothesis(gens, lam, data):
         for a, b in ((p, q), (q, p), (p, p)):
             assert (a.contains(b), a.contains_in_interior(b)) == (
                 slack_contains(a, b), slack_contains(a, b, strict=True))
+
+
+def _assert_canonical_int_form(p):
+    """p's stored int form is primitive, its views come out sorted, and the
+    Fraction constructor of its views gives p back."""
+    assert all(math.gcd(*z) == 1 and any(z[1:]) for z in p.rows)
+    assert all(math.gcd(*g) == 1 and g[0] > 0 for g in p.points)
+    assert all(math.gcd(*r) == 1 for r in p.directions + p.lines)
+    assert all(la.is_integer_vec(h.normal)
+               and math.gcd(*(a.numerator for a in h.normal)) == 1
+               for h in p.halfspaces)
+    assert list(p.halfspaces) == sorted(p.halfspaces)
+    assert list(p.vertices) == sorted(p.vertices)
+    assert list(p.rays) == sorted(p.rays)
+    assert Polyhedron.of(p.dim, p.halfspaces, p.vertices, p.rays, p.lineality,
+                         p.fulldim) == p
+
+
+def test_int_form_round_trips_through_the_fraction_views():
+    # on every fixture, on seeded bounded, pointed, spanning, lineality and
+    # flat bodies, and on the images, homotheties and polars of those that
+    # the kernels write without a sort
+    rng = random.Random(26)
+    bodies = [parse_polyhedron(path.read_text()) for path in FIXTURES]
+    centers = []
+    for kind, found in _polar_inputs(rng, 6).items():
+        for p, cs in found:
+            bodies.append(p)
+            centers += [(p, c) for c in cs]
+    for _ in range(12):
+        # points a + sum t_k d_k over k < n directions: a segment or a polygon
+        n = rng.randint(2, 3)
+        a, *dirs = [tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                          for _ in range(n)) for _ in range(rng.randint(2, n))]
+        pts = [a]
+        for _ in range(4):
+            ts = [F(rng.randint(-4, 4), 2) for _ in dirs]
+            pts.append(tuple(x + sum(t * d[i] for t, d in zip(ts, dirs))
+                             for i, x in enumerate(a)))
+        flat = Polyhedron.from_generators(pts)
+        assert not flat.fulldim
+        bodies.append(flat)
+    for p, c in centers:
+        bodies.append(homothety(p, c, F(rng.randint(1, 9), rng.randint(1, 4))))
+        bodies.append(polar(p, c))
+    bodies += [geometry.transform(p, _random_unimodular(rng, p.dim))
+               for p in bodies[:40]]
+    assert len(bodies) > 100
+    for p in bodies:
+        _assert_canonical_int_form(p)

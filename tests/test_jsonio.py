@@ -110,6 +110,14 @@ def test_parse_rejects_structural_problems():
             parse_polyhedron(json.dumps(doc))
 
 
+def test_parse_rejects_a_zero_normal_and_names_its_row():
+    doc = {"dim": 2, "hrep": [{"a": ["1/1", "0/1"], "b": "1/1"},
+                              {"a": ["0/1", "0/1"], "b": "1/1"}]}
+    with pytest.raises(ParseError) as e:
+        parse_polyhedron(json.dumps(doc))
+    assert "half-space 1 of 'hrep' has a zero normal" in str(e.value)
+
+
 def test_malformed_json_reports_the_offset():
     with pytest.raises(ParseError) as e:
         parse_polyhedron('{"dim": 2 "hrep"')

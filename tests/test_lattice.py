@@ -302,12 +302,18 @@ def _check_interior_search(p, holds_a_point):
     _check_cert(p, cert)
 
 
+def vertex_box(p):
+    """(lo, hi): the box of a bounded body's vertices."""
+    cols = list(zip(*p.vertices))
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
 def test_half_prisms_match_box_enumeration(monkeypatch):
     rng = random.Random(29)
     cases = []
     for p, q in _half_prisms():
         assert not p.lineality and p.rays and all(r[-1] == 0 for r in p.rays)
-        lo, hi = q.bounding_box()
+        lo, hi = vertex_box(q)
         strict = lattice_points_in_hrep(
             [(h.normal, h.offset) for h in q.halfspaces], lo, hi, strict=True)
         moved = _moved_off_the_last_axis(p, rng)
@@ -542,7 +548,7 @@ def test_interior_point_halfline():
 
 
 def _realign_budget(p):
-    lo, hi = p.bounding_box()
+    lo, hi = vertex_box(p)
     budget = 1
     for e in sorted(hi[i] - lo[i] for i in range(p.dim))[:-1]:
         budget *= math.floor(e) + 1
@@ -613,7 +619,7 @@ def test_scan_matches_the_column_oracle_on_random_boxes():
         axis = max(range(n), key=lambda i: vhi[i] - vlo[i])
         ranges = [range(math.ceil(vlo[i]), math.floor(vhi[i]) + 1)
                   for i in range(n)]
-        got = lattice._scan([geometry._int_row(HalfSpace.make(a, b)) for a, b in rows],
+        got = lattice._scan([la.integer_copy((-b,) + a) for a, b in rows],
                             ranges, axis)
         assert got == first_strict_point_by_columns(rows, n)
         found += got is not None
@@ -631,7 +637,7 @@ def test_planar_facet_witness_is_furthest_along_the_facet():
         p = Polyhedron.from_generators(pts)
         if not p.fulldim:
             continue
-        lo, hi = p.bounding_box()
+        lo, hi = vertex_box(p)
         box = [la.vec(z) for z in itertools.product(
             *(range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)))]
         for j, h in enumerate(p.halfspaces):

@@ -209,3 +209,28 @@ def test_sandwich_random_instances(l, k):
     assert 0 < rep.lower <= rep.upper <= rep.n_bound * rep.lower
     best = min(relative_strength(b, l, F12).value for b in fam)
     assert rep.upper == best
+
+
+def test_sandwich_lower_matches_the_reference_bound():
+    # sandwich derives its lower bound from the member strengths it takes
+    # for the upper one; family_strength_lower recomputes every member's
+    # vertex gauges and must agree, with members that miss f and f outside L
+    import random
+
+    from latcut.scenarios import random_polytope_around
+
+    rng = random.Random(26)
+    kinds = set()
+    for trial in range(300):
+        n = 2 + trial % 2
+        f = tuple(F(rng.randint(1, 5), 6) for _ in range(n))
+        away = tuple(x + rng.choice((-3, 3)) for x in f)
+        l = random_polytope_around(rng, f if rng.random() < 0.9 else away)
+        family = [random_polytope_around(rng, f if rng.random() < 0.7 else away)
+                  for _ in range(rng.randint(0, 3))]
+        rep = sandwich(family, l, f)
+        assert rep.lower == family_strength_lower(family, l, f), trial
+        if rep.upper is not None:
+            assert rep.lower == rep.upper / (len(l.vertices) + 1), trial
+        kinds.update(relative_strength(b, l, f).kind for b in family)
+    assert kinds == {"zero", "infinite", "finite"}
