@@ -266,7 +266,8 @@ class Polyhedron:
 
     @staticmethod
     def of(dim, halfspaces, vertices, rays, lineality, fulldim) -> "Polyhedron":
-        """The polyhedron whose ``Fraction`` views are these canonical fields."""
+        """The polyhedron whose ``Fraction`` views are these canonical fields;
+        the ``Fraction`` references in ``tests/oracles.py`` build through it."""
         return _canonical(dim, [tuple(la.integer_copy((-h.offset,) + h.normal))
                                 for h in halfspaces],
                           [tuple(la.integer_copy((ONE,) + v)) for v in vertices],
@@ -286,7 +287,13 @@ class Polyhedron:
                 raise DimensionMismatch(f"normal {h.normal} not in dimension {dim}")
         # a HalfSpace built by a caller may have a normal that is not an
         # integer vector
-        rows = [la.integer_copy((-h.offset,) + h.normal) for h in hs]
+        return Polyhedron._from_rows(
+            [la.integer_copy((-h.offset,) + h.normal) for h in hs], dim)
+
+    @staticmethod
+    def _from_rows(rows, dim: int) -> "Polyhedron":
+        """The polyhedron of int rows (z0, a), read a . x <= -z0, none zero
+        in a: one conversion, then ``_assemble``."""
         lines, rays = cone_dd(rows + [[-1] + [0] * dim], dim + 1)  # x0 >= 0
         if not any(r[0] > 0 for r in rays):
             raise EmptySet("no feasible point satisfies all half-spaces")

@@ -18,11 +18,13 @@ the difference body's polar, taken after projecting along the rays.  Bounded
 bodies scan their box.  An unbounded body is projected along its rays by the
 same int frame as its width: the projection's box is scanned, and one
 ``_strict_integer`` step along the ray sum lifts the point it finds back into
-the body.  A lineality body's certificate is still read off its quotient by
-the lineality space.  A facet search in the plane solves along the integer
-points of the facet's line; in space it turns the facet onto a level of the
-last axis by an int unimodular pair and scans the other rows there, a bounded
-polygon in its box directly.
+the body.  Every full-dimensional body, lineality or not, is certified
+directly: the interior search, then one search per facet.  A facet search in
+the plane solves along the integer points of the facet's line; in space it
+turns the facet onto a level of the last axis by an int unimodular pair and
+scans the other rows there, a bounded polygon in its box directly.  A bounded
+body fat in every axis is turned by the same kind of pair so that its
+thinnest facet normal becomes an axis.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from fractions import Fraction
 
 from . import linalg as la
 from .errors import (
-    CertificateError,
     NotFullDimensional,
     NotLatticeFreeInput,
     UnboundedEnumeration,
@@ -43,15 +44,8 @@ from .errors import (
     WholeSpace,
     require,
 )
-from .geometry import (
-    HalfSpace,
-    Polyhedron,
-    UnimodularMap,
-    _apply,
-    _normal,
-    transform,
-)
-from .linalg import ONE, ZERO, Vec
+from .geometry import HalfSpace, Polyhedron, _apply, _normal
+from .linalg import ONE, Vec
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +235,6 @@ def _common_scale(p: Polyhedron):
     return s, [[x * (s // d) for x in xs] for d, *xs in p.points]
 
 
-def _level_map(u: Vec) -> UnimodularMap:
-    """A unimodular map whose last new coordinate is +/- primitive(u) . x."""
-    um, cm = la.alignment_unimodular([u])
-    return UnimodularMap(la.transpose(cm), la.vzero(len(u)), la.transpose(um))
-
-
 def _spread(u, points) -> int:
     """max - min of u . v over int points v."""
     vals = [sum(map(operator.mul, u, v)) for v in points]
@@ -258,11 +246,14 @@ def _bounded_interior_point(p: Polyhedron):
 
     The widest axis is solved as an exact interval per candidate of the
     remaining axes, so cost follows the product of the small extents.  A
-    body fat in every axis is first realigned so its thinnest facet-normal
+    body fat in every axis is first turned so its thinnest facet-normal
     direction becomes an axis; cone-over-base and slab-like bodies are thin
     along one of their own normals even when no coordinate axis shows it.
-    Normal widths survive the unimodular map and the thinnest normal is then
-    an axis, so a realigned body is never realigned again.
+    The int pair (U, C) of ``la.alignment_int`` gives the frame y = C^T x:
+    a row (z0, a) becomes (z0, U a), a point s v becomes C^T s v, and the
+    point the scan finds goes back by x = U^T y.  A unimodular frame keeps
+    every vertex's denominator and every normal width, so the turned body
+    is scanned as it is, never turned again.
     """
     s, points = _common_scale(p)
     extents = [max(a) - min(a) for a in zip(*points)]  # on scale s
@@ -272,9 +263,12 @@ def _bounded_interior_point(p: Polyhedron):
     if p.dim >= 3 and budget > 20000:
         u_best = min(map(_normal, p.rows), key=lambda u: _spread(u, points))
         if _spread(u_best, points) < min(extents):
-            m = _level_map(u_best)
-            z = _bounded_interior_point(transform(p, m))
-            return None if z is None else m.inverse().apply(z)
+            u, c, _ = la.alignment_int([u_best], p.dim)
+            ct = list(zip(*c))
+            z = _box_scan([[z0] + _apply(u, a) for z0, *a in p.rows],
+                          [_apply(ct, v) for v in points], s)
+            return None if z is None else tuple(
+                map(Fraction, _apply(list(zip(*u)), list(map(int, z)))))
     return _box_scan(p.rows, points, s)
 
 
@@ -288,34 +282,6 @@ def _box_scan(rows, points, s=1):
     cols = list(zip(*points))
     axis = max(range(len(cols)), key=lambda i: max(cols[i]) - min(cols[i]))
     return _scan(rows, _box(points, s), axis)
-
-
-def _split_off_lineality(p: Polyhedron):
-    """Unimodular change sending the lineality space to the trailing axes,
-    then dropping them.  Returns (quotient, lift, umap): lift maps integer
-    quotient points back to integer points of p, and umap is the change."""
-    k = len(p.lineality)
-    u, c = la.alignment_unimodular(list(p.lineality))
-    umap = UnimodularMap(u, la.vzero(p.dim), c)
-    q = transform(p, umap)
-    keep = p.dim - k
-    # the lineality now spans the trailing axes, so every normal, vertex and
-    # non-lineality ray of q has a zero tail; dropping it keeps every normal
-    # primitive and every sort order, so the quotient is read off q
-    rays = [r for r in q.rays if not la.is_zero_vec(r[:keep])]
-    normals = [h.normal for h in q.halfspaces]
-    if any(not la.is_zero_vec(x[keep:])
-           for x in itertools.chain(normals, q.vertices, rays)):
-        raise CertificateError("lineality did not split off the trailing axes")
-    quotient = Polyhedron.of(
-        keep, [HalfSpace(h.normal[:keep], h.offset) for h in q.halfspaces],
-        [v[:keep] for v in q.vertices], [r[:keep] for r in rays], (), p.fulldim)
-    inv = umap.inverse()
-
-    def back(z: Vec) -> Vec:
-        return inv.apply(tuple(z) + (ZERO,) * k)
-
-    return quotient, back, umap
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +367,6 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
     """Decide lattice-freeness of a full-dimensional body, with evidence."""
     if not p.fulldim:
         raise NotFullDimensional("lattice-free check needs a full-dimensional body")
-    if p.lineality:
-        quotient, back, umap = _split_off_lineality(p)
-        sub = certify_lattice_free(quotient)
-        if not sub.lattice_free:
-            return LatticeFreeCert(False, back(sub.interior_witness), (), None)
-        # match each facet of p with its image facet in the quotient
-        k = len(p.lineality)
-        inv_t = la.transpose(umap.inverse_matrix)
-        witnesses = []
-        for h in p.halfspaces:
-            a2 = la.mat_vec(inv_t, h.normal)
-            img = HalfSpace.make(a2[:p.dim - k], h.offset)
-            idx = quotient.halfspaces.index(img)
-            w = sub.facet_witnesses[idx]
-            witnesses.append(None if w is None else back(w))
-        return LatticeFreeCert(True, None, tuple(witnesses),
-                               all(w is not None for w in witnesses))
     bad = interior_lattice_point(p)
     if bad is not None:
         return LatticeFreeCert(False, bad, (), None)
@@ -474,7 +423,7 @@ def lattice_width(p: Polyhedron) -> WidthReport:
     w0 = Fraction(best, s)  # K's rows on scale s: (s v - s x) . u <= s w0
     diffs = [list(map(operator.sub, v, x)) for v, x in itertools.permutations(verts, 2)]
     diffs.sort(key=lambda d: -sum(x * x for x in d))  # longest first: fewer DD rays
-    k = Polyhedron.from_halfspaces([(d, best) for d in diffs], n)
+    k = Polyhedron._from_rows([[-best] + d for d in diffs], n)
     top = max(Fraction(max(x), d) for d, *x in k.points)
     require(top > 0, "difference body polar is not full-dimensional")
     for z in _points_in(k):

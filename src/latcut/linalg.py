@@ -338,17 +338,6 @@ def alignment_int(lines: Sequence[Vec], n: int):
     return u, c, n - rk
 
 
-def alignment_unimodular(lines: Sequence[Vec]) -> tuple[Mat, Mat]:
-    """(U, U^-1) of ``alignment_int`` as Fraction matrices, for lines that
-    span neither zero nor the whole space."""
-    if not lines:
-        raise ValueError("no lineality directions given")
-    u, c, r = alignment_int(lines, len(lines[0]))
-    if r == len(u):
-        raise ValueError("lineality spans the whole space")
-    return _fractions(u), _fractions(c)
-
-
 def _column_echelon(rows: list[list[int]]):
     """(C, C^-1, rank) for int rows: C unimodular with rows.C in echelon
     form, C^-1 kept by the inverse row step of each column step; the

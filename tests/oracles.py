@@ -899,3 +899,63 @@ def fraction_unimodular_with_bottom_row(u):
         for w in both:
             w[n - 1] = -w[n - 1]
     return la.inverse(c), _as_fractions(c)
+
+
+# ---------------------------------------------------------------------------
+# the lineality quotient: the reference route for a lineality certificate
+
+
+def _split_off_lineality(p):
+    """Unimodular change sending the lineality space to the trailing axes,
+    then dropping them.  Returns (quotient, lift, umap): lift maps integer
+    quotient points back to integer points of p, and umap is the change."""
+    from latcut.errors import CertificateError
+    from latcut.geometry import HalfSpace, Polyhedron, UnimodularMap, transform
+
+    k = len(p.lineality)
+    u, c = fraction_alignment(list(p.lineality))
+    umap = UnimodularMap(u, la.vzero(p.dim), c)
+    q = transform(p, umap)
+    keep = p.dim - k
+    # the lineality now spans the trailing axes, so every normal, vertex and
+    # non-lineality ray of q has a zero tail; dropping it keeps every normal
+    # primitive and every sort order, so the quotient is read off q
+    rays = [r for r in q.rays if not la.is_zero_vec(r[:keep])]
+    normals = [h.normal for h in q.halfspaces]
+    if any(not la.is_zero_vec(x[keep:])
+           for x in itertools.chain(normals, q.vertices, rays)):
+        raise CertificateError("lineality did not split off the trailing axes")
+    quotient = Polyhedron.of(
+        keep, [HalfSpace(h.normal[:keep], h.offset) for h in q.halfspaces],
+        [v[:keep] for v in q.vertices], [r[:keep] for r in rays], (), p.fulldim)
+    inv = umap.inverse()
+
+    def back(z: Vec) -> Vec:
+        return inv.apply(tuple(z) + (ZERO,) * k)
+
+    return quotient, back, umap
+
+
+def quotient_certificate(p):
+    """``lattice.certify_lattice_free`` of a lineality body read off its
+    quotient by the lineality space: the quotient is certified, each facet
+    of p is matched with its image facet there, and every witness is lifted
+    back by the unimodular change."""
+    from latcut.geometry import HalfSpace
+    from latcut.lattice import LatticeFreeCert, certify_lattice_free
+
+    quotient, back, umap = _split_off_lineality(p)
+    sub = certify_lattice_free(quotient)
+    if not sub.lattice_free:
+        return LatticeFreeCert(False, back(sub.interior_witness), (), None)
+    k = len(p.lineality)
+    inv_t = la.transpose(umap.inverse_matrix)
+    witnesses = []
+    for h in p.halfspaces:
+        a2 = la.mat_vec(inv_t, h.normal)
+        img = HalfSpace.make(a2[:p.dim - k], h.offset)
+        idx = quotient.halfspaces.index(img)
+        w = sub.facet_witnesses[idx]
+        witnesses.append(None if w is None else back(w))
+    return LatticeFreeCert(True, None, tuple(witnesses),
+                           all(w is not None for w in witnesses))

@@ -149,20 +149,19 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
         lps.clear()
         assert run_scenario(name).passed
         counts[name] = (len(candidates), len(lps))
-    assert counts == {"cubeface-census": (111, 0),
+    assert counts == {"cubeface-census": (116, 0),
                       "lifting-end-to-end": (120, 31),
                       "inapprox-witnesses": (1538, 0),
-                      "approximation-factors": (880, 22)}, counts
+                      "approximation-factors": (885, 22)}, counts
 
 
 def test_width_runs_one_conversion_and_no_lp(monkeypatch):
     # a finite width converts the polar of its projection's difference body
     # once and reads both search bounds off its vertices; an infinite one
-    # converts nothing, and no width transforms a body or solves an LP
+    # converts nothing, and no width builds an image of a body or solves an LP
     conversions = counting(monkeypatch, geometry, "cone_dd")
     lps = counting(monkeypatch, simplex, "solve_ineq")
-    images = counting(monkeypatch, geometry, "transform")
-    monkeypatch.setattr(lattice, "transform", geometry.transform)
+    images = counting(monkeypatch, geometry, "_image")
     counts = {}
     for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
         p = latcut.parse_polyhedron(path.read_text())
@@ -191,7 +190,7 @@ def test_unbounded_interior_search_is_one_pass(monkeypatch):
     bodies = [p for p in bodies if p.rays]
     bodies += [geometry.transform(p, scenarios.random_unimodular(rng, p.dim))
                for p in bodies]
-    calls = {"transform": counting(monkeypatch, lattice, "transform"),
+    calls = {"_image": counting(monkeypatch, geometry, "_image"),
              "level_slice": counting(monkeypatch, geometry, "level_slice"),
              "cone_dd": counting(monkeypatch, geometry, "cone_dd"),
              "kernel_basis": counting(monkeypatch, latcut.linalg, "kernel_basis"),
@@ -205,6 +204,14 @@ def test_unbounded_interior_search_is_one_pass(monkeypatch):
     assert len(bodies) >= 20 and found >= 10, (len(bodies), found)
     assert len(searches) == len(bodies), len(searches)
     assert not any(counts.values()), counts
+
+
+def test_lattice_keeps_one_int_frame():
+    # the lattice searches turn int rows and points by alignment_int pairs:
+    # no image of a body, no UnimodularMap, no quotient by the lineality
+    for name in ("transform", "UnimodularMap", "_level_map", "_split_off_lineality"):
+        assert not hasattr(lattice, name), name
+    assert not hasattr(latcut.linalg, "alignment_unimodular")
 
 
 def test_every_error_class_is_raised():

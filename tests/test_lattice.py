@@ -30,7 +30,6 @@ from latcut.geometry import (
     translate,
 )
 from latcut.lattice import (
-    _split_off_lineality,
     certify_lattice_free,
     facet_interior_lattice_point,
     flatness_bound,
@@ -42,12 +41,15 @@ from latcut.lattice import (
 )
 
 from oracles import (
+    _split_off_lineality,
     box_scan_width,
     brute_force_vertices,
     first_strict_point_by_columns,
+    fraction_alignment,
     fraction_strict_integer,
     lattice_points_in_hrep,
     orthogonal_brute_width,
+    quotient_certificate,
 )
 
 DIAMOND = Polyhedron.from_halfspaces(
@@ -160,18 +162,26 @@ def test_certify_bodies_with_lineality_that_hold_a_lattice_point():
         _check_cert(p, cert)
 
 
-def test_certify_splits_off_lineality_once(monkeypatch):
-    real = la.alignment_unimodular
+def test_certify_builds_no_image_of_a_lineality_body(monkeypatch):
+    # a lineality body is certified in its own frame: no quotient, so no
+    # image of it is built
+    real = geometry._image
     calls = []
 
-    def counting_alignment(vectors):
-        calls.append(len(vectors))
-        return real(vectors)
+    def counting_image(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(la, "alignment_unimodular", counting_alignment)
-    p = Polyhedron.from_halfspaces([((1, 2), 1), ((-1, -2), 0)], 2)
-    assert certify_lattice_free(p).maximal
-    assert calls == [1]
+    monkeypatch.setattr(geometry, "_image", counting_image)
+    bodies = [Polyhedron.from_halfspaces([((1, 2), 1), ((-1, -2), 0)], 2)]
+    bodies += [jsonio.parse_polyhedron((FIXTURES / f"{name}.json").read_text())
+               for name in ("split_horizontal", "split_slanted",
+                            "cylinder_over_diamond", "skew_cylinder_3d")]
+    frees = []
+    for p in bodies:
+        assert p.lineality
+        frees.append(certify_lattice_free(p).lattice_free)
+    assert frees == [True, True, False, True, True] and calls == []
 
 
 def test_split_off_lineality_runs_no_conversion(monkeypatch):
@@ -184,7 +194,7 @@ def test_split_off_lineality_runs_no_conversion(monkeypatch):
     wanted = []
     for p in bodies:
         keep = p.dim - len(p.lineality)
-        u, _ = la.alignment_unimodular(p.lineality)
+        u, _ = fraction_alignment(p.lineality)
         q = transform(p, UnimodularMap.make(u))
         rays = [r[:keep] for r in q.rays if not la.is_zero_vec(r[:keep])]
         wanted.append(Polyhedron.from_generators(
@@ -209,6 +219,73 @@ def test_split_off_lineality_runs_no_conversion(monkeypatch):
         assert quotient == want
         assert p.contains_point(back(quotient.relative_interior_point()))
     assert calls == [] and assembled == [], (calls, assembled)
+
+
+def _check_cert_on_ints(p, cert):
+    """Replay a certificate on p's int rows (z0, a), read a . x + z0 <= 0:
+    an interior witness strictly inside every row, a facet witness on its
+    row and strictly inside every other."""
+    def values(w):
+        assert all(x.denominator == 1 for x in w)
+        return [z0 + sum(int(x) * y for x, y in zip(w, a)) for z0, *a in p.rows]
+
+    if not cert.lattice_free:
+        assert max(values(cert.interior_witness)) < 0
+        return
+    assert len(cert.facet_witnesses) == len(p.rows)
+    for j, w in enumerate(cert.facet_witnesses):
+        if w is not None:
+            v = values(w)
+            assert v.pop(j) == 0 and all(x < 0 for x in v)
+    assert cert.maximal == all(w is not None for w in cert.facet_witnesses)
+
+
+def _lineality_bodies(rng, count):
+    """The lineality fixtures, then count seeded bodies under random
+    unimodular maps: 2-d and 3-d splits and cylinders over quadrilaterals."""
+    bodies = [jsonio.parse_polyhedron((FIXTURES / f"{name}.json").read_text())
+              for name in ("split_horizontal", "split_slanted",
+                           "cylinder_over_diamond", "skew_cylinder_3d")]
+    while len(bodies) < 4 + count:
+        kind = len(bodies) % 3
+        if kind < 2:
+            n = 2 + kind
+            c = [rng.randint(-3, 3) for _ in range(n)]
+            if not any(c):
+                continue
+            lo = F(rng.randint(-6, 6), rng.choice((1, 1, 2)))
+            hi = lo + F(rng.randint(1, 4), rng.choice((1, 1, 2, 3)))
+            p = Polyhedron.from_halfspaces([(c, hi), ([-x for x in c], -lo)], n)
+        else:
+            pts = [(F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2), 0)
+                   for _ in range(4)]
+            try:
+                p = Polyhedron.from_generators(pts, [(0, 0, 1), (0, 0, -1)])
+            except WholeSpace:
+                continue
+            if not p.fulldim or len(p.vertices) != 4:
+                continue
+        bodies.append(transform(p, scenarios.random_unimodular(rng, p.dim)))
+    return bodies
+
+
+def test_certificates_match_the_quotient_route():
+    # the direct certificate of a lineality body against the one read off
+    # its quotient: the same decision and the same witnessed facets, though
+    # a witness may differ; every witness is replayed on int rows
+    bodies = _lineality_bodies(random.Random(27), 300)
+    kinds = {"free": 0, "maximal": 0, "not free": 0}
+    for p in bodies:
+        assert p.lineality
+        got, want = certify_lattice_free(p), quotient_certificate(p)
+        assert got.lattice_free == want.lattice_free, p
+        assert got.maximal == want.maximal, p
+        assert got.unwitnessed() == want.unwitnessed(), p
+        _check_cert_on_ints(p, got)
+        _check_cert_on_ints(p, want)
+        kinds["not free" if not got.lattice_free
+              else "maximal" if got.maximal else "free"] += 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_certify_strip_with_pointed_recession():
@@ -468,7 +545,7 @@ def _facet_by_conversion(p, j):
     others = [g for i, g in enumerate(p.halfspaces) if i != j]
     if h.offset.denominator != 1:
         return None, None
-    u, _ = la.alignment_unimodular([h.normal])
+    u, _ = fraction_alignment([h.normal])
     level = h.offset * la.mat_vec(u, h.normal)[-1]
     rotated = [HalfSpace(la.mat_vec(u, g.normal), g.offset) for g in others]
     try:
@@ -573,6 +650,60 @@ def test_interior_point_follows_the_column_scan():
         assert interior_lattice_point(p) == want
         found += want is not None
     assert found > 20
+
+
+def _thin_slabs(rng, count):
+    """Boxes of side near 150 cut by a slab a . x in [c, c + w], w at most 3,
+    that are over the 20,000-column budget: fat in every axis, thin along a."""
+    out = []
+    while len(out) < count:
+        a = [rng.randint(-2, 2) for _ in range(3)]
+        if sum(x != 0 for x in a) < 2:
+            continue
+        box = [F(rng.randint(140, 150), 2) for _ in range(3)]
+        c, w = F(rng.randint(-10, 10), 2), F(rng.randint(1, 6), 2)
+        hs = [(tuple(k * int(i == j) for j in range(3)), box[i])
+              for i in range(3) for k in (1, -1)]
+        hs += [(a, c + w), ([-x for x in a], -c)]
+        p = Polyhedron.from_halfspaces(hs, 3)
+        if _realign_budget(p) > 20000:
+            out.append(p)
+    return out
+
+
+def test_fat_bounded_body_is_scanned_along_its_thinnest_normal(monkeypatch):
+    # a body over the 20,000-column budget whose thinnest facet normal u is
+    # thinner than every axis is scanned in the frame that U from the
+    # alignment of u turns it into: the column oracle on the turned rows,
+    # its point mapped back by U^T
+    real = la.alignment_int
+    calls = []
+
+    def counting_alignment(lines, n):
+        calls.append(lines)
+        return real(lines, n)
+
+    monkeypatch.setattr(la, "alignment_int", counting_alignment)
+    turned = found = 0
+    for p in _thin_slabs(random.Random(2), 8):
+        lo, hi = vertex_box(p)
+        calls.clear()
+        z = interior_lattice_point(p)
+        if not calls:
+            continue
+        turned += 1
+        spreads = [max(vals) - min(vals) for vals in (
+            [la.dot(h.normal, v) for v in p.vertices] for h in p.halfspaces)]
+        j = spreads.index(min(spreads))
+        assert spreads[j] < min(b - a for a, b in zip(lo, hi))
+        m, _ = fraction_alignment([p.halfspaces[j].normal])
+        want = first_strict_point_by_columns(
+            [(la.mat_vec(m, h.normal), h.offset) for h in p.halfspaces], 3)
+        if want is not None:
+            want = la.mat_vec(la.transpose(m), want)
+            found += 1
+        assert z == want, p
+    assert turned >= 5 and found >= 3, (turned, found)
 
 
 def test_strict_integer_matches_its_fraction_reference():

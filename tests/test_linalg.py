@@ -11,6 +11,7 @@ from latcut.errors import DimensionMismatch
 from latcut.geometry import UnimodularMap
 
 from oracles import (
+    _as_fractions,
     fraction_alignment,
     fraction_det,
     fraction_dot,
@@ -229,16 +230,23 @@ def _outcome(f, arg):
         return type(exc), str(exc)
 
 
+def int_alignment(lines):
+    """``alignment_int`` as Fraction matrices (U, U^-1), raising as the
+    Fraction route does on no lines or lines that span the whole space."""
+    if not lines:
+        raise ValueError("no lineality directions given")
+    u, c, r = la.alignment_int(lines, len(lines[0]))
+    if r == len(u):
+        raise ValueError("lineality spans the whole space")
+    assert all(type(x) is int for m in (u, c) for row in m for x in row)
+    return _as_fractions(u), _as_fractions(c)
+
+
 def check_unimodular_routes(lines):
-    """alignment_unimodular, integer_kernel_basis and
-    unimodular_with_bottom_row give what the Fraction route gives, bit for
-    bit, errors included."""
-    got = _outcome(la.alignment_unimodular, lines)
+    """alignment_int, integer_kernel_basis and unimodular_with_bottom_row
+    give what the Fraction route gives, bit for bit, errors included."""
+    got = _outcome(int_alignment, lines)
     assert got == _outcome(fraction_alignment, lines)
-    if lines and type(got[0]) is not type:
-        u, c = got
-        assert all(type(x) is F and x.denominator == 1 for m in (u, c)
-                   for row in m for x in row)
     assert (_outcome(la.integer_kernel_basis, lines)
             == _outcome(fraction_integer_kernel_basis, lines))
     for v in lines:
