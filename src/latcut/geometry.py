@@ -22,9 +22,13 @@ conversion directions run through the same cone routine, since the facets of
 a polyhedron are the extreme rays of its homogenized dual cone.  The routine
 is fraction-free, as in cdd and lrs: each row is scaled to integers by the
 lcm of its denominators, lines and rays are primitive int tuples, and each
-ray carries its zero set over the rows inserted so far as a bit mask,
-updated at each insertion rather than recomputed.  It returns those int
-tuples as they are; no ``Fraction`` appears in it.
+ray carries its zero set as a bit mask, bit i for the i-th input row,
+updated at each insertion rather than recomputed; a row that cuts nothing
+is redundant and owns no bit.  Two adjacent rays span a face of dimension
+l + 2 (l the lineality's), whose tight rows have rank d - l - 2 in
+dimension d, so a pair whose zero sets share fewer rows is never scanned
+for a third ray.  It returns the int tuples and masks as they are; no
+``Fraction`` appears in it.
 
 Each constructor runs one conversion.  ``Polyhedron._assemble`` is the one
 routine that brings both descriptions to canonical form for the
@@ -37,14 +41,23 @@ other row's tight set strictly contains its own without being every
 generator; a generator is a line iff it is tight on every row, and extreme
 iff no other generator's tight set strictly contains its own without being
 every row, so the lineality space is the span of the generators tight on
-every row and no caller passes it.  Affine images, homotheties and polars
-run neither a conversion nor this pass.  An invertible map carries facets to facets and extreme
-generators to extreme generators, so ``_image`` maps the normals by the
-inverse and the generators by the map, and only reduces a flat body's
-other rows off its mapped equalities and the generators off the mapped
-lineality.  A ``UnimodularMap`` keeps its inverse, so ``transform`` runs no
-elimination.  A homothety of a full-dimensional body keeps normals, rays
-and lineality, and the polar turns the face lattice upside down.  Distances
+every row and no caller passes it.  The double description's zero sets are
+that table: the constructors hand them over, and only the x0 row's own
+zero set and one transposition are computed.  The side the conversion
+produced (the facets of ``from_generators``, the vertices and rays of
+``from_halfspaces``) is irredundant, so only the other side is pruned,
+and its members in no ray's zero set are dropped first.  A lattice facet polygon,
+assembled from rows and generators that no conversion produced, is the one
+caller that takes the dot-product table and prunes both sides.
+
+Affine images, homotheties and polars run neither a conversion nor this
+pass.  An invertible map carries facets to facets and extreme generators
+to extreme generators, so ``_image`` maps the normals by the inverse and
+the generators by the map, and only reduces a flat body's other rows off
+its mapped equalities and the generators off the mapped lineality.  A
+``UnimodularMap`` keeps its inverse, so ``transform`` runs no elimination.
+A homothety of a full-dimensional body keeps normals, rays and lineality,
+and the polar turns the face lattice upside down.  Distances
 to a polytope walk its real faces, found from the vertices tight on each
 row, on one int scale per call, and a Hausdorff walk stops at its running
 maximum.
@@ -85,25 +98,26 @@ from .simplex import LpResult, solve_ineq
 # cone double description
 
 
-def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """Generators of the cone {y : r . y <= 0 for all r in rows}.
 
-    Returns (lines, rays) as primitive int tuples: a basis of the lineality
-    space, the generators tight on every row, and the extreme rays of the
-    quotient by it.  Rows equal to zero are skipped.  The work runs on
-    integer copies of the rows, and each ray's zero set is carried as a bit
-    mask (bit k: the k-th row that cut the cone is tight on the ray).  A row
-    the cone already satisfies gets no bit: it is redundant for every later
-    cone too, and the adjacency test holds over any rows that define the
-    cone.
+    Returns (lines, rays, masks): a basis of the lineality space, the
+    generators tight on every row, and the extreme rays of the quotient by
+    it, as primitive int tuples, and each ray's zero set as a bit mask (bit
+    i of masks[k]: rows[i] cut the cone when it was inserted and is tight on
+    rays[k]).  A row that never cuts, zero or already satisfied, is
+    redundant for every later cone too and owns no bit.  The work runs on
+    integer copies of the rows; the adjacency test and its rank bound are in
+    the module docstring.
     """
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
-    bit = 1
-    for a in map(la.integer_copy, rows):
+    cut = 0  # the rows that have cut so far
+    for k, a in enumerate(map(la.integer_copy, rows)):
         if not any(a):
             continue
+        bit = 1 << k
         vals_l = [sum(map(operator.mul, a, l)) for l in lines]
         vals = [sum(map(operator.mul, a, r)) for r in rays]
         pivot = next((i for i, v in enumerate(vals_l) if v != 0), None)
@@ -120,27 +134,31 @@ def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]
             rays = [r if v == 0 else la.primitive_int(
                         [v * y - vstar * x for x, y in zip(r, lstar)])
                     for r, v in zip(rays, vals)] + [lstar]
-            masks = [m | bit for m in masks] + [bit - 1]
+            masks = [m | bit for m in masks] + [cut]
         elif any(v > 0 for v in vals):
             new = {r: m | bit if v == 0 else m
                    for r, m, v in zip(rays, masks, vals) if v <= 0}
             neg = [i for i, v in enumerate(vals) if v < 0]
+            least = dim - len(lines) - 2
             for ip in (i for i, v in enumerate(vals) if v > 0):
                 for im in neg:
                     common = masks[ip] & masks[im]
-                    # adjacent iff no third ray is tight on every row both are
-                    if sum(m & common == common for m in masks) == 2:
+                    if common.bit_count() >= least and _adjacent(common, masks):
                         comb = la.primitive_int(
                             [vals[ip] * x - vals[im] * y
                              for x, y in zip(rays[im], rays[ip])])
                         new.setdefault(comb, common | bit)
             rays, masks = list(new), list(new.values())
         else:
-            # the cone already lies in a . y <= 0, and so does every later
-            # cone: the row is redundant and takes no bit
-            continue
-        bit <<= 1
-    return lines, rays
+            continue  # the cone already lies in a . y <= 0
+        cut |= bit
+    return lines, rays, masks
+
+
+def _adjacent(common: int, masks: list[int]) -> bool:
+    """No ray but the two whose zero sets meet in common is tight on every
+    row of common."""
+    return sum(m & common == common for m in masks) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +244,25 @@ def _canonical(dim, rows, points, rays, lines, fulldim) -> "Polyhedron":
                       tuple(sorted(rays)), tuple(lines), fulldim)
 
 
-def _maximal(masks: list[int], full: int) -> list[int]:
-    """Indices of the tight-set bit masks that no other mask short of full
-    strictly contains (a full mask is never contained, so it is kept)."""
-    others = set(masks) - {full}
-    return [i for i, m in enumerate(masks)
-            if not any(m != o and m & o == m for o in others)]
+def _maximal(masks: list[int], full: int, live: list[int]) -> list[int]:
+    """The indices in live whose tight-set bit mask no other mask of live
+    short of full strictly contains (a full mask is never contained, so it
+    is kept)."""
+    others = {masks[i] for i in live} - {full}
+    return [i for i in live
+            if not any(masks[i] != o and masks[i] & o == masks[i] for o in others)]
+
+
+def _incidence(rows, gens) -> list[int]:
+    """The zero sets of int rows over int generators by dot products: bit j
+    of the i-th mask is set iff rows[i] . gens[j] == 0."""
+    return [sum(1 << j for j, g in enumerate(gens) if not sum(map(operator.mul, z, g)))
+            for z in rows]
+
+
+def _transpose(masks: list[int], n: int) -> list[int]:
+    """The n column masks of the 0/1 table whose rows are masks."""
+    return [sum(1 << i for i, m in enumerate(masks) if m >> j & 1) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +324,13 @@ class Polyhedron:
     @staticmethod
     def _from_rows(rows, dim: int) -> "Polyhedron":
         """The polyhedron of int rows (z0, a), read a . x <= -z0, none zero
-        in a: one conversion, then ``_assemble``."""
-        lines, rays = cone_dd(rows + [[-1] + [0] * dim], dim + 1)  # x0 >= 0
+        in a: one conversion, then ``_assemble`` with its zero sets."""
+        lines, rays, masks = cone_dd(rows + [[-1] + [0] * dim], dim + 1)  # x0 >= 0
         if not any(r[0] > 0 for r in rays):
             raise EmptySet("no feasible point satisfies all half-spaces")
-        return Polyhedron._assemble(rows, rays + lines, dim)
+        every = (1 << (len(rows) + 1)) - 1  # a line is tight on every row
+        return Polyhedron._assemble(rows, rays + lines, dim,
+                                    gen_inc=masks + [every] * len(lines))
 
     @staticmethod
     def from_generators(vertices, rays=(), dim: int | None = None) -> "Polyhedron":
@@ -312,43 +345,67 @@ class Polyhedron:
                 raise DimensionMismatch(f"generator {g} not in dimension {dim}")
         gens = [la.integer_copy((ONE,) + v) for v in verts]
         gens += [la.integer_copy((ZERO,) + r) for r in recrays]
-        dlines, drays = cone_dd(gens, dim + 1)
-        return Polyhedron._assemble(dlines + drays, gens, dim)
+        dlines, drays, masks = cone_dd(gens, dim + 1)
+        every = (1 << len(gens)) - 1  # a dual line is tight on every generator
+        return Polyhedron._assemble(dlines + drays, gens, dim,
+                                    row_inc=[every] * len(dlines) + masks)
 
     @staticmethod
-    def _assemble(rows, gens, dim) -> "Polyhedron":
+    def _assemble(rows, gens, dim, row_inc=None, gen_inc=None) -> "Polyhedron":
         """Canonical form from homogenized rows (z0, c), read as c . x <= -z0,
         that include every facet and span the implicit equalities, and from
         homogenized generators (1, v) and (0, r) that include every extreme
-        point and ray and span the lineality space.  The lineality space is
-        the span of the generators tight on every row; other rows and
-        generators are dropped by incidence (module docstring).  The x0 >= 0
-        row added here tells a quadrant's rays apart from its vertex, and no
-        point is tight on it.  Rows and generators are ints, each any
+        point and ray and span the lineality space.  The x0 >= 0 row added
+        here as the last row tells a quadrant's rays apart from its vertex,
+        and no point is tight on it.  Rows and generators are ints, each any
         positive multiple of itself, and none is copied.
+
+        When one side came out of a double description of the other, its
+        zero sets are the incidence (module docstring): row_inc[i] has bit j
+        iff gens[j] cut and is tight on rows[i], with gens[0] a point;
+        gen_inc[j] has bit i iff rows[i] (x0 >= 0 last) cut and is tight on
+        gens[j]; a line of that side has every bit.  That side is kept
+        whole.  Of the other side, the members in no zero set of a ray are
+        redundant and dropped, but gens[0], which always cuts: it is the
+        point of an affine subspace, which has no facet, and a generator of
+        any other body on no facet is interior.  The rest are pruned.  With
+        neither, the incidence is one dot-product pass and both sides are
+        pruned.
         """
         x0 = [-1] + [0] * dim  # x0 >= 0
         rows = [*rows, x0]
-        inc = [sum(1 << j for j, g in enumerate(gens)
-                   if sum(map(operator.mul, z, g)) == 0)
-               for z in rows]
-        all_g = (1 << len(gens)) - 1
-        all_r = (1 << len(rows)) - 1
-        ginc = [sum(1 << i for i, m in enumerate(inc) if m >> j & 1)
-                for j in range(len(gens))]
-        basis = _canonical_basis([g[1:] for g, m in zip(gens, ginc) if m == all_r])
+        all_r, all_g = (1 << len(rows)) - 1, (1 << len(gens)) - 1
+        live_r, live_g = all_r, all_g
+        prune_r, prune_g = row_inc is None, gen_inc is None
+        if gen_inc is not None:
+            live_r = functools.reduce(operator.or_, (m for m in gen_inc if m != all_r), 0)
+            row_inc = _transpose(gen_inc, len(rows))
+        else:
+            if row_inc is None:
+                row_inc = _incidence(rows[:-1], gens)
+            else:
+                live_g = functools.reduce(operator.or_, (m for m in row_inc if m != all_g), 1)
+            row_inc = [*row_inc, live_g & sum(1 << j for j, g in enumerate(gens) if not g[0])]
+            gen_inc = _transpose(row_inc, len(gens))
+        keep_r = [i for i in range(len(rows)) if live_r >> i & 1]
+        keep_g = [j for j in range(len(gens)) if live_g >> j & 1]
+        if prune_r:
+            keep_r = _maximal(row_inc, all_g, keep_r)
+        if prune_g:
+            keep_g = _maximal(gen_inc, all_r, keep_g)
+        basis = _canonical_basis([gens[j][1:] for j in keep_g if gen_inc[j] == all_r])
         lin_rows = [(0,) + l for l in basis]
         verts, rays = set(), set()
-        for j in _maximal(ginc, all_r):
+        for j in keep_g:
             g = _reduce(gens[j], lin_rows)
             if g[0]:
                 verts.add(la.primitive_int(g))
             elif any(g):
                 rays.add(la.primitive_int(g[1:]))
         rays.update(basis, (tuple(-x for x in l) for l in basis))
-        eqs = _canonical_basis([z for z, m in zip(rows, inc) if m == all_g])
+        eqs = _canonical_basis([rows[i] for i in keep_r if row_inc[i] == all_g])
         facets = {la.primitive_int(z)
-                  for z in (_reduce(rows[i], eqs) for i in _maximal(inc, all_g))
+                  for z in (_reduce(rows[i], eqs) for i in keep_r)
                   if any(z)}
         # the class of (-1, 0) is the inequality 0 . x <= 1, the face at
         # infinity: not a facet, though its normal need not reduce to zero
@@ -592,10 +649,15 @@ def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
         eye = la.identity(p.dim)
         return _image(p, tuple(vscale(lam, e) for e in eye),
                       tuple(vscale(1 / lam, e) for e in eye), v)
-    # on ints: lam = P / Q, v = V / dv, s = S / ds and a point (dx, X); a
-    # row a . x <= -z0 becomes Q dv a . y <= Q a . V - P dv z0
-    P, Q = lam.numerator, lam.denominator
     dv, *V = la.integer_copy((ONE,) + v)
+    return _scale_shift(p, lam.numerator, lam.denominator, dv, V)
+
+
+def _scale_shift(p: Polyhedron, P: int, Q: int, dv: int, V: list[int]) -> Polyhedron:
+    """lam p + v for a full-dimensional p, lam = P / Q > 0 and v = V / dv,
+    dv > 0, in any terms: each row and point is made primitive.  With
+    s = S / ds the shift reduced off the lineality and a point (dx, X), a
+    row a . x <= -z0 becomes Q dv a . y <= Q a . V - P dv z0."""
     ds, *S = _reduce([dv] + V, [(0,) + l for l in p.lines])
     pd, qd, pds = P * dv, Q * dv, P * ds
     rows = tuple(la.primitive_int([pd * z0 - Q * sum(map(operator.mul, a, V))]
@@ -607,10 +669,18 @@ def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
 
 
 def homothety(p: Polyhedron, center, factor) -> Polyhedron:
-    """Scale p about center: x -> center + factor (x - center), factor > 0."""
+    """Scale p about center: x -> center + factor (x - center), factor > 0.
+
+    A full-dimensional p takes the shift (1 - t) c as ints: with t = P / Q
+    and c = C / cd it is (Q - P) C over Q cd.
+    """
     center = la.vec(center)
     factor = la.frac(factor)
-    return minkowski_scale_shift(p, factor, vscale(ONE - factor, center))
+    if not p.fulldim or factor <= 0 or len(center) != p.dim:
+        return minkowski_scale_shift(p, factor, vscale(ONE - factor, center))
+    P, Q = factor.numerator, factor.denominator
+    cd, *C = la.integer_copy((ONE,) + center)
+    return _scale_shift(p, P, Q, Q * cd, [(Q - P) * c for c in C])
 
 
 def translate(p: Polyhedron, v) -> Polyhedron:

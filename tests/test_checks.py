@@ -214,6 +214,45 @@ def test_lattice_keeps_one_int_frame():
     assert not hasattr(latcut.linalg, "alignment_unimodular")
 
 
+def test_constructors_take_the_incidence_of_their_conversion(monkeypatch):
+    # the constructors hand the double description's zero sets to
+    # _assemble: over the nine scenarios the one dot-product incidence pass
+    # left is the lattice facet polygon's, whose rows and generators no
+    # conversion produced
+    callers = []
+    real = geometry._incidence
+
+    def recording(rows, gens):
+        callers.append(sys._getframe(2).f_code.co_name)  # _assemble's caller
+        return real(rows, gens)
+
+    monkeypatch.setattr(geometry, "_incidence", recording)
+    for name in scenarios.SCENARIOS:
+        assert run_scenario(name).passed
+    assert callers and set(callers) == {"facet_interior_lattice_point"}, callers
+
+
+def test_adjacency_scans_only_pairs_that_share_enough_rows(monkeypatch):
+    # a pair of rays whose zero sets share fewer than d - l - 2 rows is not
+    # adjacent and gets no scan for a third ray; on these bodies every pair
+    # scanned is adjacent (without the bound: 422 scans)
+    rng = random.Random(28)
+    f = (F(1, 2), F(1, 3), F(1, 5))
+    bodies = [scenarios.random_polytope_around(rng, f) for _ in range(10)]
+    scans = []
+    real = geometry._adjacent
+
+    def recording(common, masks):
+        scans.append(real(common, masks))
+        return scans[-1]
+
+    monkeypatch.setattr(geometry, "_adjacent", recording)
+    for p in bodies:
+        geometry.Polyhedron.from_generators(p.vertices, p.rays, 3)
+        geometry.Polyhedron.from_halfspaces(p.halfspaces, 3)
+    assert (len(scans), sum(scans)) == (202, 202)
+
+
 def test_every_error_class_is_raised():
     # an error class that nothing in the package raises is dead API
     tree = ast.parse((PACKAGE / "errors.py").read_text())

@@ -179,10 +179,28 @@ def _redundant_generator_inputs(rng, count):
 
 def assert_cone_dd_matches_oracle(rows, dim):
     # rays exactly and in order; lines up to their span
-    lines, rays = cone_dd(rows, dim)
+    lines, rays, masks = cone_dd(rows, dim)
     want_lines, want_rays = fraction_cone_dd(rows, dim)
     assert rays == want_rays
     assert _canonical_basis(lines) == _canonical_basis(want_lines)
+    assert_masks_are_zero_sets(rows, dim, rays, masks)
+
+
+def assert_masks_are_zero_sets(rows, dim, rays, masks):
+    """Bit i of each ray's mask is set iff rows[i] cut the cone of the rows
+    before it (the oracle's generators of that cone) and is tight on the
+    ray, by integer dot products."""
+    assert len(masks) == len(rays)
+    live = []
+    for i, a in enumerate(rows):
+        lines, gens = fraction_cone_dd(rows[:i], dim)
+        live.append(any(la.dot(a, l) != 0 for l in lines)
+                    or any(la.dot(a, g) > 0 for g in gens))
+    for r, m in zip(rays, masks):
+        assert m >> len(rows) == 0
+        tight = [c and not sum(map(int.__mul__, la.integer_copy(a), r))
+                 for a, c in zip(rows, live)]
+        assert [bool(m >> i & 1) for i in range(len(rows))] == tight
 
 
 def varied_rows(base, pick):
@@ -252,13 +270,14 @@ def test_cone_dd_runs_no_fraction_arithmetic(monkeypatch):
 
 def test_cone_dd_returns_lists_of_int_tuples():
     # perfbench's tracer reads len(rows) and len(result[1]); _assemble takes
-    # the primitive int tuples as they are
-    lines, rays = cone_dd([(F(0), F(-1), F(0)), (F(-1), F(1, 2), F(0))], 3)
-    assert type(lines) is list and type(rays) is list
+    # the primitive int tuples and the int masks as they are
+    lines, rays, masks = cone_dd([(F(0), F(-1), F(0)), (F(-1), F(1, 2), F(0))], 3)
+    assert type(lines) is list and type(rays) is list and type(masks) is list
     assert lines == [(0, 0, 1)] and sorted(rays) == [(1, 0, 0), (1, 2, 0)]
     for v in lines + rays:
         assert type(v) is tuple and len(v) == 3
         assert all(type(x) is int for x in v)
+    assert len(masks) == 2 and all(type(m) is int for m in masks)
 
 
 def test_redundant_generators_keep_every_extreme_ray():
@@ -655,6 +674,8 @@ def test_homothety_and_scale_shift():
         [(0, 0), (4, 0), (2, 4)])
     with pytest.raises(ValueError):
         minkowski_scale_shift(tri, 0, (0, 0))
+    with pytest.raises(ValueError):
+        homothety(tri, (0, 0), 0)
     # a slab: the shift is reduced off the lineality, the rays stay
     slab = Polyhedron.from_halfspaces([((1, 1), 1), ((-1, -1), 0)], 2)
     moved = minkowski_scale_shift(slab, 3, (F(1, 2), 5))
@@ -885,15 +906,16 @@ def _check_assemble_against_the_fraction_route(mp):
     real = Polyhedron._assemble
     log = []
 
-    def checked(rows, gens, dim):
+    def checked(rows, gens, dim, **incidence):
+        # the oracle makes its own incidence by dot products
         try:
             want = repr(fraction_assemble(rows, gens, dim))
         except WholeSpace:
             with pytest.raises(WholeSpace):
-                real(rows, gens, dim)
+                real(rows, gens, dim, **incidence)
             raise
-        got = real(rows, gens, dim)
-        assert repr(got) == want, (rows, gens, dim)
+        got = real(rows, gens, dim, **incidence)
+        assert repr(got) == want, (rows, gens, dim, incidence)
         log.append(got)
         return got
 
@@ -947,6 +969,79 @@ def test_assemble_matches_the_fraction_route(monkeypatch):
     assert len(log) >= 600
 
 
+def _padded_descriptions(p, rng):
+    """p's generators with interior, repeated and scaled ones mixed in (the
+    points first, as from_generators orders them), and its half-spaces with
+    loosened, repeated, scaled and summed ones, each list shuffled."""
+    pts = list(p.vertices)
+    centroid = pts[0]
+    for x in pts[1:]:
+        centroid = la.vadd(centroid, x)
+    pts += [la.vscale(F(1, len(pts)), centroid), rng.choice(pts)]
+    if p.rays:
+        pts.append(la.vadd(pts[0], rng.choice(p.rays)))
+    rays = list(p.rays)
+    if rays:
+        rays += [rng.choice(rays), la.vscale(3, rng.choice(rays)),
+                 la.vadd(rays[0], rays[-1])]
+    rays = [r for r in rays if not la.is_zero_vec(r)]
+    hs = [(h.normal, h.offset) for h in p.halfspaces]
+    g, h = rng.choice(hs), rng.choice(hs)
+    extra = [(g[0], g[1] + 1), h, (la.vscale(2, h[0]), 2 * h[1])]
+    if not la.is_zero_vec(la.vadd(g[0], h[0])):
+        extra.append((la.vadd(g[0], h[0]), g[1] + h[1]))
+    hs += extra
+    for xs in (pts, rays, hs):
+        rng.shuffle(xs)
+    return pts, rays, hs
+
+
+# affine subspaces as equality pairs plus redundant rows: a point, a line
+# and a plane (dimension, half-spaces)
+_FLATS_BY_ROWS = [
+    (2, [((1, 0), 2), ((-1, 0), -2), ((0, 1), F(1, 2)), ((0, -1), F(-1, 2)),
+         ((1, 1), 7), ((2, 0), 4)]),
+    (3, [((1, 0, 0), 1), ((-1, 0, 0), -1), ((0, 1, -1), 0), ((0, -1, 1), 0),
+         ((1, 1, -1), 3)]),
+    (3, [((1, 1, -1), 1), ((-1, -1, 1), -1), ((1, 1, -1), 3),
+         ((2, 2, -2), 2)]),
+]
+
+
+def test_handed_incidence_matches_the_fraction_route(monkeypatch):
+    # the zero sets the conversion hands to _assemble give what the oracle's
+    # dot-product incidence gives, on inputs with redundant members
+    rng = random.Random(53)
+    bodies = _bodies_of_every_kind(rng, 12)
+    log = _check_assemble_against_the_fraction_route(monkeypatch)
+    checked = Polyhedron._assemble
+    handed = []
+
+    def recording(rows, gens, dim, **incidence):
+        handed.append("".join(sorted(incidence)))
+        return checked(rows, gens, dim, **incidence)
+
+    monkeypatch.setattr(Polyhedron, "_assemble", staticmethod(recording))
+    for (kind, n), ps in bodies.items():
+        for p in ps:
+            pts, rays, hs = _padded_descriptions(p, rng)
+            assert Polyhedron.from_generators(pts, rays, n) == p
+            assert Polyhedron.from_halfspaces(hs, n) == p
+    flats = []
+    for n, hs in _FLATS_BY_ROWS:
+        p = Polyhedron.from_halfspaces(hs, n)
+        assert Polyhedron.from_generators(p.vertices * 2, p.rays, n) == p
+        flats.append(len(p.lineality))
+    assert flats == [0, 1, 2]
+    assert handed.count("row_inc") == handed.count("gen_inc") == len(log) // 2
+    assert len(log) >= 2 * 11 * 12
+    seen = {}
+    for p in log:
+        seen[_kind(p)] = seen.get(_kind(p), 0) + 1
+    # unbounded bodies too, where the x0 face is a facet of the cone
+    assert min(seen.values()) >= 40, seen
+
+
 def test_scale_shift_matches_the_fraction_formula():
     rng = random.Random(47)
     count = 0
@@ -965,6 +1060,10 @@ def test_scale_shift_matches_the_fraction_formula():
             diag = tuple(la.vscale(lam, e) for e in la.identity(n))
             assert repr(minkowski_scale_shift(p, lam, v)) == repr(
                 assembled_affine_image(p, diag, v)), (kind, p, lam, v)
+            # a full-dimensional p takes the shift (1 - t) c on ints
+            for t in (lam, F(1)):
+                assert repr(homothety(p, c, t)) == repr(
+                    minkowski_scale_shift(p, t, la.vscale(1 - t, c))), (p, c, t)
     assert count >= 120
 
 
