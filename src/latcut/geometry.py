@@ -46,9 +46,7 @@ that table: the constructors hand them over, and only the x0 row's own
 zero set and one transposition are computed.  The side the conversion
 produced (the facets of ``from_generators``, the vertices and rays of
 ``from_halfspaces``) is irredundant, so only the other side is pruned,
-and its members in no ray's zero set are dropped first.  A lattice facet polygon,
-assembled from rows and generators that no conversion produced, is the one
-caller that takes the dot-product table and prunes both sides.
+and its members in no ray's zero set are dropped first.
 
 Affine images, homotheties and polars run neither a conversion nor this
 pass.  An invertible map carries facets to facets and extreme generators
@@ -106,15 +104,15 @@ def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]
     it, as primitive int tuples, and each ray's zero set as a bit mask (bit
     i of masks[k]: rows[i] cut the cone when it was inserted and is tight on
     rays[k]).  A row that never cuts, zero or already satisfied, is
-    redundant for every later cone too and owns no bit.  The work runs on
-    integer copies of the rows; the adjacency test and its rank bound are in
-    the module docstring.
+    redundant for every later cone too and owns no bit.  The rows are int
+    sequences, each any positive multiple of itself; the adjacency test and
+    its rank bound are in the module docstring.
     """
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
     cut = 0  # the rows that have cut so far
-    for k, a in enumerate(map(la.integer_copy, rows)):
+    for k, a in enumerate(rows):
         if not any(a):
             continue
         bit = 1 << k
@@ -253,13 +251,6 @@ def _maximal(masks: list[int], full: int, live: list[int]) -> list[int]:
             if not any(masks[i] != o and masks[i] & o == masks[i] for o in others)]
 
 
-def _incidence(rows, gens) -> list[int]:
-    """The zero sets of int rows over int generators by dot products: bit j
-    of the i-th mask is set iff rows[i] . gens[j] == 0."""
-    return [sum(1 << j for j, g in enumerate(gens) if not sum(map(operator.mul, z, g)))
-            for z in rows]
-
-
 def _transpose(masks: list[int], n: int) -> list[int]:
     """The n column masks of the 0/1 table whose rows are masks."""
     return [sum(1 << i for i, m in enumerate(masks) if m >> j & 1) for j in range(n)]
@@ -294,16 +285,6 @@ class Polyhedron:
         tuple(Fraction(x, d) for x in xs) for d, *xs in self.points))
     rays = functools.cached_property(lambda self: la._fractions(self.directions))
     lineality = functools.cached_property(lambda self: la._fractions(self.lines))
-
-    @staticmethod
-    def of(dim, halfspaces, vertices, rays, lineality, fulldim) -> "Polyhedron":
-        """The polyhedron whose ``Fraction`` views are these canonical fields;
-        the ``Fraction`` references in ``tests/oracles.py`` build through it."""
-        return _canonical(dim, [tuple(la.integer_copy((-h.offset,) + h.normal))
-                                for h in halfspaces],
-                          [tuple(la.integer_copy((ONE,) + v)) for v in vertices],
-                          [tuple(la.integer_copy(r)) for r in rays],
-                          [tuple(la.integer_copy(l)) for l in lineality], fulldim)
 
     # -- construction -------------------------------------------------------
 
@@ -360,39 +341,33 @@ class Polyhedron:
         and no point is tight on it.  Rows and generators are ints, each any
         positive multiple of itself, and none is copied.
 
-        When one side came out of a double description of the other, its
+        One side came out of a double description of the other, and its
         zero sets are the incidence (module docstring): row_inc[i] has bit j
         iff gens[j] cut and is tight on rows[i], with gens[0] a point;
         gen_inc[j] has bit i iff rows[i] (x0 >= 0 last) cut and is tight on
-        gens[j]; a line of that side has every bit.  That side is kept
-        whole.  Of the other side, the members in no zero set of a ray are
-        redundant and dropped, but gens[0], which always cuts: it is the
-        point of an affine subspace, which has no facet, and a generator of
-        any other body on no facet is interior.  The rest are pruned.  With
-        neither, the incidence is one dot-product pass and both sides are
-        pruned.
+        gens[j]; a line of that side has every bit.  Exactly one is given,
+        and that side is kept whole.  Of the other side, the members in no
+        zero set of a ray are redundant and dropped, but gens[0], which
+        always cuts: it is the point of an affine subspace, which has no
+        facet, and a generator of any other body on no facet is interior.
+        The rest are pruned.
         """
         x0 = [-1] + [0] * dim  # x0 >= 0
         rows = [*rows, x0]
         all_r, all_g = (1 << len(rows)) - 1, (1 << len(gens)) - 1
-        live_r, live_g = all_r, all_g
-        prune_r, prune_g = row_inc is None, gen_inc is None
         if gen_inc is not None:
-            live_r = functools.reduce(operator.or_, (m for m in gen_inc if m != all_r), 0)
+            live = functools.reduce(operator.or_, (m for m in gen_inc if m != all_r), 0)
             row_inc = _transpose(gen_inc, len(rows))
+            keep_r = _maximal(row_inc, all_g,
+                              [i for i in range(len(rows)) if live >> i & 1])
+            keep_g = range(len(gens))
         else:
-            if row_inc is None:
-                row_inc = _incidence(rows[:-1], gens)
-            else:
-                live_g = functools.reduce(operator.or_, (m for m in row_inc if m != all_g), 1)
-            row_inc = [*row_inc, live_g & sum(1 << j for j, g in enumerate(gens) if not g[0])]
+            live = functools.reduce(operator.or_, (m for m in row_inc if m != all_g), 1)
+            row_inc = [*row_inc, live & sum(1 << j for j, g in enumerate(gens) if not g[0])]
             gen_inc = _transpose(row_inc, len(gens))
-        keep_r = [i for i in range(len(rows)) if live_r >> i & 1]
-        keep_g = [j for j in range(len(gens)) if live_g >> j & 1]
-        if prune_r:
-            keep_r = _maximal(row_inc, all_g, keep_r)
-        if prune_g:
-            keep_g = _maximal(gen_inc, all_r, keep_g)
+            keep_r = range(len(rows))
+            keep_g = _maximal(gen_inc, all_r,
+                              [j for j in range(len(gens)) if live >> j & 1])
         basis = _canonical_basis([gens[j][1:] for j in keep_g if gen_inc[j] == all_r])
         lin_rows = [(0,) + l for l in basis]
         verts, rays = set(), set()

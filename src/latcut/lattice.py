@@ -14,17 +14,22 @@ itertools.product order and solves that one as an exact integer interval by
 floor division, one int dot product per row.  ``_scan`` takes the first
 nonempty column (at the end ``_strict_integer`` picks), ``lattice_points_in``
 expands every column, and ``lattice_width`` expands the integer points of
-the difference body's polar, taken after projecting along the rays.  Bounded
-bodies scan their box.  An unbounded body is projected along its rays by the
-same int frame as its width: the projection's box is scanned, and one
-``_strict_integer`` step along the ray sum lifts the point it finds back into
-the body.  Every full-dimensional body, lineality or not, is certified
-directly: the interior search, then one search per facet.  A facet search in
-the plane solves along the integer points of the facet's line; in space it
-turns the facet onto a level of the last axis by an int unimodular pair and
-scans the other rows there, a bounded polygon in its box directly.  A bounded
-body fat in every axis is turned by the same kind of pair so that its
-thinnest facet normal becomes an axis.
+the difference body's polar, taken after projecting along the rays.
+
+One int kernel, ``_interior_point``, searches the interior of a body given
+as int rows, points and rays, and reads no ``Polyhedron``.  A bounded body
+scans its box; one fat in every axis is first turned by an int unimodular
+pair so that its thinnest facet normal becomes an axis.  An unbounded body
+is projected along its rays by the same int frame as its width: the
+projection's box is scanned, and one ``_strict_integer`` step along the ray
+sum lifts the point it finds back into the body.  Every full-dimensional
+body, lineality or not, is certified directly: the interior search, then
+one search per facet.  The facet search picks its route by dimension: on
+the line it tests the facet's one point, in the plane it solves along the
+integer points of the facet's line, and from dimension 3 on it turns the
+facet onto a level of the last axis by an int unimodular pair and hands the
+kernel the other rows there with p's points and rays tight on the facet, so
+no facet is built as a body.  Growth in the plane drops and pushes int rows.
 """
 
 from __future__ import annotations
@@ -41,11 +46,10 @@ from .errors import (
     NotLatticeFreeInput,
     UnboundedEnumeration,
     UnsupportedDimension,
-    WholeSpace,
     require,
 )
-from .geometry import HalfSpace, Polyhedron, _apply, _normal
-from .linalg import ONE, Vec
+from .geometry import Polyhedron, _apply, _canonical_basis, _normal, _reduce
+from .linalg import Vec
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +66,7 @@ def _points_in(p: Polyhedron, strict: bool = False) -> list[tuple[int, ...]]:
     """``lattice_points_in`` as int tuples."""
     if p.directions:
         raise UnboundedEnumeration("cannot enumerate an unbounded polyhedron")
-    s, points = _common_scale(p)
+    s, points = _common_scale(p.points)
     return [combo + (t,)
             for combo, (t0, t1) in _columns(p.rows, _box(points, s), p.dim - 1, strict)
             for t in range(t0, t1 + 1)]
@@ -159,12 +163,11 @@ def _columns(rows, ranges, axis: int, strict: bool = True):
 
 
 def _scan(rows, ranges, axis: int):
-    """First integer point strictly inside every int row (z0, a), or None:
-    the first nonempty column, at the end _strict_integer picks."""
+    """First integer point strictly inside every int row (z0, a), as an int
+    tuple, or None: the first nonempty column, at the end _strict_integer
+    picks."""
     for combo, span in _columns(rows, ranges, axis):
-        z = list(map(Fraction, combo))
-        z.insert(axis, Fraction(_end(*span)))
-        return tuple(z)
+        return combo[:axis] + (_end(*span),) + combo[axis:]
     return None
 
 
@@ -186,7 +189,19 @@ def _integer_point_on_line(a, beta: int, rows):
 
 
 def interior_lattice_point(p: Polyhedron):
-    """An integer point strictly inside p, or None when p is lattice-free.
+    """An integer point strictly inside p, or None when p is lattice-free:
+    ``_interior_point`` on p's int rows, points and rays."""
+    if not p.fulldim:
+        raise NotFullDimensional("interior search needs a full-dimensional body")
+    z = _interior_point(p.rows, p.points, p.directions, p.dim)
+    return None if z is None else tuple(map(Fraction, z))
+
+
+def _interior_point(rows, points, directions, n: int):
+    """An integer point, as ints, strictly inside the n-dimensional body of
+    int rows (z0, a), read a . x + z0 < 0, points (d, x), read x / d, and
+    rays, or None.  Every generator lies in the body, and each vertex is
+    among the points; rows and generators need not be canonical.
 
     Decides every full-dimensional body.  A bounded body scans its box.  An
     unbounded one is read in the frame y = U x of its rays (``_ray_frame``):
@@ -198,41 +213,40 @@ def interior_lattice_point(p: Polyhedron):
     where a row parallel to the rays re-checks y'.  When the rays span the
     space, U is the identity and y' is empty.
     """
-    if not p.fulldim:
-        raise NotFullDimensional("interior search needs a full-dimensional body")
-    if p.is_bounded():
-        return _bounded_interior_point(p)
-    _, c, r, s, heads = _ray_frame(p)
-    k = p.dim - r
+    if not directions:
+        return _bounded_interior_point(rows, points, n)
+    _, c, r, s, heads = _ray_frame(points, directions, n)
+    k = n - r
     y = ()
     if k:
         ct = list(zip(*c))  # a . x = (C^T a) . y
-        turned = ([z0] + _apply(ct, a) for z0, *a in p.rows)
+        turned = ([z0] + _apply(ct, a) for z0, *a in rows)
         y = _box_scan([b[:k + 1] for b in turned if not any(b[k + 1:])], heads, s)
         if y is None:
             return None
-    x0 = _apply(c, list(map(int, y)) + [0] * r)
-    w = list(map(sum, zip(*p.directions)))
+    x0 = _apply(c, list(y) + [0] * r)
+    w = list(map(sum, zip(*directions)))
     t = _strict_integer((-z0 - sum(map(operator.mul, a, x0)),
-                         sum(map(operator.mul, a, w))) for z0, *a in p.rows)
+                         sum(map(operator.mul, a, w))) for z0, *a in rows)
     require(t is not None, "projected point is not interior")
-    return tuple(Fraction(a + t * b) for a, b in zip(x0, w))
+    return [a + t * b for a, b in zip(x0, w)]
 
 
-def _ray_frame(p: Polyhedron):
+def _ray_frame(points, directions, n: int):
     """(U, C, r, s, heads): int rows U and C = U^-1 sending the r-dimensional
-    span of p's rays onto the trailing r axes of y = U x (the identity when r
-    is 0 or n), and heads the leading n - r entries of U s v for each vertex
-    v, s their common denominator: p projected along its rays, on one scale."""
-    u, c, r = la.alignment_int(p.directions, p.dim)
-    s, points = _common_scale(p)
-    return u, c, r, s, [_apply(u, v)[:p.dim - r] for v in points]
+    span of the rays onto the trailing r axes of y = U x (the identity when r
+    is 0 or n), and heads the leading n - r entries of U s v for each point
+    v, s their common denominator: the body projected along its rays, on one
+    scale."""
+    u, c, r = la.alignment_int(directions, n)
+    s, scaled = _common_scale(points)
+    return u, c, r, s, [_apply(u, v)[:n - r] for v in scaled]
 
 
-def _common_scale(p: Polyhedron):
-    """(s, [s v]): p's vertices v on ints, s the lcm of their denominators."""
-    s = math.lcm(*(g[0] for g in p.points))
-    return s, [[x * (s // d) for x in xs] for d, *xs in p.points]
+def _common_scale(points):
+    """(s, [s v]): the points (d, x) as ints s x / d, s the lcm of the d."""
+    s = math.lcm(*(g[0] for g in points))
+    return s, [[x * (s // d) for x in xs] for d, *xs in points]
 
 
 def _spread(u, points) -> int:
@@ -241,7 +255,7 @@ def _spread(u, points) -> int:
     return max(vals) - min(vals)
 
 
-def _bounded_interior_point(p: Polyhedron):
+def _bounded_interior_point(rows, points, n: int):
     """First strict integer point of a bounded body, or None.
 
     The widest axis is solved as an exact interval per candidate of the
@@ -255,21 +269,20 @@ def _bounded_interior_point(p: Polyhedron):
     every vertex's denominator and every normal width, so the turned body
     is scanned as it is, never turned again.
     """
-    s, points = _common_scale(p)
+    s, points = _common_scale(points)
     extents = [max(a) - min(a) for a in zip(*points)]  # on scale s
     budget = 1
     for e in sorted(extents)[:-1]:
         budget *= e // s + 1
-    if p.dim >= 3 and budget > 20000:
-        u_best = min(map(_normal, p.rows), key=lambda u: _spread(u, points))
+    if n >= 3 and budget > 20000:
+        u_best = min(map(_normal, rows), key=lambda u: _spread(u, points))
         if _spread(u_best, points) < min(extents):
-            u, c, _ = la.alignment_int([u_best], p.dim)
+            u, c, _ = la.alignment_int([u_best], n)
             ct = list(zip(*c))
-            z = _box_scan([[z0] + _apply(u, a) for z0, *a in p.rows],
+            z = _box_scan([[z0] + _apply(u, a) for z0, *a in rows],
                           [_apply(ct, v) for v in points], s)
-            return None if z is None else tuple(
-                map(Fraction, _apply(list(zip(*u)), list(map(int, z)))))
-    return _box_scan(p.rows, points, s)
+            return None if z is None else _apply(list(zip(*u)), z)
+    return _box_scan(rows, points, s)
 
 
 def _box(points, s) -> list[range]:
@@ -314,8 +327,10 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     """Integer point in the relative interior of facet j, or None.
 
     From dimension 3 on, U from ``la.alignment_int`` turns the facet onto a
-    level of the last axis and the search runs on int rows there: a bounded
-    polygon is scanned in its box, any other facet assembled and searched."""
+    level of the last axis, and ``_interior_point`` searches it there on the
+    other rows and on p's points and rays tight on the facet, mapped by C^T:
+    a bounded facet is scanned in its box, an unbounded one projected along
+    its rays, and one whose relative interior is the whole level gives 0."""
     if not p.fulldim:
         raise NotFullDimensional("facet search needs a full-dimensional body")
     tight = p.rows[j]
@@ -339,24 +354,23 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
             rows.append([z0 + last * level] + head)
         else:
             require(z0 + last * level < 0, "a parallel row misses the facet")
-    # the facet's generators are p's generators tight on it, mapped by C^T
+    # the facet's points and rays are p's tight on it, mapped by C^T
     ct = list(zip(*c))
-    homog = list(p.points) + [(0,) + r for r in p.directions]
-    gens = [[g[0]] + _apply(ct, g[1:])[:-1] for g in homog
-            if not sum(map(operator.mul, tight, g))]
-    if p.dim == 3 and all(g[0] for g in gens):
-        # the columns and order of the assembled polygon's scan: its box is
-        # its vertices' box, and a redundant row cuts no strict point
-        s = math.lcm(*(g[0] for g in gens))
-        z2 = _box_scan(rows, [[x * (s // g[0]) for x in g[1:]] for g in gens], s)
-    else:
-        try:
-            z2 = interior_lattice_point(Polyhedron._assemble(rows, gens, p.dim - 1))
-        except WholeSpace:
-            z2 = la.vzero(p.dim - 1)  # relative interior is the whole plane
+    points = [[g[0]] + _apply(ct, g[1:])[:-1] for g in p.points
+              if not sum(map(operator.mul, tight, g))]
+    directions = [_apply(ct, r)[:-1] for r in p.directions
+                  if not sum(map(operator.mul, tight[1:], r))]
+    if p.lines:
+        # the rays reduced off the facet's canonical lineality basis, as the
+        # facet's canonical form has them, so that the ray sum is its own
+        basis = _canonical_basis([_apply(ct, l)[:-1] for l in p.lines])
+        rays = (_reduce(r, basis) for r in directions)
+        directions = [la.primitive_int(r) for r in rays if any(r)]
+        directions += basis + [[-x for x in l] for l in basis]
+    z2 = _interior_point(rows, points, directions, p.dim - 1)
     if z2 is None:
         return None
-    z = _apply(list(zip(*u)), list(map(int, z2)) + [level])
+    z = _apply(list(zip(*u)), list(z2) + [level])
     on, *off = _apply([tight, *int_others], [1] + z)
     require(on == 0 and all(x < 0 for x in off),
             "facet witness is not in the relative interior")
@@ -371,7 +385,7 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
     if bad is not None:
         return LatticeFreeCert(False, bad, (), None)
     witnesses = tuple(facet_interior_lattice_point(p, j)
-                      for j in range(len(p.halfspaces)))
+                      for j in range(len(p.rows)))
     return LatticeFreeCert(True, None, witnesses,
                            all(w is not None for w in witnesses))
 
@@ -407,7 +421,7 @@ def lattice_width(p: Polyhedron) -> WidthReport:
     (``_ray_frame``), mapped back by U^T."""
     if not p.fulldim:
         raise NotFullDimensional("width needs a full-dimensional body")
-    um, _, r, s, heads = _ray_frame(p)
+    um, _, r, s, heads = _ray_frame(p.points, p.directions, p.dim)
     n = p.dim - r
     if not n:
         return WidthReport(None, None, None, None)
@@ -445,10 +459,12 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
     """A maximal lattice-free body containing p (plane and line only).
 
     Repeatedly picks a facet with no integer point in its relative interior
-    and pushes it outward to the first level that meets an integer point
-    admissible for all other facets, dropping the facet entirely when no
-    such level exists.  Witnessed facets stay witnessed, so the pair
-    (facet count, unwitnessed count) strictly decreases and the loop ends.
+    and drops it when the other facets alone still bound a lattice-free
+    body; otherwise that body's interior integer point z bounds the push:
+    the facet moves outward to the first integer level, at most a . z, that
+    meets an integer point admissible for all other facets.  Witnessed
+    facets stay witnessed, so the pair (facet count, unwitnessed count)
+    strictly decreases and the loop ends.
     """
     if p.dim > 2:
         raise UnsupportedDimension("growth is implemented for dimensions 1 and 2")
@@ -457,40 +473,33 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
         raise NotLatticeFreeInput(
             f"interior integer point {cert.interior_witness}")
     if p.dim == 1:
-        a = min(v[0] for v in p.vertices)
-        lo = Fraction(math.floor(a))
-        return Polyhedron.from_halfspaces(
-            [((ONE,), lo + 1), ((-ONE,), -lo)], 1)
+        lo = min(x // d for d, x in p.points)  # the floor of the least vertex
+        return Polyhedron._from_rows([[-lo - 1, 1], [lo, -1]], 1)
 
     q = p
     while not cert.maximal:
         j = cert.unwitnessed()[0]
-        h = q.halfspaces[j]
-        others = [g for i, g in enumerate(q.halfspaces) if i != j]
+        tight = q.rows[j]
         cons = q.rows[:j] + q.rows[j + 1:]
-        q = _try_drop(others)
-        if q is None:
-            # the facet cannot be dropped: push it to the nearest integer level
-            normal = list(map(int, h.normal))
-            level = math.ceil(h.offset)
-            while True:
-                z = _integer_point_on_line(normal, level, cons)
-                if z is not None and level > h.offset:
-                    break
-                level += 1
-            q = Polyhedron.from_halfspaces(
-                others + [HalfSpace.make(h.normal, level)], 2)
+        q, z = _try_drop(cons)
+        if z is not None:
+            # the facet cannot be dropped: push it.  z is strictly inside
+            # the other facets and beyond this one (on its line z would
+            # witness it), so the level a . z has a point and ends the scan
+            g = math.gcd(*tight[1:])
+            normal = [x // g for x in tight[1:]]
+            level = next((t for t in range(-tight[0] // g + 1,
+                                           sum(map(operator.mul, normal, z)) + 1)
+                          if _integer_point_on_line(normal, t, cons) is not None), None)
+            require(level is not None, "no level up to a . z meets an integer point")
+            q = Polyhedron._from_rows([*cons, (-level, *normal)], 2)
         cert = certify_lattice_free(q)
         require(cert.lattice_free, "grown body is not lattice-free")
     return q
 
 
-def _try_drop(others):
-    """The polyhedron on the remaining facets, when still lattice-free."""
-    try:
-        candidate = Polyhedron.from_halfspaces(others, 2)
-    except WholeSpace:
-        return None
-    if interior_lattice_point(candidate) is None:
-        return candidate
-    return None
+def _try_drop(rows):
+    """(body, z): the body on the int rows of the remaining facets and an
+    integer point strictly inside it, z None when it is lattice-free."""
+    q = Polyhedron._from_rows(list(rows), 2)
+    return q, _interior_point(q.rows, q.points, q.directions, 2)

@@ -84,10 +84,6 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def norm_sq(u: Vec) -> Fraction:
-    return dot(u, u)
-
-
 def denominator_lcm(u: Sequence[Fraction]) -> int:
     return math.lcm(*[a.denominator for a in u])
 
@@ -125,10 +121,6 @@ def identity(n: int) -> Mat:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
     )
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

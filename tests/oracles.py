@@ -16,6 +16,26 @@ from latcut.linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub
 from latcut.simplex import LpResult, solve_ineq
 
 
+def norm_sq(u: Vec) -> Fraction:
+    return dot(u, u)
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def polyhedron_of(dim, halfspaces, vertices, rays, lineality, fulldim):
+    """The polyhedron whose ``Fraction`` views are these canonical fields:
+    the Fraction references below build through it."""
+    from latcut.geometry import _canonical
+
+    return _canonical(dim, [tuple(la.integer_copy((-h.offset,) + h.normal))
+                            for h in halfspaces],
+                      [tuple(la.integer_copy((ONE,) + v)) for v in vertices],
+                      [tuple(la.integer_copy(r)) for r in rays],
+                      [tuple(la.integer_copy(l)) for l in lineality], fulldim)
+
+
 def brute_force_vertices(halfspaces, dim):
     """All basic feasible points of an inequality system.
 
@@ -156,20 +176,20 @@ def point_segment_dist_sq(x, p, q):
     """Exact squared distance from x to segment [p, q]."""
     x, p, q = la.vec(x), la.vec(p), la.vec(q)
     d = vsub(q, p)
-    dd = la.norm_sq(d)
+    dd = norm_sq(d)
     if dd == 0:
-        return la.norm_sq(vsub(x, p))
+        return norm_sq(vsub(x, p))
     t = dot(vsub(x, p), d) / dd
     t = max(Fraction(0), min(Fraction(1), t))
     c = tuple(pi + t * di for pi, di in zip(p, d))
-    return la.norm_sq(vsub(x, c))
+    return norm_sq(vsub(x, c))
 
 
 def polygon_dist_sq(x, verts):
     """Exact squared distance from x to a 2-d polygon given by its vertices."""
     verts = [la.vec(v) for v in verts]
     if len(verts) == 1:
-        return la.norm_sq(vsub(la.vec(x), verts[0]))
+        return norm_sq(vsub(la.vec(x), verts[0]))
     # inside test via every edge of the hull handled by caller; here just
     # min over all segments plus zero when x is inside the hull.
     best = min(point_segment_dist_sq(x, p, q)
@@ -187,7 +207,7 @@ def subset_scan_dist_sq(x, vertices, contains):
     """
     x = la.vec(x)
     verts = [la.vec(v) for v in vertices]
-    best = min(la.norm_sq(vsub(x, v)) for v in verts)
+    best = min(norm_sq(vsub(x, v)) for v in verts)
     for size in range(2, min(len(verts), len(x) + 1) + 1):
         for subset in itertools.combinations(verts, size):
             base = subset[0]
@@ -200,7 +220,7 @@ def subset_scan_dist_sq(x, vertices, contains):
             for c, d in zip(coef, dirs):
                 proj = vadd(proj, vscale(c, d))
             if contains(proj):
-                best = min(best, la.norm_sq(vsub(x, proj)))
+                best = min(best, norm_sq(vsub(x, proj)))
     return best
 
 
@@ -250,7 +270,7 @@ def _fraction_face_frames(p):
             for b, bb in basis:
                 u = vsub(u, vscale(dot(u, b) / bb, b))
             if not la.is_zero_vec(u):
-                basis.append((u, la.norm_sq(u)))
+                basis.append((u, norm_sq(u)))
         frames.append((base, basis))
     return frames
 
@@ -261,7 +281,7 @@ def _fraction_walk(x, p, frames, cap=None):
     ``contains_point`` only when it beats the best so far."""
     best = None
     for v in p.vertices:
-        d = la.norm_sq(vsub(x, v))
+        d = norm_sq(vsub(x, v))
         if cap is not None and d <= cap:
             return d
         best = d if best is None or d < best else best
@@ -270,7 +290,7 @@ def _fraction_walk(x, p, frames, cap=None):
         proj = base
         for b, bb in basis:
             proj = vadd(proj, vscale(dot(rel, b) / bb, b))
-        d = la.norm_sq(vsub(x, proj))
+        d = norm_sq(vsub(x, proj))
         if d < best and p.contains_point(proj):
             if cap is not None and d <= cap:
                 return d
@@ -480,7 +500,7 @@ def fraction_assemble(rows, gens, dim):
     kernel, which reads the lineality off the generators tight on every
     row instead."""
     from latcut.errors import WholeSpace
-    from latcut.geometry import HalfSpace, Polyhedron
+    from latcut.geometry import HalfSpace
 
     def halfspace(z):
         return HalfSpace.make(z[1:], -z[0])
@@ -519,7 +539,7 @@ def fraction_assemble(rows, gens, dim):
     all_rays = list(rcan)
     for l in basis:
         all_rays.extend((l, vneg(l)))
-    return Polyhedron.of(
+    return polyhedron_of(
         dim=dim,
         halfspaces=tuple(sorted(hs)),
         vertices=tuple(vcan),
@@ -533,11 +553,11 @@ def fraction_scale_shift(p, lam, v):
     """lam * p + v for a full-dimensional p in Fraction arithmetic: each
     offset lam b + a . v and each vertex lam x + s, s the shift reduced off
     the lineality.  The reference for ``geometry.minkowski_scale_shift``."""
-    from latcut.geometry import HalfSpace, Polyhedron
+    from latcut.geometry import HalfSpace
 
     lam, v = la.frac(lam), la.vec(v)
     s = _fraction_reduce_off(v, p.lineality)
-    return Polyhedron.of(
+    return polyhedron_of(
         dim=p.dim,
         halfspaces=tuple(HalfSpace(h.normal, lam * h.offset + fraction_dot(h.normal, v))
                          for h in p.halfspaces),
@@ -591,7 +611,7 @@ def assembled_affine_image(p, matrix, shift):
     shift = la.vec(shift)
     if any(len(row) != p.dim for row in (shift,) + matrix) or len(matrix) != p.dim:
         raise DimensionMismatch("map dimension mismatch")
-    inv_t = la.transpose(la.inverse(matrix))
+    inv_t = transpose(la.inverse(matrix))
     rows = []
     # a . x <= b  ->  (a inv) . y <= b + (a inv) . shift
     for h in p.halfspaces:
@@ -910,7 +930,7 @@ def _split_off_lineality(p):
     then dropping them.  Returns (quotient, lift, umap): lift maps integer
     quotient points back to integer points of p, and umap is the change."""
     from latcut.errors import CertificateError
-    from latcut.geometry import HalfSpace, Polyhedron, UnimodularMap, transform
+    from latcut.geometry import HalfSpace, UnimodularMap, transform
 
     k = len(p.lineality)
     u, c = fraction_alignment(list(p.lineality))
@@ -925,7 +945,7 @@ def _split_off_lineality(p):
     if any(not la.is_zero_vec(x[keep:])
            for x in itertools.chain(normals, q.vertices, rays)):
         raise CertificateError("lineality did not split off the trailing axes")
-    quotient = Polyhedron.of(
+    quotient = polyhedron_of(
         keep, [HalfSpace(h.normal[:keep], h.offset) for h in q.halfspaces],
         [v[:keep] for v in q.vertices], [r[:keep] for r in rays], (), p.fulldim)
     inv = umap.inverse()
@@ -949,7 +969,7 @@ def quotient_certificate(p):
     if not sub.lattice_free:
         return LatticeFreeCert(False, back(sub.interior_witness), (), None)
     k = len(p.lineality)
-    inv_t = la.transpose(umap.inverse_matrix)
+    inv_t = transpose(umap.inverse_matrix)
     witnesses = []
     for h in p.halfspaces:
         a2 = la.mat_vec(inv_t, h.normal)

@@ -149,10 +149,13 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
         lps.clear()
         assert run_scenario(name).passed
         counts[name] = (len(candidates), len(lps))
-    assert counts == {"cubeface-census": (116, 0),
+    # each facet of a 3-d slab, whose relative interior is its whole plane,
+    # takes one _strict_integer step with no bound (two in each of
+    # cubeface-census and approximation-factors)
+    assert counts == {"cubeface-census": (118, 0),
                       "lifting-end-to-end": (120, 31),
                       "inapprox-witnesses": (1538, 0),
-                      "approximation-factors": (885, 22)}, counts
+                      "approximation-factors": (887, 22)}, counts
 
 
 def test_width_runs_one_conversion_and_no_lp(monkeypatch):
@@ -214,22 +217,25 @@ def test_lattice_keeps_one_int_frame():
     assert not hasattr(latcut.linalg, "alignment_unimodular")
 
 
-def test_constructors_take_the_incidence_of_their_conversion(monkeypatch):
-    # the constructors hand the double description's zero sets to
-    # _assemble: over the nine scenarios the one dot-product incidence pass
-    # left is the lattice facet polygon's, whose rows and generators no
-    # conversion produced
-    callers = []
-    real = geometry._incidence
-
-    def recording(rows, gens):
-        callers.append(sys._getframe(2).f_code.co_name)  # _assemble's caller
-        return real(rows, gens)
-
-    monkeypatch.setattr(geometry, "_incidence", recording)
+def test_one_canonical_form_pass_per_conversion(monkeypatch):
+    # _assemble runs only on the output of a conversion, which hands it its
+    # zero sets: the constructors are its only callers, and no facet search,
+    # image, homothety or polar assembles a body, so over the nine scenarios
+    # at default parameters it runs exactly as often as cone_dd
+    assembled = counting(monkeypatch, geometry.Polyhedron, "_assemble")
+    conversions = counting(monkeypatch, geometry, "cone_dd")
+    counts = {}
     for name in scenarios.SCENARIOS:
+        assembled.clear()
+        conversions.clear()
         assert run_scenario(name).passed
-    assert callers and set(callers) == {"facet_interior_lattice_point"}, callers
+        counts[name] = (len(assembled), len(conversions))
+    assert all(a == c for a, c in counts.values()), counts
+    assert {name: a for name, (a, _) in counts.items()} == {
+        "cubeface-census": 10, "split-vs-triangles": 230, "rho-closed-form": 400,
+        "one-for-all-sandwich": 191, "truncated-cone-shrink": 150,
+        "lifting-end-to-end": 106, "approximation-factors": 129,
+        "inapprox-witnesses": 66, "gauge-metric-properties": 20}, counts
 
 
 def test_adjacency_scans_only_pairs_that_share_enough_rows(monkeypatch):
@@ -395,7 +401,7 @@ def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
 
 def test_distance_walks_make_no_fraction_vector_calls(monkeypatch):
     # the Hausdorff and point-distance walks take one int scale per call: no
-    # linalg.dot, vsub or norm_sq and no HalfSpace.eval_slack on Fractions
+    # linalg.dot or vsub and no HalfSpace.eval_slack on Fractions
     rng = random.Random(5)
     f = (F(1, 2), F(1, 3), F(1, 5))
     bodies = [scenarios.random_polytope_around(rng, f) for _ in range(3)]
@@ -406,7 +412,7 @@ def test_distance_walks_make_no_fraction_vector_calls(monkeypatch):
     assert not polars[-1].fulldim
     points = [(F(1, 3), F(-2, 5), 1), (0, 0, 0), (F(7, 2), 1, F(-1, 6))]
     calls = {name: counting(monkeypatch, latcut.linalg, name)
-             for name in ("dot", "vsub", "norm_sq")}
+             for name in ("dot", "vsub")}
     monkeypatch.setattr(geometry, "dot", latcut.linalg.dot)
     calls["eval_slack"] = counting(monkeypatch, geometry.HalfSpace, "eval_slack")
     runs = {
@@ -457,5 +463,22 @@ def test_hot_chain_builds_no_fraction_view(monkeypatch):
             for l in bodies[:4]:
                 fresh = [dataclasses.replace(p) for p in (b, l)]
                 run(*fresh, t)
+        counts[name] = {k: len(c) for k, c in views.items()}
+    # the lattice searches read the int form too: the certificate, the width
+    # and growth in the plane, each on a fresh copy of its input
+    planar = [geometry.Polyhedron.from_generators(v, r) for v, r in (
+        ([(0, 0), (F(3, 2), 0), (0, F(3, 2))], []),
+        ([(0, 0), (1, 0), (2, 1)], []),
+        ([(0, 0), (1, 0)], [(0, 1)]))]
+    searches = {
+        "certify_lattice_free": (bodies + planar, lattice.certify_lattice_free),
+        "lattice_width": (bodies + planar, lattice.lattice_width),
+        "grow_to_maximal": (planar, lattice.grow_to_maximal),
+    }
+    for name, (inputs, run) in searches.items():
+        for c in views.values():
+            c.clear()
+        for p in inputs:
+            run(dataclasses.replace(p))
         counts[name] = {k: len(c) for k, c in views.items()}
     assert all(not any(c.values()) for c in counts.values()), str(counts)

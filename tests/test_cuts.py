@@ -22,7 +22,7 @@ from latcut.geometry import Polyhedron, homothety
 from latcut.jsonio import parse_polyhedron
 from latcut.simplex import solve_ineq
 
-from oracles import fraction_dot, gauge_value
+from oracles import fraction_dot, gauge_value, norm_sq
 
 F12 = (F(1, 2), F(1, 2))
 SQ01 = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -219,7 +219,7 @@ def gauge_convergence(seq, b, f, dirs):
         d = f_metric(bt, b, f).dist_sq
         gaps = [(abs(gauge(bt, f, r) - gauge(b, f, r)), r) for r in dirs]
         out.append((d, max(g for g, _ in gaps),
-                    all(g * g <= d * la.norm_sq(la.vec(r)) for g, r in gaps)))
+                    all(g * g <= d * norm_sq(la.vec(r)) for g, r in gaps)))
     return out
 
 

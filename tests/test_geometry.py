@@ -58,6 +58,7 @@ from oracles import (
     hausdorff_sq_polygons,
     lp_solve,
     polygon_dist_sq,
+    polyhedron_of,
     slack_contains,
     subset_scan_dist_sq,
 )
@@ -179,7 +180,7 @@ def _redundant_generator_inputs(rng, count):
 
 def assert_cone_dd_matches_oracle(rows, dim):
     # rays exactly and in order; lines up to their span
-    lines, rays, masks = cone_dd(rows, dim)
+    lines, rays, masks = cone_dd([la.integer_copy(r) for r in rows], dim)
     want_lines, want_rays = fraction_cone_dd(rows, dim)
     assert rays == want_rays
     assert _canonical_basis(lines) == _canonical_basis(want_lines)
@@ -260,18 +261,19 @@ def test_cone_dd_runs_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     square = [(F(-1), F(1), F(0)), (F(0), F(-1), F(0)), (F(-1), F(0), F(1)),
               (F(0), F(0), F(-1)), (F(-1), F(0), F(0))]
-    cone_dd(square, 3)
-    cone_dd([(F(1, 2), F(-1, 3)), (F(-2), F(0))], 2)
+    cone_dd([la.integer_copy(r) for r in square], 3)
+    cone_dd([la.integer_copy(r) for r in [(F(1, 2), F(-1, 3)), (F(-2), F(0))]], 2)
     octant = [(F(-1), F(0), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(-1)),
               (F(-1), F(-1), F(1, 2))]
-    cone_dd(octant, 3)
+    cone_dd([la.integer_copy(r) for r in octant], 3)
     assert calls == []
 
 
 def test_cone_dd_returns_lists_of_int_tuples():
     # perfbench's tracer reads len(rows) and len(result[1]); _assemble takes
     # the primitive int tuples and the int masks as they are
-    lines, rays, masks = cone_dd([(F(0), F(-1), F(0)), (F(-1), F(1, 2), F(0))], 3)
+    lines, rays, masks = cone_dd(
+        [la.integer_copy(r) for r in [(F(0), F(-1), F(0)), (F(-1), F(1, 2), F(0))]], 3)
     assert type(lines) is list and type(rays) is list and type(masks) is list
     assert lines == [(0, 0, 1)] and sorted(rays) == [(1, 0, 0), (1, 2, 0)]
     for v in lines + rays:
@@ -952,13 +954,12 @@ def test_assemble_matches_the_fraction_route(monkeypatch):
             q = Polyhedron.from_generators(p.vertices, p.rays, n)
             assert q == p
             assert Polyhedron.from_halfspaces(p.halfspaces, n) == p
-            # facet bodies, as the facet search assembles them, and the level
-            # slices of the interior search
-            if p.fulldim:
-                lattice.interior_lattice_point(p)
-            if p.fulldim and n > 1:
-                for j in range(len(p.halfspaces)):
-                    facet_interior_lattice_point(p, j)
+            # the facets of unbounded bodies in space, flat bodies with a
+            # ray or a line, made by one more conversion each
+            if p.fulldim and p.rays and n == 3:
+                for h in p.halfspaces:
+                    flat = HalfSpace(la.vneg(h.normal), -h.offset)
+                    Polyhedron.from_halfspaces(p.halfspaces + (flat,), n)
     for rays in ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 0), (0, 1), (-1, -1)]):
         with pytest.raises(WholeSpace):
             Polyhedron.from_generators([(0, 0)], rays)
@@ -1510,7 +1511,7 @@ def _assert_canonical_int_form(p):
     assert list(p.halfspaces) == sorted(p.halfspaces)
     assert list(p.vertices) == sorted(p.vertices)
     assert list(p.rays) == sorted(p.rays)
-    assert Polyhedron.of(p.dim, p.halfspaces, p.vertices, p.rays, p.lineality,
+    assert polyhedron_of(p.dim, p.halfspaces, p.vertices, p.rays, p.lineality,
                          p.fulldim) == p
 
 

@@ -50,6 +50,7 @@ from oracles import (
     lattice_points_in_hrep,
     orthogonal_brute_width,
     quotient_certificate,
+    transpose,
 )
 
 DIAMOND = Polyhedron.from_halfspaces(
@@ -551,11 +552,11 @@ def _facet_by_conversion(p, j):
     try:
         sub = Polyhedron.from_halfspaces(fix_last_axis(rotated, level), p.dim - 1)
     except WholeSpace:
-        return None, la.mat_vec(la.transpose(u), la.vzero(p.dim - 1) + (level,))
+        return None, la.mat_vec(transpose(u), la.vzero(p.dim - 1) + (level,))
     z2 = interior_lattice_point(sub)
     if z2 is None:
         return sub, None
-    return sub, la.mat_vec(la.transpose(u), tuple(z2) + (level,))
+    return sub, la.mat_vec(transpose(u), tuple(z2) + (level,))
 
 
 def test_3d_facet_search_runs_no_conversion(monkeypatch):
@@ -565,9 +566,9 @@ def test_3d_facet_search_runs_no_conversion(monkeypatch):
         pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2))) for _ in range(3))
                for _ in range(rng.randint(4, 7))]
         rays = [tuple(F(rng.randint(-2, 2)) for _ in range(3))
-                for _ in range(len(bodies) % 3)]
-        if len(rays) == 2:
-            rays[1] = la.vneg(rays[0])  # a line
+                for _ in range(len(bodies) % 4)]
+        if len(rays) >= 2:
+            rays[1] = la.vneg(rays[0])  # a line, and a ray when there are 3
         rays = [r for r in rays if not la.is_zero_vec(r)]
         p = Polyhedron.from_generators(pts, rays, 3)
         if p.fulldim:
@@ -576,32 +577,30 @@ def test_3d_facet_search_runs_no_conversion(monkeypatch):
               for p in bodies]
     assert sum(w is not None for ws in wanted for _, w in ws) >= 20
     assert sum(bool(p.lineality) for p in bodies) >= 5
+    assert sum(bool(p.lineality) and len(p.rays) > 2 for p in bodies) >= 5
     assert sum(bool(p.rays) and not p.lineality for p in bodies) >= 5
-    calls, facets = [], []
+    calls = []
 
     def counting_cone_dd(rows, dim):
-        calls.append(dim)
+        calls.append("cone_dd")
         return cone_dd(rows, dim)
 
-    def recording_search(q):
-        if q.dim == 2:  # the facet, not a quotient searched from inside
-            facets.append(q)
-        return real_search(q)
+    real_assemble = Polyhedron._assemble
 
-    real_search = lattice.interior_lattice_point
+    def counting_assemble(rows, gens, dim, **incidence):
+        calls.append("_assemble")
+        return real_assemble(rows, gens, dim, **incidence)
+
     monkeypatch.setattr(geometry, "cone_dd", counting_cone_dd)
-    monkeypatch.setattr(lattice, "interior_lattice_point", recording_search)
+    monkeypatch.setattr(Polyhedron, "_assemble", staticmethod(counting_assemble))
     for p, want in zip(bodies, wanted):
-        for j, (sub, w) in enumerate(want):
-            facets.clear()
+        for j, (_, w) in enumerate(want):
             assert facet_interior_lattice_point(p, j) == w
-            # a bounded facet is scanned on its rows with no body built; an
-            # unbounded one is assembled, and is the body a conversion gives
-            assembled = sub is not None and not sub.is_bounded()
-            assert facets == ([sub] if assembled else [])
-    assert sum(sub is not None and sub.is_bounded()
-               for ws in wanted for sub, _ in ws) >= 20
-    assert calls == []
+    # every facet, bounded or not, is searched on p's rows and generators
+    # with no body built: no conversion and no canonical-form pass
+    kinds = [sub.is_bounded() for ws in wanted for sub, _ in ws if sub is not None]
+    assert kinds.count(True) >= 20 and kinds.count(False) >= 20, kinds
+    assert calls == [], calls
 
 
 def test_facet_search_requires_full_dimension():
@@ -700,7 +699,7 @@ def test_fat_bounded_body_is_scanned_along_its_thinnest_normal(monkeypatch):
         want = first_strict_point_by_columns(
             [(la.mat_vec(m, h.normal), h.offset) for h in p.halfspaces], 3)
         if want is not None:
-            want = la.mat_vec(la.transpose(m), want)
+            want = la.mat_vec(transpose(m), want)
             found += 1
         assert z == want, p
     assert turned >= 5 and found >= 3, (turned, found)
@@ -752,7 +751,9 @@ def test_scan_matches_the_column_oracle_on_random_boxes():
                   for i in range(n)]
         got = lattice._scan([la.integer_copy((-b,) + a) for a, b in rows],
                             ranges, axis)
-        assert got == first_strict_point_by_columns(rows, n)
+        want = first_strict_point_by_columns(rows, n)
+        assert got == (None if want is None else tuple(map(int, want)))
+        assert got is None or all(type(x) is int for x in got)
         found += got is not None
     assert 20 < found < 80
 
@@ -926,7 +927,7 @@ def test_width_is_invariant_under_unimodular_maps():
             if r.width is None:
                 assert rq == r
                 continue
-            u = la.mat_vec(la.transpose(m.inverse_matrix), r.direction)
+            u = la.mat_vec(transpose(m.inverse_matrix), r.direction)
             assert all(la.dot(u, ray) == 0 for ray in q.rays)
             assert _support_width(q, u) == r.width, path.stem
 
