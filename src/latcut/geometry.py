@@ -48,14 +48,17 @@ produced (the facets of ``from_generators``, the vertices and rays of
 ``from_halfspaces``) is irredundant, so only the other side is pruned,
 and its members in no ray's zero set are dropped first.
 
-Affine images, homotheties and polars run neither a conversion nor this
+Affine images, scalings and polars run neither a conversion nor this
 pass.  An invertible map carries facets to facets and extreme generators
 to extreme generators, so ``_image`` maps the normals by the inverse and
 the generators by the map, and only reduces a flat body's other rows off
 its mapped equalities and the generators off the mapped lineality.  A
 ``UnimodularMap`` keeps its inverse, so ``transform`` runs no elimination.
-A homothety of a full-dimensional body keeps normals, rays and lineality,
-and the polar turns the face lattice upside down.  Distances
+Every scaling and homothety, flat or not, is one closed form on ints
+(``_scale_shift``): it keeps normals, rays and lineality, and a flat image
+re-reduces its rows through the tail it shares with ``_image``
+(``_flat_rows``).  The polar turns the face lattice upside down.  A level
+slice reads the int rows with the level put in and converts once.  Distances
 to a polytope walk its real faces, found from the vertices tight on each
 row, on one int scale per call, and a Hausdorff walk stops at its running
 maximum.
@@ -564,22 +567,30 @@ def _image(p: Polyhedron, matrix: Mat, inv: Mat, shift: Vec) -> Polyhedron:
     back = [[dm * dk] + [-x for x in _apply(ki, si)]]
     back += ([0] + [dm * x for x in col] for col in zip(*ki))
     rows = [la.primitive_int(_apply(back, z)) for z in p.rows]
-    # a flat p keeps each equality as a pair of opposite rows
-    both = () if p.fulldim else set(rows)
-    flat = [tuple(-x for x in z) in both for z in rows]
-    eqs = _canonical_basis([z for z, f in zip(rows, flat) if f])
-    # distinct rows and generators of p have distinct images
-    facets = [la.primitive_int(_reduce(z, eqs)) for z, f in zip(rows, flat) if not f]
-    facets += (z for e in eqs for z in (e, tuple(-x for x in e)))
+    if not p.fulldim:
+        rows = _flat_rows(rows)
     basis = _canonical_basis([_apply(fwd, (0,) + l)[1:] for l in p.lines])
     lin_rows = [(0,) + l for l in basis]
+    # distinct generators of p have distinct images
     verts = [la.primitive_int(_reduce(_apply(fwd, g), lin_rows)) for g in p.points]
     rays = basis + [tuple(-x for x in l) for l in basis]
     for r in p.directions:
         _, *y = _reduce(_apply(fwd, (0,) + r), lin_rows)
         if any(y):
             rays.append(la.primitive_int(y))
-    return _canonical(p.dim, facets, verts, rays, basis, not eqs)
+    return _canonical(p.dim, rows, verts, rays, basis, p.fulldim)
+
+
+def _flat_rows(rows) -> list[tuple[int, ...]]:
+    """The canonical rows of a flat body from primitive int rows of its
+    facets and its equalities, each equality a pair of opposite rows: the
+    canonical basis of the pairs, as pairs, and every other row reduced off
+    it (distinct facets stay distinct)."""
+    both = set(rows)
+    flat = [tuple(-x for x in z) in both for z in rows]
+    eqs = _canonical_basis([z for z, f in zip(rows, flat) if f])
+    facets = [la.primitive_int(_reduce(z, eqs)) for z, f in zip(rows, flat) if not f]
+    return facets + [z for e in eqs for z in (e, tuple(-x for x in e))]
 
 
 def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
@@ -601,57 +612,53 @@ def transform(p: Polyhedron, t: UnimodularMap) -> Polyhedron:
 
 
 def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:
-    """lam * p + v for a positive rational lam, in closed form.
-
-    For a full-dimensional p a positive scaling keeps every normal, ray and
-    the lineality, and keeps both sort orders: a . x <= b becomes
-    a . y <= lam b + a . v, and a vertex x becomes lam x + s with s the shift
-    v reduced off the lineality basis.  No canonical-form pass runs.
-
-    A lower-dimensional p is written as the image under the diagonal map
-    lam I, whose inverse is the diagonal 1/lam: its facet rows are reduced
-    off the equalities, so they depend on where the body sits (the segment
-    conv{(0, 1), (1, 1)} has the row x - y <= 0, its translate by (0, 2)
-    the row 3x - y <= 0, not x - y <= -2).
-    """
+    """lam * p + v for a positive rational lam, in closed form on ints
+    (``_scale_shift``), flat or not."""
     lam = la.frac(lam)
     v = la.vec(v)
     if lam <= 0:
         raise ValueError("scale factor must be positive")
     if len(v) != p.dim:
         raise DimensionMismatch("shift dimension mismatch")
-    if not p.fulldim:
-        eye = la.identity(p.dim)
-        return _image(p, tuple(vscale(lam, e) for e in eye),
-                      tuple(vscale(1 / lam, e) for e in eye), v)
     dv, *V = la.integer_copy((ONE,) + v)
     return _scale_shift(p, lam.numerator, lam.denominator, dv, V)
 
 
 def _scale_shift(p: Polyhedron, P: int, Q: int, dv: int, V: list[int]) -> Polyhedron:
-    """lam p + v for a full-dimensional p, lam = P / Q > 0 and v = V / dv,
-    dv > 0, in any terms: each row and point is made primitive.  With
-    s = S / ds the shift reduced off the lineality and a point (dx, X), a
-    row a . x <= -z0 becomes Q dv a . y <= Q a . V - P dv z0."""
+    """lam p + v for lam = P / Q > 0 and v = V / dv, dv > 0, in any terms:
+    each row and point is made primitive.  With s = S / ds the shift reduced
+    off the lineality and a point (dx, X), a row a . x <= -z0 becomes
+    Q dv a . y <= Q a . V - P dv z0, and a vertex x becomes lam x + s.
+
+    A positive scaling keeps every normal, ray and the lineality, and both
+    sort orders, so a full-dimensional image is written down as it is.  The
+    facet rows of a flat body are reduced off its equalities, so they
+    depend on where the body sits (the segment conv{(0, 1), (1, 1)} has the
+    row x - y <= 0, its translate by (0, 2) the row 3x - y <= 0, not
+    x - y <= -2): its mapped rows are reduced again (``_flat_rows``) and
+    put in view order."""
     ds, *S = _reduce([dv] + V, [(0,) + l for l in p.lines])
     pd, qd, pds = P * dv, Q * dv, P * ds
-    rows = tuple(la.primitive_int([pd * z0 - Q * sum(map(operator.mul, a, V))]
-                                  + [qd * x for x in a]) for z0, *a in p.rows)
+    rows = [la.primitive_int([pd * z0 - Q * sum(map(operator.mul, a, V))]
+                             + [qd * x for x in a]) for z0, *a in p.rows]
     points = tuple(la.primitive_int([Q * dx * ds] + [pds * a + Q * dx * s
                                                      for a, s in zip(X, S)])
                    for dx, *X in p.points)
-    return Polyhedron(p.dim, rows, points, p.directions, p.lines, True)
+    if p.fulldim:
+        return Polyhedron(p.dim, tuple(rows), points, p.directions, p.lines, True)
+    return _canonical(p.dim, _flat_rows(rows), points, p.directions, p.lines, False)
 
 
 def homothety(p: Polyhedron, center, factor) -> Polyhedron:
     """Scale p about center: x -> center + factor (x - center), factor > 0.
 
-    A full-dimensional p takes the shift (1 - t) c as ints: with t = P / Q
-    and c = C / cd it is (Q - P) C over Q cd.
+    The shift (1 - t) c is taken as ints: with t = P / Q and c = C / cd it
+    is (Q - P) C over Q cd.  A factor <= 0 or a center of the wrong length
+    goes to ``minkowski_scale_shift``, which raises the error.
     """
     center = la.vec(center)
     factor = la.frac(factor)
-    if not p.fulldim or factor <= 0 or len(center) != p.dim:
+    if factor <= 0 or len(center) != p.dim:
         return minkowski_scale_shift(p, factor, vscale(ONE - factor, center))
     P, Q = factor.numerator, factor.denominator
     cd, *C = la.integer_copy((ONE,) + center)
@@ -843,36 +850,31 @@ def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # level slices and embeddings (last-axis convention); a slice is read off the
-# rows with x_n fixed, so it costs one conversion
-
-
-def fix_last_axis(halfspaces, level) -> list[HalfSpace]:
-    """The rows a . x <= b with x_n = level put in, one dimension down.
-
-    Each row becomes a[:-1] . y <= b - a_n level.  A row whose new normal is
-    zero is dropped when it holds and raises EmptySet when it fails.
-    """
-    level = la.frac(level)
-    out = []
-    for h in halfspaces:
-        head = h.normal[:-1]
-        rhs = h.offset - h.normal[-1] * level
-        if la.is_zero_vec(head):
-            if rhs < 0:
-                raise EmptySet("the level misses a half-space")
-            continue
-        out.append(HalfSpace.make(head, rhs))
-    return out
+# int rows with x_n fixed, so it costs one conversion
 
 
 def level_slice(p: Polyhedron, level) -> Polyhedron:
     """p intersected with {x_n = level}, in the first n-1 coordinates.
 
-    Raises EmptySet when the level misses p and WholeSpace when no row
-    constrains the slice.
+    With level = t / dt, each int row (z0, a) becomes
+    (dt z0 + a_n t, dt a[:-1]), read dt a[:-1] . y <= -(dt z0 + a_n t).  A
+    row whose new normal is zero is dropped when it holds and raises
+    EmptySet when it fails; WholeSpace is raised when no row constrains the
+    slice.
     """
-    return Polyhedron.from_halfspaces(fix_last_axis(p.halfspaces, level),
-                                      p.dim - 1)
+    level = la.frac(level)
+    t, dt = level.numerator, level.denominator
+    rows = []
+    for z0, *a in p.rows:
+        head = [dt * x for x in a[:-1]]
+        z = dt * z0 + a[-1] * t
+        if any(head):
+            rows.append([z] + head)
+        elif z > 0:
+            raise EmptySet("the level misses a half-space")
+    if not rows:
+        raise WholeSpace("no half-spaces given")
+    return Polyhedron._from_rows(rows, p.dim - 1)
 
 
 def embed_last_axis(p: Polyhedron, level) -> Polyhedron:

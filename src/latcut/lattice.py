@@ -381,7 +381,12 @@ def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
     """Decide lattice-freeness of a full-dimensional body, with evidence."""
     if not p.fulldim:
         raise NotFullDimensional("lattice-free check needs a full-dimensional body")
-    bad = interior_lattice_point(p)
+    return _certificate(p, interior_lattice_point(p))
+
+
+def _certificate(p: Polyhedron, bad) -> LatticeFreeCert:
+    """The certificate of p given its interior search's answer bad: an
+    integer point strictly inside p, or None when p is lattice-free."""
     if bad is not None:
         return LatticeFreeCert(False, bad, (), None)
     witnesses = tuple(facet_interior_lattice_point(p, j)
@@ -427,12 +432,8 @@ def lattice_width(p: Polyhedron) -> WidthReport:
         return WidthReport(None, None, None, None)
     # a repeated point would give K a zero row
     verts = list(dict.fromkeys(map(tuple, heads)))
-
-    def spread(u):
-        vals = [sum(map(operator.mul, u, v)) for v in verts]
-        return max(vals) - min(vals)
-
-    best, axis = min((spread([int(i == j) for j in range(n)]), i) for i in range(n))
+    best, axis = min((_spread([int(i == j) for j in range(n)], verts), i)
+                     for i in range(n))
     best_u = tuple(int(i == axis) for i in range(n))
     w0 = Fraction(best, s)  # K's rows on scale s: (s v - s x) . u <= s w0
     diffs = [list(map(operator.sub, v, x)) for v, x in itertools.permutations(verts, 2)]
@@ -443,7 +444,7 @@ def lattice_width(p: Polyhedron) -> WidthReport:
     for z in _points_in(k):
         if next((x for x in z if x), 0) <= 0 or math.gcd(*z) != 1:
             continue  # zero, the mirror of a direction, or not primitive
-        w = spread(z)
+        w = _spread(z, verts)
         if w < best:
             best, best_u = w, z
     back = la.primitive_int(_apply(list(zip(*um)), best_u + (0,) * r))  # U^T (c, 0)
@@ -482,17 +483,19 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
         tight = q.rows[j]
         cons = q.rows[:j] + q.rows[j + 1:]
         q, z = _try_drop(cons)
-        if z is not None:
-            # the facet cannot be dropped: push it.  z is strictly inside
-            # the other facets and beyond this one (on its line z would
-            # witness it), so the level a . z has a point and ends the scan
-            g = math.gcd(*tight[1:])
-            normal = [x // g for x in tight[1:]]
-            level = next((t for t in range(-tight[0] // g + 1,
-                                           sum(map(operator.mul, normal, z)) + 1)
-                          if _integer_point_on_line(normal, t, cons) is not None), None)
-            require(level is not None, "no level up to a . z meets an integer point")
-            q = Polyhedron._from_rows([*cons, (-level, *normal)], 2)
+        if z is None:
+            cert = _certificate(q, None)  # the drop searched q's interior
+            continue
+        # the facet cannot be dropped: push it.  z is strictly inside the
+        # other facets and beyond this one (on its line z would witness
+        # it), so the level a . z has a point and ends the scan
+        g = math.gcd(*tight[1:])
+        normal = [x // g for x in tight[1:]]
+        level = next((t for t in range(-tight[0] // g + 1,
+                                       sum(map(operator.mul, normal, z)) + 1)
+                      if _integer_point_on_line(normal, t, cons) is not None), None)
+        require(level is not None, "no level up to a . z meets an integer point")
+        q = Polyhedron._from_rows([*cons, (-level, *normal)], 2)
         cert = certify_lattice_free(q)
         require(cert.lattice_free, "grown body is not lattice-free")
     return q

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .cuts import _ratio, _shifted, gauge
-from .errors import NotPolytope, PointNotInterior
+from .cuts import _ratio, _shifted
+from .errors import PointNotInterior
 from .geometry import Polyhedron, homothety
-from .linalg import ZERO, Vec, vadd, vscale, vsub
+from .linalg import ZERO, Vec, vadd, vscale
 
 
 @dataclass(frozen=True)
@@ -80,33 +80,6 @@ def family_strength_upper(family, l: Polyhedron, f):
     return best
 
 
-def family_strength_lower(family, l: Polyhedron, f):
-    """Certified lower bound on the family strength functional.
-
-    For the column matrix made of the vertex directions of L - f, the point
-    (m, ..., m)/(k+1) with m the best family gauge maximum lies in the
-    family closure but escapes the scaled L-cut, pinning the functional
-    above m/(k+1).  None means the bound itself is infinite.
-    """
-    f = la.vec(f)
-    if l.rays:
-        raise NotPolytope("the witness construction needs a polytope")
-    if not l.contains_point(f, strict=True):
-        return ZERO
-    k = len(l.vertices)
-    dirs = [vsub(v, f) for v in l.vertices]
-    best = None
-    for b in family:
-        if not b.contains_point(f, strict=True):
-            continue  # trivial cut: cannot serve as the covering member
-        m = max(gauge(b, f, r) for r in dirs)
-        if best is None or m < best:
-            best = m
-    if best is None:
-        return None
-    return best / (k + 1)
-
-
 @dataclass(frozen=True)
 class SandwichReport:
     """Two-sided bracket on the family strength functional.
@@ -124,7 +97,9 @@ class SandwichReport:
 
 def sandwich(family, l: Polyhedron, f) -> SandwichReport:
     """Each member's strength is taken once: on a polytope L it is the
-    largest vertex gauge m, so ``family_strength_lower`` is upper / (k + 1)."""
+    largest vertex gauge m, and the vertex-column witness pins the family
+    functional above the least such m over k + 1, k the vertex count, so
+    lower is upper / (k + 1)."""
     f = la.vec(f)
     n_bound = len(l.points) + len(l.directions) + 1
     if l.directions:

@@ -351,6 +351,28 @@ def brute_force_slice(vertices, level):
     return sorted(set(chain(pts) + chain(reversed(pts))))
 
 
+def fix_last_axis(halfspaces, level):
+    """The rows a . x <= b with x_n = level put in, one dimension down, as
+    ``HalfSpace`` rows: each becomes a[:-1] . y <= b - a_n level, and a row
+    whose new normal is zero is dropped when it holds and raises EmptySet
+    when it fails.  The Fraction reference for ``geometry.level_slice``
+    (through ``Polyhedron.from_halfspaces``)."""
+    from latcut.errors import EmptySet
+    from latcut.geometry import HalfSpace
+
+    level = la.frac(level)
+    out = []
+    for h in halfspaces:
+        head = h.normal[:-1]
+        rhs = h.offset - h.normal[-1] * level
+        if la.is_zero_vec(head):
+            if rhs < 0:
+                raise EmptySet("the level misses a half-space")
+            continue
+        out.append(HalfSpace.make(head, rhs))
+    return out
+
+
 def _turn(o, a, b):
     """Twice the signed area of the triangle o, a, b."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -979,3 +1001,35 @@ def quotient_certificate(p):
         witnesses.append(None if w is None else back(w))
     return LatticeFreeCert(True, None, tuple(witnesses),
                            all(w is not None for w in witnesses))
+
+
+def family_strength_lower(family, l, f):
+    """Certified lower bound on the family strength functional.
+
+    For the column matrix made of the vertex directions of L - f, the point
+    (m, ..., m)/(k+1) with m the best family gauge maximum lies in the
+    family closure but escapes the scaled L-cut, pinning the functional
+    above m/(k+1).  None means the bound itself is infinite.  Every
+    member's vertex gauges are recomputed: the reference for the lower
+    bound of ``strength.sandwich``.
+    """
+    from latcut.cuts import gauge
+    from latcut.errors import NotPolytope
+
+    f = la.vec(f)
+    if l.rays:
+        raise NotPolytope("the witness construction needs a polytope")
+    if not l.contains_point(f, strict=True):
+        return ZERO
+    k = len(l.vertices)
+    dirs = [vsub(v, f) for v in l.vertices]
+    best = None
+    for b in family:
+        if not b.contains_point(f, strict=True):
+            continue  # trivial cut: cannot serve as the covering member
+        m = max(gauge(b, f, r) for r in dirs)
+        if best is None or m < best:
+            best = m
+    if best is None:
+        return None
+    return best / (k + 1)

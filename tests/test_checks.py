@@ -155,7 +155,7 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
     assert counts == {"cubeface-census": (118, 0),
                       "lifting-end-to-end": (120, 31),
                       "inapprox-witnesses": (1538, 0),
-                      "approximation-factors": (887, 22)}, counts
+                      "approximation-factors": (879, 22)}, counts
 
 
 def test_width_runs_one_conversion_and_no_lp(monkeypatch):
@@ -198,7 +198,6 @@ def test_unbounded_interior_search_is_one_pass(monkeypatch):
              "cone_dd": counting(monkeypatch, geometry, "cone_dd"),
              "kernel_basis": counting(monkeypatch, latcut.linalg, "kernel_basis"),
              "rank": counting(monkeypatch, latcut.linalg, "rank")}
-    monkeypatch.setattr(lattice, "level_slice", geometry.level_slice, raising=False)
     searches = counting(monkeypatch, lattice, "interior_lattice_point")
     found = 0
     for p in bodies:
@@ -215,6 +214,34 @@ def test_lattice_keeps_one_int_frame():
     for name in ("transform", "UnimodularMap", "_level_map", "_split_off_lineality"):
         assert not hasattr(lattice, name), name
     assert not hasattr(latcut.linalg, "alignment_unimodular")
+
+
+def test_scalings_build_no_image(monkeypatch):
+    # every scaling, flat or not, is one closed form on ints: no image under
+    # a Fraction diagonal map, so truncated-cone-shrink, which rescales flat
+    # bases level by level, builds none (a flat route through diagonal
+    # images built 300)
+    images = counting(monkeypatch, geometry, "_image")
+    assert run_scenario("truncated-cone-shrink").passed
+    counts = {"truncated-cone-shrink": len(images)}
+    images.clear()
+    eyes = counting(monkeypatch, latcut.linalg, "identity")
+    flat = [geometry.Polyhedron.from_generators(v, r) for v, r in (
+        ([(0, 1), (1, 1)], []),
+        ([(1, F(1, 3))], [(2, 1)]),
+        ([(F(7, 2),)], []),
+        ([(0, 1, 2), (3, 1, 1)], []),
+        ([(0, 0, F(1, 2)), (2, 1, F(1, 2)), (1, 3, F(1, 2))], []),
+        ([(F(1, 2), 0, 1)], [(1, 1, 0), (-1, -1, 0)]),
+        ([(0, 0, 0), (1, 0, 1)], [(0, 1, 0), (0, -1, 0), (1, 0, 1)]))]
+    assert not any(p.fulldim for p in flat)
+    for p in flat:
+        shift = (F(-2, 3), 1, F(5, 2))[:p.dim]
+        geometry.minkowski_scale_shift(p, F(5, 3), shift)
+        geometry.homothety(p, shift, F(2, 7))
+        geometry.translate(p, shift)
+    counts["flat"] = (len(images), len(eyes))
+    assert counts == {"truncated-cone-shrink": 0, "flat": (0, 0)}, counts
 
 
 def test_one_canonical_form_pass_per_conversion(monkeypatch):
@@ -323,9 +350,7 @@ def test_bounded_3d_facet_search_builds_no_sub_body(monkeypatch):
              for name in ("mat_vec", "inverse", "kernel_basis")}
     calls["make"] = counting(monkeypatch, geometry.HalfSpace, "make")
     calls["_assemble"] = counting(monkeypatch, geometry.Polyhedron, "_assemble")
-    calls["fix_last_axis"] = counting(monkeypatch, geometry, "fix_last_axis")
-    monkeypatch.setattr(lattice, "fix_last_axis", geometry.fix_last_axis,
-                        raising=False)
+    calls["level_slice"] = counting(monkeypatch, geometry, "level_slice")
     witnesses = 0
     for p in bodies:
         assert p.dim == 3 and p.is_bounded()
@@ -448,6 +473,7 @@ def test_hot_chain_builds_no_fraction_view(monkeypatch):
         "homothety-contains": lambda b, l, t: geometry.homothety(
             b, f, F(7, 3)).contains(l),
         "translate": lambda b, l, t: geometry.translate(b, (1, F(-2, 3), 4)),
+        "level_slice": lambda b, l, t: geometry.level_slice(b, f[-1]),
         "transform": lambda b, l, t: geometry.transform(b, t),
         "gauge": lambda b, l, t: latcut.cuts.gauge(b, f, (F(3, 2), -1, 2)),
         "relative_strength": lambda b, l, t: latcut.strength.relative_strength(

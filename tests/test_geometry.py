@@ -50,6 +50,7 @@ from oracles import (
     brute_force_lp,
     brute_force_slice,
     brute_force_vertices,
+    fix_last_axis,
     fraction_assemble,
     fraction_cone_dd,
     fraction_distance_sq,
@@ -1061,7 +1062,7 @@ def test_scale_shift_matches_the_fraction_formula():
             diag = tuple(la.vscale(lam, e) for e in la.identity(n))
             assert repr(minkowski_scale_shift(p, lam, v)) == repr(
                 assembled_affine_image(p, diag, v)), (kind, p, lam, v)
-            # a full-dimensional p takes the shift (1 - t) c on ints
+            # every p, flat or not, takes the shift (1 - t) c on ints
             for t in (lam, F(1)):
                 assert repr(homothety(p, c, t)) == repr(
                     minkowski_scale_shift(p, t, la.vscale(1 - t, c))), (p, c, t)
@@ -1146,6 +1147,36 @@ def test_level_slice_matches_brute_force():
             assert s.dim == n - 1 and s.rays == ()
             assert list(s.vertices) == want
     assert flat_tops > 0
+
+
+def _outcome(run):
+    """repr of run(), or the type and message of the LatcutError it raised."""
+    try:
+        return repr(run())
+    except (EmptySet, WholeSpace) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_level_slice_matches_the_halfspace_route():
+    # level_slice fixes x_n on the int rows and converts once; the reference
+    # fixes it on the Fraction half-spaces, one HalfSpace.make per row, and
+    # converts those: the same slice, and the same error, type and message
+    rng = random.Random(30)
+    outcomes = {}
+    for (kind, n), ps in _bodies_of_every_kind(rng, 12).items():
+        for p in ps:
+            heights = sorted({v[-1] for v in p.vertices})
+            levels = {0, heights[0], heights[-1] + 1, heights[0] - F(5, 2)}
+            levels.update(F(rng.randint(-20, 20), rng.choice((1, 2, 3, 7)))
+                          for _ in range(3))
+            for t in sorted(levels):
+                want = _outcome(lambda: Polyhedron.from_halfspaces(
+                    fix_last_axis(p.halfspaces, t), n - 1))
+                assert _outcome(lambda: level_slice(p, t)) == want, (p, t)
+                key = want[0] if isinstance(want, tuple) else "slice"
+                outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes["EmptySet"] >= 100 and outcomes["slice"] >= 200, outcomes
+    assert outcomes["WholeSpace"] >= 3, outcomes
 
 
 def test_squared_distances():

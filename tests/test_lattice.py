@@ -24,7 +24,6 @@ from latcut.geometry import (
     Polyhedron,
     UnimodularMap,
     cone_dd,
-    fix_last_axis,
     homothety,
     transform,
     translate,
@@ -45,6 +44,7 @@ from oracles import (
     box_scan_width,
     brute_force_vertices,
     first_strict_point_by_columns,
+    fix_last_axis,
     fraction_alignment,
     fraction_strict_integer,
     lattice_points_in_hrep,

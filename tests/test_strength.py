@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from latcut.errors import NotPolytope, PointNotInterior
 from latcut.geometry import Polyhedron, homothety
 from latcut.strength import (
-    family_strength_lower,
     family_strength_upper,
     find_covering_body,
     inner_approximation,
     relative_strength,
     sandwich,
 )
+
+from oracles import family_strength_lower
 
 F12 = (F(1, 2), F(1, 2))
 SQ01 = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
