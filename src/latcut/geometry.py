@@ -636,7 +636,8 @@ def _scale_shift(p: Polyhedron, P: int, Q: int, dv: int, V: list[int]) -> Polyhe
     depend on where the body sits (the segment conv{(0, 1), (1, 1)} has the
     row x - y <= 0, its translate by (0, 2) the row 3x - y <= 0, not
     x - y <= -2): its mapped rows are reduced again (``_flat_rows``) and
-    put in view order."""
+    sorted by normal, while its points, rays and lineality keep their
+    order."""
     ds, *S = _reduce([dv] + V, [(0,) + l for l in p.lines])
     pd, qd, pds = P * dv, Q * dv, P * ds
     rows = [la.primitive_int([pd * z0 - Q * sum(map(operator.mul, a, V))]
@@ -644,9 +645,9 @@ def _scale_shift(p: Polyhedron, P: int, Q: int, dv: int, V: list[int]) -> Polyhe
     points = tuple(la.primitive_int([Q * dx * ds] + [pds * a + Q * dx * s
                                                      for a, s in zip(X, S)])
                    for dx, *X in p.points)
-    if p.fulldim:
-        return Polyhedron(p.dim, tuple(rows), points, p.directions, p.lines, True)
-    return _canonical(p.dim, _flat_rows(rows), points, p.directions, p.lines, False)
+    if not p.fulldim:
+        rows = sorted(_flat_rows(rows), key=_normal)
+    return Polyhedron(p.dim, tuple(rows), points, p.directions, p.lines, p.fulldim)
 
 
 def homothety(p: Polyhedron, center, factor) -> Polyhedron:

@@ -210,8 +210,11 @@ def test_unbounded_interior_search_is_one_pass(monkeypatch):
 
 def test_lattice_keeps_one_int_frame():
     # the lattice searches turn int rows and points by alignment_int pairs:
-    # no image of a body, no UnimodularMap, no quotient by the lineality
-    for name in ("transform", "UnimodularMap", "_level_map", "_split_off_lineality"):
+    # no image of a body, no UnimodularMap, no quotient by the lineality;
+    # and they bind no slice of their own, so the counts of
+    # geometry.level_slice in the search tests see every slice they make
+    for name in ("transform", "UnimodularMap", "_level_map", "_split_off_lineality",
+                 "level_slice", "fix_last_axis"):
         assert not hasattr(lattice, name), name
     assert not hasattr(latcut.linalg, "alignment_unimodular")
 
