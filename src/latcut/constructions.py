@@ -27,6 +27,7 @@ from .errors import (
     MuTooSmall,
     NotLatticeFreeInput,
     NotPolytope,
+    NotSeparable,
     OutOfRange,
     PointNotInterior,
     UnsupportedDimension,
@@ -42,7 +43,6 @@ from .geometry import (
     level_slice,
     minkowski_scale_shift,
     product_with_line,
-    separate,
     transform,
 )
 from .lattice import (
@@ -55,7 +55,6 @@ from .lattice import (
     point_denominator,
 )
 from .linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub, vzero
-from .simplex import solve_ineq
 from .strength import relative_strength
 
 
@@ -203,45 +202,25 @@ class FacetSubsetResult:
 
 def _zero_combination(normals: list[Vec]):
     """Positive convex weights on an affinely independent subset of the
-    normals expressing 0, or None when 0 is outside their hull."""
-    m = len(normals)
-    n = len(normals[0])
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    for j in range(m):
-        rows.append(tuple(-ONE if k == j else ZERO for k in range(m)))
-        rhs.append(ZERO)
-    ones = (ONE,) * m
-    rows.append(ones)
-    rhs.append(ONE)
-    rows.append(vneg(ones))
-    rhs.append(-ONE)
-    for c in range(n):
-        row = tuple(normals[j][c] for j in range(m))
-        rows.append(row)
-        rhs.append(ZERO)
-        rows.append(vneg(row))
-        rhs.append(ZERO)
-    res = solve_ineq(rows, rhs, vzero(m), sense="max")
-    if res.status == "infeasible":
-        return None
-    lam = list(res.point)
-    support = [j for j in range(m) if lam[j] > 0]
-    while True:
-        pts = [normals[j] for j in support]
-        eqs = [[p[c] for p in pts] for c in range(n)]
-        eqs.append([ONE] * len(pts))
-        dep = la.kernel_basis(eqs, len(pts))
-        if not dep:
-            break
-        nu = dep[0]
-        if all(x <= 0 for x in nu):
-            nu = vneg(nu)
-        t = min(lam[support[k]] / nu[k] for k in range(len(nu)) if nu[k] > 0)
-        for k, j in enumerate(support):
-            lam[j] -= t * nu[k]
-        support = [j for j in support if lam[j] > 0]
-    return support, [lam[j] for j in support]
+    nonzero normals expressing 0, or None when 0 is outside their hull.
+
+    By Caratheodory's theorem (Schrijver, Theory of Linear and Integer
+    Programming, 1986, ch. 8) 0 lies in the hull of some affinely
+    independent subset, with positive weights, whenever it lies in the
+    hull of all of them; such a subset has 2 to n + 1 members.  The subsets
+    are tried by size, then in index order, and each takes one Gauss-Jordan
+    pass on [N; 1 | 0; 1]: the subset is affinely independent iff every
+    column is a pivot, and then the weights are the last column.
+    """
+    m, n = len(normals), len(normals[0])
+    for k in range(2, min(m, n + 1) + 1):
+        for idx in itertools.combinations(range(m), k):
+            rows = [[normals[j][c] for j in idx] + [ZERO] for c in range(n)]
+            rows.append([ONE] * (k + 1))
+            tab, den, pivots = la.rref_int(rows)
+            if pivots == list(range(k)) and all(tab[r][k] > 0 for r in range(k)):
+                return list(idx), [Fraction(tab[r][k], den[r]) for r in range(k)]
+    return None
 
 
 def caratheodory_facet_subset(m: Polyhedron) -> FacetSubsetResult:
@@ -293,10 +272,14 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
     Given a lattice-free base d for the level-t slice of l and a shrink
     ratio gamma whose homothety L' has last-axis width at most 1 and meets
     level t, produces a lattice-free body with at most (facets of d) + 1
-    facets containing homothety(l, f, gamma/4).  Separating half-spaces are
-    pushed against the parts of level t outside each facet of d; if both
-    integer levels remain facets afterwards, a truncated-cone shrink about
-    f removes one of them.
+    facets containing homothety(l, f, gamma/4).  With level t moved to 0,
+    each facet a . x' <= beta of d becomes the half-space (a, s) . x <= beta
+    of the pencil through its trace on level 0 that holds the shrunken body
+    and is deepest at f, so the part of level 0 beyond the facet stays
+    outside; s is read off the body's generators in closed form, a tie
+    going to the least |s|, then to s >= 0 (``_pencil``).  If both integer
+    levels remain facets afterwards, a truncated-cone shrink about f
+    removes one of them.  No LP is solved.
     """
     f = la.vec(f)
     gamma = la.frac(gamma)
@@ -362,19 +345,14 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
     """Separation stage of the lift, in normalized coordinates.
 
     lp0 is the shrunken body, its interior meets level 0, f0 is its center
-    with 0 <= f0_n <= 1/4.
+    with 0 <= f0_n <= 1/4.  Each facet a . x' <= beta of d gets the
+    separator (a, t) . x <= beta deepest at f0, t in closed form with ties
+    to the least |t|, then to t >= 0 (``_pencil``); the caps |x_n| <= 1
+    close the body.
     """
     n = lp0.dim
     e = vzero(n - 1) + (ONE,)
-    seps = []
-    for h in d.halfspaces:
-        # closure of the part of level 0 beyond facet h of the base
-        beyond = Polyhedron.from_halfspaces(
-            [HalfSpace.make(vneg(h.normal) + (ZERO,), -h.offset),
-             HalfSpace.make(e, ZERO),
-             HalfSpace.make(vneg(e), ZERO)],
-            n)
-        seps.append(separate(lp0, beyond, f0))
+    seps = [_pencil(lp0, f0, z) for z in d.rows]
     caps = [HalfSpace.make(e, ONE), HalfSpace.make(vneg(e), ONE)]
     bprime = Polyhedron.from_halfspaces(seps + caps, n)
     m = len(d.halfspaces)
@@ -420,6 +398,41 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
     tprime = truncated_cone_shrink(cone, f0)
     rest = [seps[j] for j in range(m) if j not in set(idx)]
     return Polyhedron.from_halfspaces(list(tprime.halfspaces) + rest, n)
+
+
+def _pencil(lp0: Polyhedron, f0: Vec, z) -> HalfSpace:
+    """The half-space holding lp0 that keeps the part of level 0 beyond the
+    facet a . x' <= beta of the base (the int row z = (-beta, a)) outside
+    its interior, and is deepest at f0.
+
+    lp0 has points on both sides of level 0, so every such separator is
+    (a, t) . x <= beta for one t, a pencil through the facet's trace on
+    level 0.  A generator g = (g0, g', g_n) of lp0 (g0 = 0 for a ray)
+    holds iff t g_n <= beta g0 - a . g', which bounds t from above when g_n
+    > 0 and from below when g_n < 0; one on level 0 that breaks the facet
+    leaves no separator.  Scaled so that the normal's largest entry is 1,
+    the depth at f0 is (beta - a . f0' - t f0_n) / max(|a|_inf, |t|),
+    linear in t on [-|a|_inf, |a|_inf] and monotone on either side.  So
+    the best t is one of the interval's ends, +/-|a|_inf or 0, each clipped
+    to the interval, and a tie goes to the least |t|, then to t >= 0.
+    """
+    z0, *a = z
+    below, above = [], []
+    for g in itertools.chain(lp0.points, ((0, *r) for r in lp0.directions)):
+        s = z0 * g[0] + sum(x * y for x, y in zip(a, g[1:-1]))  # t g_n <= -s
+        if g[-1]:
+            (above if g[-1] > 0 else below).append(Fraction(-s, g[-1]))
+        elif s > 0:
+            raise NotSeparable("the base's facet cuts the body on level 0")
+    require(below and above, "the shrunken body does not straddle level 0")
+    lo, hi = max(below), min(above)
+    if lo > hi:
+        raise NotSeparable("no half-space through the facet holds the body")
+    norm = max(map(abs, a))
+    depth = -z0 - sum(x * y for x, y in zip(a, f0))  # beta - a . f0'
+    t = min((min(max(Fraction(c), lo), hi) for c in (lo, hi, norm, -norm, 0)),
+            key=lambda t: (-(depth - t * f0[-1]) / max(norm, abs(t)), abs(t), t < 0))
+    return HalfSpace.make((*a, t), -z0)
 
 
 # ---------------------------------------------------------------------------

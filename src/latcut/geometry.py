@@ -86,13 +86,11 @@ from . import linalg as la
 from .errors import (
     DimensionMismatch,
     EmptySet,
-    NotSeparable,
     OriginNotInterior,
     WholeSpace,
     require,
 )
 from .linalg import Mat, Vec, ZERO, ONE, dot, vadd, vneg, vscale
-from .simplex import LpResult, solve_ineq
 
 
 # ---------------------------------------------------------------------------
@@ -671,77 +669,6 @@ def translate(p: Polyhedron, v) -> Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# separation
-
-
-def separate(p: Polyhedron, q: Polyhedron, slack_point=None) -> HalfSpace:
-    """A half-space h with p inside h and q outside the interior of h.
-
-    Searches the cone of valid separators by LP.  When ``slack_point`` is
-    given (a point of p, normally interior), the separator maximizing the
-    slack offset - normal . slack_point is returned, which is the deepest
-    cut through that point; otherwise any nonzero separator is returned.
-    Raises NotSeparable when only the zero functional separates.
-    """
-    if p.dim != q.dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    n = p.dim
-    # variables (a, b): a . x <= b on p, a . y >= b on q, plus a box so the
-    # LP is bounded.
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-
-    def add(coef_a: Vec, coef_b: Fraction, bound: Fraction):
-        rows.append(tuple(coef_a) + (coef_b,))
-        rhs.append(bound)
-
-    for v in p.vertices:
-        add(v, Fraction(-1), ZERO)            # a.v - b <= 0
-    for r in p.rays:
-        add(r, ZERO, ZERO)                    # a.r <= 0
-    for v in q.vertices:
-        add(vneg(v), ONE, ZERO)               # -a.v + b <= 0
-    for r in q.rays:
-        add(vneg(r), ZERO, ZERO)              # -a.r <= 0
-    big = ONE + max(
-        (sum(abs(x) for x in v) for v in itertools.chain(p.vertices, q.vertices)),
-        default=ZERO,
-    )
-    for i in range(n):
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        add(e, ZERO, ONE)
-        add(vneg(e), ZERO, ONE)
-    add(la.vzero(n), ONE, big)
-    add(la.vzero(n), Fraction(-1), big)
-
-    def lp(objective: Vec) -> LpResult:
-        res = solve_ineq(rows, rhs, objective, sense="max")
-        require(res.status == "optimal", "separation LP is not optimal")
-        return res
-
-    candidates: list[Vec] = []
-    if slack_point is not None:
-        sp = la.vec(slack_point)
-        res = lp(tuple(-x for x in sp) + (ONE,))  # maximize b - a . sp
-        if res.value > 0:
-            candidates.append(res.point)
-    if not candidates:
-        for i in range(n):
-            for sign in (ONE, -ONE):
-                obj = tuple((sign if j == i else ZERO) for j in range(n)) + (ZERO,)
-                res = lp(obj)
-                if res.value > 0:
-                    candidates.append(res.point)
-                    break
-            if candidates:
-                break
-    if not candidates:
-        raise NotSeparable("interiors intersect; no separating half-space")
-    a, b = candidates[0][:n], candidates[0][n]
-    return HalfSpace.make(a, b)
-
-
-# ---------------------------------------------------------------------------
 # exact euclidean distances (squared) between polytopes
 
 
@@ -811,21 +738,6 @@ def _distance_sq(x: list[int], verts, frames, cap=(-1, 1)) -> tuple[int, int]:
                 return d, big
             bn, bd = d, big
     return bn, bd
-
-
-def squared_distance_point(x: Vec, p: Polyhedron) -> Fraction:
-    """Exact squared euclidean distance from x to a bounded polyhedron.
-
-    The closest point lies in the relative interior of a unique face and is
-    the orthogonal projection of x onto that face's affine hull.  So the
-    minimum over the vertices and over the projections onto each face that
-    land inside p is the distance.  It runs on ints for one scale s per
-    call (``_face_frames``), and the result is d / s^2.
-    """
-    x = la.vec(x)
-    s = math.lcm(*(a.denominator for a in x), *(pt[0] for pt in p.points))
-    n, d = _distance_sq(_on_scale((ONE,) + x, s), *_face_frames(p, s))
-    return Fraction(n, d * s * s)
 
 
 def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:

@@ -11,8 +11,7 @@ builds one Fraction per call.  Floats never enter any computation here.
 
 One fraction-free Gauss-Jordan step, ``pivot``, does every elimination:
 ``rref_int`` and so ``rank``, ``solve``, ``inverse`` and ``kernel_basis``,
-and the tableau of ``simplex.solve_ineq``; ``solve``, ``inverse`` and
-``kernel_basis`` read its table and build one Fraction per entry.  The
+which read its table and build one Fraction per entry.  The
 unimodular matrices come from an int column echelon that keeps C^-1 by the
 inverse row step of each column step, so none of them is ever inverted.
 """

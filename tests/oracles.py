@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from latcut import linalg as la
 from latcut.linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub
-from latcut.simplex import LpResult, solve_ineq
+from simplex import LpResult, solve_ineq
 
 
 def norm_sq(u: Vec) -> Fraction:
@@ -104,6 +104,112 @@ def max_inner_segment(p, axis):
     res = solve_ineq(rows, rhs, la.vzero(n) + (ONE,), sense="max")
     assert res.status == "optimal"
     return res.value
+
+
+def _separator_rows(p, q):
+    """The rows of the LP over separators (a, b) of p from q, in a box."""
+    from latcut.errors import DimensionMismatch
+
+    if p.dim != q.dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    n = p.dim
+    # variables (a, b): a . x <= b on p, a . y >= b on q, plus a box so the
+    # LP is bounded.
+    rows, rhs = [], []
+
+    def add(coef_a, coef_b, bound):
+        rows.append(tuple(coef_a) + (coef_b,))
+        rhs.append(bound)
+
+    for v in p.vertices:
+        add(v, Fraction(-1), ZERO)            # a.v - b <= 0
+    for r in p.rays:
+        add(r, ZERO, ZERO)                    # a.r <= 0
+    for v in q.vertices:
+        add(vneg(v), ONE, ZERO)               # -a.v + b <= 0
+    for r in q.rays:
+        add(vneg(r), ZERO, ZERO)              # -a.r <= 0
+    big = ONE + max(
+        (sum(abs(x) for x in v) for v in itertools.chain(p.vertices, q.vertices)),
+        default=ZERO,
+    )
+    for i in range(n):
+        e = tuple(ONE if j == i else ZERO for j in range(n))
+        add(e, ZERO, ONE)
+        add(vneg(e), ZERO, ONE)
+    add(la.vzero(n), ONE, big)
+    add(la.vzero(n), Fraction(-1), big)
+    return rows, rhs
+
+
+def separate(p, q, slack_point=None):
+    """A half-space h with p inside h and q outside the interior of h, by
+    the simplex over the cone of valid separators in a box: the LP
+    reference for the lift's closed-form separator
+    (``constructions._pencil``).
+
+    When ``slack_point`` is given (a point of p, normally interior), the
+    separator maximizing the slack offset - normal . slack_point is
+    returned, which is the deepest cut through that point; otherwise any
+    nonzero separator is returned.  Raises NotSeparable when only the zero
+    functional separates.
+    """
+    from latcut.errors import NotSeparable
+    from latcut.geometry import HalfSpace
+
+    n = p.dim
+    rows, rhs = _separator_rows(p, q)
+
+    def lp(objective):
+        res = solve_ineq(rows, rhs, objective, sense="max")
+        assert res.status == "optimal", "separation LP is not optimal"
+        return res
+
+    candidates = []
+    if slack_point is not None:
+        sp = la.vec(slack_point)
+        res = lp(tuple(-x for x in sp) + (ONE,))  # maximize b - a . sp
+        if res.value > 0:
+            candidates.append(res.point)
+    if not candidates:
+        for i in range(n):
+            for sign in (ONE, -ONE):
+                obj = tuple((sign if j == i else ZERO) for j in range(n)) + (ZERO,)
+                res = lp(obj)
+                if res.value > 0:
+                    candidates.append(res.point)
+                    break
+            if candidates:
+                break
+    if not candidates:
+        raise NotSeparable("interiors intersect; no separating half-space")
+    a, b = candidates[0][:n], candidates[0][n]
+    return HalfSpace.make(a, b)
+
+
+def separation_depth(p, q, point):
+    """The optimum of ``separate``'s LP at point: max b - a . point over
+    the separators a . x <= b of p from q in its box."""
+    rows, rhs = _separator_rows(p, q)
+    res = solve_ineq(rows, rhs, tuple(-x for x in la.vec(point)) + (ONE,), "max")
+    assert res.status == "optimal", "separation LP is not optimal"
+    return res.value
+
+
+def zero_combination_feasible(normals):
+    """Whether 0 is a convex combination of the normals, by phase 1 of the
+    simplex: the LP reference for ``constructions._zero_combination``."""
+    m = len(normals)
+    rows = [tuple(-ONE if k == j else ZERO for k in range(m)) for j in range(m)]
+    rhs = [ZERO] * m
+    ones = (ONE,) * m
+    rows += [ones, vneg(ones)]
+    rhs += [ONE, -ONE]
+    for c in range(len(normals[0])):
+        row = tuple(la.frac(v[c]) for v in normals)
+        rows += [row, vneg(row)]
+        rhs += [ZERO, ZERO]
+    return solve_ineq(rows, rhs, la.vzero(m), sense="max").status == "optimal"
 
 
 def box_scan_width(p):
@@ -300,8 +406,26 @@ def _fraction_walk(x, p, frames, cap=None):
 
 def fraction_distance_sq(x, p):
     """Squared distance from x to a bounded p by the Fraction face walk:
-    the reference for ``geometry.squared_distance_point``."""
+    the reference for ``squared_distance_point``."""
     return _fraction_walk(la.vec(x), p, _fraction_face_frames(p))
+
+
+def squared_distance_point(x, p):
+    """Exact squared euclidean distance from x to a bounded polyhedron, by
+    the integer face walk of ``geometry.hausdorff_sq`` from one point.
+
+    The closest point lies in the relative interior of a unique face and is
+    the orthogonal projection of x onto that face's affine hull.  So the
+    minimum over the vertices and over the projections onto each face that
+    land inside p is the distance.  It runs on ints for one scale s per
+    call (``_face_frames``), and the result is d / s^2.
+    """
+    from latcut.geometry import _distance_sq, _face_frames, _on_scale
+
+    x = la.vec(x)
+    s = math.lcm(*(a.denominator for a in x), *(pt[0] for pt in p.points))
+    n, d = _distance_sq(_on_scale((ONE,) + x, s), *_face_frames(p, s))
+    return Fraction(n, d * s * s)
 
 
 def fraction_hausdorff_sq(p, q):

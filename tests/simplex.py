@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg as la
-from .errors import DimensionMismatch
-from .linalg import Vec, ZERO, ONE, dot
+from latcut import linalg as la
+from latcut.errors import DimensionMismatch
+from latcut.linalg import Vec, ZERO, ONE, dot
 
 _MAX = "max"
 _MIN = "min"

@@ -15,8 +15,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import latcut
-from latcut import cli, constructions, geometry, lattice, scenarios, simplex
+from latcut import cli, constructions, geometry, lattice, scenarios
 from latcut.scenarios import run_scenario
+
+import simplex
+from oracles import squared_distance_point
 
 PACKAGE = Path(latcut.__file__).parent
 
@@ -134,28 +137,53 @@ def test_facet_searches_per_scenario(monkeypatch):
     assert counts == {"cubeface-census": 44, "inapprox-witnesses": 32}, counts
 
 
+def test_no_module_imports_the_simplex():
+    # the lift separates and picks its Caratheodory subset in closed form:
+    # the simplex is a test reference, and no module imports or defines an
+    # LP or the LP separator
+    assert not (PACKAGE / "simplex.py").exists()
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            else:
+                continue
+            if any(name.rsplit(".", 1)[-1] in ("simplex", "separate", "solve_ineq")
+                   for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found
+
+
 def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
     # exact work at default parameters, the same on any host: one _interval
     # call per lattice column scanned (and per planar facet line), and the
-    # LPs that the lifting separation solves; lattice_width solves none
+    # LPs solved by the reference simplex or by any solve_ineq a module
+    # binds: the lift separates in closed form and solves none
     candidates = counting(monkeypatch, lattice, "_interval")
-    lps = counting(monkeypatch, simplex, "solve_ineq")
-    for module in (geometry, constructions):
-        monkeypatch.setattr(module, "solve_ineq", simplex.solve_ineq)
+    lps = [counting(monkeypatch, module, "solve_ineq")
+           for module in (simplex, *(m for n, m in sorted(sys.modules.items())
+                                     if n.startswith("latcut.")
+                                     and hasattr(m, "solve_ineq")))]
     counts = {}
     for name in ("cubeface-census", "lifting-end-to-end", "inapprox-witnesses",
                  "approximation-factors"):
         candidates.clear()
-        lps.clear()
+        for calls in lps:
+            calls.clear()
         assert run_scenario(name).passed
-        counts[name] = (len(candidates), len(lps))
+        counts[name] = (len(candidates), sum(map(len, lps)))
     # each facet of a 3-d slab, whose relative interior is its whole plane,
     # takes one _strict_integer step with no bound (two in each of
     # cubeface-census and approximation-factors)
     assert counts == {"cubeface-census": (118, 0),
-                      "lifting-end-to-end": (120, 31),
+                      "lifting-end-to-end": (120, 0),
                       "inapprox-witnesses": (1538, 0),
-                      "approximation-factors": (879, 22)}, counts
+                      "approximation-factors": (879, 0)}, counts
 
 
 def test_width_runs_one_conversion_and_no_lp(monkeypatch):
@@ -251,7 +279,8 @@ def test_one_canonical_form_pass_per_conversion(monkeypatch):
     # _assemble runs only on the output of a conversion, which hands it its
     # zero sets: the constructors are its only callers, and no facet search,
     # image, homothety or polar assembles a body, so over the nine scenarios
-    # at default parameters it runs exactly as often as cone_dd
+    # at default parameters it runs exactly as often as cone_dd; the lift's
+    # separators are closed forms and convert no region beyond a facet
     assembled = counting(monkeypatch, geometry.Polyhedron, "_assemble")
     conversions = counting(monkeypatch, geometry, "cone_dd")
     counts = {}
@@ -264,7 +293,7 @@ def test_one_canonical_form_pass_per_conversion(monkeypatch):
     assert {name: a for name, (a, _) in counts.items()} == {
         "cubeface-census": 10, "split-vs-triangles": 230, "rho-closed-form": 400,
         "one-for-all-sandwich": 191, "truncated-cone-shrink": 150,
-        "lifting-end-to-end": 106, "approximation-factors": 129,
+        "lifting-end-to-end": 79, "approximation-factors": 113,
         "inapprox-witnesses": 66, "gauge-metric-properties": 20}, counts
 
 
@@ -327,11 +356,11 @@ def test_inversions_per_scenario(monkeypatch):
 
 def test_kernel_bases_per_scenario(monkeypatch):
     # the constructors read the lineality off the generators tight on every
-    # row and the alignments read theirs off the rref table; the kernels
-    # left are _zero_combination's
+    # row, the alignments read theirs off the rref table, and
+    # _zero_combination reads its weights off one rref per subset
     calls = counting(monkeypatch, latcut.linalg, "kernel_basis")
-    ceilings = {"cubeface-census": 0, "approximation-factors": 6,
-                "lifting-end-to-end": 4, "inapprox-witnesses": 0,
+    ceilings = {"cubeface-census": 0, "approximation-factors": 0,
+                "lifting-end-to-end": 0, "inapprox-witnesses": 0,
                 "truncated-cone-shrink": 0}
     counts = {}
     for name in ceilings:
@@ -446,7 +475,7 @@ def test_distance_walks_make_no_fraction_vector_calls(monkeypatch):
     runs = {
         "hausdorff_sq": lambda p: [geometry.hausdorff_sq(p, q) for q in polars],
         "squared_distance_point":
-            lambda p: [geometry.squared_distance_point(x, p) for x in points],
+            lambda p: [squared_distance_point(x, p) for x in points],
     }
     counts = {}
     for name, run in runs.items():

@@ -13,11 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from latcut import constructions
 from latcut.constructions import (
     ApproxResult,
     FacetSubsetResult,
     TruncatedCone,
     _last_axis_range,
+    _pencil,
+    _zero_combination,
     approximate_any_f,
     approximate_fixed_f,
     caratheodory_facet_subset,
@@ -35,6 +38,7 @@ from latcut.errors import (
     MuTooSmall,
     NotLatticeFreeInput,
     NotPolytope,
+    NotSeparable,
     OutOfRange,
     PointNotInterior,
     UnsupportedDimension,
@@ -51,10 +55,10 @@ from latcut import lattice
 from latcut import linalg as la
 from latcut.jsonio import parse_polyhedron
 from latcut.lattice import certify_lattice_free, flatness_bound, point_denominator
-from latcut.scenarios import _lift_instances
+from latcut.scenarios import _lift_instances, run_scenario
 from latcut.strength import relative_strength
 
-from oracles import lp_solve
+from oracles import lp_solve, separate, separation_depth, zero_combination_feasible
 
 F12 = (F(1, 2), F(1, 2))
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -293,6 +297,63 @@ def test_subset_invariants_across_the_census():
             check_subset_result(m, caratheodory_facet_subset(m))
 
 
+@pytest.fixture(scope="module")
+def lift_workload():
+    """The arguments of every separation and Caratheodory step that the
+    lifts of lifting-end-to-end and of approximation-factors at seeds 0, 7
+    and 13 make."""
+    pencils, zeros = [], []
+    real_pencil, real_zero = constructions._pencil, constructions._zero_combination
+
+    def pencil(*args):
+        pencils.append(args)
+        return real_pencil(*args)
+
+    def zero(normals):
+        zeros.append(normals)
+        return real_zero(normals)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_pencil", pencil)
+        mp.setattr(constructions, "_zero_combination", zero)
+        assert run_scenario("lifting-end-to-end").passed
+        for seed in (0, 7, 13):
+            assert run_scenario("approximation-factors", {"seed": seed}).passed
+    return pencils, zeros
+
+
+def check_zero_combination(normals):
+    """_zero_combination against the LP: None exactly when 0 is outside the
+    hull, else positive weights summing to 1 on an affinely independent
+    support that combine the normals to 0."""
+    got = _zero_combination(normals)
+    assert (got is None) == (not zero_combination_feasible(normals)), normals
+    if got is not None:
+        idx, lam = got
+        pts = [la.vec(normals[j]) for j in idx]
+        assert la.affine_rank(pts) == len(pts) - 1
+        assert all(w > 0 for w in lam) and sum(lam) == 1
+        assert all(sum(w * p[c] for w, p in zip(lam, pts)) == 0
+                   for c in range(len(pts[0])))
+    return got
+
+
+def test_zero_combination_matches_the_lp(lift_workload):
+    _, zeros = lift_workload
+    rng = random.Random(31)
+    cases = list(zeros)
+    cases += [[h.normal for h in cube_face_construction(n, i).body.halfspaces]
+              for n in (2, 3) for i in range(2, 2 ** n + 1)]
+    for trial in range(80):
+        n = 2 + trial % 2
+        cases.append([tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
+                      for _ in range(rng.randint(2, 6))])
+    cases = [c for c in cases if not any(la.is_zero_vec(v) for v in c)]
+    found = [check_zero_combination(c) is not None for c in cases]
+    assert len(zeros) >= 10 and sum(found) >= 30 and found.count(False) >= 10, (
+        len(zeros), found)
+
+
 # ---------------------------------------------------------------------------
 # lifting
 
@@ -391,6 +452,84 @@ def test_lift_postconditions_on_varied_instances():
         out = lift_to_nplus1(l, f, gamma, d_, t_)
         assert len(out.halfspaces) <= len(d_.halfspaces) + 1
         assert out.contains(homothety(l, f, gamma / 4))
+
+
+def beyond_facet(z, n):
+    """Closure of the part of level 0 beyond the base facet with int row z
+    = (-beta, a): {a . x' >= beta, x_n = 0} in dimension n."""
+    a, e = tuple(F(x) for x in z[1:]), (F(0),) * (n - 1) + (F(1),)
+    return Polyhedron.from_halfspaces(
+        [HalfSpace.make(la.vneg(a) + (0,), z[0]),
+         HalfSpace.make(e, 0), HalfSpace.make(la.vneg(e), 0)], n)
+
+
+def check_pencil(lp0, f0, z):
+    """The closed-form separator against the simplex on the region beyond
+    the facet: both raise NotSeparable or neither does; it holds every
+    point, ray and line of lp0, keeps the region outside its interior, and
+    its depth at f0 in the unit box is the LP optimum."""
+    beyond = beyond_facet(z, lp0.dim)
+    try:
+        h = _pencil(lp0, f0, z)
+    except NotSeparable:
+        with pytest.raises(NotSeparable):
+            separate(lp0, beyond, f0)
+        return None
+    assert all(h.eval_slack(v) >= 0 for v in lp0.vertices)
+    assert all(la.dot(h.normal, r) <= 0 for r in lp0.rays)
+    assert all(la.dot(h.normal, l) == 0 for l in lp0.lineality)
+    assert all(h.eval_slack(v) <= 0 for v in beyond.vertices)
+    assert all(la.dot(h.normal, r) >= 0 for r in beyond.rays)
+    k = max(map(abs, h.normal[:-1])) / max(map(abs, z[1:]))  # in the pencil
+    assert h.normal[:-1] == tuple(k * x for x in z[1:]) and h.offset == -k * z[0]
+    depth = h.eval_slack(f0) / max(abs(x) for x in h.normal)
+    assert depth == separation_depth(lp0, beyond, f0)
+    return h
+
+
+def test_pencil_matches_the_lp_on_the_lift_workload(lift_workload):
+    pencils, _ = lift_workload
+    same = 0
+    for lp0, f0, z in pencils:
+        h = check_pencil(lp0, f0, z)
+        same += h == separate(lp0, beyond_facet(z, lp0.dim), f0)
+    # the rest are LP ties: the simplex takes another optimal t
+    assert len(pencils) >= 50 and same >= len(pencils) * 9 // 10, (len(pencils), same)
+
+
+def test_pencil_raises_exactly_where_the_lp_does():
+    def body(points, rays=()):
+        return Polyhedron.from_generators(points, rays)
+
+    half = F(1, 2)
+    cases = [
+        # a vertex on level 0 beyond the facet x <= 1
+        (body([(0, -1), (0, 1), (2, 0)]), (half, 0), (-1, 1), None),
+        # the generators above and below bound t from both sides, apart
+        (body([(2, 1), (2, -1), (0, 1), (0, -1)]), (half, 0), (-1, 1), None),
+        # f0 on level 0: every t in [-1, 1] is as deep, and t = 0 wins
+        (body([(-1, -1), (-1, 1), (half, -1), (half, 1)]), (0, 0), (-1, 1), 0),
+        # f0 above level 0: t in [-1/2, 1/2], and the lower end is deepest
+        (body([(0, -1), (0, 1), (half, -1), (half, 1)]), (F(1, 4), F(1, 4)), (-1, 1),
+         -half),
+        # a ray and a line along the facet, in 3-d
+        (body([(0, 0, -half), (0, 0, half), (half, 0, half)], [(0, 1, 0), (0, -1, 0),
+                                                             (-1, 0, 0)]),
+         (0, 0, 0), (-1, 1, 0), 0),
+        # a line that leaves level 0 pins t
+        (body([(0, 0, -half), (0, 0, half), (half, 0, 0)],
+              [(1, 0, 1), (-1, 0, -1), (0, 1, 0), (0, -1, 0)]),
+         (F(1, 8), 0, 0), (-2, 1, 0), -1),
+        # a ray on level 0 that crosses the facet
+        (body([(0, 0, -half), (0, 0, half)], [(1, 0, 0), (1, 0, 1), (0, 1, 0), (0, -1, 0)]),
+         (half, 0, 0), (-2, 1, 0), None),
+    ]
+    for p, f0, z, want in cases:
+        h = check_pencil(p, tuple(F(x) for x in f0), z)
+        assert (h is None) == (want is None), (p, z)
+        if h is not None:
+            g = la.primitive(tuple(F(x) for x in z[1:]) + (F(want),))
+            assert h.normal == g, (h, want)
 
 
 def test_yes_no_checks_run_no_facet_search(monkeypatch):

@@ -20,9 +20,9 @@ from latcut.cuts import (
 from latcut.errors import DimensionMismatch, PointNotInterior
 from latcut.geometry import Polyhedron, homothety
 from latcut.jsonio import parse_polyhedron
-from latcut.simplex import solve_ineq
 
 from oracles import fraction_dot, gauge_value, norm_sq
+from simplex import solve_ineq
 
 F12 = (F(1, 2), F(1, 2))
 SQ01 = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])

@@ -36,8 +36,6 @@ from latcut.geometry import (
     minkowski_scale_shift,
     polar,
     product_with_line,
-    separate,
-    squared_distance_point,
     transform,
     translate,
 )
@@ -60,7 +58,9 @@ from oracles import (
     lp_solve,
     polygon_dist_sq,
     polyhedron_of,
+    separate,
     slack_contains,
+    squared_distance_point,
     subset_scan_dist_sq,
 )
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from latcut.errors import DimensionMismatch
 from latcut.linalg import dot
-from latcut.simplex import solve_ineq
 
 from oracles import fraction_solve_ineq
+from simplex import solve_ineq
 
 
 def _rational(rng, lo, hi):
