@@ -161,7 +161,9 @@ def f_metric(b1: Polyhedron, b2: Polyhedron, f) -> PolarDistance:
     """Hausdorff distance between (b1 - f) polar and (b2 - f) polar.
 
     Both polars are read off the bodies' own facets and vertices, so the
-    metric runs no conversion; ``polar`` tests that f is interior.
+    metric runs no conversion; ``polar`` tests that f is interior.  Each
+    body keeps its polar at f, and each polar its face frames, so measuring
+    the same bodies again at the same f builds neither again.
     """
     f = la.vec(f)
     try:

@@ -60,8 +60,10 @@ re-reduces its rows through the tail it shares with ``_image``
 (``_flat_rows``).  The polar turns the face lattice upside down.  A level
 slice reads the int rows with the level put in and converts once.  Distances
 to a polytope walk its real faces, found from the vertices tight on each
-row, on one int scale per call, and a Hausdorff walk stops at its running
-maximum.
+row, and a Hausdorff walk stops at its running maximum.  A body builds its
+face frames once, on its own int scale, and a walk multiplies them up to
+the common scale of the two bodies; a body keeps each of its polars by
+center, so neither is rebuilt when the polar metric measures it again.
 
 A ``Polyhedron`` stores its canonical form on ints, and every kernel above
 reads and writes that form with no ``Fraction`` in between: a row is a
@@ -286,6 +288,11 @@ class Polyhedron:
         tuple(Fraction(x, d) for x in xs) for d, *xs in self.points))
     rays = functools.cached_property(lambda self: la._fractions(self.directions))
     lineality = functools.cached_property(lambda self: la._fractions(self.lines))
+    # the f-metric inputs, each built once per body and read by neither
+    # equality, hash nor repr: the polars by exact center (``polar``), and
+    # the face frames on the body's own scale (``_frames_on``)
+    _polars = functools.cached_property(lambda self: {})
+    _frames = functools.cached_property(lambda self: _face_frames(self))
 
     # -- construction -------------------------------------------------------
 
@@ -468,10 +475,22 @@ def polar(p: Polyhedron, center=None) -> Polyhedron:
     so a +/- pair of lineality rays gives an equality pair and the polar is
     full-dimensional iff p has no lineality.  The origin is one more vertex
     exactly when p's rays span the space.  The polar is bounded.
+
+    Each polar is built once per body and center: p keeps it by the exact
+    center (a center that is not interior is not kept), so a repeated
+    (p, center) returns the same object.
     """
     c = la.vzero(p.dim) if center is None else la.vec(center)
     if len(c) != p.dim:
         raise DimensionMismatch("point dimension mismatch")
+    kept = p._polars.get(c)
+    if kept is None:
+        kept = p._polars[c] = _polar(p, c)
+    return kept
+
+
+def _polar(p: Polyhedron, c: Vec) -> Polyhedron:
+    """The polar of p - c in closed form (``polar``), built anew."""
     # on ints: c is cx / cd, a point (d, x) is x / d, and a row (z0, a) gives
     # the vertex (t, cd a), t = cd times its slack at c, positive iff c is in
     cd, *cx = la.integer_copy((ONE,) + c)
@@ -672,9 +691,9 @@ def translate(p: Polyhedron, v) -> Polyhedron:
 # exact euclidean distances (squared) between polytopes
 
 
-def _face_frames(p: Polyhedron, s: int) -> tuple[list[list[int]], list[tuple]]:
-    """p's vertices as ints (s, s v) for s clearing their denominators, and a
-    frame for a bounded p and each face with two or more vertices: the faces
+def _face_frames(p: Polyhedron) -> tuple[list[list[int]], list[tuple]]:
+    """p's vertices as ints (s, s v) for s the lcm of their denominators, and
+    a frame for a bounded p and each face with two or more vertices: the faces
     are the vertex sets tight on each int row z, closed under intersection.
     A frame is a base vertex, an orthogonal int basis b_k of the face's hull
     by fraction-free Gram-Schmidt (u <- bb u - (u . b) b, made primitive,
@@ -684,6 +703,7 @@ def _face_frames(p: Polyhedron, s: int) -> tuple[list[list[int]], list[tuple]]:
     """
     if p.directions:
         raise ValueError("distance helper needs a bounded target")
+    s = math.lcm(*(d for d, *_ in p.points))
     verts = [[s] + [x * (s // d) for x in xs] for d, *xs in p.points]
     rows = p.rows
     tight = [frozenset(i for i, v in enumerate(verts)
@@ -740,18 +760,39 @@ def _distance_sq(x: list[int], verts, frames, cap=(-1, 1)) -> tuple[int, int]:
     return bn, bd
 
 
+def _frames_on(p: Polyhedron, s: int) -> tuple[list[list[int]], list[tuple]]:
+    """p's face frames on the scale s, a multiple of the scale s0 on which p
+    built them once (``Polyhedron._frames``): with k = s / s0 the vertices,
+    each frame's base and each test's t_0 are multiplied by k, and the
+    primitive basis, P and the weights do not depend on the scale, so the
+    ints are those that ``_face_frames`` would write on the scale s."""
+    verts, frames = p._frames
+    k = s // verts[0][0]
+    if k == 1:
+        return verts, frames
+    return ([[k * x for x in v] for v in verts],
+            [([k * x for x in base], big, basis, weights,
+              [[k * t0, *t] for t0, *t in tests])
+             for base, big, basis, weights, tests in frames])
+
+
 def hausdorff_sq(p: Polyhedron, q: Polyhedron) -> Fraction:
-    """Exact squared Hausdorff distance between bounded polyhedra.
+    """Exact squared Hausdorff distance between bounded polyhedra of one
+    dimension.
 
     sup over p of the distance to q is attained at a vertex of p because the
     distance function to a convex set is convex; likewise with the roles
     swapped.  All comparisons happen on squared values, so no roots appear.
     Each walk stops at a point no farther than the running maximum, which
-    cannot raise it (the early break of Taha & Hanbury, TPAMI 2015).  Both
-    walks run on ints for one scale s, and the result is d / s^2.
+    cannot raise it (the early break of Taha & Hanbury, TPAMI 2015).  Each
+    body builds its face frames once, on its own scale; both walks run on
+    ints for the common scale s, the lcm of the two, and the result is
+    d / s^2.
     """
+    if p.dim != q.dim:
+        raise DimensionMismatch("ambient dimensions differ")
     s = math.lcm(*(pt[0] for pt in p.points + q.points))
-    (pv, pf), (qv, qf) = _face_frames(p, s), _face_frames(q, s)
+    (pv, pf), (qv, qf) = _frames_on(p, s), _frames_on(q, s)
     dn, dd = 0, 1
     for xs, verts, frames in ((pv, qv, qf), (qv, pv, pf)):
         for x in xs:

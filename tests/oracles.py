@@ -418,13 +418,13 @@ def squared_distance_point(x, p):
     the orthogonal projection of x onto that face's affine hull.  So the
     minimum over the vertices and over the projections onto each face that
     land inside p is the distance.  It runs on ints for one scale s per
-    call (``_face_frames``), and the result is d / s^2.
+    call (``_frames_on``), and the result is d / s^2.
     """
-    from latcut.geometry import _distance_sq, _face_frames, _on_scale
+    from latcut.geometry import _distance_sq, _frames_on, _on_scale
 
     x = la.vec(x)
     s = math.lcm(*(a.denominator for a in x), *(pt[0] for pt in p.points))
-    n, d = _distance_sq(_on_scale((ONE,) + x, s), *_face_frames(p, s))
+    n, d = _distance_sq(_on_scale((ONE,) + x, s), *_frames_on(p, s))
     return Fraction(n, d * s * s)
 
 

@@ -297,6 +297,36 @@ def test_one_canonical_form_pass_per_conversion(monkeypatch):
         "inapprox-witnesses": 66, "gauge-metric-properties": 20}, counts
 
 
+def test_polars_and_frames_are_built_once_per_body(monkeypatch):
+    # each body keeps its polar per center and its face frames, so the
+    # polar metric builds each once: gauge-metric-properties measures 6
+    # bodies 4,000 times at default parameters and builds 6 of each (it
+    # built 4,000 when every f_metric call rebuilt both)
+    polars = counting(monkeypatch, geometry, "_polar")
+    frames = counting(monkeypatch, geometry, "_face_frames")
+    runs = [(name, None) for name in scenarios.SCENARIOS]
+    # the polar-metric benchmark's shapes
+    runs += [(name, dict(params, seed=seed)) for seed in (7, 13)
+             for name, params in (("gauge-metric-properties", {"checks": 8}),
+                                  ("split-vs-triangles", {"count": 2, "tmax": 16}))]
+    counts = {}
+    for name, params in runs:
+        polars.clear()
+        frames.clear()
+        assert run_scenario(name, params).passed
+        counts[name if params is None else (name, params["seed"])] = (
+            len(polars), len(frames))
+    assert counts == {
+        "cubeface-census": (0, 0), "split-vs-triangles": (65, 65),
+        "rho-closed-form": (0, 0), "one-for-all-sandwich": (0, 0),
+        "truncated-cone-shrink": (0, 0), "lifting-end-to-end": (0, 0),
+        "approximation-factors": (0, 0), "inapprox-witnesses": (0, 0),
+        "gauge-metric-properties": (6, 6),
+        ("gauge-metric-properties", 7): (5, 5), ("split-vs-triangles", 7): (17, 17),
+        ("gauge-metric-properties", 13): (5, 5), ("split-vs-triangles", 13): (17, 17),
+    }, counts
+
+
 def test_adjacency_scans_only_pairs_that_share_enough_rows(monkeypatch):
     # a pair of rays whose zero sets share fewer than d - l - 2 rows is not
     # adjacent and gets no scan for a third ray; on these bodies every pair

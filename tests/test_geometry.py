@@ -1,5 +1,6 @@
 """Conversion engine, polarity, transforms, LP, separation, distances."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -25,7 +26,7 @@ from latcut.geometry import (
     UnimodularMap,
     _canonical_basis,
     _distance_sq,
-    _face_frames,
+    _frames_on,
     _on_scale,
     affine_image,
     cone_dd,
@@ -1189,6 +1190,17 @@ def test_squared_distances():
     assert hausdorff_sq(sq, sq) == 0
 
 
+def test_hausdorff_of_mixed_dimensions_raises():
+    # the walk zips vertices of both bodies: a triangle against a 3-d
+    # simplex read 1 and against a segment 0 before the check
+    tri = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1)])
+    simplex = Polyhedron.from_generators([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    segment = Polyhedron.from_generators([(0,), (1,)])
+    for p, q in ((tri, simplex), (simplex, tri), (tri, segment), (segment, tri)):
+        with pytest.raises(DimensionMismatch, match="ambient dimensions differ"):
+            hausdorff_sq(p, q)
+
+
 def assert_same_fraction(got, want):
     assert type(got) is F and type(want) is F, (got, want)
     assert got == want
@@ -1247,7 +1259,7 @@ def test_capped_distance_stops_at_the_cap():
             # the int walk reads x as (s, s x) and the cap as (num, den) for
             # one scale s, and a distance (num, den) there is num / (den s^2)
             s = math.lcm(*(a.denominator for v in p.vertices + (x,) for a in v))
-            verts, frames = _face_frames(p, s)
+            verts, frames = _frames_on(p, s)
             for cap in (F(0), exact - 1, exact - F(1, 7), exact, exact + F(1, 3),
                         exact + 4, 4 * exact + 9):
                 c = cap * s * s
@@ -1263,29 +1275,62 @@ def test_capped_distance_stops_at_the_cap():
     assert fired > 0 and above_exact > 0
 
 
-def test_int_walk_matches_the_fraction_walk():
+def test_int_walk_matches_the_fraction_walk(monkeypatch):
     # polars of seeded 1-, 2- and 3-d bodies with denominators 1, 2 and 3
     # (flat where the body has lineality), and random polytopes with
-    # denominators up to 7, against the Fraction walk of tests/oracles.py
+    # denominators up to 7, against the Fraction walk of tests/oracles.py;
+    # each pair is measured on fresh copies, which build their frames, and
+    # again on the bodies themselves once their frames are built, which the
+    # walk multiplies up to the pair's scale when the denominators differ
     rng = random.Random(31)
 
     def pt(n):
         return tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7)))
                      for _ in range(n))
 
-    polars = [polar(p, c) for bodies in _polar_inputs(random.Random(29), 6).values()
+    inputs = [(p, c) for bodies in _polar_inputs(random.Random(29), 6).values()
               for p, centers in bodies for c in centers]
+    polars = [polar(p, c) for p, c in inputs]
+    ints = 0
+    for p, c in inputs:
+        # one polar per body and exact center, whatever type the center has
+        assert polar(p, c) is polar(p, c)
+        if all(x.denominator == 1 for x in c):
+            assert polar(p, tuple(map(int, c))) is polar(p, c)
+            ints += 1
+    assert ints >= 5, ints
     polytopes = [Polyhedron.from_generators(
         [pt(n) for _ in range(rng.randint(1, n + 4))]) for n in (1, 2, 3) for _ in range(8)]
     targets = polars + polytopes
     assert sum(not p.fulldim for p in polars) >= 6
     assert {p.dim for p in polars} == {1, 2, 3}
+    builds = []
+    real = geometry._face_frames
+    monkeypatch.setattr(geometry, "_face_frames",
+                        lambda p: builds.append(p) or real(p))
+    rescaled = 0
     for i, p in enumerate(targets):
         for q in [q for q in targets[i:] if q.dim == p.dim][:4]:
-            assert_same_fraction(hausdorff_sq(p, q), fraction_hausdorff_sq(p, q))
+            want = fraction_hausdorff_sq(p, q)
+            builds.clear()
+            assert_same_fraction(hausdorff_sq(*map(dataclasses.replace, (p, q))), want)
+            assert len(builds) == 2
+            hausdorff_sq(p, q)
+            builds.clear()
+            assert_same_fraction(hausdorff_sq(p, q), want)
+            assert not builds
+            s = math.lcm(*(g[0] for g in p.points + q.points))
+            rescaled += any(b._frames[0][0][0] < s for b in (p, q))
         for x in [pt(p.dim) for _ in range(3)] + list(p.vertices[:1]):
             assert_same_fraction(squared_distance_point(x, p),
                                  fraction_distance_sq(x, p))
+    assert rescaled >= 100, rescaled
+    # a body that keeps polars or frames is still equal to a fresh copy
+    kept = [(p, "_polars") for p, _ in inputs] + [(p, "_frames") for p in targets]
+    for p, memo in kept:
+        assert memo in vars(p)
+        fresh = dataclasses.replace(p)
+        assert fresh == p and hash(fresh) == hash(p) and repr(fresh) == repr(p)
 
 
 def test_f_metric_pairs_match_the_fraction_walk(monkeypatch):
