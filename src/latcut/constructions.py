@@ -78,7 +78,9 @@ def cube_face_construction(n: int, i: int) -> CubeFaceBody:
     until i faces remain.  Each face contributes the inequality sum_fixed
     (+-x_t) <= #ones; the splitting keeps every cube vertex tight on exactly
     one inequality, which is what makes the intersection lattice-free and
-    every inequality facet-defining.
+    every inequality facet-defining.  So each face's vertex with its free
+    coordinates at 0 witnesses its facet, and the certificate searches no
+    facet.
     """
     if n < 1:
         raise OutOfRange(f"dimension {n} out of range")
@@ -101,7 +103,7 @@ def cube_face_construction(n: int, i: int) -> CubeFaceBody:
         hs.append(HalfSpace.make(normal, Fraction(sum(1 for c in face if c == 1))))
     out = Polyhedron.from_halfspaces(hs, n)
     require(len(out.halfspaces) == i, "cube-face body has the wrong facet count")
-    cert = certify_lattice_free(out)
+    cert = certify_lattice_free(out, [[c or 0 for c in face] for face in faces])
     require(cert.maximal, "cube-face body is not maximal lattice-free")
     return CubeFaceBody(out, cert)
 
@@ -648,7 +650,9 @@ def inapprox_pyramid(l: Polyhedron, c, zs, eps, mu) -> PyramidWitness:
             "pyramid facet count off")
     require(body.contains(p), "pyramid does not hold its core")
     require(body.contains_point(f, strict=True), "f is not interior to the pyramid")
-    cert = certify_lattice_free(body)
+    # level 0 cuts the base's facets out of the side facets, strictly above
+    # the pyramid's base: each base witness witnesses its side facet there
+    cert = certify_lattice_free(body, [z + (ZERO,) for z in zs])
     require(cert.maximal, "pyramid is not maximal lattice-free")
 
     # covering properties of the inner pyramid eps mu (p - f) + f
@@ -718,9 +722,10 @@ def simplex_tower(f, alpha) -> TowerWitness:
     body, zs = _tower(f, alpha)
     require(len(body.halfspaces) == n + 1 and not body.rays, "tower is not a simplex")
     require(body.contains_point(f, strict=True), "f is not interior to the tower")
-    _check_witnesses(body, zs)
-    cert = certify_lattice_free(body)
+    cert = certify_lattice_free(body, zs)
     require(cert.maximal, "tower is not maximal lattice-free")
+    require(sorted(cert.facet_witnesses) == sorted(zs),
+            "tower witnesses do not sit one per facet")
     shrunk = homothety(body, f, ONE / alpha)
     for zi, zj in itertools.combinations(zs, 2):
         require(segment_meets(shrunk, zi, zj),

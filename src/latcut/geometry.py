@@ -524,6 +524,12 @@ class UnimodularMap:
     shift: Vec
     inverse_matrix: Mat | None = field(default=None, compare=False, repr=False)
 
+    # the int pair ``_image`` reads, built on the first ``transform`` and
+    # read by neither equality, hash nor repr
+    _int_pair = functools.cached_property(lambda self: _homogeneous(
+        [_on_scale(r, 1) for r in self.matrix], _on_scale(self.shift, 1), 1,
+        [_on_scale(r, 1) for r in self.inverse_matrix], 1))
+
     def __post_init__(self):
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix) or len(self.shift) != n:
@@ -567,22 +573,27 @@ class UnimodularMap:
         return UnimodularMap(inv, tuple(Fraction(-x) for x in shift), self.matrix)
 
 
-def _image(p: Polyhedron, matrix: Mat, inv: Mat, shift: Vec) -> Polyhedron:
-    """Image of p under x -> matrix x + shift, given inv = matrix^-1, with
-    no incidence pass (module docstring): a . x <= b becomes
-    (a inv) . y <= b + (a inv) . shift, and vertices and rays are mapped and
-    reduced off the canonical basis of the image lineality.  On ints, the
-    homogenized map h = [[1, 0], [shift, matrix]] sends a generator g to
-    h g and a row z to z h^-1.
-    """
-    if len(matrix) != p.dim or len(shift) != p.dim:
-        raise DimensionMismatch("map dimension mismatch")
-    (*mi, si), dm = _scaled(tuple(matrix) + (shift,))
-    ki, dk = _scaled(inv)
-    fwd = [[dm] + [0] * p.dim] + [[s] + row for s, row in zip(si, mi)]
+def _homogeneous(mi, si, dm: int, ki, dk: int):
+    """(fwd, back) for x -> (mi x + si) / dm, all ints, whose matrix has the
+    inverse ki / dk: fwd = dm h for the homogenized map
+    h = [[1, 0], [shift, matrix]], and back the columns of dm dk h^-1."""
+    fwd = [[dm] + [0] * len(mi)] + [[s] + row for s, row in zip(si, mi)]
     # the columns of dm dk h^-1 = [[dm dk, 0], [-ki si, dm ki]]
     back = [[dm * dk] + [-x for x in _apply(ki, si)]]
     back += ([0] + [dm * x for x in col] for col in zip(*ki))
+    return fwd, back
+
+
+def _image(p: Polyhedron, fwd, back) -> Polyhedron:
+    """Image of p under x -> matrix x + shift, given its int pair (fwd, back)
+    from ``_homogeneous``, with no incidence pass (module docstring):
+    a . x <= b becomes (a inv) . y <= b + (a inv) . shift, and vertices and
+    rays are mapped and reduced off the canonical basis of the image
+    lineality.  On ints, the homogenized map h sends a generator g to h g
+    and a row z to z h^-1.
+    """
+    if len(fwd) != p.dim + 1:
+        raise DimensionMismatch("map dimension mismatch")
     rows = [la.primitive_int(_apply(back, z)) for z in p.rows]
     if not p.fulldim:
         rows = _flat_rows(rows)
@@ -621,11 +632,13 @@ def affine_image(p: Polyhedron, matrix: Mat, shift: Vec) -> Polyhedron:
     shift = la.vec(shift)
     if any(len(row) != p.dim for row in (shift,) + matrix) or len(matrix) != p.dim:
         raise DimensionMismatch("map dimension mismatch")
-    return _image(p, matrix, la.inverse(matrix), shift)
+    (*mi, si), dm = _scaled(matrix + (shift,))
+    return _image(p, *_homogeneous(mi, si, dm, *_scaled(la.inverse(matrix))))
 
 
 def transform(p: Polyhedron, t: UnimodularMap) -> Polyhedron:
-    return _image(p, t.matrix, t.inverse_matrix, t.shift)
+    """The image of p under t, from the int pair t keeps (no scaling)."""
+    return _image(p, *t._int_pair)
 
 
 def minkowski_scale_shift(p: Polyhedron, lam, v) -> Polyhedron:

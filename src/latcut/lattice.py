@@ -24,12 +24,14 @@ is projected along its rays by the same int frame as its width: the
 projection's box is scanned, and one ``_strict_integer`` step along the ray
 sum lifts the point it finds back into the body.  Every full-dimensional
 body, lineality or not, is certified directly: the interior search, then
-one search per facet.  The facet search picks its route by dimension: on
-the line it tests the facet's one point, in the plane it solves along the
-integer points of the facet's line, and from dimension 3 on it turns the
-facet onto a level of the last axis by an int unimodular pair and hands the
-kernel the other rows there with p's points and rays tight on the facet, so
-no facet is built as a body.  Growth in the plane drops and pushes int rows.
+one search per facet that no integer point the caller holds witnesses
+(each such point is checked exactly on the rows).  The facet search picks
+its route by dimension: on the line it tests the facet's one point, in the
+plane it solves along the integer points of the facet's line, and from
+dimension 3 on it turns the facet onto a level of the last axis by an int
+unimodular pair and hands the kernel the other rows there with p's points
+and rays tight on the facet, so no facet is built as a body.  Growth in the
+plane drops and pushes int rows.
 """
 
 from __future__ import annotations
@@ -377,19 +379,45 @@ def facet_interior_lattice_point(p: Polyhedron, j: int):
     return tuple(map(Fraction, z))
 
 
-def certify_lattice_free(p: Polyhedron) -> LatticeFreeCert:
-    """Decide lattice-freeness of a full-dimensional body, with evidence."""
+def certify_lattice_free(p: Polyhedron, witnesses=()) -> LatticeFreeCert:
+    """Decide lattice-freeness of a full-dimensional body, with evidence.
+
+    witnesses: integer points the caller already holds, each meant to lie in
+    the relative interior of one facet.  Each is checked exactly on p's int
+    rows (integral, zero slack on one row, negative on every other) and
+    raises ``CertificateError`` when it fails; one that passes is that
+    facet's witness, the first one given when several land on one facet.
+    Only the facets no given point witnesses are searched, and the interior
+    search always runs, so the decisions are those of the search alone."""
     if not p.fulldim:
         raise NotFullDimensional("lattice-free check needs a full-dimensional body")
-    return _certificate(p, interior_lattice_point(p))
+    given = _checked_witnesses(p, witnesses)
+    return _certificate(p, interior_lattice_point(p), given)
 
 
-def _certificate(p: Polyhedron, bad) -> LatticeFreeCert:
-    """The certificate of p given its interior search's answer bad: an
-    integer point strictly inside p, or None when p is lattice-free."""
+def _checked_witnesses(p: Polyhedron, witnesses) -> dict[int, Vec]:
+    """The given points by the row of p whose relative interior each lies
+    in, checked exactly on p's int rows."""
+    given = {}
+    for x in map(la.vec, witnesses):
+        require(len(x) == p.dim and la.is_integer_vec(x),
+                f"witness {x} is not an integer point of the space")
+        slacks = _apply(p.rows, [1] + [int(c) for c in x])
+        tight = [j for j, sl in enumerate(slacks) if sl == 0]
+        require(len(tight) == 1 and max(slacks) == 0,
+                f"witness {x} is not in the relative interior of a facet")
+        given.setdefault(tight[0], x)
+    return given
+
+
+def _certificate(p: Polyhedron, bad, given: dict[int, Vec]) -> LatticeFreeCert:
+    """The certificate of p given its interior search's answer bad, an
+    integer point strictly inside p or None when p is lattice-free, and
+    checked facet witnesses by row (``_checked_witnesses``): every other
+    facet is searched."""
     if bad is not None:
         return LatticeFreeCert(False, bad, (), None)
-    witnesses = tuple(facet_interior_lattice_point(p, j)
+    witnesses = tuple(given.get(j) or facet_interior_lattice_point(p, j)
                       for j in range(len(p.rows)))
     return LatticeFreeCert(True, None, witnesses,
                            all(w is not None for w in witnesses))
@@ -465,7 +493,9 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
     the facet moves outward to the first integer level, at most a . z, that
     meets an integer point admissible for all other facets.  Witnessed
     facets stay witnessed, so the pair (facet count, unwitnessed count)
-    strictly decreases and the loop ends.
+    strictly decreases and the loop ends; their witnesses, and the point
+    that ends a push, are handed to the next certificate, which searches
+    only the facets none of them witnesses.
     """
     if p.dim > 2:
         raise UnsupportedDimension("growth is implemented for dimensions 1 and 2")
@@ -482,21 +512,24 @@ def grow_to_maximal(p: Polyhedron) -> Polyhedron:
         j = cert.unwitnessed()[0]
         tight = q.rows[j]
         cons = q.rows[:j] + q.rows[j + 1:]
+        kept = [w for w in cert.facet_witnesses if w is not None]
         q, z = _try_drop(cons)
         if z is None:
-            cert = _certificate(q, None)  # the drop searched q's interior
+            # the drop searched q's interior
+            cert = _certificate(q, None, _checked_witnesses(q, kept))
             continue
         # the facet cannot be dropped: push it.  z is strictly inside the
         # other facets and beyond this one (on its line z would witness
         # it), so the level a . z has a point and ends the scan
         g = math.gcd(*tight[1:])
         normal = [x // g for x in tight[1:]]
-        level = next((t for t in range(-tight[0] // g + 1,
-                                       sum(map(operator.mul, normal, z)) + 1)
-                      if _integer_point_on_line(normal, t, cons) is not None), None)
-        require(level is not None, "no level up to a . z meets an integer point")
+        hits = (_integer_point_on_line(normal, t, cons)
+                for t in range(-tight[0] // g + 1, sum(map(operator.mul, normal, z)) + 1))
+        hit = next((w for w in hits if w is not None), None)
+        require(hit is not None, "no level up to a . z meets an integer point")
+        level = int(sum(map(operator.mul, normal, hit)))
         q = Polyhedron._from_rows([*cons, (-level, *normal)], 2)
-        cert = certify_lattice_free(q)
+        cert = certify_lattice_free(q, kept + [hit])
         require(cert.lattice_free, "grown body is not lattice-free")
     return q
 

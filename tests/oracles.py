@@ -269,6 +269,18 @@ def fraction_dot(u, v):
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
+def witnessed_facet(halfspaces, z):
+    """The index of the one half-space a . x <= b with a . z = b when z is an
+    integer point strictly inside every other, else None: Fraction dot
+    products on the half-spaces, independent of the int rows that
+    ``certify_lattice_free`` checks given witnesses on."""
+    if any(Fraction(x).denominator != 1 for x in z):
+        return None
+    slacks = [h.offset - fraction_dot(h.normal, z) for h in halfspaces]
+    tight = [j for j, sl in enumerate(slacks) if sl == 0]
+    return tight[0] if len(tight) == 1 and min(slacks) >= 0 else None
+
+
 def gauge_value(hs_shifted, r):
     """max(0, max_i a_i . r / c_i) for the system a_i . x <= c_i, c_i > 0."""
     best = Fraction(0)

@@ -58,7 +58,8 @@ def test_checks_raise_under_python_dash_o():
 
         real = constructions.certify_lattice_free
         constructions.certify_lattice_free = (
-            lambda p: dataclasses.replace(real(p), maximal=False))
+            lambda p, witnesses=(): dataclasses.replace(real(p, witnesses),
+                                                         maximal=False))
         print(raised(constructions.cube_face_construction, 2, 3))
         constructions.certify_lattice_free = real
 
@@ -127,14 +128,105 @@ def counting(monkeypatch, module, name):
 
 
 def test_facet_searches_per_scenario(monkeypatch):
-    # each construction certifies its body once and hands the certificate on
+    # each construction certifies its body once, from the witnesses it
+    # holds, and hands the certificate on: only a pyramid's base (one per
+    # pyramid) and growth's facets that no kept witness covers are searched
+    # (the search route searched 44 in cubeface-census, 32 in
+    # inapprox-witnesses, 76 in approximation-factors and 19 in
+    # gauge-metric-properties)
     calls = counting(monkeypatch, lattice, "facet_interior_lattice_point")
     counts = {}
-    for name in ("cubeface-census", "inapprox-witnesses"):
+    for name in scenarios.SCENARIOS:
         calls.clear()
         assert run_scenario(name).passed
         counts[name] = len(calls)
-    assert counts == {"cubeface-census": 44, "inapprox-witnesses": 32}, counts
+    assert counts == {
+        "cubeface-census": 0, "split-vs-triangles": 0, "rho-closed-form": 0,
+        "one-for-all-sandwich": 0, "truncated-cone-shrink": 0,
+        "lifting-end-to-end": 0, "approximation-factors": 24,
+        "inapprox-witnesses": 2, "gauge-metric-properties": 0}, counts
+
+
+def test_constructions_search_no_facet_they_witness(monkeypatch):
+    # cube faces and towers witness every facet themselves; a pyramid
+    # witnesses its side facets by the base's witnesses and searches its base
+    calls = counting(monkeypatch, lattice, "facet_interior_lattice_point")
+    for n in (1, 2, 3):
+        for i in range(2, 2 ** n + 1):
+            constructions.cube_face_construction(n, i)
+    for f in (F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 3), F(1, 5)):
+        for alpha in (F(2), F(5, 2), F(3), F(10)):
+            constructions.simplex_tower(f, alpha)
+    counts = {"cube faces and towers": len(calls)}
+    seg = geometry.Polyhedron.from_generators([(0,), (1,)])
+    diam = constructions.cube_face_construction(2, 4).body
+    for l, c, zs in ((seg, (F(1, 2),), [(0,), (1,)]),
+                     (diam, (F(1, 2), F(1, 2)), [(0, 0), (1, 1), (1, 0), (0, 1)])):
+        calls.clear()
+        constructions.inapprox_pyramid(l, c, zs, constructions.shrink_epsilon(l, c, zs),
+                                       F(1, 2))
+        counts[l.dim + 1] = len(calls)
+    assert counts == {"cube faces and towers": 0, 2: 1, 3: 1}, counts
+
+
+def test_bad_witnesses_raise_under_python_dash_o():
+    # a given witness that is fractional, on its facet's plane but off the
+    # facet, outside the body, strictly inside it, or tight on two rows is
+    # refused with CertificateError, under python -O too; the good ones
+    # pass and give the search route's decisions
+    code = """
+        import random, sys
+        from fractions import Fraction as F
+        from itertools import product
+        from latcut import CertificateError, Polyhedron, constructions, lattice
+        print(sys.flags.optimize)
+        rng = random.Random(33)
+        bodies = [constructions.cube_face_construction(n, i).body
+                  for n, i in ((2, 3), (2, 4), (3, 5), (3, 8))]
+        bodies += [constructions.simplex_tower(f, a).body for f, a in (
+            ((F(1, 2), F(1, 3)), F(3)), ((F(1, 2), F(1, 3), F(1, 5)), F(5, 2)))]
+        bodies.append(Polyhedron.from_generators(
+            [(x, y) for x in (-1, 2) for y in (-1, 2)]))  # not lattice-free
+
+        def kind(p, z):
+            slacks = [z0 + sum(a * x for a, x in zip(row, z)) for z0, *row in p.rows]
+            tight = slacks.count(0)
+            if tight == 1:
+                return "off-facet" if max(slacks) > 0 else "good"
+            if tight > 1:
+                return "two-rows" if max(slacks) == 0 else "off-facet"
+            return "outside" if max(slacks) > 0 else "interior"
+
+        refused = {}
+        for p in bodies:
+            lo = [min(v[i] for v in p.vertices) - 1 for i in range(p.dim)]
+            hi = [max(v[i] for v in p.vertices) + 1 for i in range(p.dim)]
+            by_kind = {}
+            for z in product(*(range(int(a) - 1, int(b) + 2) for a, b in zip(lo, hi))):
+                by_kind.setdefault(kind(p, z), []).append(z)
+            good = by_kind.pop("good", [])
+            search = lattice.certify_lattice_free(p)
+            cert = lattice.certify_lattice_free(p, good)
+            assert (cert.lattice_free, cert.maximal) == (
+                search.lattice_free, search.maximal)
+            bad = {k: rng.choice(zs) for k, zs in sorted(by_kind.items())}
+            if good:
+                z = rng.choice(good)
+                bad["fractional"] = (z[0] + F(1, 2),) + z[1:]
+            for k, z in sorted(bad.items()):
+                given = good[:]
+                given.insert(rng.randrange(len(given) + 1), z)
+                try:
+                    lattice.certify_lattice_free(p, given)
+                except CertificateError:
+                    refused[k] = refused.get(k, 0) + 1
+                else:
+                    print("accepted", k, z)
+        print(sorted(refused.items()))
+    """
+    out = run_child(code, "-O")
+    assert out.splitlines() == ["1", "[('fractional', 7), ('interior', 1), "
+                                "('off-facet', 7), ('outside', 7), ('two-rows', 4)]"], out
 
 
 def test_no_module_imports_the_simplex():
@@ -180,10 +272,13 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
     # each facet of a 3-d slab, whose relative interior is its whole plane,
     # takes one _strict_integer step with no bound (two in each of
     # cubeface-census and approximation-factors)
-    assert counts == {"cubeface-census": (118, 0),
+    # constructions search no facet they witness (cubeface-census scanned
+    # 118, inapprox-witnesses 1538 and approximation-factors 879 when every
+    # facet was searched)
+    assert counts == {"cubeface-census": (59, 0),
                       "lifting-end-to-end": (120, 0),
-                      "inapprox-witnesses": (1538, 0),
-                      "approximation-factors": (879, 0)}, counts
+                      "inapprox-witnesses": (1447, 0),
+                      "approximation-factors": (813, 0)}, counts
 
 
 def test_width_runs_one_conversion_and_no_lp(monkeypatch):
@@ -382,6 +477,27 @@ def test_inversions_per_scenario(monkeypatch):
         assert run_scenario(name).passed
         counts[name] = len(calls)
     assert all(counts[name] <= ceilings[name] for name in ceilings), counts
+
+
+def test_transform_scales_nothing(monkeypatch):
+    # a unimodular map builds its int pair once, from its integer fields,
+    # and transform reads it: no _scaled call on any image, where each
+    # transform scaled the map's Fraction matrices twice; the pair is no
+    # field, so equality, hash and repr are the map's alone, and
+    # affine_image, which scales its own matrix, gives the same image
+    rng = random.Random(33)
+    bodies = [latcut.parse_polyhedron(path.read_text())
+              for path in sorted((Path(__file__).parent / "fixtures").glob("*.json"))]
+    maps = [scenarios.random_unimodular(rng, p.dim) for p in bodies]
+    shown = [(repr(t), hash(t)) for t in maps]
+    scaled = counting(monkeypatch, geometry, "_scaled")
+    images = [geometry.transform(p, t) for p, t in zip(bodies, maps) for _ in range(2)]
+    assert len(scaled) == 0
+    assert [(repr(t), hash(t)) for t in maps] == shown
+    assert all(t == geometry.UnimodularMap(t.matrix, t.shift) for t in maps)
+    assert images[::2] == [geometry.affine_image(p, t.matrix, t.shift)
+                           for p, t in zip(bodies, maps)]
+    assert len(scaled) == 2 * len(bodies)
 
 
 def test_kernel_bases_per_scenario(monkeypatch):

@@ -213,6 +213,26 @@ def test_lift_certifies_its_output(capsys, tmp_path):
         assert doc["certificate"]["lattice_free"] is True
 
 
+def test_lift_searches_its_output_once(capsys, monkeypatch):
+    # the lift finds its body lattice-free before mapping it back, so the
+    # certificate runs no second interior search: one search for the base
+    # and one for the lifted body (three when the CLI searched it again)
+    calls = []
+    real = latcut.lattice.interior_lattice_point
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(constructions, "interior_lattice_point", counted)
+    monkeypatch.setattr(latcut.lattice, "interior_lattice_point", counted)
+    code, doc = run_json(capsys, "lift", "--l", str(FIXTURES / "triangle_t1.json"),
+                         "--f", "1/2,1", "--gamma", "1/2",
+                         "--d", str(FIXTURES / "segment.json"), "--t", "1")
+    assert code == 0 and doc["certificate"]["lattice_free"] is True
+    assert len(calls) == 2
+
+
 def test_approx_fixed_mode_respects_facet_cap(capsys):
     code, doc = run_json(capsys, "approx", "--mode", "fixed",
                          "--l", str(FIXTURES / "diamond.json"),
@@ -338,7 +358,8 @@ def test_alpha_hi_takes_a_rational(capsys):
 def test_failed_construction_check_exits_one(capsys, monkeypatch):
     real = constructions.certify_lattice_free
     monkeypatch.setattr(constructions, "certify_lattice_free",
-                        lambda p: dataclasses.replace(real(p), maximal=False))
+                        lambda p, witnesses=(): dataclasses.replace(
+                            real(p, witnesses), maximal=False))
     code, out, err = run(capsys, "construct", "cubeface", "--n", "2", "--i", "3")
     assert (code, out) == (1, "")
     assert err == "error: cube-face body is not maximal lattice-free\n"

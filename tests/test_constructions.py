@@ -58,7 +58,13 @@ from latcut.lattice import certify_lattice_free, flatness_bound, point_denominat
 from latcut.scenarios import _lift_instances, run_scenario
 from latcut.strength import relative_strength
 
-from oracles import lp_solve, separate, separation_depth, zero_combination_feasible
+from oracles import (
+    lp_solve,
+    separate,
+    separation_depth,
+    witnessed_facet,
+    zero_combination_feasible,
+)
 
 F12 = (F(1, 2), F(1, 2))
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -72,6 +78,17 @@ def tri(t):
 
 def seg01():
     return Polyhedron.from_generators([(F(0),), (F(1),)])
+
+
+def assert_search_decisions(body, cert):
+    """cert decides as the search route does (``certify_lattice_free`` with
+    no witnesses), and each of its witnesses lies on its own facet, strictly
+    inside every other row (``oracles.witnessed_facet``)."""
+    search = certify_lattice_free(body)
+    assert (cert.lattice_free, cert.maximal) == (search.lattice_free, search.maximal)
+    assert len(cert.facet_witnesses) == len(body.halfspaces)
+    for j, w in enumerate(cert.facet_witnesses):
+        assert w is None or witnessed_facet(body.halfspaces, w) == j, (j, w)
 
 
 def facet_witnesses(b):
@@ -97,12 +114,15 @@ def facet_witnesses(b):
 
 
 def test_cube_face_census_all_counts_certified():
+    # the certificate carries the cube vertices as witnesses: the search
+    # route's decisions, with witnesses of the construction's own
     for n in (1, 2, 3):
         for i in range(2, 2 ** n + 1):
             made = cube_face_construction(n, i)
             assert len(made.body.halfspaces) == i
             assert made.cert.lattice_free and made.cert.maximal
-            assert made.cert == certify_lattice_free(made.body)
+            assert_search_decisions(made.body, made.cert)
+            assert all(set(w) <= {0, 1} for w in made.cert.facet_witnesses)
 
 
 def test_cube_face_two_facets_is_the_horizontal_split():
@@ -809,7 +829,8 @@ def test_tower_in_the_plane():
     assert tw.witnesses == ((F(0), F(0)), (F(1), F(1)), (F(0), F(-1)))
     assert tw.body.contains_point(F12, strict=True)
     assert tw.cert.lattice_free and tw.cert.maximal
-    assert tw.cert == certify_lattice_free(tw.body)
+    assert_search_decisions(tw.body, tw.cert)
+    assert tw.cert.facet_witnesses == ((F(0), F(0)), (F(0), F(-1)), (F(1), F(1)))
     shrunk = homothety(tw.body, F12, F(1, 2))
     for zi, zj in itertools.combinations(tw.witnesses, 2):
         assert segment_meets(shrunk, zi, zj)
@@ -826,6 +847,34 @@ def test_tower_three_dimensional_with_fractional_ratio():
     shrunk = homothety(tw.body, f, F(2, 5))
     for zi, zj in itertools.combinations(tw.witnesses, 2):
         assert segment_meets(shrunk, zi, zj)
+
+
+INAPPROX_FS = (F12, (F(1, 3), F(2, 3)), (F(1, 2), F(1, 3), F(1, 5)))
+
+
+@pytest.mark.parametrize("alpha", [F(2), F(5, 2), F(3), F(10)])
+@pytest.mark.parametrize("f", INAPPROX_FS)
+def test_tower_certificate_matches_the_search_route(f, alpha):
+    # the tower hands its own witnesses to the certificate, which lists
+    # exactly those and decides as the facet search does
+    tw = simplex_tower(f, alpha)
+    assert_search_decisions(tw.body, tw.cert)
+    assert tw.cert.maximal
+    assert sorted(tw.cert.facet_witnesses) == sorted(tw.witnesses)
+
+
+def test_pyramid_certificates_match_the_search_route():
+    # the bases of the inapprox-witnesses pyramid identities: each side
+    # facet is witnessed by a base witness on level 0, and the search finds
+    # the witness of the pyramid's base
+    cases = [(seg01(), (F(1, 2),), [(F(0),), (F(1),)]),
+             (cube_face_construction(2, 4).body, F12,
+              [(F(0), F(0)), (F(1), F(1)), (F(1), F(0)), (F(0), F(1))])]
+    for l, c, zs in cases:
+        pw = inapprox_pyramid(l, c, zs, shrink_epsilon(l, c, zs), F(1, 2))
+        assert_search_decisions(pw.body, pw.cert)
+        assert pw.cert.maximal
+        assert {z + (F(0),) for z in zs} < set(pw.cert.facet_witnesses)
 
 
 def test_tower_witnesses_defeat_sampled_covering_bodies():
