@@ -650,8 +650,9 @@ def inapprox_pyramid(l: Polyhedron, c, zs, eps, mu) -> PyramidWitness:
             "pyramid facet count off")
     require(body.contains(p), "pyramid does not hold its core")
     require(body.contains_point(f, strict=True), "f is not interior to the pyramid")
-    # level 0 cuts the base's facets out of the side facets, strictly above
-    # the pyramid's base: each base witness witnesses its side facet there
+    # the level-0 slice is l, strictly above the pyramid's base, so (z, 0)
+    # lies on the side facet over z's facet of l and strictly inside every
+    # other row: only the base facet is searched
     cert = certify_lattice_free(body, [z + (ZERO,) for z in zs])
     require(cert.maximal, "pyramid is not maximal lattice-free")
 

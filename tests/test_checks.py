@@ -166,7 +166,17 @@ def test_constructions_search_no_facet_they_witness(monkeypatch):
         constructions.inapprox_pyramid(l, c, zs, constructions.shrink_epsilon(l, c, zs),
                                        F(1, 2))
         counts[l.dim + 1] = len(calls)
-    assert counts == {"cube faces and towers": 0, 2: 1, 3: 1}, counts
+    # growth searches its input's facets once, then only the facets that no
+    # kept witness and no push's end point covers: the sliver is dropped
+    # twice and pushed twice, the triangle pushed once (15 and 6 searches
+    # when each certificate searched every facet)
+    for name, pts in (("sliver", [(0, F(1, 4)), (1, F(1, 4)), (0, F(1, 2)), (1, F(1, 2))]),
+                      ("triangle", [(0, 0), (F(3, 2), 0), (0, F(3, 2))])):
+        calls.clear()
+        lattice.grow_to_maximal(geometry.Polyhedron.from_generators(pts))
+        counts[name] = len(calls)
+    assert counts == {"cube faces and towers": 0, 2: 1, 3: 1,
+                      "sliver": 10, "triangle": 3}, counts
 
 
 def test_bad_witnesses_raise_under_python_dash_o():
@@ -269,12 +279,9 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
             calls.clear()
         assert run_scenario(name).passed
         counts[name] = (len(candidates), sum(map(len, lps)))
-    # each facet of a 3-d slab, whose relative interior is its whole plane,
-    # takes one _strict_integer step with no bound (two in each of
-    # cubeface-census and approximation-factors)
     # constructions search no facet they witness (cubeface-census scanned
     # 118, inapprox-witnesses 1538 and approximation-factors 879 when every
-    # facet was searched)
+    # facet was searched), so none of these scans a 3-d slab's facet
     assert counts == {"cubeface-census": (59, 0),
                       "lifting-end-to-end": (120, 0),
                       "inapprox-witnesses": (1447, 0),
