@@ -166,7 +166,7 @@ def _cmd_approx(args) -> int:
     return _emit({
         "body": jsonio.polyhedron_to_obj(res.body),
         "factor": la.format_frac(res.factor),
-        "facets": len(res.body.halfspaces),
+        "facets": len(res.body.rows),
         "certificate": _cert_obj(certify_lattice_free(res.body)),
     })
 

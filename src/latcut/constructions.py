@@ -9,12 +9,18 @@ with one facet more, and the two approximation pipelines drive it to bodies
 with few facets and a certified inflation factor.  The tail of the module
 builds the witnesses for the negative results: shrink factors, lattice-free
 pyramids that force a facet count, simplex towers, and cylinder lifts.
+
+Every construction reads the stored int form of its bodies (``rows``,
+``points``, ``directions``) and hands int rows or generators to
+``Polyhedron._from_rows`` or ``Polyhedron._from_gens``; none builds a
+``Fraction`` view of a body.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,12 +103,11 @@ def cube_face_construction(n: int, i: int) -> CubeFaceBody:
         lower, upper = list(face), list(face)
         lower[ax], upper[ax] = 0, 1
         faces[j:j + 1] = [tuple(lower), tuple(upper)]
-    hs = []
-    for face in faces:
-        normal = tuple(ZERO if c is None else (ONE if c else -ONE) for c in face)
-        hs.append(HalfSpace.make(normal, Fraction(sum(1 for c in face if c == 1))))
-    out = Polyhedron.from_halfspaces(hs, n)
-    require(len(out.halfspaces) == i, "cube-face body has the wrong facet count")
+    # the int row (-#ones, a), read a . x <= #ones
+    rows = [[-sum(1 for c in face if c == 1)]
+            + [0 if c is None else (1 if c else -1) for c in face] for face in faces]
+    out = Polyhedron._from_rows(rows, n)
+    require(len(out.rows) == i, "cube-face body has the wrong facet count")
     cert = certify_lattice_free(out, [[c or 0 for c in face] for face in faces])
     require(cert.maximal, "cube-face body is not maximal lattice-free")
     return CubeFaceBody(out, cert)
@@ -133,21 +138,25 @@ class TruncatedCone:
             raise OutOfRange("expansion ratio must be nonnegative")
         if len(shift) != base.dim:
             raise DimensionMismatch("shift dimension mismatch")
-        anchor = base.vertices[0]
-        span = [vsub(v, anchor) for v in base.vertices[1:]] + list(base.rays)
-        delta = vadd(vscale(alpha, anchor), shift)
+        _, span, (_, delta) = _cone_frame(base, alpha, shift)
         if la.rank(span + [delta]) == la.rank(span):
             raise OutOfRange("far base shares the affine hull of the base")
         far = minkowski_scale_shift(base, ONE + alpha, shift)
-        hull = Polyhedron.from_generators(
-            list(base.vertices) + list(far.vertices),
-            list(base.rays) + list(far.rays),
-            base.dim,
-        )
-        cone = TruncatedCone(base, alpha, shift, hull)
-        for mu in (ZERO, Fraction(1, 3), Fraction(1, 2), ONE):
-            require(hull.contains(cone.slice_at(mu)), "cone hull misses a slice")
-        return cone
+        rays = [(0, *r) for r in base.directions]  # far has the same
+        hull = Polyhedron._from_gens(list(base.points + far.points) + rays, base.dim)
+        # hull.contains(slice_at(mu)) for each mu = mn / md below, on the
+        # slice's generators: a point (d, x) of the base goes to
+        # (1 + mu alpha) x / d + mu S / ds, as ints over md Q d ds
+        P, Q = alpha.numerator, alpha.denominator
+        ds, *S = la.integer_copy((ONE,) + shift)
+        for mn, md in ((0, 1), (1, 3), (1, 2), (1, 1)):
+            lam = (md * Q + mn * P) * ds
+            gens = [[md * Q * ds * d] + [lam * x + mn * Q * d * s for x, s in zip(xs, S)]
+                    for d, *xs in base.points]
+            require(all(sum(map(operator.mul, z, g)) <= 0
+                        for z in hull.rows for g in gens + rays),
+                    "cone hull misses a slice")
+        return TruncatedCone(base, alpha, shift, hull)
 
     def slice_at(self, mu) -> Polyhedron:
         mu = la.frac(mu)
@@ -155,13 +164,45 @@ class TruncatedCone:
                                      vscale(mu, self.shift))
 
     def transverse_coordinate(self, x) -> Fraction:
-        """The mu of the slice through x; 0 on the base, 1 on the far base."""
-        anchor = self.base.vertices[0]
-        span = [vsub(v, anchor) for v in self.base.vertices[1:]]
-        span += list(self.base.rays)
-        delta = vadd(vscale(self.alpha, anchor), self.shift)
-        g = la.project_off(delta, span)
-        return dot(g, vsub(la.vec(x), anchor)) / dot(g, delta)
+        """The mu of the slice through x; 0 on the base, 1 on the far base.
+
+        mu = g . (x - x0) / g . delta for x0 the base's first vertex and g
+        the part of delta orthogonal to the base's hull.  Any positive
+        multiple of g gives the same mu, so g comes from a fraction-free
+        Gram-Schmidt on ints (u <- (b . b) u - (u . b) b), and only x - x0
+        and delta are brought to their true scales.
+        """
+        x = la.vec(x)
+        if len(x) != self.base.dim:
+            raise DimensionMismatch("point dimension mismatch")
+        (d0, x0), span, (dd, delta) = _cone_frame(self.base, self.alpha, self.shift)
+        basis = []
+        for u in span + [delta]:
+            for b in basis:
+                ub = sum(map(operator.mul, u, b))
+                if ub:
+                    bb = sum(y * y for y in b)
+                    u = [bb * p - ub * q for p, q in zip(u, b)]
+            if any(u):
+                basis.append(la.primitive_int(u))
+        g = basis[-1]  # delta leaves the span (``make``)
+        # x - x0 = (d0 X - dx x0) / (dx d0) and delta = D / dd
+        dx, *xs = la.integer_copy((ONE,) + x)
+        num = sum(c * (d0 * p - dx * q) for c, p, q in zip(g, xs, x0))
+        return Fraction(num * dd, sum(map(operator.mul, g, delta)) * dx * d0)
+
+
+def _cone_frame(base: Polyhedron, alpha: Fraction, shift: Vec):
+    """On ints: the base's first point (d0, x0); the span of its hull's
+    directions, each other point (d, x) as d0 x - d x0, then the
+    directions; and delta = alpha x0 / d0 + shift as (dd, D), read D / dd."""
+    (d0, *x0), *rest = base.points
+    span = [[d0 * x - d * a for x, a in zip(xs, x0)] for d, *xs in rest]
+    span += base.directions
+    P, Q = alpha.numerator, alpha.denominator
+    ds, *S = la.integer_copy((ONE,) + shift)
+    delta = [P * ds * a + Q * d0 * s for a, s in zip(x0, S)]
+    return (d0, x0), span, (Q * d0 * ds, delta)
 
 
 def truncated_cone_shrink(cone: TruncatedCone, f) -> Polyhedron:
@@ -182,8 +223,8 @@ def truncated_cone_shrink(cone: TruncatedCone, f) -> Polyhedron:
     x = vscale(ONE / scale, vsub(f, vscale(mu, cone.shift)))
     require(cone.base.contains_point(x), "anchor point leaves the base")
     far = minkowski_scale_shift(cone.base, ONE + cone.alpha, cone.shift)
-    out = Polyhedron.from_generators([x] + list(far.vertices), far.rays,
-                                     cone.base.dim)
+    out = Polyhedron._from_gens([la.integer_copy((ONE,) + x), *far.points]
+                                + [(0, *r) for r in far.directions], cone.base.dim)
     require(cone.hull.contains(out), "shrunk cone leaves the hull")
     require(out.contains(homothety(cone.hull, f, Fraction(1, 4))),
             "shrunk cone misses the quarter homothety")
@@ -235,17 +276,16 @@ def caratheodory_facet_subset(m: Polyhedron) -> FacetSubsetResult:
     affinely independent support keeps all weights positive, which forces
     the recession cone of the relaxation to be a subspace.
     """
-    normals = [h.normal for h in m.halfspaces]
-    got = _zero_combination(normals)
+    got = _zero_combination([z[1:] for z in m.rows])
     if got is None:
         raise NotLatticeFreeInput("0 outside the hull of the facet normals")
     idx, lam = got
     n = m.dim
-    relaxed = Polyhedron.from_halfspaces([m.halfspaces[j] for j in idx], n)
-    k = len(relaxed.lineality)
+    relaxed = Polyhedron._from_rows([m.rows[j] for j in idx], n)
+    k = len(relaxed.lines)
     require(len(idx) == n - k + 1, "facet subset is not a simplex plus lineality")
     require(relaxed.recession_is_subspace(), "relaxation recedes off its lineality")
-    require(len(relaxed.halfspaces) == len(idx), "a chosen facet is redundant")
+    require(len(relaxed.rows) == len(idx), "a chosen facet is redundant")
     return FacetSubsetResult(tuple(idx), n - k, k)
 
 
@@ -253,11 +293,12 @@ def caratheodory_facet_subset(m: Polyhedron) -> FacetSubsetResult:
 # the lifting step
 
 def _last_axis_range(p: Polyhedron):
-    """Exact range of the last coordinate; None marks an unbounded end."""
-    e = vzero(p.dim - 1) + (ONE,)
-    lo, _ = p.support(vneg(e))
-    hi, _ = p.support(e)
-    return (None if lo is None else -lo), hi
+    """Exact range of the last coordinate, the least and greatest x_n / d
+    over the points (d, x); None marks an unbounded end, which a direction
+    with a negative (lower end) or positive (upper end) last entry opens."""
+    ends = [Fraction(x[-1], x[0]) for x in p.points]
+    return (None if any(r[-1] < 0 for r in p.directions) else min(ends),
+            None if any(r[-1] > 0 for r in p.directions) else max(ends))
 
 
 def split_along(u, b) -> Polyhedron:
@@ -338,8 +379,7 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
         b0 = _lift_core(lp0, f0, d)
     require(b0.contains(lpp), "lifted body misses the quarter homothety")
     require(interior_lattice_point(b0) is None, "lifted body is not lattice-free")
-    require(len(b0.halfspaces) <= len(d.halfspaces) + 1,
-            "lifted body has too many facets")
+    require(len(b0.rows) <= len(d.rows) + 1, "lifted body has too many facets")
     return transform(b0, phi.inverse())
 
 
@@ -353,30 +393,31 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
     close the body.
     """
     n = lp0.dim
-    e = vzero(n - 1) + (ONE,)
     seps = [_pencil(lp0, f0, z) for z in d.rows]
-    caps = [HalfSpace.make(e, ONE), HalfSpace.make(vneg(e), ONE)]
-    bprime = Polyhedron.from_halfspaces(seps + caps, n)
-    m = len(d.halfspaces)
-    if len(bprime.halfspaces) <= m + 1:
+    caps = [(-1,) + (0,) * (n - 1) + (1,), (-1,) + (0,) * (n - 1) + (-1,)]  # |x_n| <= 1
+    bprime = Polyhedron._from_rows(seps + caps, n)
+    m = len(d.rows)
+    if len(bprime.rows) <= m + 1:
         return bprime
 
     # both caps are facets: drop one through a truncated-cone shrink
     require(ZERO <= f0[-1] <= Fraction(1, 4), "center height outside [0, 1/4]")
-    slice_normals = [h.normal[:-1] for h in seps]
-    require(not any(la.is_zero_vec(a) for a in slice_normals),
-            "a separator is parallel to the levels")
+    slice_normals = [z[1:-1] for z in seps]
+    require(all(map(any, slice_normals)), "a separator is parallel to the levels")
     got = _zero_combination(slice_normals)
     if got is None:
         raise NotLatticeFreeInput("separator slice normals do not surround 0")
     idx, lam = got
     kept = [seps[j] for j in idx]
-    tshape = Polyhedron.from_halfspaces(kept + caps, n)
+    tshape = Polyhedron._from_rows(kept + caps, n)
+
+    def offset(j: int, level: Fraction) -> Fraction:
+        # separator j, (z0, a', a_n), read a' . y <= -z0 - a_n level on the level
+        return -seps[j][0] - seps[j][-1] * level
 
     def size(level: Fraction) -> Fraction:
         # positive multiple of the inradius-type size of the level slice
-        return sum(w * (seps[j].offset - seps[j].normal[-1] * level)
-                   for w, j in zip(lam, idx))
+        return sum(w * offset(j, level) for w, j in zip(lam, idx))
 
     s_lo, s_hi = size(-ONE), size(ONE)
     require(size(ZERO) > 0 and s_lo > 0 and s_hi > 0, "a level slice is empty")
@@ -384,10 +425,9 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
     other_level = -base_level
     alpha = size(other_level) / size(base_level) - ONE
     # translation between the slice systems: g_j . p' matches the offsets
-    rhs = tuple((seps[j].offset - seps[j].normal[-1] * other_level)
-                - (ONE + alpha) * (seps[j].offset - seps[j].normal[-1] * base_level)
+    rhs = tuple(offset(j, other_level) - (ONE + alpha) * offset(j, base_level)
                 for j in idx)
-    pprime = la.solve(tuple(h.normal[:-1] for h in kept), rhs)
+    pprime = la.solve(tuple(z[1:-1] for z in kept), rhs)
     require(pprime is not None, "slice systems have no translation")
     p = pprime + (other_level - (ONE + alpha) * base_level,)
     base = embed_last_axis(level_slice(tshape, base_level), base_level)
@@ -399,10 +439,10 @@ def _lift_core(lp0: Polyhedron, f0: Vec, d: Polyhedron) -> Polyhedron:
     require(cone.transverse_coordinate(f0) == mu, "transverse coordinate off")
     tprime = truncated_cone_shrink(cone, f0)
     rest = [seps[j] for j in range(m) if j not in set(idx)]
-    return Polyhedron.from_halfspaces(list(tprime.halfspaces) + rest, n)
+    return Polyhedron._from_rows(list(tprime.rows) + rest, n)
 
 
-def _pencil(lp0: Polyhedron, f0: Vec, z) -> HalfSpace:
+def _pencil(lp0: Polyhedron, f0: Vec, z) -> tuple[int, ...]:
     """The half-space holding lp0 that keeps the part of level 0 beyond the
     facet a . x' <= beta of the base (the int row z = (-beta, a)) outside
     its interior, and is deepest at f0.
@@ -417,24 +457,33 @@ def _pencil(lp0: Polyhedron, f0: Vec, z) -> HalfSpace:
     linear in t on [-|a|_inf, |a|_inf] and monotone on either side.  So
     the best t is one of the interval's ends, +/-|a|_inf or 0, each clipped
     to the interval, and a tie goes to the least |t|, then to t >= 0.
+    The bounds are kept as int pairs (num, den), den > 0, compared by
+    cross-multiplication, and the int row of the separator is returned.
     """
     z0, *a = z
-    below, above = [], []
+    lo = hi = None
     for g in itertools.chain(lp0.points, ((0, *r) for r in lp0.directions)):
-        s = z0 * g[0] + sum(x * y for x, y in zip(a, g[1:-1]))  # t g_n <= -s
-        if g[-1]:
-            (above if g[-1] > 0 else below).append(Fraction(-s, g[-1]))
+        s = z0 * g[0] + sum(map(operator.mul, a, g[1:-1]))  # t g_n <= -s
+        gn = g[-1]
+        if gn > 0:
+            if hi is None or -s * hi[1] < hi[0] * gn:
+                hi = (-s, gn)
+        elif gn < 0:
+            if lo is None or s * lo[1] > lo[0] * -gn:
+                lo = (s, -gn)
         elif s > 0:
             raise NotSeparable("the base's facet cuts the body on level 0")
-    require(below and above, "the shrunken body does not straddle level 0")
-    lo, hi = max(below), min(above)
-    if lo > hi:
+    require(lo is not None and hi is not None,
+            "the shrunken body does not straddle level 0")
+    if lo[0] * hi[1] > hi[0] * lo[1]:
         raise NotSeparable("no half-space through the facet holds the body")
+    lo, hi = Fraction(*lo), Fraction(*hi)
     norm = max(map(abs, a))
     depth = -z0 - sum(x * y for x, y in zip(a, f0))  # beta - a . f0'
-    t = min((min(max(Fraction(c), lo), hi) for c in (lo, hi, norm, -norm, 0)),
+    t = min({min(max(c, lo), hi) for c in (lo, hi, norm, -norm, 0)},
             key=lambda t: (-(depth - t * f0[-1]) / max(norm, abs(t)), abs(t), t < 0))
-    return HalfSpace.make((*a, t), -z0)
+    tn, td = t.numerator, t.denominator
+    return la.primitive_int([z0 * td] + [x * td for x in a] + [tn])
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +523,7 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
     n = l.dim
     cap = 2 ** (n - 1) + 1
     flt = flatness_bound(n)
-    if len(l.halfspaces) <= cap:
+    if len(l.rows) <= cap:
         # l covers itself at factor exactly 1: f is interior and every
         # vertex of l lies on a facet, so relative_strength(l, l, f) == 1
         return ApproxResult(l, ONE)
@@ -493,12 +542,12 @@ def approximate_any_f(l: Polyhedron, f) -> ApproxResult:
         t = math.ceil(lo)
         require(lo < t < hi, "level t misses the shrunken body")
         d = grow_to_maximal(level_slice(lt, t))
-        require(len(d.halfspaces) <= 2 ** (n - 1), "maximal base has too many facets")
+        require(len(d.rows) <= 2 ** (n - 1), "maximal base has too many facets")
         b0 = lift_to_nplus1(lt, ft, gamma, d, t)
     b = transform(b0, phi.inverse())
     rep = relative_strength(b, l, f)
     require(rep.kind == "finite" and rep.value <= 4 * flt, "factor exceeds its bound")
-    require(len(b.halfspaces) <= cap, "cover exceeds the facet cap")
+    require(len(b.rows) <= cap, "cover exceeds the facet cap")
     return ApproxResult(b, rep.value)
 
 
@@ -516,7 +565,7 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
     s = point_denominator(f)
     flt = flatness_bound(n)
     bound = flt * 4 ** (n - 1) * s
-    if len(l.halfspaces) <= n + 1:
+    if len(l.rows) <= n + 1:
         return ApproxResult(l, ONE)  # factor 1, as in approximate_any_f
     # n >= 2 from here: one-dimensional lattice-free bodies have <= 2 facets
     wr = lattice_width(l)
@@ -545,7 +594,7 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
         b = transform(b0, phi.inverse())
     rep = relative_strength(b, l, f)
     require(rep.kind == "finite" and rep.value <= bound, "factor exceeds its bound")
-    require(len(b.halfspaces) <= n + 1, "cover exceeds the facet cap")
+    require(len(b.rows) <= n + 1, "cover exceeds the facet cap")
     return ApproxResult(b, rep.value)
 
 
@@ -553,21 +602,25 @@ def approximate_fixed_f(l: Polyhedron, f) -> ApproxResult:
 # inapproximability witnesses
 
 def _check_witnesses(b: Polyhedron, zs: list[Vec]):
-    """Validate one integral witness per facet, strictly inside the rest."""
-    if len(zs) != len(b.halfspaces):
+    """Validate one integral witness per facet, strictly inside the rest:
+    an integer z holds the row (z0, a) iff z0 + a . z <= 0, tightly iff = 0."""
+    if any(len(z) != b.dim for z in zs):
+        raise DimensionMismatch("witness dimension mismatch")
+    if len(zs) != len(b.rows):
         raise OutOfRange("need exactly one witness per facet")
     tight_facets = []
     for z in zs:
         if not la.is_integer_vec(z):
             raise OutOfRange(f"witness {z} is not integral")
-        slacks = [h.eval_slack(z) for h in b.halfspaces]
-        if any(sl < 0 for sl in slacks):
+        g = la.integer_copy((ONE,) + z)
+        vals = [sum(map(operator.mul, r, g)) for r in b.rows]
+        if any(v > 0 for v in vals):
             raise OutOfRange(f"witness {z} outside the body")
-        tight = [j for j, sl in enumerate(slacks) if sl == 0]
+        tight = [j for j, v in enumerate(vals) if v == 0]
         if len(tight) != 1:
             raise OutOfRange(f"witness {z} not in a facet relative interior")
         tight_facets.append(tight[0])
-    if sorted(tight_facets) != list(range(len(b.halfspaces))):
+    if sorted(tight_facets) != list(range(len(b.rows))):
         raise OutOfRange("witnesses do not cover all facets")
 
 
@@ -580,7 +633,7 @@ def shrink_epsilon(b: Polyhedron, c, zs) -> Fraction:
     """
     c = la.vec(c)
     zs = [la.vec(z) for z in zs]
-    if b.rays:
+    if b.directions:
         raise NotPolytope("shrink factor needs a bounded body")
     if not b.contains_point(c, strict=True):
         raise PointNotInterior("center must be interior")
@@ -623,7 +676,7 @@ def inapprox_pyramid(l: Polyhedron, c, zs, eps, mu) -> PyramidWitness:
     eps = la.frac(eps)
     mu = la.frac(mu)
     zs = [la.vec(z) for z in zs]
-    if l.rays:
+    if l.directions:
         raise NotPolytope("the pyramid construction needs a bounded base")
     if not (0 < eps < 1 and 0 < mu < 1):
         raise OutOfRange("eps and mu must lie strictly between 0 and 1")
@@ -639,15 +692,15 @@ def inapprox_pyramid(l: Polyhedron, c, zs, eps, mu) -> PyramidWitness:
     n = l.dim + 1
     f = c + (em,)
     fbase = homothety(l, c, ONE / em)
-    p = Polyhedron.from_generators(
-        [f] + [v + (-ONE,) for v in fbase.vertices], dim=n)
+    # f, then each vertex (d, x) of fbase at level -1
+    p = Polyhedron._from_gens([la.integer_copy((ONE,) + f)]
+                              + [(*g, -g[0]) for g in fbase.points], n)
     require(level_slice(p, 0) == homothety(l, c, ONE / (em + 1)),
             "inner cross-section identity fails")
     lam = (em * (em + 1) + 1) / (em + 1)
     body = homothety(p, c + (-ONE,), lam)
     require(level_slice(body, 0) == l, "level-zero cross-section is not the base")
-    require(len(body.halfspaces) == len(l.halfspaces) + 1,
-            "pyramid facet count off")
+    require(len(body.rows) == len(l.rows) + 1, "pyramid facet count off")
     require(body.contains(p), "pyramid does not hold its core")
     require(body.contains_point(f, strict=True), "f is not interior to the pyramid")
     # the level-0 slice is l, strictly above the pyramid's base, so (z, 0)
@@ -684,22 +737,32 @@ class TowerWitness:
 
 
 def segment_meets(p: Polyhedron, a, b) -> bool:
-    """Exact test whether the segment [a, b] intersects the polyhedron."""
+    """Exact test whether the segment [a, b] intersects the polyhedron.
+
+    With a = A / da and b = B / db, a row z reads u + s (v - u) <= 0 at
+    (1 - s) a + s b, for u = db z . (da, A) and v = da z . (db, B); the
+    range [lo, hi] of s, clipped from [0, 1], is kept as int pairs (num,
+    den), den > 0, compared by cross-multiplication.
+    """
     a = la.vec(a)
     b = la.vec(b)
-    lo, hi = ZERO, ONE
-    d = vsub(b, a)
-    for h in p.halfspaces:
-        num = h.offset - dot(h.normal, a)
-        den = dot(h.normal, d)
-        if den == 0:
-            if num < 0:
+    if len(a) != p.dim or len(b) != p.dim:
+        raise DimensionMismatch("point dimension mismatch")
+    ga = la.integer_copy((ONE,) + a)
+    gb = la.integer_copy((ONE,) + b)
+    (ln, ld), (hn, hd) = (0, 1), (1, 1)
+    for z in p.rows:
+        u = sum(map(operator.mul, z, ga)) * gb[0]
+        v = sum(map(operator.mul, z, gb)) * ga[0]
+        if u == v:
+            if u > 0:
                 return False
-        elif den > 0:
-            hi = min(hi, num / den)
-        else:
-            lo = max(lo, num / den)
-    return lo <= hi
+        elif v > u:  # s <= -u / (v - u)
+            if -u * hd < hn * (v - u):
+                hn, hd = -u, v - u
+        elif u * ld > ln * (u - v):  # s >= u / (u - v)
+            ln, ld = u, u - v
+    return ln * hd <= hn * ld
 
 
 def simplex_tower(f, alpha) -> TowerWitness:
@@ -721,7 +784,7 @@ def simplex_tower(f, alpha) -> TowerWitness:
     if la.is_integer_vec(f):
         raise OutOfRange("f must have a fractional coordinate")
     body, zs = _tower(f, alpha)
-    require(len(body.halfspaces) == n + 1 and not body.rays, "tower is not a simplex")
+    require(len(body.rows) == n + 1 and not body.directions, "tower is not a simplex")
     require(body.contains_point(f, strict=True), "f is not interior to the tower")
     cert = certify_lattice_free(body, zs)
     require(cert.maximal, "tower is not maximal lattice-free")
@@ -737,9 +800,9 @@ def simplex_tower(f, alpha) -> TowerWitness:
 def _tower(f: Vec, alpha: Fraction):
     n = len(f)
     if n == 1:
-        z1 = Fraction(math.floor(f[0]))
-        body = Polyhedron.from_generators([(z1,), (z1 + 1,)])
-        return body, [(z1,), (z1 + 1,)]
+        z1 = math.floor(f[0])
+        body = Polyhedron._from_gens([(1, z1), (1, z1 + 1)], 1)
+        return body, [(Fraction(z1),), (Fraction(z1 + 1),)]
     scaled = tuple(int(x * point_denominator(f)) for x in f)
     u = la.integer_kernel_basis([la.vec(scaled)])[0]
     m, c = la.unimodular_with_bottom_row(u)
@@ -749,7 +812,9 @@ def _tower(f: Vec, alpha: Fraction):
     sub_body, sub_zs = _tower(fprime, alpha)
     apex = fprime + (ONE / (alpha - ONE),)
     base = homothety(sub_body, fprime, alpha)
-    body0 = Polyhedron.from_generators([apex] + [v + (-ONE,) for v in base.vertices])
+    # the apex, then each vertex (d, x) of the base at level -1
+    body0 = Polyhedron._from_gens([la.integer_copy((ONE,) + apex)]
+                                  + [(*g, -g[0]) for g in base.points], n)
     zs0 = [z + (ZERO,) for z in sub_zs] + [sub_zs[0] + (-ONE,)]
     require(level_slice(body0, 0) == sub_body, "tower slice is not the lower tower")
     # the shrunken tower's base returns to the lower tower at level -1/alpha
@@ -774,7 +839,7 @@ def cylinder_lift_witness(l: Polyhedron, f_prime, n: int) -> Polyhedron:
     if len(f_prime) != i:
         raise DimensionMismatch("point dimension mismatch")
     out = product_with_line(l, n - i)
-    require(len(out.halfspaces) == len(l.halfspaces), "cylinder facet count off")
+    require(len(out.rows) == len(l.rows), "cylinder facet count off")
     f = f_prime + vzero(n - i)
     require(out.contains_point(f, strict=True)
             == l.contains_point(f_prime, strict=True),

@@ -30,9 +30,13 @@ dimension d, so a pair whose zero sets share fewer rows is never scanned
 for a third ray.  It returns the int tuples and masks as they are; no
 ``Fraction`` appears in it.
 
-Each constructor runs one conversion.  ``Polyhedron._assemble`` is the one
-routine that brings both descriptions to canonical form for the
-constructors, and it drops the redundant part of either side from one
+Each constructor runs one conversion: ``from_halfspaces`` and
+``from_generators`` coerce their input to ints and hand it to
+``Polyhedron._from_rows`` or ``Polyhedron._from_gens``, the two int entry
+points, which code that already holds int rows or generators (slices,
+embeddings, the constructions) calls directly.  ``Polyhedron._assemble`` is
+the one routine that brings both descriptions to canonical form for them,
+and it drops the redundant part of either side from one
 incidence table of rows against generators, with the row x0 >= 0 (the face
 at infinity) added to the rows.  This is the combinatorial form of the test
 in Fukuda & Prodon, "Double description method revisited", 1996: a row is
@@ -92,7 +96,7 @@ from .errors import (
     WholeSpace,
     require,
 )
-from .linalg import Mat, Vec, ZERO, ONE, dot, vadd, vneg, vscale
+from .linalg import Mat, Vec, ZERO, ONE, dot, vadd, vscale
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +338,13 @@ class Polyhedron:
                 raise DimensionMismatch(f"generator {g} not in dimension {dim}")
         gens = [la.integer_copy((ONE,) + v) for v in verts]
         gens += [la.integer_copy((ZERO,) + r) for r in recrays]
+        return Polyhedron._from_gens(gens, dim)
+
+    @staticmethod
+    def _from_gens(gens, dim: int) -> "Polyhedron":
+        """The polyhedron of int generators (d, x), d > 0, read x / d, and
+        (0, r), gens[0] a point: one conversion, then ``_assemble`` with its
+        zero sets."""
         dlines, drays, masks = cone_dd(gens, dim + 1)
         every = (1 << len(gens)) - 1  # a dual line is tight on every generator
         return Polyhedron._assemble(dlines + drays, gens, dim,
@@ -443,20 +454,8 @@ class Polyhedron:
 
     def recession_is_subspace(self) -> bool:
         """True iff every recession ray is neutralized by its opposite."""
-        rayset = set(self.rays)
-        return all(vneg(r) in rayset for r in self.rays)
-
-    def support(self, direction) -> tuple[Fraction | None, Vec | None]:
-        """(sup of direction . x, attaining vertex) with None meaning +inf."""
-        direction = la.vec(direction)
-        if any(dot(direction, r) > 0 for r in self.rays):
-            return None, None
-        best, arg = None, None
-        for v in self.vertices:
-            val = dot(direction, v)
-            if best is None or val > best:
-                best, arg = val, v
-        return best, arg
+        rayset = set(self.directions)
+        return all(tuple(-x for x in r) in rayset for r in self.directions)
 
 
 # ---------------------------------------------------------------------------
@@ -845,19 +844,20 @@ def level_slice(p: Polyhedron, level) -> Polyhedron:
 
 
 def embed_last_axis(p: Polyhedron, level) -> Polyhedron:
-    """Place p into one more dimension at height x_n = level."""
+    """Place p into one more dimension at height x_n = level: with level =
+    t / dt, a point (d, x) becomes (dt d, dt x, t d) and a ray gains a 0."""
     level = la.frac(level)
-    return Polyhedron.from_generators(
-        [v + (level,) for v in p.vertices], [r + (ZERO,) for r in p.rays],
-        p.dim + 1)
+    t, dt = level.numerator, level.denominator
+    return Polyhedron._from_gens(
+        [(dt * d, *(dt * x for x in xs), t * d) for d, *xs in p.points]
+        + [(0, *r, 0) for r in p.directions], p.dim + 1)
 
 
 def product_with_line(p: Polyhedron, extra: int = 1) -> Polyhedron:
     """p x R^extra (new free coordinates appended)."""
-    zeros = (ZERO,) * extra
-    verts = [v + zeros for v in p.vertices]
-    rays = [r + zeros for r in p.rays]
+    zeros = (0,) * extra
+    gens = [g + zeros for g in p.points] + [(0, *r) + zeros for r in p.directions]
     for k in range(extra):
-        e = tuple(ONE if i == p.dim + k else ZERO for i in range(p.dim + extra))
-        rays.extend((e, vneg(e)))
-    return Polyhedron.from_generators(verts, rays, p.dim + extra)
+        e = tuple(int(i == p.dim + 1 + k) for i in range(p.dim + extra + 1))
+        gens.extend((e, tuple(-x for x in e)))
+    return Polyhedron._from_gens(gens, p.dim + extra)

@@ -228,22 +228,6 @@ def affine_rank(points: Sequence[Vec]) -> int:
     return rank([vsub(p, base) for p in points[1:]])
 
 
-def project_off(v: Vec, basis: Sequence[Vec]) -> Vec:
-    """Orthogonal projection of v onto the complement of span(basis).
-
-    The Gram system is solved exactly, so the projection is rational.
-    """
-    if not basis:
-        return v
-    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    rhs = tuple(dot(a, v) for a in basis)
-    coef = solve(gram, rhs)
-    out = v
-    for c, b in zip(coef, basis):
-        out = vsub(out, vscale(c, b))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # integer / unimodular utilities
 

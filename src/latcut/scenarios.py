@@ -190,8 +190,7 @@ def _census_checks(params):
             def thunk(n=n, i=i):
                 made = cube_face_construction(n, i)
                 body, cert = made.body, made.cert
-                _expect(len(body.halfspaces) == i,
-                        f"facet count {len(body.halfspaces)} != {i}")
+                _expect(len(body.rows) == i, f"facet count {len(body.rows)} != {i}")
                 _expect(cert.lattice_free, "interior integer point found")
                 _expect(cert.maximal, "an unwitnessed facet remains")
                 return (f"certified maximal lattice-free, {i} facets, "
@@ -383,14 +382,13 @@ def _lifting_checks(params):
     for k, (l, f, gamma, d, t) in enumerate(_lift_instances()):
         def thunk(l=l, f=f, gamma=gamma, d=d, t=t):
             out = lift_to_nplus1(l, f, gamma, d, t)
-            m = len(d.halfspaces)
-            _expect(len(out.halfspaces) <= m + 1,
-                    f"{len(out.halfspaces)} facets exceed {m + 1}")
+            m = len(d.rows)
+            _expect(len(out.rows) <= m + 1, f"{len(out.rows)} facets exceed {m + 1}")
             _expect(interior_lattice_point(out) is None,
                     "output not lattice-free")
             _expect(out.contains(homothety(l, f, gamma / 4)),
                     "gamma/4 homothety escapes the lift")
-            return (f"lattice-free, {len(out.halfspaces)} <= {m + 1} facets, "
+            return (f"lattice-free, {len(out.rows)} <= {m + 1} facets, "
                     f"holds the {la.format_frac(gamma / 4)} homothety")
         checks.append((f"instance-{k:02d}-dim{l.dim}", thunk))
     return checks
@@ -419,7 +417,7 @@ def _approximation_checks(params):
                     cap = n + 1
                     bound = (flatness_bound(n) * 4 ** (n - 1)
                              * point_denominator(f))
-                _expect(len(res.body.halfspaces) <= cap,
+                _expect(len(res.body.rows) <= cap,
                         f"instance {done}: facet cap {cap} exceeded")
                 _expect(res.factor <= bound,
                         f"instance {done}: factor {res.factor} > {bound}")
@@ -450,7 +448,7 @@ def _inapprox_checks(params):
             def thunk(f=f, alpha=alpha):
                 tw = tower(f, alpha)
                 n = len(f)
-                _expect(len(tw.body.halfspaces) == n + 1, "facet count off")
+                _expect(len(tw.body.rows) == n + 1, "facet count off")
                 _expect(tw.cert.lattice_free and tw.cert.maximal,
                         "tower not certified maximal lattice-free")
                 shrunk = homothety(tw.body, f, 1 / alpha)
@@ -498,7 +496,7 @@ def _inapprox_checks(params):
             eps = shrink_epsilon(l, c, zs)
             mu = F(1, 2)
             pw = inapprox_pyramid(l, c, zs, eps, mu)
-            _expect(len(pw.body.halfspaces) == len(l.halfspaces) + 1,
+            _expect(len(pw.body.rows) == len(l.rows) + 1,
                     "pyramid facet count off")
             _expect(level_slice(pw.body, 0) == l,
                     "level-zero cross-section is not the base body")

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from latcut import linalg as la
+from latcut.errors import DimensionMismatch
 from latcut.linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub
 from simplex import LpResult, solve_ineq
 
@@ -267,6 +268,66 @@ def fraction_dot(u, v):
     """sum of u_i v_i, one Fraction product and sum at a time; independent
     of ``linalg.dot``, whose integer accumulation it checks."""
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def support(p, direction):
+    """(sup of direction . x, attaining vertex) with None meaning +inf, read
+    off the vertices and rays: the reference for
+    ``constructions._last_axis_range``."""
+    direction = la.vec(direction)
+    if len(direction) != p.dim:
+        raise DimensionMismatch("direction dimension mismatch")
+    if any(dot(direction, r) > 0 for r in p.rays):
+        return None, None
+    best, arg = None, None
+    for v in p.vertices:
+        val = dot(direction, v)
+        if best is None or val > best:
+            best, arg = val, v
+    return best, arg
+
+
+def project_off(v, basis):
+    """Orthogonal projection of v onto the complement of span(basis), by an
+    exact Gram system: the reference for
+    ``constructions.TruncatedCone.transverse_coordinate``."""
+    if not basis:
+        return v
+    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
+    rhs = tuple(dot(a, v) for a in basis)
+    out = v
+    for c, b in zip(la.solve(gram, rhs), basis):
+        out = vsub(out, vscale(c, b))
+    return out
+
+
+def fraction_transverse_coordinate(cone, x):
+    """The mu of the slice of a truncated cone through x, on Fractions."""
+    anchor = cone.base.vertices[0]
+    span = [vsub(v, anchor) for v in cone.base.vertices[1:]] + list(cone.base.rays)
+    delta = vadd(vscale(cone.alpha, anchor), cone.shift)
+    g = project_off(delta, span)
+    return dot(g, vsub(la.vec(x), anchor)) / dot(g, delta)
+
+
+def fraction_segment_meets(p, a, b):
+    """Whether the segment [a, b] meets p, by clipping [0, 1] against each
+    half-space on Fractions: the reference for
+    ``constructions.segment_meets``."""
+    a, b = la.vec(a), la.vec(b)
+    lo, hi = ZERO, ONE
+    d = vsub(b, a)
+    for h in p.halfspaces:
+        num = h.offset - dot(h.normal, a)
+        den = dot(h.normal, d)
+        if den == 0:
+            if num < 0:
+                return False
+        elif den > 0:
+            hi = min(hi, num / den)
+        else:
+            lo = max(lo, num / den)
+    return lo <= hi
 
 
 def witnessed_facet(halfspaces, z):

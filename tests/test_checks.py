@@ -5,6 +5,7 @@ import ast
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -693,3 +694,75 @@ def test_hot_chain_builds_no_fraction_view(monkeypatch):
             run(dataclasses.replace(p))
         counts[name] = {k: len(c) for k, c in views.items()}
     assert all(not any(c.values()) for c in counts.values()), str(counts)
+
+
+def test_constructions_build_no_fraction_view(monkeypatch):
+    # the lift, truncated cones, towers, pyramids, cube faces and segment
+    # tests read and write the stored int form: no halfspaces, vertices,
+    # rays or lineality view is built on their inputs (fresh copies) or on
+    # any body in between; segment_meets, _last_axis_range and the
+    # TruncatedCone methods make no linalg.dot call
+    shrinks = []
+    real_shrink = scenarios.truncated_cone_shrink
+    monkeypatch.setattr(scenarios, "truncated_cone_shrink",
+                        lambda cone, f: shrinks.append((cone, f)) or real_shrink(cone, f))
+    assert run_scenario("truncated-cone-shrink").passed
+    monkeypatch.undo()
+    views = {}
+    for name in ("halfspaces", "vertices", "rays", "lineality"):
+        views[name] = counting(monkeypatch, vars(geometry.Polyhedron)[name], "func")
+    fresh = dataclasses.replace
+    lifts = scenarios._lift_instances()
+    fs = (F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 3), F(1, 5))
+    towers = [(f, alpha, constructions.simplex_tower(f, alpha))
+              for f in fs for alpha in (F(2), F(10))]
+    seg = geometry.Polyhedron.from_generators([(0,), (1,)])
+    diam = constructions.cube_face_construction(2, 4).body
+    pyramids = [(seg, (F(1, 2),), [(F(0),), (F(1),)]),
+                (diam, (F(1, 2), F(1, 2)), [(F(0), F(0)), (F(1), F(1)),
+                                            (F(1), F(0)), (F(0), F(1))])]
+
+    def pyramid(l, c, zs):
+        l = fresh(l)
+        constructions.inapprox_pyramid(
+            l, c, zs, constructions.shrink_epsilon(l, c, zs), F(1, 2))
+
+    def segments(f, alpha, tw):
+        shrunk = geometry.homothety(fresh(tw.body), f, 1 / alpha)
+        for zi, zj in itertools.combinations(tw.witnesses, 2):
+            constructions.segment_meets(shrunk, zi, zj)
+
+    runs = {
+        "lift_to_nplus1": lambda: [
+            constructions.lift_to_nplus1(fresh(l), f, g, fresh(d), t)
+            for l, f, g, d, t in lifts],
+        "truncated_cone": lambda: [constructions.truncated_cone_shrink(
+            constructions.TruncatedCone.make(fresh(c.base), c.alpha, c.shift), f)
+            for c, f in shrinks],
+        "simplex_tower": lambda: [constructions.simplex_tower(f, alpha)
+                                  for f in fs for alpha in (F(2), F(10))],
+        "inapprox_pyramid": lambda: [pyramid(*case) for case in pyramids],
+        "cube_face_construction": lambda: [
+            constructions.cube_face_construction(n, i)
+            for n in (1, 2, 3) for i in range(2, 2 ** n + 1)],
+        "segment_meets": lambda: [segments(*tower) for tower in towers],
+    }
+    counts = {}
+    for name, run in runs.items():
+        for c in views.values():
+            c.clear()
+        run()
+        counts[name] = {k: len(c) for k, c in views.items()}
+    assert len(shrinks) == 50
+    assert all(not any(c.values()) for c in counts.values()), str(counts)
+    # the int kernels of the constructions make no linalg.dot call
+    dots = counting(monkeypatch, latcut.linalg, "dot")
+    monkeypatch.setattr(constructions, "dot", latcut.linalg.dot)
+    for c, f in shrinks:
+        cone = constructions.TruncatedCone.make(c.base, c.alpha, c.shift)
+        cone.transverse_coordinate(f)
+        cone.slice_at(F(1, 2))
+    for l, f, g, d, t in lifts:
+        constructions._last_axis_range(geometry.homothety(l, f, g))
+    runs["segment_meets"]()
+    assert not dots, len(dots)

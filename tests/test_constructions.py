@@ -34,6 +34,7 @@ from latcut.constructions import (
     truncated_cone_shrink,
 )
 from latcut.errors import (
+    DimensionMismatch,
     HypothesisViolated,
     MuTooSmall,
     NotLatticeFreeInput,
@@ -50,18 +51,27 @@ from latcut.geometry import (
     homothety,
     level_slice,
     minkowski_scale_shift,
+    transform,
 )
 from latcut import lattice
 from latcut import linalg as la
 from latcut.jsonio import parse_polyhedron
 from latcut.lattice import certify_lattice_free, flatness_bound, point_denominator
-from latcut.scenarios import _lift_instances, run_scenario
+from latcut.scenarios import (
+    _lift_instances,
+    random_polytope_around,
+    random_unimodular,
+    run_scenario,
+)
 from latcut.strength import relative_strength
 
 from oracles import (
+    fraction_segment_meets,
+    fraction_transverse_coordinate,
     lp_solve,
     separate,
     separation_depth,
+    support,
     witnessed_facet,
     zero_combination_feasible,
 )
@@ -172,6 +182,43 @@ def test_cone_transverse_coordinate_reads_the_slice_level():
     assert cone.transverse_coordinate((F(1), F(0))) == 0
     assert cone.transverse_coordinate((F(1), F(2))) == 1
     assert cone.transverse_coordinate((F(1), F(1, 2))) == F(1, 4)
+    with pytest.raises(DimensionMismatch):
+        cone.transverse_coordinate((F(1), F(1, 2), F(0)))
+
+
+def test_transverse_coordinate_matches_the_gram_projection():
+    # the int Gram-Schmidt against the Fraction projection off the base's
+    # hull: cones of the truncated-cone-shrink scenario, flat bases with a
+    # ray or a line, and points inside and outside each hull
+    cones = []
+    real = constructions.TruncatedCone.make
+
+    def make(*args):
+        cones.append(real(*args))
+        return cones[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions.TruncatedCone, "make", staticmethod(make))
+        for seed in (0, 7, 13):
+            assert run_scenario("truncated-cone-shrink",
+                                {"count": 10, "seed": seed}).passed
+    cones.append(make_wedge())
+    for verts, rays, alpha, shift in (
+            ([(0, 0, 0), (2, 1, 0)], [(1, 0, 0)], F(1, 2), (0, 1, 3)),
+            ([(1, 0, 0), (0, 1, 0)], [(0, 0, 1), (0, 0, -1)], F(2), (1, 1, 0)),
+            ([(F(1, 2), F(1, 3))], [], F(3), (F(-1, 2), 2))):
+        base = Polyhedron.from_generators(verts, rays)
+        cones.append(TruncatedCone.make(base, alpha, shift))
+    rng = random.Random(34)
+    for cone in cones:
+        n = cone.base.dim
+        points = list(cone.hull.vertices)
+        points += [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+                   for _ in range(3)]
+        for x in points:
+            assert (cone.transverse_coordinate(x)
+                    == fraction_transverse_coordinate(cone, x)), (cone, x)
+    assert len(cones) >= 33
 
 
 def test_cone_rejects_shift_inside_the_base_hull():
@@ -378,6 +425,19 @@ def test_zero_combination_matches_the_lp(lift_workload):
 # lifting
 
 
+def test_last_axis_range_matches_the_support_reference():
+    # the points and directions against sup and inf read off the vertices
+    # and rays, on the fixtures and their unimodular images
+    rng = random.Random(13)
+    bodies = [parse_polyhedron(path.read_text())
+              for path in sorted(FIXTURES.glob("*.json"))]
+    bodies += [transform(b, random_unimodular(rng, b.dim)) for b in bodies]
+    for p in bodies:
+        e = (0,) * (p.dim - 1) + (1,)
+        lo, hi = support(p, la.vneg(la.vec(e)))[0], support(p, e)[0]
+        assert _last_axis_range(p) == (None if lo is None else -lo, hi), p
+
+
 def test_last_axis_range_matches_the_lp():
     # read off vertices and rays, the range must agree with both simplex
     # solves, also where an end is unbounded
@@ -490,7 +550,8 @@ def check_pencil(lp0, f0, z):
     its depth at f0 in the unit box is the LP optimum."""
     beyond = beyond_facet(z, lp0.dim)
     try:
-        h = _pencil(lp0, f0, z)
+        row = _pencil(lp0, f0, z)  # the int row (z0, a), read a . x <= -z0
+        h = HalfSpace.make(row[1:], -row[0])
     except NotSeparable:
         with pytest.raises(NotSeparable):
             separate(lp0, beyond, f0)
@@ -847,6 +908,65 @@ def test_tower_three_dimensional_with_fractional_ratio():
     shrunk = homothety(tw.body, f, F(2, 5))
     for zi, zj in itertools.combinations(tw.witnesses, 2):
         assert segment_meets(shrunk, zi, zj)
+
+
+def segment_cases(rng, p):
+    """Seeded segments for p: vertices and points on facets as ends, a ==
+    b, segments parallel to a facet through points on and off it, and
+    random rational ends."""
+    n = p.dim
+    rand = lambda: tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(n))
+    verts = list(p.vertices)
+    on_facet = [la.vscale(F(1, 2), la.vadd(u, v))
+                for u, v in itertools.combinations(verts, 2)]
+    ends = verts + on_facet + [rand() for _ in range(4)]
+    cases = [(rng.choice(ends), rng.choice(ends)) for _ in range(8)]
+    cases += [(a, a) for a in rng.sample(ends, 3)]
+    for h in p.halfspaces:
+        for along in la.kernel_basis([h.normal], n)[:1]:
+            a = rng.choice(ends)
+            t = F(rng.randint(-4, 4), rng.choice((1, 2)))
+            cases.append((a, la.vadd(a, la.vscale(t, along))))
+    return cases
+
+
+def test_segment_meets_matches_the_fraction_clipping():
+    # int clipping against the Fraction clipping it replaced: the fixtures,
+    # random polytopes, their unimodular images, and flat bodies (with and
+    # without a line); both answers and every kind of segment occur
+    rng = random.Random(34)
+    bodies = [parse_polyhedron(path.read_text())
+              for path in sorted(FIXTURES.glob("*.json"))]
+    for f in ((F(1, 2), F(1, 3)), (F(1, 2), F(1, 3), F(1, 5))):
+        bodies += [random_polytope_around(rng, f) for _ in range(4)]
+    bodies += [Polyhedron.from_generators(v, r) for v, r in (
+        ([(0, 1), (3, 1)], []),
+        ([(0, 1, 2), (3, 1, 1)], []),
+        ([(0, 0, F(1, 2)), (2, 1, F(1, 2)), (1, 3, F(1, 2))], []),
+        ([(F(1, 2), 0, 1)], [(1, 1, 0), (-1, -1, 0)]))]
+    bodies += [transform(b, random_unimodular(rng, b.dim)) for b in bodies]
+    kinds = {"bounded": 0, "unbounded": 0, "flat": 0}
+    answers = []
+    for p in bodies:
+        kind = "bounded" if p.is_bounded() else "unbounded"
+        kinds[kind if p.fulldim else "flat"] += 1
+        for a, b in segment_cases(rng, p):
+            got = segment_meets(p, a, b)
+            assert got == fraction_segment_meets(p, a, b), (p, a, b)
+            answers.append(got)
+    assert min(kinds.values()) >= 8, kinds
+    assert answers.count(True) >= 200 and answers.count(False) >= 200, (
+        answers.count(True), answers.count(False))
+
+
+def test_segment_and_witness_dimensions_are_checked():
+    tri = Polyhedron.from_generators([(0, 0), (2, 0), (0, 2)])
+    for a, b in (((0, 0), (1, 1, 1)), ((0, 0, 0), (1, 1, 1)), ((0,), (1, 1))):
+        with pytest.raises(DimensionMismatch):
+            segment_meets(tri, a, b)
+    diam = cube_face_construction(2, 4).body
+    with pytest.raises(DimensionMismatch):
+        shrink_epsilon(diam, F12, [(0, 0), (1, 1), (1, 0), (0, 1, 0)])
 
 
 INAPPROX_FS = (F12, (F(1, 3), F(2, 3)), (F(1, 2), F(1, 3), F(1, 5)))

@@ -63,6 +63,7 @@ from oracles import (
     slack_contains,
     squared_distance_point,
     subset_scan_dist_sq,
+    support,
 )
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
@@ -1436,13 +1437,23 @@ def test_recession_and_lp_agree(pts, raw_rays):
     p = Polyhedron.from_generators(pts, rays)
     obj = (F(3), F(-2))
     res = lp_solve(obj, p)
-    sup, _ = p.support(obj)
+    sup, _ = support(p, obj)
     if res.status == "optimal":
         assert sup == res.value
         assert sup == max(la.dot(obj, v) for v in p.vertices)
     else:
         assert sup is None
         assert any(la.dot(obj, r) > 0 for r in p.rays)
+
+
+def test_support_reference_checks_its_dimension():
+    # the package's last support reader left it for the oracles; a direction
+    # of the wrong length raises DimensionMismatch, not linalg.dot's ValueError
+    tri = Polyhedron.from_generators([(0, 0), (2, 0), (0, 2)])
+    assert support(tri, (1, 1)) == (F(2), (F(0), F(2)))
+    for direction in ((1,), (1, 1, 1)):
+        with pytest.raises(DimensionMismatch):
+            support(tri, direction)
 
 
 @settings(max_examples=40, deadline=None)
