@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg as la
@@ -123,12 +123,15 @@ class TruncatedCone:
     The shift must leave the affine hull of the base, so the slices
     (1 + mu alpha) base + mu shift, mu in [0,1], sweep the hull exactly
     once and every point has a well defined transverse coordinate mu.
+    The far base ``make`` built for the hull is kept (not compared, not
+    shown) for ``truncated_cone_shrink``.
     """
 
     base: Polyhedron
     alpha: Fraction
     shift: Vec
     hull: Polyhedron
+    far: Polyhedron = field(compare=False, repr=False)
 
     @staticmethod
     def make(base: Polyhedron, alpha, shift) -> "TruncatedCone":
@@ -156,7 +159,7 @@ class TruncatedCone:
             require(all(sum(map(operator.mul, z, g)) <= 0
                         for z in hull.rows for g in gens + rays),
                     "cone hull misses a slice")
-        return TruncatedCone(base, alpha, shift, hull)
+        return TruncatedCone(base, alpha, shift, hull, far)
 
     def slice_at(self, mu) -> Polyhedron:
         mu = la.frac(mu)
@@ -222,9 +225,8 @@ def truncated_cone_shrink(cone: TruncatedCone, f) -> Polyhedron:
     scale = ONE + mu * cone.alpha
     x = vscale(ONE / scale, vsub(f, vscale(mu, cone.shift)))
     require(cone.base.contains_point(x), "anchor point leaves the base")
-    far = minkowski_scale_shift(cone.base, ONE + cone.alpha, cone.shift)
-    out = Polyhedron._from_gens([la.integer_copy((ONE,) + x), *far.points]
-                                + [(0, *r) for r in far.directions], cone.base.dim)
+    out = Polyhedron._from_gens([la.integer_copy((ONE,) + x), *cone.far.points]
+                                + [(0, *r) for r in cone.far.directions], cone.base.dim)
     require(cone.hull.contains(out), "shrunk cone leaves the hull")
     require(out.contains(homothety(cone.hull, f, Fraction(1, 4))),
             "shrunk cone misses the quarter homothety")

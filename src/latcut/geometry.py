@@ -50,7 +50,11 @@ that table: the constructors hand them over, and only the x0 row's own
 zero set and one transposition are computed.  The side the conversion
 produced (the facets of ``from_generators``, the vertices and rays of
 ``from_halfspaces``) is irredundant, so only the other side is pruned,
-and its members in no ray's zero set are dropped first.
+and its members in no ray's zero set are dropped first.  The assembly
+reduces only when there is a lineality or an implicit equality (the
+generators off the one, the rows off the other); a full-dimensional
+pointed body, the common case, has no basis to reduce off, so its kept
+generators and rows are its vertices, rays and facets as they stand.
 
 Affine images, scalings and polars run neither a conversion nor this
 pass.  An invertible map carries facets to facets and extreme generators
@@ -115,7 +119,7 @@ def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]
     sequences, each any positive multiple of itself; the adjacency test and
     its rank bound are in the module docstring.
     """
-    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    lines = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []
     cut = 0  # the rows that have cut so far
@@ -124,7 +128,7 @@ def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]
             continue
         bit = 1 << k
         vals_l = [sum(map(operator.mul, a, l)) for l in lines]
-        vals = [sum(map(operator.mul, a, r)) for r in rays]
+        vals = [sum(map(operator.mul, a, r)) for r in rays] if rays else []
         pivot = next((i for i, v in enumerate(vals_l) if v != 0), None)
         if pivot is not None:
             # the constraint cuts the lineality space: one line becomes a
@@ -143,15 +147,15 @@ def cone_dd(rows, dim: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]
         elif any(v > 0 for v in vals):
             new = {r: m | bit if v == 0 else m
                    for r, m, v in zip(rays, masks, vals) if v <= 0}
-            neg = [i for i, v in enumerate(vals) if v < 0]
+            pos = [(m, v, r) for r, m, v in zip(rays, masks, vals) if v > 0]
+            neg = [(m, v, r) for r, m, v in zip(rays, masks, vals) if v < 0]
             least = dim - len(lines) - 2
-            for ip in (i for i, v in enumerate(vals) if v > 0):
-                for im in neg:
-                    common = masks[ip] & masks[im]
+            for mp, vp, rp in pos:
+                for mm, vm, rm in neg:
+                    common = mp & mm
                     if common.bit_count() >= least and _adjacent(common, masks):
                         comb = la.primitive_int(
-                            [vals[ip] * x - vals[im] * y
-                             for x, y in zip(rays[im], rays[ip])])
+                            [vp * x - vm * y for x, y in zip(rm, rp)])
                         new.setdefault(comb, common | bit)
             rays, masks = list(new), list(new.values())
         else:
@@ -200,6 +204,8 @@ class HalfSpace:
 def _canonical_basis(lines) -> list[tuple[int, ...]]:
     """RREF the line vectors, then scale each row to primitive ints; each
     row's pivot (its first nonzero entry) is positive."""
+    if not lines:
+        return []
     tab, _, _ = la.rref_int(lines)
     return [la.primitive_int(r) for r in tab if any(r)]
 
@@ -259,8 +265,16 @@ def _maximal(masks: list[int], full: int, live: list[int]) -> list[int]:
 
 
 def _transpose(masks: list[int], n: int) -> list[int]:
-    """The n column masks of the 0/1 table whose rows are masks."""
-    return [sum(1 << i for i, m in enumerate(masks) if m >> j & 1) for j in range(n)]
+    """The n column masks of the 0/1 table whose rows are masks, read off
+    each row's set bits."""
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +402,27 @@ class Polyhedron:
             keep_g = _maximal(gen_inc, all_r,
                               [j for j in range(len(gens)) if live >> j & 1])
         basis = _canonical_basis([gens[j][1:] for j in keep_g if gen_inc[j] == all_r])
-        lin_rows = [(0,) + l for l in basis]
+        eqs = _canonical_basis([rows[i] for i in keep_r if row_inc[i] == all_g])
+        gs = (gens[j] for j in keep_g)
+        zs = (rows[i] for i in keep_r)
+        if basis or eqs:
+            # _reduce is the identity off an empty basis, so a full-dimensional
+            # pointed body skips both reductions
+            lin_rows = [(0,) + l for l in basis]
+            gs = (_reduce(g, lin_rows) for g in gs)
+            zs = (_reduce(z, eqs) for z in zs)
+            x0 = _reduce(x0, eqs)
         verts, rays = set(), set()
-        for j in keep_g:
-            g = _reduce(gens[j], lin_rows)
+        for g in gs:
             if g[0]:
                 verts.add(la.primitive_int(g))
             elif any(g):
                 rays.add(la.primitive_int(g[1:]))
         rays.update(basis, (tuple(-x for x in l) for l in basis))
-        eqs = _canonical_basis([rows[i] for i in keep_r if row_inc[i] == all_g])
-        facets = {la.primitive_int(z)
-                  for z in (_reduce(rows[i], eqs) for i in keep_r)
-                  if any(z)}
+        facets = {la.primitive_int(z) for z in zs if any(z)}
         # the class of (-1, 0) is the inequality 0 . x <= 1, the face at
         # infinity: not a facet, though its normal need not reduce to zero
-        facets.discard(la.primitive_int(_reduce(x0, eqs)))
+        facets.discard(la.primitive_int(x0))
         facets.update(z for e in eqs for z in (e, tuple(-x for x in e)))
         if not facets:
             raise WholeSpace("generators span the whole space")

@@ -9,6 +9,7 @@ is reproducible; wall time is the only nondeterministic field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -151,10 +152,13 @@ def random_unimodular(rng: random.Random, n: int) -> UnimodularMap:
 
 
 def interior_point_of(rng: random.Random, p: Polyhedron) -> Vec:
-    weights = [F(rng.randint(1, 4)) for _ in p.vertices]
-    tot = sum(weights)
-    return tuple(sum(w * v[k] for w, v in zip(weights, p.vertices)) / tot
-                 for k in range(p.dim))
+    """A positive combination of p's vertices, one weight in 1..4 each,
+    summed on p's int points over their common denominator."""
+    weights = [rng.randint(1, 4) for _ in p.points]
+    s = math.lcm(*(d for d, *_ in p.points))
+    den = s * sum(weights)
+    return tuple(F(sum(w * pt[k] * (s // pt[0]) for w, pt in zip(weights, p.points)), den)
+                 for k in range(1, p.dim + 1))
 
 
 def small_interior_point(rng: random.Random, p: Polyhedron) -> Vec:
@@ -194,7 +198,7 @@ def _census_checks(params):
                 _expect(cert.lattice_free, "interior integer point found")
                 _expect(cert.maximal, "an unwitnessed facet remains")
                 return (f"certified maximal lattice-free, {i} facets, "
-                        f"{len(body.vertices)} generators")
+                        f"{len(body.points)} generators")
             checks.append((f"n{n}-i{i}", thunk))
     return checks
 
@@ -204,6 +208,7 @@ def _split_vs_triangles_checks(params):
     split = split_along((0, 1), 0)
     count, tmax = params["count"], params["tmax"]
     seedbits = params["seed"]
+    triangle = functools.cache(base_triangle)  # base_triangle(t), built once
 
     def infinite_per_triangle():
         rng = random.Random(f"{seedbits}:triangles")
@@ -218,7 +223,7 @@ def _split_vs_triangles_checks(params):
         return f"{count} lattice-free triangles, all infinite with ray witness"
 
     def distance_decreasing():
-        dists = [f_metric(base_triangle(t), split, f).dist_sq
+        dists = [f_metric(triangle(t), split, f).dist_sq
                  for t in range(1, tmax + 1)]
         for k in range(1, len(dists)):
             _expect(dists[k] < dists[k - 1],
@@ -233,7 +238,7 @@ def _split_vs_triangles_checks(params):
         prev = None
         last = None
         for t in range(1, tmax + 1):
-            cs = intersection_cut(base_triangle(t), cols, f)
+            cs = intersection_cut(triangle(t), cols, f)
             dev = tuple(abs(c - g) for c, g in zip(cs.coeffs, target))
             if prev is not None:
                 _expect(all(d <= p for d, p in zip(dev, prev)),
@@ -360,14 +365,13 @@ def _cone_shrink_checks(params):
 
 def _lift_instances():
     seg = Polyhedron.from_generators([(ZERO,), (ONE,)])
-    cases = []
-    for t in (1, 2, 3):
-        for f, gamma in (((F(1, 2), ONE), F(1, 2)),
-                         ((F(1, 2), ONE), F(1, 3)),
-                         ((F(1, 2), F(7, 8)), F(1, 2)),
-                         ((F(1, 2), ONE), F(1, 4))):
-            cases.append((base_triangle(t), f, gamma, seg, 1))
-    d = base_triangle(1)
+    triangles = [base_triangle(t) for t in (1, 2, 3)]
+    cases = [(l, f, gamma, seg, 1) for l in triangles
+             for f, gamma in (((F(1, 2), ONE), F(1, 2)),
+                              ((F(1, 2), ONE), F(1, 3)),
+                              ((F(1, 2), F(7, 8)), F(1, 2)),
+                              ((F(1, 2), ONE), F(1, 4)))]
+    d = triangles[0]
     half = homothety(d, F12, F(1, 2))
     l3 = Polyhedron.from_generators(
         [v + (ONE,) for v in d.vertices] + [v + (-ONE,) for v in half.vertices])
@@ -396,7 +400,7 @@ def _lifting_checks(params):
 
 def _approximation_checks(params):
     count, seedbits = params["count"], params["seed"]
-    pools = {}  # maximal_pool(n), built when n is first drawn
+    pool = functools.cache(maximal_pool)  # built when n is first drawn
 
     def run(mode):
         def thunk():
@@ -404,9 +408,7 @@ def _approximation_checks(params):
             done = 0
             while done < count:
                 n = rng.choice((2, 3))
-                if n not in pools:
-                    pools[n] = maximal_pool(n)
-                l = transform(rng.choice(pools[n]), random_unimodular(rng, n))
+                l = transform(rng.choice(pool(n)), random_unimodular(rng, n))
                 f = small_interior_point(rng, l)
                 if mode == "any":
                     res = approximate_any_f(l, f)
@@ -435,12 +437,7 @@ def _inapprox_checks(params):
     alphas = (F(2), la.frac(params["alpha_hi"]))
     samples, seedbits = params["samples"], params["seed"]
     fs = (F12, (F(1, 3), F(2, 3)), (F(1, 2), F(1, 3), F(1, 5)))
-    towers = {}  # simplex_tower(f, alpha), built when first asked for
-
-    def tower(f, alpha):
-        if (f, alpha) not in towers:
-            towers[f, alpha] = simplex_tower(f, alpha)
-        return towers[f, alpha]
+    tower = functools.cache(simplex_tower)  # built when first asked for
 
     checks = []
     for f in fs:
@@ -523,24 +520,22 @@ def _inapprox_checks(params):
 
 def _gauge_metric_checks(params):
     checks_n, seedbits = params["checks"], params["seed"]
-    faces = {}  # cube_face_construction(n, i).body, built when first asked for
-
-    def cube_face(n, i):
-        if (n, i) not in faces:
-            faces[n, i] = cube_face_construction(n, i).body
-        return faces[n, i]
+    # the fixed bodies the four checks share, each built once per run: the
+    # cube faces and triangles when first asked for
+    cube_face = functools.cache(lambda n, i: cube_face_construction(n, i).body)
+    triangle = functools.cache(base_triangle)
+    split = split_along((0, 1), 0)
+    box = Polyhedron.from_generators(
+        [(ZERO, ZERO), (F(3), ZERO), (ZERO, F(2)), (F(3), F(2))])
 
     def body_pool(rng):
-        pool = [
+        return [
             (cube_face(2, 4), F12),
-            (base_triangle(rng.randint(1, 3)), F12),
-            (split_along((0, 1), 0), F12),
-            (Polyhedron.from_generators(
-                [(ZERO, ZERO), (F(3), ZERO), (ZERO, F(2)), (F(3), F(2))]),
-             (ONE, ONE)),
+            (triangle(rng.randint(1, 3)), F12),
+            (split, F12),
+            (box, (ONE, ONE)),
             (cube_face(3, rng.choice((4, 6, 8))), (F(1, 2), F(1, 2), F(1, 2))),
         ]
-        return pool
 
     def rand_dir(rng, n):
         while True:
@@ -585,10 +580,7 @@ def _gauge_metric_checks(params):
 
     def metric_axioms():
         rng = random.Random(f"{seedbits}:met")
-        bodies = [cube_face(2, 4), base_triangle(1),
-                  base_triangle(2), split_along((0, 1), 0),
-                  Polyhedron.from_generators(
-                      [(ZERO, ZERO), (F(3), ZERO), (ZERO, F(2)), (F(3), F(2))]),
+        bodies = [cube_face(2, 4), triangle(1), triangle(2), split, box,
                   simplex_tower(F12, F(2)).body]
         f = F12
         done = 0

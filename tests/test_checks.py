@@ -383,7 +383,9 @@ def test_one_canonical_form_pass_per_conversion(monkeypatch):
     # zero sets: the constructors are its only callers, and no facet search,
     # image, homothety or polar assembles a body, so over the nine scenarios
     # at default parameters it runs exactly as often as cone_dd; the lift's
-    # separators are closed forms and convert no region beyond a facet
+    # separators are closed forms and convert no region beyond a facet, and
+    # a scenario run converts each of its fixed bodies once (230, 79 and 20
+    # when split-vs-triangles, the lift and the gauge checks rebuilt them)
     assembled = counting(monkeypatch, geometry.Polyhedron, "_assemble")
     conversions = counting(monkeypatch, geometry, "cone_dd")
     counts = {}
@@ -394,10 +396,91 @@ def test_one_canonical_form_pass_per_conversion(monkeypatch):
         counts[name] = (len(assembled), len(conversions))
     assert all(a == c for a, c in counts.values()), counts
     assert {name: a for name, (a, _) in counts.items()} == {
-        "cubeface-census": 10, "split-vs-triangles": 230, "rho-closed-form": 400,
+        "cubeface-census": 10, "split-vs-triangles": 166, "rho-closed-form": 400,
         "one-for-all-sandwich": 191, "truncated-cone-shrink": 150,
-        "lifting-end-to-end": 79, "approximation-factors": 113,
-        "inapprox-witnesses": 66, "gauge-metric-properties": 20}, counts
+        "lifting-end-to-end": 69, "approximation-factors": 113,
+        "inapprox-witnesses": 66, "gauge-metric-properties": 11}, counts
+
+
+def test_scenarios_build_each_fixed_body_once(monkeypatch):
+    # a scenario run builds each of its fixed bodies once: split-vs-triangles
+    # shares base_triangle(t) between its distance and coefficient checks,
+    # the lift instances build each t once and take d from t = 1, and the
+    # four gauge checks share their triangles, split and 3 x 2 box (each
+    # check built its own, and split-vs-triangles built every t twice)
+    triangles = counting(monkeypatch, scenarios, "base_triangle")
+    splits = counting(monkeypatch, scenarios, "split_along")
+    gens = counting(monkeypatch, geometry.Polyhedron, "from_generators")
+    box = [(0, 0), (3, 0), (0, 2), (3, 2)]
+    runs = [(name, None) for name in (
+        "split-vs-triangles", "lifting-end-to-end", "gauge-metric-properties")]
+    # the polar-metric benchmark's shapes
+    runs += [(name, dict(params, seed=seed)) for seed in (7, 13)
+             for name, params in (("gauge-metric-properties", {"checks": 8}),
+                                  ("split-vs-triangles", {"count": 2, "tmax": 16}))]
+    for name, params in runs:
+        for calls in (triangles, splits, gens):
+            calls.clear()
+        report = run_scenario(name, params)
+        assert report.passed
+        ts = [t for t, in triangles]
+        if name == "split-vs-triangles":
+            assert ts == list(range(1, report.params["tmax"] + 1)), (params, ts)
+        elif name == "lifting-end-to-end":
+            assert ts == [1, 2, 3], ts
+        else:
+            boxes = sum(args[0] == box for args in gens)
+            assert len(ts) <= 3 and len(set(ts)) == len(ts), (params, ts)
+            assert (len(splits), boxes) == (1, 1), (params, len(splits), boxes)
+
+
+def test_pointed_conversions_take_no_basis_and_reduce_nothing(monkeypatch):
+    # with no lineality and no implicit equality _reduce is the identity, so
+    # _assemble skips both reductions and both canonical bases: over the 400
+    # full-dimensional polytopes rho-closed-form converts, no _reduce and no
+    # la.rref_int call is made inside a conversion
+    reduces = counting(monkeypatch, geometry, "_reduce")
+    rrefs = counting(monkeypatch, latcut.linalg, "rref_int")
+    real = geometry.Polyhedron._assemble
+    made = []
+
+    def assemble(*args, **incidence):
+        before = len(reduces), len(rrefs)
+        p = real(*args, **incidence)
+        made.append((p, len(reduces) - before[0], len(rrefs) - before[1]))
+        return p
+
+    monkeypatch.setattr(geometry.Polyhedron, "_assemble", staticmethod(assemble))
+    assert run_scenario("rho-closed-form").passed
+    assert len(made) == 400
+    assert all(p.fulldim and p.is_bounded() for p, _, _ in made)
+    assert [(r, k) for _, r, k in made if r or k] == []
+
+
+def test_truncated_cone_shrink_reuses_the_far_base(monkeypatch):
+    # TruncatedCone.make builds the far base for the hull and the cone keeps
+    # it, so a cone and its shrink make one minkowski_scale_shift call
+    # between them: 14 over the certify-construct benchmark load at seed 7
+    # (10 truncated-cone-shrink cones and 4 lifts), 28 when each shrink
+    # rebuilt it
+    scalings = counting(monkeypatch, constructions, "minkowski_scale_shift")
+    cones = counting(monkeypatch, constructions.TruncatedCone, "make")
+    shrinks = []
+    real = constructions.truncated_cone_shrink
+
+    def shrink(cone, f):
+        shrinks.append(cone)
+        return real(cone, f)
+
+    for module in (constructions, scenarios):
+        monkeypatch.setattr(module, "truncated_cone_shrink", shrink)
+    for name, params in (("cubeface-census", {}),
+                         ("approximation-factors", {"count": 1, "seed": 7}),
+                         ("lifting-end-to-end", {}),
+                         ("inapprox-witnesses", {"samples": 4, "seed": 7}),
+                         ("truncated-cone-shrink", {"count": 10, "seed": 7})):
+        assert run_scenario(name, params).passed
+    assert (len(scalings), len(cones), len(shrinks)) == (14, 14, 14)
 
 
 def test_polars_and_frames_are_built_once_per_body(monkeypatch):
@@ -558,6 +641,30 @@ def test_construct_certifies_once(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert len(calls) == 1, argv
+
+
+def test_census_and_interior_points_build_no_fraction_view(monkeypatch):
+    # the census detail counts the int points, and interior_point_of sums
+    # them over their common denominator: neither builds a vertices view,
+    # and the point and the rng draws are those of the Fraction-weighted mean
+    rng = random.Random(83)
+    f = (F(1, 2), F(1, 3), F(1, 5))
+    bodies = [scenarios.random_polytope_around(rng, f[:n])
+              for n in (1, 2, 3, 3) for _ in range(3)]
+    wanted = []
+    for k, p in enumerate(bodies):
+        draws = random.Random(k)
+        weights = [F(draws.randint(1, 4)) for _ in p.vertices]
+        wanted.append((tuple(sum(w * v[i] for w, v in zip(weights, p.vertices))
+                             / sum(weights) for i in range(p.dim)),
+                       draws.getstate()))
+    views = counting(monkeypatch, vars(geometry.Polyhedron)["vertices"], "func")
+    assert run_scenario("cubeface-census").passed
+    for k, p in enumerate(bodies):
+        draws = random.Random(k)
+        x = scenarios.interior_point_of(draws, dataclasses.replace(p))
+        assert (x, draws.getstate()) == wanted[k]
+    assert not views, len(views)
 
 
 def test_gauge_metric_builds_each_cube_face_body_once(monkeypatch):
