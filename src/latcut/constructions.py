@@ -147,9 +147,9 @@ class TruncatedCone:
         far = minkowski_scale_shift(base, ONE + alpha, shift)
         rays = [(0, *r) for r in base.directions]  # far has the same
         hull = Polyhedron._from_gens(list(base.points + far.points) + rays, base.dim)
-        # hull.contains(slice_at(mu)) for each mu = mn / md below, on the
-        # slice's generators: a point (d, x) of the base goes to
-        # (1 + mu alpha) x / d + mu S / ds, as ints over md Q d ds
+        # the slices (1 + mu alpha) base + mu shift, mu = mn / md below, lie
+        # in the hull, tested on generators: a point (d, x) of the base goes
+        # to (1 + mu alpha) x / d + mu S / ds, as ints over md Q d ds
         P, Q = alpha.numerator, alpha.denominator
         ds, *S = la.integer_copy((ONE,) + shift)
         for mn, md in ((0, 1), (1, 3), (1, 2), (1, 1)):
@@ -160,11 +160,6 @@ class TruncatedCone:
                         for z in hull.rows for g in gens + rays),
                     "cone hull misses a slice")
         return TruncatedCone(base, alpha, shift, hull, far)
-
-    def slice_at(self, mu) -> Polyhedron:
-        mu = la.frac(mu)
-        return minkowski_scale_shift(self.base, ONE + mu * self.alpha,
-                                     vscale(mu, self.shift))
 
     def transverse_coordinate(self, x) -> Fraction:
         """The mu of the slice through x; 0 on the base, 1 on the far base.

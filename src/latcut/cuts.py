@@ -108,11 +108,14 @@ class ClosureSystem:
 def intersection_cut(b: Polyhedron, columns, f) -> CutSystem:
     """Cut generated by b for the corner data (columns, f).
 
-    Never fails: when f is not interior to b the cut degenerates to the
-    whole nonnegative orthant and is marked trivial.
+    Fails only on a column or an f of the wrong length: when f is not
+    interior to b the cut degenerates to the whole nonnegative orthant and
+    is marked trivial.
     """
     f = la.vec(f)
     cols = tuple(la.vec(r) for r in columns)
+    if any(len(r) != b.dim for r in cols):
+        raise DimensionMismatch("direction dimension mismatch")
     if not b.contains_point(f, strict=True):
         return CutSystem(f, cols, tuple(ZERO for _ in cols), True)
     return CutSystem(f, cols, tuple(gauge(b, f, r) for r in cols), False)
@@ -122,6 +125,8 @@ def closure(family, columns, f) -> ClosureSystem:
     """Simultaneous cuts from every family member; empty family accepts all."""
     f = la.vec(f)
     cols = tuple(la.vec(r) for r in columns)
+    if any(len(r) != len(f) for r in cols):
+        raise DimensionMismatch("direction dimension mismatch")
     return ClosureSystem(f, cols,
                          tuple(intersection_cut(b, cols, f) for b in family))
 

@@ -100,7 +100,7 @@ from .errors import (
     WholeSpace,
     require,
 )
-from .linalg import Mat, Vec, ZERO, ONE, dot, vadd, vscale
+from .linalg import Mat, Vec, ZERO, ONE, vadd, vscale
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +192,6 @@ class HalfSpace:
         if g == 0:
             raise ValueError("half-space needs a nonzero normal")
         return HalfSpace(tuple(Fraction(z // g) for z in a), Fraction(b, g))
-
-    def eval_slack(self, x: Vec) -> Fraction:
-        return self.offset - dot(self.normal, x)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +580,10 @@ class UnimodularMap:
         return UnimodularMap(m, s)
 
     def apply(self, x) -> Vec:
-        return vadd(la.mat_vec(self.matrix, la.vec(x)), self.shift)
+        x = la.vec(x)
+        if len(x) != len(self.shift):
+            raise DimensionMismatch("point dimension mismatch")
+        return vadd(la.mat_vec(self.matrix, x), self.shift)
 
     def inverse(self) -> "UnimodularMap":
         inv = self.inverse_matrix
@@ -686,7 +686,7 @@ def _scale_shift(p: Polyhedron, P: int, Q: int, dv: int, V: list[int]) -> Polyhe
     x - y <= -2): its mapped rows are reduced again (``_flat_rows``) and
     sorted by normal, while its points, rays and lineality keep their
     order."""
-    ds, *S = _reduce([dv] + V, [(0,) + l for l in p.lines])
+    ds, *S = _reduce([dv] + V, [(0,) + l for l in p.lines]) if p.lines else [dv] + V
     pd, qd, pds = P * dv, Q * dv, P * ds
     rows = [la.primitive_int([pd * z0 - Q * sum(map(operator.mul, a, V))]
                              + [qd * x for x in a]) for z0, *a in p.rows]

@@ -10,10 +10,10 @@ sums into one integer numerator over the product of the denominators and
 builds one Fraction per call.  Floats never enter any computation here.
 
 One fraction-free Gauss-Jordan step, ``pivot``, does every elimination:
-``rref_int`` and so ``rank``, ``solve``, ``inverse`` and ``kernel_basis``,
-which read its table and build one Fraction per entry.  The
-unimodular matrices come from an int column echelon that keeps C^-1 by the
-inverse row step of each column step, so none of them is ever inverted.
+``rref_int`` and so ``rank``, ``solve`` and ``inverse``, which read its
+table and build one Fraction per entry.  The unimodular matrices come from
+an int column echelon that keeps C^-1 by the inverse row step of each
+column step, so none of them is ever inverted.
 """
 
 from __future__ import annotations
@@ -204,20 +204,6 @@ def inverse(m: Mat) -> Mat:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row, d in zip(tab, den))
-
-
-def kernel_basis(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
-    """Rational basis of {x : m x = 0} (free-variable back substitution),
-    read off the ``rref_int`` table with one Fraction per entry."""
-    tab, den, pivots = rref_int(m)
-    basis = []
-    for fcol in (c for c in range(ncols) if c not in pivots):
-        x = [ZERO] * ncols
-        x[fcol] = ONE
-        for r, c in enumerate(pivots):
-            x[c] = Fraction(-tab[r][fcol], den[r])
-        basis.append(tuple(x))
-    return basis
 
 
 def affine_rank(points: Sequence[Vec]) -> int:

@@ -9,12 +9,20 @@ here as references for them.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from latcut import linalg as la
 from latcut.errors import DimensionMismatch
 from latcut.linalg import ONE, ZERO, Vec, dot, vadd, vneg, vscale, vsub
-from simplex import LpResult, solve_ineq
+
+
+@dataclass(frozen=True)
+class LpResult:
+    status: str  # 'optimal' | 'unbounded' | 'infeasible'
+    value: Fraction | None = None
+    point: Vec | None = None
+    ray: Vec | None = None
 
 
 def norm_sq(u: Vec) -> Fraction:
@@ -91,7 +99,7 @@ def lp_solve(objective, p, sense="max") -> LpResult:
     assert len(objective) == p.dim
     rows = [h.normal for h in p.halfspaces]
     rhs = [h.offset for h in p.halfspaces]
-    return solve_ineq(rows, rhs, objective, sense)
+    return fraction_solve_ineq(rows, rhs, objective, sense)
 
 
 def max_inner_segment(p, axis):
@@ -102,7 +110,7 @@ def max_inner_segment(p, axis):
     for h in p.halfspaces:
         rows += [h.normal + (ZERO,), h.normal + (h.normal[axis],)]
         rhs += [h.offset, h.offset]
-    res = solve_ineq(rows, rhs, la.vzero(n) + (ONE,), sense="max")
+    res = fraction_solve_ineq(rows, rhs, la.vzero(n) + (ONE,), sense="max")
     assert res.status == "optimal"
     return res.value
 
@@ -162,7 +170,7 @@ def separate(p, q, slack_point=None):
     rows, rhs = _separator_rows(p, q)
 
     def lp(objective):
-        res = solve_ineq(rows, rhs, objective, sense="max")
+        res = fraction_solve_ineq(rows, rhs, objective, sense="max")
         assert res.status == "optimal", "separation LP is not optimal"
         return res
 
@@ -192,7 +200,7 @@ def separation_depth(p, q, point):
     """The optimum of ``separate``'s LP at point: max b - a . point over
     the separators a . x <= b of p from q in its box."""
     rows, rhs = _separator_rows(p, q)
-    res = solve_ineq(rows, rhs, tuple(-x for x in la.vec(point)) + (ONE,), "max")
+    res = fraction_solve_ineq(rows, rhs, tuple(-x for x in la.vec(point)) + (ONE,), "max")
     assert res.status == "optimal", "separation LP is not optimal"
     return res.value
 
@@ -210,7 +218,7 @@ def zero_combination_feasible(normals):
         row = tuple(la.frac(v[c]) for v in normals)
         rows += [row, vneg(row)]
         rhs += [ZERO, ZERO]
-    return solve_ineq(rows, rhs, la.vzero(m), sense="max").status == "optimal"
+    return fraction_solve_ineq(rows, rhs, la.vzero(m), sense="max").status == "optimal"
 
 
 def box_scan_width(p):
@@ -270,6 +278,11 @@ def fraction_dot(u, v):
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
+def slack(h, x):
+    """offset - normal . x of the half-space h at x, on Fractions."""
+    return h.offset - fraction_dot(h.normal, x)
+
+
 def support(p, direction):
     """(sup of direction . x, attaining vertex) with None meaning +inf, read
     off the vertices and rays: the reference for
@@ -299,6 +312,14 @@ def project_off(v, basis):
     for c, b in zip(la.solve(gram, rhs), basis):
         out = vsub(out, vscale(c, b))
     return out
+
+
+def cone_slice(cone, mu):
+    """The slice (1 + mu alpha) base + mu shift of a truncated cone."""
+    from latcut.geometry import minkowski_scale_shift
+
+    mu = Fraction(mu)
+    return minkowski_scale_shift(cone.base, ONE + mu * cone.alpha, vscale(mu, cone.shift))
 
 
 def fraction_transverse_coordinate(cone, x):
@@ -432,7 +453,7 @@ def _fraction_face_frames(p):
         raise ValueError("distance helper needs a bounded target")
     verts = p.vertices
     faces = {frozenset(range(len(verts)))}
-    todo = [frozenset(i for i, v in enumerate(verts) if h.eval_slack(v) == 0)
+    todo = [frozenset(i for i, v in enumerate(verts) if slack(h, v) == 0)
             for h in p.halfspaces]
     while todo:
         f = todo.pop()
@@ -698,7 +719,7 @@ def _maximal_masks(masks, full):
 
 def fraction_kernel(rows, ncols):
     """Basis of {x : rows . x = 0} by free-variable back substitution on
-    the Fraction elimination: the reference for ``linalg.kernel_basis``."""
+    the Fraction elimination."""
     red, pivots = fraction_rref([list(r) for r in rows])
     basis = []
     for fcol in (c for c in range(ncols) if c not in pivots):
@@ -791,7 +812,7 @@ def slack_contains(p, q, strict=False):
     ``Polyhedron.contains`` and ``contains_in_interior``."""
     for h in p.halfspaces:
         for v in q.vertices:
-            s = h.offset - fraction_dot(h.normal, v)  # h.eval_slack(v)
+            s = slack(h, v)
             if s < 0 or strict and s == 0:
                 return False
         if any(fraction_dot(h.normal, r) > 0 for r in q.rays):
@@ -811,7 +832,7 @@ def assembled_polar(p, center=None):
         raise OriginNotInterior("polar needs the center strictly inside p")
     rows = [(-ONE,) + vsub(v, c) for v in p.vertices]
     rows += [(ZERO,) + r for r in p.rays]
-    gens = [(ONE,) + vscale(ONE / h.eval_slack(c), h.normal)
+    gens = [(ONE,) + vscale(ONE / slack(h, c), h.normal)
             for h in p.halfspaces]
     if la.rank(p.rays) == p.dim:
         gens.append((ONE,) + la.vzero(p.dim))
@@ -869,8 +890,8 @@ def fraction_strict_integer(pairs):
 
 def fraction_solve_ineq(rows, rhs, objective, sense="max"):
     """Optimize objective . x over {x : rows[i] . x <= rhs[i]}, x free, on a
-    dense Fraction tableau with Bland's rule: the reference for
-    ``simplex.solve_ineq``, which makes the same pivots on integer rows."""
+    dense Fraction tableau with Bland's rule: the tests' one LP, which
+    shares no code with the closed forms it checks."""
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     n = len(objective)
@@ -904,17 +925,19 @@ def fraction_solve_ineq(rows, rhs, objective, sense="max"):
 
     def pivot(r: int, j: int, z: list[Fraction]) -> None:
         pv = tab[r][j]
-        tab[r] = [x / pv for x in tab[r]]
+        prow = tab[r] = [x / pv for x in tab[r]]
         b[r] /= pv
+        nonzero = [k for k, y in enumerate(prow) if y]  # the rest change nothing
         for i in range(len(tab)):
             if i != r and tab[i][j] != 0:
                 f = tab[i][j]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+                for k in nonzero:
+                    tab[i][k] -= f * prow[k]
                 b[i] -= f * b[r]
         if z[j] != 0:
             f = z[j]
-            for k in range(ncols):
-                z[k] -= f * tab[r][k]
+            for k in nonzero:
+                z[k] -= f * prow[k]
         basis[r] = j
 
     def run(z: list[Fraction], allowed: int) -> int | None:
@@ -1002,7 +1025,7 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     """Reduced row echelon form in place; returns (rows, pivot column list).
 
     The Fraction elimination ``linalg.rref_int`` replaced: the reference for
-    it and for ``rank``, ``solve``, ``inverse`` and ``kernel_basis``.  Its
+    it and for ``rank``, ``solve`` and ``inverse``.  Its
     entries must be Fractions (an int pivot divides to a float).
     """
     if not rows:
@@ -1099,10 +1122,10 @@ def _as_fractions(m):
 def fraction_alignment(lines):
     """(U, U^-1) sending span(lines) onto the trailing axes: the Fraction
     kernel of the lines, its column echelon and one ``inverse``; the
-    reference for ``linalg.alignment_unimodular``."""
+    reference for ``linalg.alignment_int``."""
     if not lines:
         raise ValueError("no lineality directions given")
-    perp = la.kernel_basis(lines, len(lines[0]))
+    perp = fraction_kernel(lines, len(lines[0]))
     if not perp:
         raise ValueError("lineality spans the whole space")
     c, rk = _fraction_column_echelon([la.primitive(p) for p in perp])

@@ -19,8 +19,8 @@ import latcut
 from latcut import cli, constructions, geometry, lattice, scenarios
 from latcut.scenarios import run_scenario
 
-import simplex
-from oracles import squared_distance_point
+import oracles
+from oracles import cone_slice, squared_distance_point
 
 PACKAGE = Path(latcut.__file__).parent
 
@@ -243,8 +243,11 @@ def test_bad_witnesses_raise_under_python_dash_o():
 def test_no_module_imports_the_simplex():
     # the lift separates and picks its Caratheodory subset in closed form:
     # the simplex is a test reference, and no module imports or defines an
-    # LP or the LP separator
+    # LP or the LP separator, nor the kernel basis, half-space slack and
+    # cone slice that only tests called (a function that cannot be defined
+    # cannot be called)
     assert not (PACKAGE / "simplex.py").exists()
+    banned = ("simplex", "separate", "solve_ineq", "kernel_basis", "eval_slack", "slice_at")
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -256,8 +259,7 @@ def test_no_module_imports_the_simplex():
                 names = [node.name]
             else:
                 continue
-            if any(name.rsplit(".", 1)[-1] in ("simplex", "separate", "solve_ineq")
-                   for name in names):
+            if any(name.rsplit(".", 1)[-1] in banned for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], found
 
@@ -265,13 +267,12 @@ def test_no_module_imports_the_simplex():
 def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
     # exact work at default parameters, the same on any host: one _interval
     # call per lattice column scanned (and per planar facet line), and the
-    # LPs solved by the reference simplex or by any solve_ineq a module
-    # binds: the lift separates in closed form and solves none
+    # LPs solved by the tests' reference simplex or by any solve_ineq a
+    # module binds: the lift separates in closed form and solves none
     candidates = counting(monkeypatch, lattice, "_interval")
-    lps = [counting(monkeypatch, module, "solve_ineq")
-           for module in (simplex, *(m for n, m in sorted(sys.modules.items())
-                                     if n.startswith("latcut.")
-                                     and hasattr(m, "solve_ineq")))]
+    lps = [counting(monkeypatch, oracles, "fraction_solve_ineq"),
+           *(counting(monkeypatch, m, "solve_ineq") for n, m in sorted(sys.modules.items())
+             if n.startswith("latcut.") and hasattr(m, "solve_ineq"))]
     counts = {}
     for name in ("cubeface-census", "lifting-end-to-end", "inapprox-witnesses",
                  "approximation-factors"):
@@ -289,12 +290,26 @@ def test_scan_candidates_and_lp_calls_per_scenario(monkeypatch):
                       "approximation-factors": (813, 0)}, counts
 
 
+def test_pointed_scalings_make_no_reduce_call(monkeypatch):
+    # a homothety, translation or Minkowski scaling reduces its shift off
+    # the lineality only when there is one, and a full-dimensional pointed
+    # conversion reduces nothing, so the strength scenarios, whose bodies
+    # are pointed, make no _reduce call
+    calls = counting(monkeypatch, geometry, "_reduce")
+    counts = {}
+    for name in ("rho-closed-form", "one-for-all-sandwich"):
+        calls.clear()
+        assert run_scenario(name).passed
+        counts[name] = len(calls)
+    assert counts == {"rho-closed-form": 0, "one-for-all-sandwich": 0}, counts
+
+
 def test_width_runs_one_conversion_and_no_lp(monkeypatch):
     # a finite width converts the polar of its projection's difference body
     # once and reads both search bounds off its vertices; an infinite one
     # converts nothing, and no width builds an image of a body or solves an LP
     conversions = counting(monkeypatch, geometry, "cone_dd")
-    lps = counting(monkeypatch, simplex, "solve_ineq")
+    lps = counting(monkeypatch, oracles, "fraction_solve_ineq")
     images = counting(monkeypatch, geometry, "_image")
     counts = {}
     for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
@@ -311,7 +326,7 @@ def test_width_runs_one_conversion_and_no_lp(monkeypatch):
 
 def test_unbounded_interior_search_is_one_pass(monkeypatch):
     # every unbounded body is projected along its rays and scanned once: no
-    # image, level slice, conversion, kernel or rank, and no recursion
+    # image, level slice, conversion or rank, and no recursion
     rng = random.Random(25)
     gens = [([(0, 0, 0), (0, 0, 2)], [(1, 2, 0), (-3, 1, 0)]),
             ([(F(1, 2), F(1, 3), F(1, 5))], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
@@ -327,7 +342,6 @@ def test_unbounded_interior_search_is_one_pass(monkeypatch):
     calls = {"_image": counting(monkeypatch, geometry, "_image"),
              "level_slice": counting(monkeypatch, geometry, "level_slice"),
              "cone_dd": counting(monkeypatch, geometry, "cone_dd"),
-             "kernel_basis": counting(monkeypatch, latcut.linalg, "kernel_basis"),
              "rank": counting(monkeypatch, latcut.linalg, "rank")}
     searches = counting(monkeypatch, lattice, "interior_lattice_point")
     found = 0
@@ -591,22 +605,6 @@ def test_transform_scales_nothing(monkeypatch):
     assert len(scaled) == 2 * len(bodies)
 
 
-def test_kernel_bases_per_scenario(monkeypatch):
-    # the constructors read the lineality off the generators tight on every
-    # row, the alignments read theirs off the rref table, and
-    # _zero_combination reads its weights off one rref per subset
-    calls = counting(monkeypatch, latcut.linalg, "kernel_basis")
-    ceilings = {"cubeface-census": 0, "approximation-factors": 0,
-                "lifting-end-to-end": 0, "inapprox-witnesses": 0,
-                "truncated-cone-shrink": 0}
-    counts = {}
-    for name in ceilings:
-        calls.clear()
-        assert run_scenario(name).passed
-        counts[name] = len(calls)
-    assert all(counts[name] <= ceilings[name] for name in ceilings), str(counts)
-
-
 def test_bounded_3d_facet_search_builds_no_sub_body(monkeypatch):
     # a bounded facet of a 3-d body is rotated, levelled and scanned on int
     # rows: no Fraction matrix work, no half-space normalisation, no level
@@ -616,7 +614,7 @@ def test_bounded_3d_facet_search_builds_no_sub_body(monkeypatch):
     bodies = [scenarios.random_polytope_around(rng, f) for _ in range(4)]
     bodies += [constructions.cube_face_construction(3, i).body for i in (4, 8)]
     calls = {name: counting(monkeypatch, latcut.linalg, name)
-             for name in ("mat_vec", "inverse", "kernel_basis")}
+             for name in ("mat_vec", "inverse")}
     calls["make"] = counting(monkeypatch, geometry.HalfSpace, "make")
     calls["_assemble"] = counting(monkeypatch, geometry.Polyhedron, "_assemble")
     calls["level_slice"] = counting(monkeypatch, geometry, "level_slice")
@@ -680,8 +678,7 @@ def test_gauge_metric_builds_each_cube_face_body_once(monkeypatch):
 
 def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
     # containment, homotheties, images and both constructors take their own
-    # int copies: no linalg.dot or linalg.mat_vec on their Fraction values,
-    # and no linalg.kernel_basis (the lineality is read off the generators)
+    # int copies: no linalg.dot or linalg.mat_vec on their Fraction values
     rng = random.Random(3)
     f = (F(1, 2), F(1, 3), F(1, 5))
     bodies = [scenarios.random_polytope_around(rng, f) for _ in range(4)]
@@ -691,9 +688,8 @@ def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
     bodies += [cylinder, flat]
     maps = [scenarios.random_unimodular(rng, 3) for _ in bodies]
     dots = counting(monkeypatch, latcut.linalg, "dot")
-    monkeypatch.setattr(geometry, "dot", latcut.linalg.dot)
+    monkeypatch.setattr(geometry, "dot", latcut.linalg.dot, raising=False)  # any binding by name
     mat_vecs = counting(monkeypatch, latcut.linalg, "mat_vec")
-    kernels = counting(monkeypatch, latcut.linalg, "kernel_basis")
     runs = {
         "contains": lambda p, q, t: p.contains(q),
         "contains_in_interior": lambda p, q, t: p.contains_in_interior(q),
@@ -709,17 +705,16 @@ def test_int_kernels_make_no_dot_or_mat_vec_calls(monkeypatch):
     for name, run in runs.items():
         dots.clear()
         mat_vecs.clear()
-        kernels.clear()
         for p, t in zip(bodies, maps):
             for q in bodies:
                 run(p, q, t)
-        counts[name] = (len(dots), len(mat_vecs), len(kernels))
-    assert all(c == (0, 0, 0) for c in counts.values()), str(counts)
+        counts[name] = (len(dots), len(mat_vecs))
+    assert all(c == (0, 0) for c in counts.values()), str(counts)
 
 
 def test_distance_walks_make_no_fraction_vector_calls(monkeypatch):
     # the Hausdorff and point-distance walks take one int scale per call: no
-    # linalg.dot or vsub and no HalfSpace.eval_slack on Fractions
+    # linalg.dot or vsub on Fractions
     rng = random.Random(5)
     f = (F(1, 2), F(1, 3), F(1, 5))
     bodies = [scenarios.random_polytope_around(rng, f) for _ in range(3)]
@@ -731,8 +726,7 @@ def test_distance_walks_make_no_fraction_vector_calls(monkeypatch):
     points = [(F(1, 3), F(-2, 5), 1), (0, 0, 0), (F(7, 2), 1, F(-1, 6))]
     calls = {name: counting(monkeypatch, latcut.linalg, name)
              for name in ("dot", "vsub")}
-    monkeypatch.setattr(geometry, "dot", latcut.linalg.dot)
-    calls["eval_slack"] = counting(monkeypatch, geometry.HalfSpace, "eval_slack")
+    monkeypatch.setattr(geometry, "dot", latcut.linalg.dot, raising=False)  # any binding by name
     runs = {
         "hausdorff_sq": lambda p: [geometry.hausdorff_sq(p, q) for q in polars],
         "squared_distance_point":
@@ -807,8 +801,8 @@ def test_constructions_build_no_fraction_view(monkeypatch):
     # the lift, truncated cones, towers, pyramids, cube faces and segment
     # tests read and write the stored int form: no halfspaces, vertices,
     # rays or lineality view is built on their inputs (fresh copies) or on
-    # any body in between; segment_meets, _last_axis_range and the
-    # TruncatedCone methods make no linalg.dot call
+    # any body in between; segment_meets, _last_axis_range, the
+    # TruncatedCone methods and the cone's slices make no linalg.dot call
     shrinks = []
     real_shrink = scenarios.truncated_cone_shrink
     monkeypatch.setattr(scenarios, "truncated_cone_shrink",
@@ -868,7 +862,7 @@ def test_constructions_build_no_fraction_view(monkeypatch):
     for c, f in shrinks:
         cone = constructions.TruncatedCone.make(c.base, c.alpha, c.shift)
         cone.transverse_coordinate(f)
-        cone.slice_at(F(1, 2))
+        cone_slice(cone, F(1, 2))
     for l, f, g, d, t in lifts:
         constructions._last_axis_range(geometry.homothety(l, f, g))
     runs["segment_meets"]()

@@ -138,6 +138,20 @@ def test_cut_emits_exact_split_coefficients(capsys, tmp_path):
     assert doc["trivial"] is False
 
 
+def test_columns_of_the_wrong_length_exit_two(capsys, tmp_path):
+    # three-entry columns of a 2-d problem are bad data even when f lies
+    # outside the bodies and every cut is trivial
+    cols = tmp_path / "cols.json"
+    cols.write_text('[["1", "0", "0"]]')
+    fam = tmp_path / "fam"
+    fam.mkdir()
+    (fam / "triangle_t1.json").write_text((FIXTURES / "triangle_t1.json").read_text())
+    for argv in (["cut", "--body", str(FIXTURES / "triangle_t1.json"), "--f", "3,3"],
+                 ["closure", "--family", str(fam), "--f", "3,3"]):
+        code, out, err = run(capsys, *argv, "--cols", str(cols))
+        assert (code, out) == (2, "") and err.startswith("error:"), argv
+
+
 def test_rho_reports_infinite_with_ray_witness(capsys):
     code, doc = run_json(capsys, "rho",
                          "--b", str(FIXTURES / "triangle_t1.json"),

@@ -66,11 +66,14 @@ from latcut.scenarios import (
 from latcut.strength import relative_strength
 
 from oracles import (
+    cone_slice,
+    fraction_kernel,
     fraction_segment_meets,
     fraction_transverse_coordinate,
     lp_solve,
     separate,
     separation_depth,
+    slack,
     support,
     witnessed_facet,
     zero_combination_feasible,
@@ -109,7 +112,7 @@ def facet_witnesses(b):
         found = None
         for z in itertools.product(span, repeat=b.dim):
             zv = tuple(F(x) for x in z)
-            slacks = [g.eval_slack(zv) for g in b.halfspaces]
+            slacks = [slack(g, zv) for g in b.halfspaces]
             if all(s >= 0 for s in slacks) and slacks[j] == 0 \
                     and sum(1 for s in slacks if s == 0) == 1:
                 found = zv
@@ -169,10 +172,10 @@ def make_wedge():
 
 def test_cone_slices_interpolate_between_bases():
     cone = make_wedge()
-    assert cone.slice_at(0) == cone.base
+    assert cone_slice(cone, 0) == cone.base
     far = minkowski_scale_shift(cone.base, 2, (F(0), F(2)))
-    assert cone.slice_at(1) == far
-    mid = cone.slice_at(F(1, 2))
+    assert cone_slice(cone, 1) == far
+    mid = cone_slice(cone, F(1, 2))
     assert cone.hull.contains(mid)
     assert mid.vertices == ((F(0), F(1)), (F(3), F(1)))
 
@@ -556,14 +559,14 @@ def check_pencil(lp0, f0, z):
         with pytest.raises(NotSeparable):
             separate(lp0, beyond, f0)
         return None
-    assert all(h.eval_slack(v) >= 0 for v in lp0.vertices)
+    assert all(slack(h, v) >= 0 for v in lp0.vertices)
     assert all(la.dot(h.normal, r) <= 0 for r in lp0.rays)
     assert all(la.dot(h.normal, l) == 0 for l in lp0.lineality)
-    assert all(h.eval_slack(v) <= 0 for v in beyond.vertices)
+    assert all(slack(h, v) <= 0 for v in beyond.vertices)
     assert all(la.dot(h.normal, r) >= 0 for r in beyond.rays)
     k = max(map(abs, h.normal[:-1])) / max(map(abs, z[1:]))  # in the pencil
     assert h.normal[:-1] == tuple(k * x for x in z[1:]) and h.offset == -k * z[0]
-    depth = h.eval_slack(f0) / max(abs(x) for x in h.normal)
+    depth = slack(h, f0) / max(abs(x) for x in h.normal)
     assert depth == separation_depth(lp0, beyond, f0)
     return h
 
@@ -923,7 +926,7 @@ def segment_cases(rng, p):
     cases = [(rng.choice(ends), rng.choice(ends)) for _ in range(8)]
     cases += [(a, a) for a in rng.sample(ends, 3)]
     for h in p.halfspaces:
-        for along in la.kernel_basis([h.normal], n)[:1]:
+        for along in fraction_kernel([h.normal], n)[:1]:
             a = rng.choice(ends)
             t = F(rng.randint(-4, 4), rng.choice((1, 2)))
             cases.append((a, la.vadd(a, la.vscale(t, along))))

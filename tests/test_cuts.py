@@ -21,8 +21,7 @@ from latcut.errors import DimensionMismatch, PointNotInterior
 from latcut.geometry import Polyhedron, homothety
 from latcut.jsonio import parse_polyhedron
 
-from oracles import fraction_dot, gauge_value, norm_sq
-from simplex import solve_ineq
+from oracles import fraction_dot, fraction_solve_ineq, gauge_value, norm_sq
 
 F12 = (F(1, 2), F(1, 2))
 SQ01 = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -123,6 +122,20 @@ def test_closure_conjunction_and_empty_family():
     assert not both.accepts((F(1, 4), F(1, 2)))  # split cut bites
 
 
+def test_columns_must_match_the_dimension():
+    # the length is checked before the interior test, so an exterior f,
+    # whose cut is trivial, and an empty family reject bad columns too
+    tri2 = tri(1)
+    for f in (F12, (3, 3)):
+        with pytest.raises(DimensionMismatch):
+            intersection_cut(tri2, [(1, 0, 0)], f)
+        with pytest.raises(DimensionMismatch):
+            closure([tri2], [(1, 0), (1, 0, 0)], f)
+    with pytest.raises(DimensionMismatch):
+        closure([], [(1, 0, 0)], (1, 2))
+    assert intersection_cut(tri2, [(1, 0)], (3, 3)).trivial
+
+
 def test_cut_validity_on_integer_points():
     """Any integer point outside the body's interior satisfies every cut.
 
@@ -154,7 +167,7 @@ def _min_activity(cut, z):
     for j in range(k):                      # s >= 0
         rows.append(tuple(F(-1) if i == j else F(0) for i in range(k)))
         rhs.append(F(0))
-    res = solve_ineq(rows, rhs, cut.coeffs, sense="min")
+    res = fraction_solve_ineq(rows, rhs, cut.coeffs, sense="min")
     assert res.status == "optimal"
     return res.value
 

@@ -60,6 +60,7 @@ from oracles import (
     polygon_dist_sq,
     polyhedron_of,
     separate,
+    slack,
     slack_contains,
     squared_distance_point,
     subset_scan_dist_sq,
@@ -259,7 +260,7 @@ def test_cone_dd_runs_no_fraction_arithmetic(monkeypatch):
             return f(*args)
         return wrapper
 
-    for mod, name in [(geometry, "dot"), (geometry, "vscale"),
+    for mod, name in [(la, "dot"), (geometry, "vscale"),
                       (la, "vsub"), (la, "primitive")]:
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     square = [(F(-1), F(1), F(0)), (F(0), F(-1), F(0)), (F(-1), F(0), F(1)),
@@ -571,16 +572,16 @@ def test_separate_disjoint_boxes():
     a = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
     b = translate(a, (3, 0))
     h = separate(a, b, slack_point=(F(1, 2), F(1, 2)))
-    assert all(h.eval_slack(v) >= 0 for v in a.vertices)
-    assert all(h.eval_slack(v) <= 0 for v in b.vertices)
+    assert all(slack(h, v) >= 0 for v in a.vertices)
+    assert all(slack(h, v) <= 0 for v in b.vertices)
 
 
 def test_separate_touching_boxes_weakly():
     a = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
     b = translate(a, (1, 0))
     h = separate(a, b, slack_point=(F(1, 2), F(1, 2)))
-    assert all(h.eval_slack(v) >= 0 for v in a.vertices)
-    assert all(h.eval_slack(v) <= 0 for v in b.vertices)
+    assert all(slack(h, v) >= 0 for v in a.vertices)
+    assert all(slack(h, v) <= 0 for v in b.vertices)
 
 
 def test_separate_overlap_raises():
@@ -628,6 +629,13 @@ def test_transform_rejects_a_map_of_the_wrong_size():
     for n in (1, 3):
         with pytest.raises(DimensionMismatch):
             transform(tri, UnimodularMap.make(la.identity(n), (1,) * n))
+
+
+def test_unimodular_map_rejects_a_point_of_the_wrong_length():
+    u = UnimodularMap.make([[1, 1], [0, 1]], (2, -3))
+    for x in [(1,), (1, 2, 3)]:
+        with pytest.raises(DimensionMismatch):
+            u.apply(x)
 
 
 def test_unimodular_map_keeps_its_inverse_out_of_equality():
@@ -1089,7 +1097,7 @@ def test_containment_matches_the_slack_rule():
                 got = (a.contains(b), a.contains_in_interior(b))
                 assert got == (slack_contains(a, b),
                                slack_contains(a, b, strict=True)), (a, b)
-                on_facet = any(h.eval_slack(v) == 0 for h in a.halfspaces
+                on_facet = any(slack(h, v) == 0 for h in a.halfspaces
                                for v in b.vertices)
                 key = got + (on_facet, bool(b.rays))
                 outcomes[key] = outcomes.get(key, 0) + 1
@@ -1418,7 +1426,7 @@ def test_generator_roundtrip_2d(pts):
     assert Polyhedron.from_generators(p.vertices, p.rays, 2) == p
     # every vertex is tight at some facet and every facet has a tight vertex
     for h in p.halfspaces:
-        assert any(h.eval_slack(v) == 0 for v in p.vertices)
+        assert any(slack(h, v) == 0 for v in p.vertices)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1515,8 +1523,8 @@ def test_separation_complete(pa, pb):
         if a.fulldim and b.fulldim:
             assert both.fulldim
         return
-    assert all(h.eval_slack(v) >= 0 for v in a.vertices)
-    assert all(h.eval_slack(v) <= 0 for v in b.vertices)
+    assert all(slack(h, v) >= 0 for v in a.vertices)
+    assert all(slack(h, v) <= 0 for v in b.vertices)
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,7 +40,6 @@ from latcut.lattice import (
 )
 
 from oracles import (
-    _split_off_lineality,
     box_scan_width,
     brute_force_vertices,
     first_strict_point_by_columns,
@@ -50,6 +49,8 @@ from oracles import (
     lattice_points_in_hrep,
     orthogonal_brute_width,
     quotient_certificate,
+    slack,
+    _split_off_lineality,
     transpose,
 )
 
@@ -73,10 +74,10 @@ def _check_cert(p, cert):
             continue
         assert all(x.denominator == 1 for x in w)
         h = p.halfspaces[j]
-        assert h.eval_slack(w) == 0
+        assert slack(h, w) == 0
         for i, g in enumerate(p.halfspaces):
             if i != j:
-                assert g.eval_slack(w) > 0
+                assert slack(g, w) > 0
     assert cert.maximal == all(w is not None for w in cert.facet_witnesses)
 
 
@@ -536,7 +537,7 @@ def test_facet_witnesses_of_a_slab_in_space():
     slab3 = Polyhedron.from_halfspaces([((1, 0, 0), 1), ((-1, 0, 0), 0)], 3)
     for j, h in enumerate(slab3.halfspaces):
         z = facet_interior_lattice_point(slab3, j)
-        assert all(x.denominator == 1 for x in z) and h.eval_slack(z) == 0
+        assert all(x.denominator == 1 for x in z) and slack(h, z) == 0
 
 
 def _facet_by_conversion(p, j):
