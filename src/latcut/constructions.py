@@ -323,7 +323,7 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
     """
     f = la.vec(f)
     gamma = la.frac(gamma)
-    t = int(t)
+    t = la.frac(t)
     n = l.dim
     if n < 2:
         raise UnsupportedDimension("lifting starts from the plane")
@@ -333,6 +333,8 @@ def lift_to_nplus1(l: Polyhedron, f, gamma, d: Polyhedron, t: int) -> Polyhedron
         raise DimensionMismatch("base must live one dimension down")
     if not (0 < gamma <= 1):
         raise HypothesisViolated("gamma-out-of-range", f"gamma = {gamma}")
+    if t.denominator != 1:
+        raise HypothesisViolated("level-not-integer", f"t = {t}")
     if not l.contains_point(f, strict=True):
         raise HypothesisViolated("f-not-interior", "f must be interior to the body")
     if not d.fulldim:
@@ -801,8 +803,8 @@ def _tower(f: Vec, alpha: Fraction):
         body = Polyhedron._from_gens([(1, z1), (1, z1 + 1)], 1)
         return body, [(Fraction(z1),), (Fraction(z1 + 1),)]
     scaled = tuple(int(x * point_denominator(f)) for x in f)
-    u = la.integer_kernel_basis([la.vec(scaled)])[0]
-    m, c = la.unimodular_with_bottom_row(u)
+    kernel, _, _ = la._column_echelon([scaled])
+    m, c = la.unimodular_with_bottom_row(la.vec(w[1] for w in kernel))
     phi = UnimodularMap(m, vzero(n), c)
     ft = phi.apply(f)
     fprime = ft[:-1]

@@ -90,21 +90,8 @@ def flatness_bound(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer points on a constrained line (the 2-d workhorse)
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+# integer points on a constrained line (the 2-d workhorse), from a particular
+# solution that ``la._column_echelon`` gives
 
 
 def _interval(pairs):
@@ -177,10 +164,14 @@ def _integer_point_on_line(a, beta: int, rows):
     """Integer z with a . z = beta, a a primitive 2-d int normal, strictly
     inside every int row (w0, w), read w . z + w0 < 0, or None: the integer
     solutions of a . z = beta are x + t d, and _strict_integer picks t.
+    The first column (p, q) of ``la._column_echelon([a])`` has a . (p, q) =
+    +/-1, which gives x; a line that some row bounds yields its extreme
+    point along d, whatever x is.
     """
-    g, u, v = _xgcd(a[0], a[1])
-    require(g == 1, "line normal is not primitive")
-    x, d = (u * beta, v * beta), (-a[1], a[0])
+    (p, _), (q, _) = la._column_echelon([a])[0]
+    g = a[0] * p + a[1] * q
+    require(g in (1, -1), "line normal is not primitive")
+    x, d = (g * beta * p, g * beta * q), (-a[1], a[0])
     t = _strict_integer((-w0 - w[0] * x[0] - w[1] * x[1], w[0] * d[0] + w[1] * d[1])
                         for w0, *w in rows)
     return None if t is None else tuple(Fraction(a + t * b) for a, b in zip(x, d))

@@ -11,9 +11,12 @@ builds one Fraction per call.  Floats never enter any computation here.
 
 One fraction-free Gauss-Jordan step, ``pivot``, does every elimination:
 ``rref_int`` and so ``rank``, ``solve`` and ``inverse``, which read its
-table and build one Fraction per entry.  The unimodular matrices come from
-an int column echelon that keeps C^-1 by the inverse row step of each
-column step, so none of them is ever inverted.
+table and build one Fraction per entry.  One int column echelon,
+``_column_echelon``, is the only Euclid loop: it keeps C^-1 by the inverse
+row step of each column step, so no unimodular matrix is ever inverted,
+and every unimodular frame comes from it (the completion of a primitive
+row, the alignment of a lineality, the kernel vector of a tower and the
+particular solution on a planar line).
 """
 
 from __future__ import annotations
@@ -239,39 +242,19 @@ def unimodular_with_bottom_row(u: Vec) -> tuple[Mat, Mat]:
     """(U, U^-1) with U a unimodular integer matrix whose bottom row is the
     primitive vector u.
 
-    Column gcd elimination reduces u to the last unit row vector while a
-    companion matrix C records the operations and U = C^-1 the inverse row
-    steps; U has u as its last row, and C is returned as its inverse.
+    ``_column_echelon`` runs on u read backwards, so its Euclid ends in the
+    last column; reversing the rows and columns of its C and C^-1 and fixing
+    the sign of the last column of C gives u.C = e_n, so u is the last row
+    of U = C^-1, and C is returned as its inverse.
     """
     row = [int(x) for x in primitive(u)]
-    n = len(row)
-    c, inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
-    both = [row] + c
-    # euclid all entries into the last column
-    for j in range(n - 1):
-        while row[j] != 0:
-            if row[n - 1] == 0 or abs(row[j]) < abs(row[n - 1]):
-                _col_swap(both, inv, j, n - 1)
-            else:
-                _col_addmul(both, inv, j, n - 1, -(row[j] // row[n - 1]))
-    if row[n - 1] < 0:
-        for w in both:
-            w[n - 1] = -w[n - 1]
-        inv[n - 1] = [-x for x in inv[n - 1]]
-    # row = u.C = (0, ..., 0, gcd(u)) = e_n, so u is the last row of C^-1,
-    # which is integral because C is a product of unimodular column steps
+    c, inv, _ = _column_echelon([row[::-1]])
+    c, inv = ([w[::-1] for w in m[::-1]] for m in (c, inv))
+    if sum(map(operator.mul, row, (w[-1] for w in c))) < 0:
+        for w in c:
+            w[-1] = -w[-1]
+        inv[-1] = [-x for x in inv[-1]]
     return _fractions(inv), _fractions(c)
-
-
-def integer_kernel_basis(rows: Sequence[Vec]) -> list[Vec]:
-    """Basis of the saturated lattice {z in Z^n : rows . z = 0}."""
-    if not rows:
-        raise ValueError("need at least one row")
-    ints = [integer_copy(r) for r in rows]
-    if not all(map(any, ints)):
-        raise ValueError("zero vector has no primitive form")
-    c, _, rk = _column_echelon(ints)
-    return [tuple(Fraction(row[j]) for row in c) for j in range(rk, len(c))]
 
 
 def alignment_int(lines: Sequence[Vec], n: int):
@@ -337,11 +320,14 @@ def format_frac(x) -> str:
 
 
 def parse_frac(s: str, strict: bool = False) -> Fraction:
-    """Parse 'p/q' (or bare 'p' when not strict).  Rejects '1/0' and floats
-    always, unreduced forms in strict mode."""
+    """Parse 'p/q' (or bare 'p' when not strict) in ASCII digits.  Rejects
+    '1/0', floats, underscores and non-ASCII digits always, unreduced forms
+    in strict mode."""
     from .errors import ParseError
 
     s = s.strip()
+    if not s.isascii() or "_" in s:
+        raise ParseError(f"not an ASCII rational literal: {s!r}")
     if any(ch in s for ch in ".eE") and not s.lstrip("+-").isdigit():
         raise ParseError(f"not an exact rational literal: {s!r}")
     if "/" in s:

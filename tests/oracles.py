@@ -1135,31 +1135,16 @@ def fraction_alignment(lines):
     return u, _as_fractions(c)
 
 
-def fraction_integer_kernel_basis(rows):
-    """The reference for ``linalg.integer_kernel_basis``."""
-    if not rows:
-        raise ValueError("need at least one row")
-    n = len(rows[0])
-    c, rk = _fraction_column_echelon([la.primitive(r) for r in rows])
-    return [tuple(Fraction(c[i][j]) for i in range(n)) for j in range(rk, n)]
-
-
 def fraction_unimodular_with_bottom_row(u):
-    """The reference for ``linalg.unimodular_with_bottom_row``: the same
-    column steps, with U found by one ``inverse``."""
+    """The reference for ``linalg.unimodular_with_bottom_row``: the column
+    echelon of u read backwards, its rows and columns reversed and the sign
+    of its last column fixed, with U found by one ``inverse``."""
     row = [int(x) for x in la.primitive(u)]
-    n = len(row)
-    c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    both = [row] + c
-    for j in range(n - 1):
-        while row[j] != 0:
-            if row[n - 1] == 0 or abs(row[j]) < abs(row[n - 1]):
-                _fraction_col_swap(both, j, n - 1)
-            else:
-                _fraction_col_addmul(both, j, n - 1, -(row[j] // row[n - 1]))
-    if row[n - 1] < 0:
-        for w in both:
-            w[n - 1] = -w[n - 1]
+    c, _ = _fraction_column_echelon([row[::-1]])
+    c = [w[::-1] for w in c[::-1]]
+    if sum(x * w[-1] for x, w in zip(row, c)) < 0:
+        for w in c:
+            w[-1] = -w[-1]
     return la.inverse(c), _as_fractions(c)
 
 

@@ -245,9 +245,11 @@ def test_no_module_imports_the_simplex():
     # the simplex is a test reference, and no module imports or defines an
     # LP or the LP separator, nor the kernel basis, half-space slack and
     # cone slice that only tests called (a function that cannot be defined
-    # cannot be called)
+    # cannot be called); nor a second Euclid loop beside _column_echelon,
+    # such as an extended gcd or an integer kernel basis of its own
     assert not (PACKAGE / "simplex.py").exists()
-    banned = ("simplex", "separate", "solve_ineq", "kernel_basis", "eval_slack", "slice_at")
+    banned = ("simplex", "separate", "solve_ineq", "kernel_basis", "eval_slack", "slice_at",
+              "_xgcd", "integer_kernel_basis")
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -521,6 +521,23 @@ def test_lift_hypothesis_violations_name_the_failed_clause():
     assert e.value.which == "slice-misses-body"
 
 
+def test_lift_rejects_a_level_that_is_not_an_integer():
+    # a fractional level is refused, not truncated to a neighbouring level
+    l, f, gamma, d, _ = _lift_instances()[0]
+    for t in (F(3, 2), F(19, 10)):
+        with pytest.raises(HypothesisViolated) as e:
+            lift_to_nplus1(l, f, gamma, d, t)
+        assert e.value.which == "level-not-integer"
+    assert lift_to_nplus1(l, f, gamma, d, F(1)) == lift_to_nplus1(l, f, gamma, d, 1)
+
+
+def test_lift_rejects_a_float_level():
+    l, f, gamma, d, _ = _lift_instances()[0]
+    for t in (1.0, 1.9):
+        with pytest.raises(TypeError, match="float"):
+            lift_to_nplus1(l, f, gamma, d, t)
+
+
 def test_lift_postconditions_on_varied_instances():
     cases = []
     for t in (1, 2, 3):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from latcut import linalg as la
 from latcut.cuts import CutSystem, intersection_cut
 from latcut.errors import ParseError
 from latcut.geometry import HalfSpace, Polyhedron
@@ -77,6 +78,21 @@ def test_parse_rejects_bare_numbers_in_coordinates():
     text = '{"dim": 1, "vrep": {"vertices": [[1]], "rays": []}}'
     with pytest.raises(ParseError):
         parse_polyhedron(text)
+
+
+def test_rationals_are_ascii_digits_without_underscores():
+    # int() alone reads "1_0/3" as 10/3 and an Arabic-Indic three as 3
+    for s in ("1_0/3", "3/1_0", "1_000", "\u0663/4", "3/\u0664", "\u0663"):
+        for strict in (True, False):
+            with pytest.raises(ParseError, match="ASCII"):
+                la.parse_frac(s, strict=strict)
+    assert la.parse_frac("3") == 3 and la.parse_frac("-1", strict=True) == -1
+    assert la.parse_frac(" -10/3 ", strict=True) == F(-10, 3)
+    text = json.dumps({"dim": 1, "vrep": {"vertices": [["1_0/3"]], "rays": []}})
+    for strict in (True, False):
+        with pytest.raises(ParseError) as e:
+            parse_polyhedron(text, strict=strict)
+        assert e.value.offset == text.find('"1_0/3"') + 1
 
 
 def test_strict_mode_rejects_unreduced_fractions():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from latcut import geometry, jsonio, lattice, scenarios
 from latcut import linalg as la
+from latcut.constructions import split_along
 from latcut.errors import (
     NotFullDimensional,
     NotLatticeFreeInput,
@@ -783,6 +784,26 @@ def test_planar_facet_witness_is_furthest_along_the_facet():
             assert facet_interior_lattice_point(p, j) == want
             several += len(admissible) > 1
     assert several > 10
+
+
+def test_facet_witnesses_of_planar_splits():
+    # no other row bounds a facet line of a split {b <= a . x <= b + 1}: the
+    # other row is parallel to it, so the witness is the line's particular
+    # solution itself.  The normals reach |a_i| = 15, which takes in those
+    # whose Bezout vector from the column echelon differs from the extended
+    # Euclid one, e.g. (-2, -1) against (1, 1) for a = (-2, 3)
+    rng = random.Random(37)
+    for a in itertools.product(range(-15, 16), repeat=2):
+        if math.gcd(*a) != 1:
+            continue
+        p = split_along(a, rng.randint(-9, 9))
+        cert = certify_lattice_free(p)
+        assert cert.lattice_free and cert.maximal, a
+        h, g = p.halfspaces
+        for (line, other), z in zip(((h, g), (g, h)), cert.facet_witnesses):
+            assert la.is_integer_vec(z), (a, z)
+            assert la.dot(line.normal, z) == line.offset, (a, z)
+            assert la.dot(other.normal, z) < other.offset, (a, z)
 
 
 def test_grow_interval():

@@ -15,7 +15,6 @@ from oracles import (
     fraction_alignment,
     fraction_det,
     fraction_dot,
-    fraction_integer_kernel_basis,
     fraction_rref,
     fraction_unimodular_with_bottom_row,
 )
@@ -237,12 +236,10 @@ def int_alignment(lines):
 
 
 def check_unimodular_routes(lines):
-    """alignment_int, integer_kernel_basis and unimodular_with_bottom_row
-    give what the Fraction route gives, bit for bit, errors included."""
+    """alignment_int and unimodular_with_bottom_row give what the Fraction
+    route gives, bit for bit, errors included."""
     got = _outcome(int_alignment, lines)
     assert got == _outcome(fraction_alignment, lines)
-    assert (_outcome(la.integer_kernel_basis, lines)
-            == _outcome(fraction_integer_kernel_basis, lines))
     for v in lines:
         assert (_outcome(la.unimodular_with_bottom_row, v)
                 == _outcome(fraction_unimodular_with_bottom_row, v))
@@ -295,7 +292,31 @@ def test_unimodular_routes_match_the_fraction_route_hypothesis(lines):
     check_unimodular_routes([tuple(map(F, l)) for l in lines])
 
 
-def test_integer_kernel_basis_rejects_a_zero_row():
-    for rows in ([(0, 0)], [(1, 2, 3), (0, 0, 0)], [(F(0), F(0), F(0), F(0))]):
+def check_completion(u):
+    """unimodular_with_bottom_row(u) is an integer pair (M, M^-1) whose last
+    row is the primitive u; a zero u raises."""
+    if not any(u):
         with pytest.raises(ValueError, match="zero vector"):
-            la.integer_kernel_basis([la.vec(r) for r in rows])
+            la.unimodular_with_bottom_row(u)
+        return
+    m, c = la.unimodular_with_bottom_row(u)
+    n = len(u)
+    assert all(type(x) is F and x.denominator == 1 for w in m + c for x in w)
+    assert tuple(tuple(la.dot(w, col) for col in zip(*c)) for w in m) == la.identity(n)
+    assert m[-1] == la.primitive(u)
+
+
+def test_completion_is_unimodular_with_the_primitive_last_row():
+    rng = random.Random(37)
+    for k in range(600):
+        n = 1 + k % 4
+        scale = F(rng.randint(1, 6), rng.randint(1, 4))
+        check_completion(tuple(scale * rng.randint(-12, 12) for _ in range(n)))
+    for n in range(1, 5):
+        check_completion((F(0),) * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(entry, min_size=n, max_size=n)))
+def test_completion_is_unimodular_with_the_primitive_last_row_hypothesis(u):
+    check_completion(tuple(map(F, u)))
